@@ -22,6 +22,7 @@ from .decomp import (
 )
 from .derlie import (
     LieVec,
+    annihilates,
     build_D_derivation,
     eps_apply,
     find_lie_relations,

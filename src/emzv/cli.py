@@ -10,9 +10,9 @@ goes to stderr), 2 on usage errors.
 The zeta table ships with the package; ``--mzv-table`` or the environment
 variable ``EMZV_MZV_TABLE`` select another file.  Indices are written as
 comma-separated entries without spaces (``0,1,0,0``; the empty string is
-the empty index).  Note that the table's weight cap bounds the indices the
-CLI accepts; the verification suite exercises the closed-form layers beyond
-it.
+the empty index).  An index needs a table of weight at least
+weight + length - 1, so the table's cap bounds the indices the CLI accepts;
+the verification suite exercises the closed-form layers beyond it.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ from .derlie import (
     uu_dual_membership,
 )
 from .eisalg import EPoly
-from .errors import EmzvError, TableOverflow
+from .errors import EmzvError, ParseError, TableOverflow
 from .coeffring import parse_coeff
-from .ncalg import build_Ainf
+from .ncalg import build_Ainf, required_table_weight
 from .verify import VerifyContext, run_checks
 
 ENV_TABLE = "EMZV_MZV_TABLE"
@@ -142,24 +142,38 @@ def _emit(cfg: RunConfig, doc: dict, text: str) -> None:
 
 
 def _guarded_index(ns: argparse.Namespace, table: MzvTable) -> tuple[int, ...]:
-    idx = parse_index(ns.index)
-    if sum(idx) > table.max_weight:
+    try:
+        idx = parse_index(ns.index)
+    except ParseError:
+        raise ValueError(
+            f"bad --index {ns.index!r}: pass nonnegative integers separated "
+            "by commas, e.g. --index 0,1,0,0"
+        ) from None
+    need = required_table_weight(idx)
+    if need > table.max_weight:
         raise TableOverflow(
-            f"index weight {sum(idx)} exceeds the table cap {table.max_weight}"
+            f"index {format_index(idx)} needs a table of weight ≥ {need} "
+            f"(cap {table.max_weight}); pass `--mzv-table`"
         )
     return idx
 
 
 def _epoly_argument(ns: argparse.Namespace, table: MzvTable) -> EPoly:
     if (ns.index is None) == (ns.epoly is None):
-        raise SystemExit(2)
+        raise ValueError(f"{ns.command} needs exactly one of --index or --epoly")
     if ns.index is not None:
         idx = _guarded_index(ns, table)
         return decompose(idx, table).epoly.without_constant()
-    terms = json.loads(ns.epoly)
-    return EPoly(
-        {parse_index(w): parse_coeff(c, table.symbols) for w, c in terms}, table
-    )
+    try:
+        coeffs = {
+            parse_index(w): parse_coeff(c, table.symbols) for w, c in json.loads(ns.epoly)
+        }
+    except (ValueError, TypeError, ParseError) as exc:
+        raise ValueError(
+            f"bad --epoly ({exc}): pass a JSON list of [index, coefficient] "
+            """pairs, e.g. --epoly '[["2,4", "1 * 1"]]'"""
+        ) from None
+    return EPoly(coeffs, table)
 
 
 def _cmd_decompose(ns: argparse.Namespace) -> int:

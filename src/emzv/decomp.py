@@ -16,7 +16,9 @@ an :class:`~emzv.eisalg.EPoly`.
 :func:`gseries_decompose` recomputes the same data along an independent
 route: it applies the normalized derivation words to the limit series and
 re-extracts index coefficients, exercising the derivation algebra and the
-associator instead of the length recursion.
+associator instead of the length recursion.  It makes one pass over the
+pieces of the series homogeneous in word degree and coefficient monomial,
+pushing each through the integer derivations once.
 """
 
 from __future__ import annotations
@@ -26,12 +28,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .coeffring import CoeffElem, MzvTable, bernoulli, parse_coeff, render_coeff
-from .derlie import eps_tilde_nc
+from .coeffring import (
+    CoeffElem,
+    MzvMonomial,
+    MzvTable,
+    bernoulli,
+    parse_coeff,
+    render_coeff,
+)
+from .derlie import eps_nc, eps_tilde_scale
 from .eisalg import EPoly, EWord, eisenstein_qexp, epoly_to_qexp
 from .errors import ParseError
 from .linalg import RatMatrix, kernel_basis
-from .ncalg import canonical_ainf, extract_gamma, triangular_index_solve
+from .ncalg import NCSeries, canonical_ainf, extract_gamma, triangular_index_solve
 from .qseries import QTSeries, qt_mul
 
 EmzvIndex = tuple[int, ...]
@@ -252,51 +261,90 @@ def gseries_decompose(
 ) -> dict[EmzvIndex, EPoly]:
     """Decompositions of all indices in range along the derivation route.
 
-    Computes sum_w e_w (x) eps~_w(limit series) degree by degree and solves
-    for the index coefficients; entirely independent of diffeq_expand and
-    of the per-index constant extraction, so it serves as a cross-check of
-    the length recursion.
+    Computes sum_w e_w (x) eps~_w(limit series) and solves each degree for
+    the index coefficients; entirely independent of diffeq_expand and of the
+    per-index constant extraction, so it serves as a cross-check of the
+    length recursion.
     """
     indices = indices_upto(max_len, max_wt)
     degrees = sorted({index_weight(i) + len(i) for i in indices if i})
     out: dict[EmzvIndex, EPoly] = {(): EPoly.constant(1, table)}
     if not degrees:
         return out
-    ainf = canonical_ainf(table, max(degrees))
+    images = _eps_word_images(canonical_ainf(table, max(degrees)), degrees)
     wanted = set(indices)
     for d in degrees:
-        solved = _gseries_solve_degree(ainf, d, table)
+        solved = triangular_index_solve(_gseries_component(images.pop(d), table), d)
         for idx in wanted:
             if idx and index_weight(idx) + len(idx) == d:
-                val = solved.get(idx)
-                if val is None:
-                    val = EPoly.zero(table)
+                val = solved.get(idx) or EPoly.zero(table)
                 out[idx] = val if len(idx) % 2 == 0 else -val
     return out
 
 
-def _gseries_solve_degree(ainf, d: int, table: MzvTable) -> dict[EmzvIndex, EPoly]:
-    ops = {k2: eps_tilde_nc(k2) for k2 in range(0, max(d, 1), 2)}
-    accum: dict[str, dict[EWord, CoeffElem]] = {}
+# (e-word w, monomial mu, rational factor, integer word vector v): the
+# piece of eps~_w(Ainf) on the monomial mu is factor * v.
+_EpsImage = tuple[EWord, MzvMonomial, Fraction, dict[str, int]]
 
-    base = ainf.truncate(d)
-    stack = [((), base)]
-    while stack:
-        eword, series = stack.pop()
-        for ncw, c in series.component(d).items():
-            accum.setdefault(ncw, {})[eword] = c
-        for k2, op in ops.items():
-            image = op.apply(series)
-            if image.is_zero():
-                continue
-            # the newest application is outermost: it leads the word
-            stack.append(((k2,) + eword, image))
 
-    component = {ncw: EPoly(coeffs, table) for ncw, coeffs in accum.items()}
-    solved = triangular_index_solve(component, d)
-    return {
-        j: (v if v is not None else EPoly.zero(table)) for j, v in solved.items()
-    }
+def _eps_word_images(ainf: NCSeries, degrees: Sequence[int]) -> dict[int, list[_EpsImage]]:
+    """Every nonzero eps~_w applied to the pieces of the limit series.
+
+    A piece is homogeneous in word degree m and coefficient monomial mu.
+    It is cleared to an integer vector and pushed once through the integer
+    derivations eps_{2k}; each raises the degree by exactly 2k, so the
+    image under eps_w lands at degree m + |w| and serves every requested
+    degree.  The eps~ normalisation and the cleared denominator are carried
+    as one rational factor per (e-word, monomial).
+    """
+    top = max(degrees)
+    ops = [(k2, eps_nc(k2), eps_tilde_scale(k2)) for k2 in range(0, top, 2)]
+    images: dict[int, list[_EpsImage]] = {d: [] for d in degrees}
+    for mono, vec in ainf.monomial_slices().items():
+        pieces: dict[int, dict[str, Fraction]] = {}
+        for w, q in vec.items():
+            if 1 <= len(w) <= top:
+                pieces.setdefault(len(w), {})[w] = q
+        for m, piece in pieces.items():
+            den = math.lcm(*(q.denominator for q in piece.values()))
+            ints = {w: q.numerator * (den // q.denominator) for w, q in piece.items()}
+            stack = [(m, (), Fraction(1, den), ints)]
+            while stack:
+                deg, eword, factor, v = stack.pop()
+                if deg in images:
+                    images[deg].append((eword, mono, factor, v))
+                for k2, op, norm in ops:
+                    if deg + k2 > top:
+                        break
+                    image = op.apply(v)
+                    if image:
+                        # the newest application is outermost: it leads the word
+                        stack.append((deg + k2, (k2,) + eword, factor * norm, image))
+    return images
+
+
+def _gseries_component(images: list[_EpsImage], table: MzvTable) -> dict[str, EPoly]:
+    """Word -> e-word polynomial of one degree, each coefficient built once.
+
+    Consumes the images and then the integer table built from them, so the
+    raw data is freed while the polynomials are built.
+    """
+    factors: dict[tuple[EWord, MzvMonomial], Fraction] = {}
+    ints: dict[str, dict[EWord, dict[MzvMonomial, int]]] = {}
+    while images:
+        eword, mono, factor, v = images.pop()
+        factors[eword, mono] = factor
+        for w, n in v.items():
+            ints.setdefault(w, {}).setdefault(eword, {})[mono] = n
+    component: dict[str, EPoly] = {}
+    while ints:
+        w, per = ints.popitem()
+        coeffs = {
+            eword: CoeffElem({mono: factors[eword, mono] * n for mono, n in terms.items()})
+            for eword, terms in per.items()
+        }
+        component[w] = EPoly(coeffs, table)
+    return component
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .linalg import RatMatrix, kernel_basis
 from .ncalg import NCSeries
 
 Assoc = dict[str, Fraction]  # sparse free-associative element
+Number = int | Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +238,7 @@ def eps_derivation(k2: int, tilde: bool = False) -> LieDerivation:
         term = assoc_bracket(_ad_x_pow(j), _ad_x_pow(k2 - 1 - j))
         _assoc_add(val_y, term, Fraction((-1) ** j))
     der = LieDerivation(val_x, val_y, k2)
-    if tilde:
-        if k == 0:
-            return der.scale(Fraction(-1))
-        return der.scale(Fraction(2, math.factorial(k2 - 2)))
-    return der
+    return der.scale(eps_tilde_scale(k2)) if tilde else der
 
 
 def eps_apply(k2: int, v: LieVec) -> LieVec:
@@ -580,63 +577,84 @@ def fourier_membership(x: EPoly, order: int = 20) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Derivations acting on the two-letter series of the constant-term data
+# Derivations acting on the two-letter words of the constant-term data
 
 
 class NCDerivation:
-    """Derivation of the a, b word algebra with rational generator values."""
+    """Derivation of the a, b word algebra fixed by its generator values.
+
+    The eps_{2k} have integer generator values (:func:`eps_nc`); the
+    annihilating derivation of :func:`build_D_derivation` has rational ones.
+    ``apply`` maps a finite word -> number vector to its image and keeps
+    every degree: callers truncate.
+    """
 
     __slots__ = ("val_a", "val_b")
 
-    def __init__(self, val_a: Mapping[str, Fraction], val_b: Mapping[str, Fraction]):
+    def __init__(self, val_a: Mapping[str, Number], val_b: Mapping[str, Number]):
         self.val_a = dict(val_a)
         self.val_b = dict(val_b)
 
-    def apply(self, s: NCSeries) -> NCSeries:
-        D = s.maxdeg
-        acc: dict[str, CoeffElem] = {}
-        for w, c in s.items():
+    def apply(self, vec: Mapping[str, Number]) -> dict[str, Number]:
+        out: dict[str, Number] = {}
+        for w, q in vec.items():
             for i, ch in enumerate(w):
                 val = self.val_a if ch == "a" else self.val_b
                 pre, post = w[:i], w[i + 1 :]
-                room = D - len(pre) - len(post)
-                for sub, q in val.items():
-                    if len(sub) > room:
-                        continue
+                for sub, qs in val.items():
                     ww = pre + sub + post
-                    piece = c.scale(q)
-                    s2 = acc.get(ww, CoeffElem.zero()) + piece
-                    if s2.is_zero():
-                        acc.pop(ww, None)
+                    s = out.get(ww, 0) + q * qs
+                    if s:
+                        out[ww] = s
                     else:
-                        acc[ww] = s2
-        return NCSeries(D, acc, s.table)
+                        out.pop(ww, None)
+        return out
 
 
-def _to_ab(elem: Assoc) -> dict[str, Fraction]:
-    return {w.replace("x", "a").replace("y", "b"): q for w, q in elem.items()}
+def eps_tilde_scale(k2: int) -> Fraction:
+    """Normalisation of eps~_{2k} = scale * eps_{2k}: -1 for k = 0, else 2/(2k-2)!."""
+    if k2 == 0:
+        return Fraction(-1)
+    return Fraction(2, math.factorial(k2 - 2))
 
 
-def eps_tilde_nc(k2: int) -> NCDerivation:
-    """The normalized derivation acting on a, b series (x -> a, y -> b)."""
-    der = eps_derivation(k2, tilde=True)
-    return NCDerivation(_to_ab(der.val_x), _to_ab(der.val_y))
+def eps_nc(k2: int) -> NCDerivation:
+    """eps_{2k} on a, b words (x -> a, y -> b), with integer generator values."""
+    der = eps_derivation(k2)
+    sides = []
+    for val in (der.val_x, der.val_y):
+        assert all(q.denominator == 1 for q in val.values())
+        sides.append(
+            {w.replace("x", "a").replace("y", "b"): q.numerator for w, q in val.items()}
+        )
+    return NCDerivation(*sides)
 
 
 def build_D_derivation(maxdeg: int) -> NCDerivation:
-    """eps~_0 + sum_{k >= 1} B_{2k}/(4k) eps~_{2k}, truncated at maxdeg.
+    """eps~_0 + sum_{k >= 1} B_{2k}/(4k) eps~_{2k}, for 2k + 1 <= maxdeg.
 
-    Annihilates t = -[a, b], ytilde and the constant-term series.
+    Annihilates t = -[a, b], ytilde and the constant-term series up to
+    degree maxdeg (see :func:`annihilates`).
     """
     val_a: dict[str, Fraction] = {}
     val_b: dict[str, Fraction] = {}
-    k = 0
-    while 2 * k + 1 <= maxdeg or k == 0:
-        der = eps_derivation(2 * k, tilde=True)
-        coeff = Fraction(1) if k == 0 else bernoulli(2 * k) / (4 * k)
-        _assoc_add(val_a, _to_ab(der.val_x), coeff)
-        _assoc_add(val_b, _to_ab(der.val_y), coeff)
-        k += 1
-        if 2 * k + 1 > maxdeg:
-            break
+    for k in range(max(1, (maxdeg + 1) // 2)):
+        coeff = eps_tilde_scale(2 * k)
+        if k:
+            coeff *= bernoulli(2 * k) / (4 * k)
+        eps = eps_nc(2 * k)
+        _assoc_add(val_a, eps.val_a, coeff)
+        _assoc_add(val_b, eps.val_b, coeff)
     return NCDerivation(val_a, val_b)
+
+
+def annihilates(der: NCDerivation, s: NCSeries) -> bool:
+    """True iff der(s) vanishes up to the truncation degree of s.
+
+    The derivation is Q-linear, so it kills s exactly when it kills the
+    rational word vector of every coefficient monomial.
+    """
+    return all(
+        all(len(w) > s.maxdeg for w in der.apply(piece))
+        for piece in s.monomial_slices().values()
+    )

@@ -121,6 +121,14 @@ class EPoly:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
+    def _from_clean(coeffs: dict[EWord, CoeffElem], table: MzvTable | None) -> "EPoly":
+        """Adopt a dict of even words to nonzero coefficients as it is."""
+        out = object.__new__(EPoly)
+        out.coeffs = coeffs
+        out.table = table
+        return out
+
+    @staticmethod
     def zero(table: MzvTable | None = None) -> "EPoly":
         return EPoly({}, table)
 
@@ -196,21 +204,23 @@ class EPoly:
                 d.pop(w, None)
             else:
                 d[w] = s
-        return EPoly(d, self._merged_table(other))
+        return EPoly._from_clean(d, self._merged_table(other))
 
     def __neg__(self) -> "EPoly":
-        return EPoly({w: -c for w, c in self.coeffs.items()}, self.table)
+        return EPoly._from_clean({w: -c for w, c in self.coeffs.items()}, self.table)
 
     def __sub__(self, other: "EPoly") -> "EPoly":
         return self + (-other)
 
     def scale(self, c: CoeffElem | Fraction | int) -> "EPoly":
+        # the coefficient ring has no zero divisors: a nonzero c keeps every term
+        if not c:
+            return EPoly.zero(self.table)
         if isinstance(c, CoeffElem):
-            return EPoly(
-                {w: coeff_mul(v, c, self.table) for w, v in self.coeffs.items()},
-                self.table,
-            )
-        return EPoly({w: v.scale(c) for w, v in self.coeffs.items()}, self.table)
+            d = {w: coeff_mul(v, c, self.table) for w, v in self.coeffs.items()}
+        else:
+            d = {w: v.scale(c) for w, v in self.coeffs.items()}
+        return EPoly._from_clean(d, self.table)
 
     def prepend(self, letter: int) -> "EPoly":
         """Left-concatenate one letter onto every word."""

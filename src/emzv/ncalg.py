@@ -25,7 +25,14 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .coeffring import CoeffElem, MzvTable, bernoulli, coeff_mul, merge_tables
+from .coeffring import (
+    CoeffElem,
+    MzvMonomial,
+    MzvTable,
+    bernoulli,
+    coeff_mul,
+    merge_tables,
+)
 from .errors import (
     DegreeMismatch,
     ExtractionInconsistent,
@@ -92,6 +99,14 @@ class NCSeries:
 
     def component(self, d: int) -> dict[NCWord, CoeffElem]:
         return {w: c for w, c in self.coeffs.items() if len(w) == d}
+
+    def monomial_slices(self) -> dict[MzvMonomial, dict[NCWord, Fraction]]:
+        """The rational word vector carried by each coefficient monomial."""
+        out: dict[MzvMonomial, dict[NCWord, Fraction]] = {}
+        for w, c in self.coeffs.items():
+            for mono, q in c.items():
+                out.setdefault(mono, {})[w] = q
+        return out
 
     def truncate(self, maxdeg: int) -> "NCSeries":
         return NCSeries(maxdeg, self.coeffs, self.table)
@@ -376,6 +391,15 @@ def build_phi(
     return acc
 
 
+def required_table_weight(idx: Iterable[int]) -> int:
+    """Table weight cap the constant of an index needs: weight + length - 1.
+
+    The constant sits in the limit series at degree weight + length, whose
+    coefficients are regularized values of weight up to one less.
+    """
+    return sum(k + 1 for k in idx) - 1
+
+
 def build_Ainf(maxdeg: int, table: MzvTable) -> NCSeries:
     """Limit of the generating series at the cusp, built from the associator.
 
@@ -388,10 +412,11 @@ def build_Ainf(maxdeg: int, table: MzvTable) -> NCSeries:
     if cached is not None and cached.maxdeg >= maxdeg:
         return cached.truncate(maxdeg)
 
-    if maxdeg - 1 > table.max_weight:
+    need = required_table_weight((0,) * maxdeg)  # same for every index at this degree
+    if need > table.max_weight:
         raise TableOverflow(
-            f"constant-term series at degree {maxdeg} needs the table up to "
-            f"weight {maxdeg - 1}, cap is {table.max_weight}"
+            f"constant-term series at degree {maxdeg} needs a table of weight "
+            f">= {need}, cap is {table.max_weight}"
         )
     D = maxdeg
     a = NCSeries.letter("a", D, table)

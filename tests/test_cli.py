@@ -60,8 +60,32 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "no-such-command")
     assert code == 2
-    code, _, _ = run_cli(capsys, "membership")  # neither --index nor --epoly
+    for argv in (
+        ["membership"],  # neither --index nor --epoly
+        ["fourier-check"],
+        ["fourier-check", "--index", "2,0,0", "--epoly", "[]"],  # both
+        ["membership", "--index", "2,0,0", "--epoly", "[]"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert err.count("\n") == 1 and "exactly one of --index or --epoly" in err
+    code, _, err = run_cli(capsys, "gamma", "--index", "-1")
     assert code == 2
+    assert err.count("\n") == 1 and "nonnegative integers" in err
+    code, _, err = run_cli(capsys, "membership", "--epoly", '[["2,x", "1 * 1"]]')
+    assert code == 2
+    assert err.count("\n") == 1 and "JSON list of [index, coefficient] pairs" in err
+
+
+def test_table_guard_is_exact(capsys):
+    # weight 8 but length 2: the constant sits at degree 10, needing weight 9
+    code, _, err = run_cli(capsys, "gamma", "--index", "4,4")
+    assert code == 1
+    assert "TableOverflow" in err and "needs a table of weight ≥ 9" in err
+    assert "--mzv-table" in err
+    code, out, _ = run_cli(capsys, "gamma", "--index", "3,4")  # needs exactly 8
+    assert code == 0
+    assert out.strip() == "0"
 
 
 def test_derlie_relations(capsys):

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from emzv.coeffring import CoeffElem, bernoulli, shipped_table
+from emzv.coeffring import (
+    CoeffElem,
+    bernoulli,
+    dump_mzv_table,
+    loads_mzv_table,
+    shipped_table,
+)
 from emzv.decomp import (
     Decomposition,
     DiffTerm,
@@ -17,8 +23,10 @@ from emzv.decomp import (
     indices_upto,
     parse_index,
 )
+from emzv.derlie import eps_derivation
 from emzv.eisalg import EPoly, epoly_mul, shuffle_words
-from emzv.errors import ParseError, TableOverflow
+from emzv.errors import ExtractionInconsistent, ParseError, TableOverflow
+from emzv.ncalg import NCSeries, build_Ainf, triangular_index_solve
 from emzv.qseries import QTSeries, qt_ddT
 
 F = Fraction
@@ -159,6 +167,87 @@ def test_gseries_matches_recursion_small(table):
     alt = gseries_decompose(3, 3, table)
     for idx, poly in alt.items():
         assert poly == decompose(idx, table).epoly, idx
+
+
+# Reference for the generating-series route: the per-degree walk it replaced,
+# which re-applies every normalized derivation to the whole series truncated
+# at each degree d and keeps only the degree-d part.
+
+
+def _reference_eps_tilde(k2):
+    der = eps_derivation(k2)
+    scale = F(-1) if k2 == 0 else F(2, math.factorial(k2 - 2))
+    return tuple(
+        {w.replace("x", "a").replace("y", "b"): q * scale for w, q in val.items()}
+        for val in (der.val_x, der.val_y)
+    )
+
+
+def _reference_apply(vals, s):
+    D = s.maxdeg
+    acc = {}
+    for w, c in s.items():
+        for i, ch in enumerate(w):
+            val = vals[0] if ch == "a" else vals[1]
+            pre, post = w[:i], w[i + 1 :]
+            room = D - len(pre) - len(post)
+            for sub, q in val.items():
+                if len(sub) > room:
+                    continue
+                ww = pre + sub + post
+                s2 = acc.get(ww, CoeffElem.zero()) + c.scale(q)
+                if s2.is_zero():
+                    acc.pop(ww, None)
+                else:
+                    acc[ww] = s2
+    return NCSeries(D, acc, s.table)
+
+
+def _reference_solve_degree(ainf, d, table):
+    ops = {k2: _reference_eps_tilde(k2) for k2 in range(0, max(d, 1), 2)}
+    accum = {}
+    stack = [((), ainf.truncate(d))]
+    while stack:
+        eword, series = stack.pop()
+        for ncw, c in series.component(d).items():
+            accum.setdefault(ncw, {})[eword] = c
+        for k2, op in ops.items():
+            image = _reference_apply(op, series)
+            if not image.is_zero():
+                stack.append(((k2,) + eword, image))
+    component = {ncw: EPoly(coeffs, table) for ncw, coeffs in accum.items()}
+    return triangular_index_solve(component, d)
+
+
+def _reference_gseries(max_len, max_wt, table):
+    indices = [i for i in indices_upto(max_len, max_wt) if i]
+    ainf = build_Ainf(max(sum(i) + len(i) for i in indices), table)
+    out = {(): EPoly.constant(1, table)}
+    for d in sorted({sum(i) + len(i) for i in indices}):
+        solved = _reference_solve_degree(ainf, d, table)
+        for idx in indices:
+            if sum(idx) + len(idx) == d:
+                val = solved.get(idx) or EPoly.zero(table)
+                out[idx] = val if len(idx) % 2 == 0 else -val
+    return out
+
+
+@pytest.mark.parametrize("max_len, max_wt", [(3, 4), (4, 3)])
+def test_gseries_matches_per_degree_walk(table, max_len, max_wt):
+    got = gseries_decompose(max_len, max_wt, table)
+    want = _reference_gseries(max_len, max_wt, table)
+    assert got.keys() == want.keys()
+    for idx, poly in want.items():
+        assert got[idx].coeffs == poly.coeffs, idx
+
+
+def test_gseries_rejects_component_outside_span():
+    # "aa" is not in the span of the degree-2 index monomials ab - ba and bb
+    fresh = loads_mzv_table(dump_mzv_table(shipped_table()))
+    ainf = build_Ainf(4, fresh)
+    fresh.caches["ainf"] = ainf + NCSeries(4, {"aa": CoeffElem.one()}, fresh)
+    with pytest.raises(ExtractionInconsistent):
+        gseries_decompose(2, 2, fresh)
 
 
 def test_shuffle_multiplicativity_small(table):

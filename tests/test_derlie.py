@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from emzv.coeffring import CoeffElem, bernoulli, shipped_table
 from emzv.derlie import (
     LieVec,
-    NCDerivation,
+    annihilates,
     assoc_bracket,
     build_D_derivation,
     eps_apply,
     eps_derivation,
-    eps_tilde_nc,
+    eps_nc,
+    eps_tilde_scale,
     even_words,
     expand_lyndon,
     find_lie_relations,
@@ -289,20 +290,29 @@ def test_fourier_agrees_with_residual_criterion():
 
 def test_D_derivation_annihilates_structure():
     table = shipped_table()
-    D = 6
-    a = NCSeries.letter("a", D, table)
-    b = NCSeries.letter("b", D, table)
-    t = -nc_bracket(a, b)
-    der = build_D_derivation(D)
-    assert der.apply(t).is_zero()
-    assert der.apply(build_ytilde(D, table)).is_zero()
-    assert der.apply(build_Ainf(D, table)).is_zero()
+    for D in (6, 8):
+        a = NCSeries.letter("a", D, table)
+        b = NCSeries.letter("b", D, table)
+        t = -nc_bracket(a, b)
+        der = build_D_derivation(D)
+        ainf = build_Ainf(D, table)
+        assert annihilates(der, t)
+        assert annihilates(der, build_ytilde(D, table))
+        assert annihilates(der, ainf)
+        # negative control: one rational word more and the check must fail
+        perturbed = ainf + NCSeries(D, {"ab": CoeffElem.one()}, table)
+        assert not annihilates(der, perturbed)
 
 
 def test_eps_tilde_nc_normalization():
-    d0 = eps_tilde_nc(0)
-    assert d0.val_a == {"b": F(-1)}
+    assert eps_tilde_scale(0) == -1
+    assert eps_tilde_scale(4) == 1  # 2/(2k-2)! = 1 for k = 2
+    assert eps_tilde_scale(6) == F(1, 12)
+    d0 = eps_nc(0)
+    assert d0.val_a == {"b": 1}
     assert d0.val_b == {}
-    d4 = eps_tilde_nc(4)  # 2/(2k-2)! = 1 for k = 2
-    assert d4.val_a == {"aaaab": F(1), "aaaba": F(-4), "aabaa": F(6),
-                        "abaaa": F(-4), "baaaa": F(1)}
+    d4 = eps_nc(4)
+    assert all(type(q) is int for side in (d4.val_a, d4.val_b) for q in side.values())
+    assert {w: eps_tilde_scale(4) * q for w, q in d4.val_a.items()} == {
+        "aaaab": F(1), "aaaba": F(-4), "aabaa": F(6), "abaaa": F(-4), "baaaa": F(1)
+    }

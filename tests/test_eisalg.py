@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emzv.coeffring import CoeffElem
+from emzv.coeffring import CoeffElem, coeff_mul
 from emzv.eisalg import (
     EPoly,
     deconcat,
@@ -147,3 +147,33 @@ def test_deconcat_coassociative():
 )
 def test_shuffle_commutes(u, v):
     assert shuffle_words(u, v) == shuffle_words(v, u)
+
+
+_coeffs = st.builds(
+    lambda terms: sum((CoeffElem.pi_pow(k, q) for k, q in terms), CoeffElem.zero()),
+    st.lists(st.tuples(st.integers(0, 3), st.fractions(max_denominator=6)), max_size=3),
+)
+_epolys = st.dictionaries(
+    st.lists(st.sampled_from([0, 2, 3, 4]), max_size=3).map(tuple), _coeffs, max_size=5
+).map(EPoly)
+
+
+def _validated(keys, coefficient):
+    return EPoly({w: coefficient(w) for w in keys})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_epolys, _epolys, st.fractions(max_denominator=5), _coeffs)
+def test_epoly_arithmetic_matches_validating_constructor(x, y, q, c):
+    words = set(x.coeffs) | set(y.coeffs)
+    assert x + y == _validated(words, lambda w: x.coefficient(w) + y.coefficient(w))
+    assert x - y == _validated(words, lambda w: x.coefficient(w) - y.coefficient(w))
+    assert -x == _validated(x.coeffs, lambda w: -x.coefficient(w))
+    assert x.scale(q) == _validated(x.coeffs, lambda w: x.coefficient(w).scale(q))
+    assert x.scale(c) == _validated(
+        x.coeffs, lambda w: coeff_mul(x.coefficient(w), c, None)
+    )
+    assert x.scale(0).is_zero() and x.scale(CoeffElem.zero()).is_zero()
+    for z in (x + y, -x, x.scale(q), x.scale(c)):
+        assert all(k % 2 == 0 for w in z.coeffs for k in w)
+        assert all(not v.is_zero() for v in z.coeffs.values())

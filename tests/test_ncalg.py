@@ -284,3 +284,12 @@ def test_compositions_and_pure_words():
     assert set(compositions_of(3)) == {(2,), (0, 1), (1, 0), (0, 0, 0)}
     assert pure_word((0, 1, 0, 0)) == "bbabb"
     assert index_monomial((0, 1, 0, 0)) == {"bbabb": F(1), "bbbab": F(-1)}
+
+
+def test_required_table_weight():
+    from emzv.ncalg import required_table_weight
+
+    assert required_table_weight((4, 4)) == 9
+    assert required_table_weight((3, 4)) == 8
+    assert required_table_weight((8,)) == 8
+    assert required_table_weight(()) == -1
