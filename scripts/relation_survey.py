@@ -19,14 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from emzv.coeffring import shipped_table
-from emzv.decomp import find_emzv_relations, format_index
-
-
-def indices_exact(length: int, weight: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-    for _ in range(length):
-        out = [idx + (k,) for idx in out for k in range(weight - sum(idx) + 1)]
-    return [idx for idx in out if sum(idx) == weight]
+from emzv.decomp import find_emzv_relations, format_index, indices_exact
 
 
 def main() -> int:

@@ -35,6 +35,7 @@ from .decomp import (
     emzv_qexp,
     find_emzv_relations,
     format_index,
+    indices_exact,
     parse_index,
 )
 from .derlie import (
@@ -215,10 +216,7 @@ def _cmd_gamma(ns: argparse.Namespace) -> int:
 def _cmd_relations(ns: argparse.Namespace) -> int:
     cfg = _config(ns)
     table = cfg.load_table()
-    indices = [
-        idx
-        for idx in _indices_exact(ns.length, ns.weight)
-    ]
+    indices = indices_exact(ns.length, ns.weight)
     vectors = find_emzv_relations(indices, table)
     doc = {
         "schema": "emzv.relations/1",
@@ -233,15 +231,12 @@ def _cmd_relations(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _indices_exact(length: int, weight: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-    for _ in range(length):
-        out = [idx + (k,) for idx in out for k in range(weight - sum(idx) + 1)]
-    return [idx for idx in out if sum(idx) == weight]
-
-
 def _cmd_derlie_relations(ns: argparse.Namespace) -> int:
     cfg = _config(ns)
+    if ns.weight < 0 or ns.weight % 2:
+        raise ValueError(f"bad --weight {ns.weight}: the weight must be even and ≥ 0")
+    if ns.depth < 1:
+        raise ValueError(f"bad --depth {ns.depth}: the depth must be ≥ 1")
     rel = find_lie_relations(ns.weight, ns.depth, cfg.lie_degree)
     lines = [f"candidates: {' '.join(rel.candidates)}"]
     lines += ["relation: " + " ".join(str(q) for q in v) for v in rel.vectors]

@@ -83,6 +83,14 @@ def indices_upto(max_len: int, max_wt: int) -> list[EmzvIndex]:
     return out
 
 
+def indices_exact(length: int, weight: int) -> list[EmzvIndex]:
+    """All indices of exactly the given length and weight."""
+    out: list[EmzvIndex] = [()]
+    for _ in range(length):
+        out = [idx + (k,) for idx in out for k in range(weight - sum(idx) + 1)]
+    return [idx for idx in out if sum(idx) == weight]
+
+
 # ---------------------------------------------------------------------------
 # The differential recursion
 

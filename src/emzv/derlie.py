@@ -28,7 +28,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .coeffring import CoeffElem, bernoulli
 from .eisalg import EPoly, EWord, epoly_to_qexp, make_eword
@@ -36,8 +36,8 @@ from .errors import TruncationOverflow
 from .linalg import RatMatrix, kernel_basis
 from .ncalg import NCSeries
 
-Assoc = dict[str, Fraction]  # sparse free-associative element
 Number = int | Fraction
+Assoc = dict[str, Number]  # sparse free-associative element
 
 
 # ---------------------------------------------------------------------------
@@ -62,38 +62,42 @@ def lyndon_words(max_len: int, alphabet: str = "xy") -> list[str]:
     return out
 
 
-def standard_factorization(w: str) -> tuple[str, str]:
-    """Split a Lyndon word as u.v with v its smallest proper suffix."""
+_Word = TypeVar("_Word", str, tuple)
+
+
+def standard_factorization(w: _Word) -> tuple[_Word, _Word]:
+    """Split a Lyndon word as u.v with v its smallest proper suffix.
+
+    Works on strings and on tuples of letters alike (tuples compare
+    lexicographically, like strings).
+    """
     assert len(w) >= 2
     v = min(w[i:] for i in range(1, len(w)))
     return w[: len(w) - len(v)], v
 
 
-def _assoc_add(acc: Assoc, other: Mapping[str, Fraction], scale: Fraction = Fraction(1)) -> None:
+def _assoc_add(acc: Assoc, other: Mapping[str, Number], scale: Number = 1) -> None:
     for w, q in other.items():
-        s = acc.get(w, Fraction(0)) + q * scale
+        s = acc.get(w, 0) + q * scale
         if s:
             acc[w] = s
         else:
             acc.pop(w, None)
 
 
-def assoc_concat(x: Mapping[str, Fraction], y: Mapping[str, Fraction]) -> Assoc:
+def assoc_concat(x: Mapping[str, Number], y: Mapping[str, Number]) -> Assoc:
     out: Assoc = {}
+    get = out.get
     for w1, q1 in x.items():
         for w2, q2 in y.items():
             w = w1 + w2
-            s = out.get(w, Fraction(0)) + q1 * q2
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return out
+            out[w] = get(w, 0) + q1 * q2
+    return {w: q for w, q in out.items() if q}
 
 
-def assoc_bracket(x: Mapping[str, Fraction], y: Mapping[str, Fraction]) -> Assoc:
+def assoc_bracket(x: Mapping[str, Number], y: Mapping[str, Number]) -> Assoc:
     out = assoc_concat(x, y)
-    _assoc_add(out, assoc_concat(y, x), Fraction(-1))
+    _assoc_add(out, assoc_concat(y, x), -1)
     return out
 
 
@@ -112,7 +116,7 @@ def expand_lyndon(w: str) -> Assoc:
     if hit is not None:
         return hit
     if len(w) == 1:
-        res: Assoc = {w: Fraction(1)}
+        res: Assoc = {w: 1}
     else:
         u, v = standard_factorization(w)
         res = assoc_bracket(expand_lyndon(u), expand_lyndon(v))
@@ -122,17 +126,17 @@ def expand_lyndon(w: str) -> Assoc:
     return res
 
 
-def to_lie_coords(elem: Mapping[str, Fraction]) -> dict[str, Fraction]:
+def to_lie_coords(elem: Mapping[str, Number]) -> dict[str, Number]:
     """Lyndon-basis coordinates of a Lie element given by its word expansion."""
     work = dict(elem)
-    coords: dict[str, Fraction] = {}
+    coords: dict[str, Number] = {}
     while work:
         w = min(work)
         c = work[w]
         expansion = expand_lyndon(w)  # raises/fails if w is not Lyndon
         if min(expansion) != w:
             raise ValueError(f"element is not Lie: stray word {w!r}")
-        coords[w] = coords.get(w, Fraction(0)) + c
+        coords[w] = coords.get(w, 0) + c
         _assoc_add(work, expansion, -c)
     return {w: q for w, q in coords.items() if q}
 
@@ -178,14 +182,15 @@ class LieVec:
 
 
 def _ad_x_pow(k: int) -> Assoc:
-    return {
-        "x" * (k - j) + "y" + "x" * j: Fraction((-1) ** j * math.comb(k, j))
-        for j in range(k + 1)
-    }
+    return {"x" * (k - j) + "y" + "x" * j: (-1) ** j * math.comb(k, j) for j in range(k + 1)}
 
 
 class LieDerivation:
-    """Derivation of the free associative algebra fixed by generator values."""
+    """Derivation of the free associative algebra fixed by generator values.
+
+    Coefficients are whatever numbers the generator values carry: the
+    eps_{2k} have integer ones, and only the normalized eps~ are rational.
+    """
 
     __slots__ = ("val_x", "val_y", "degree_shift")
 
@@ -194,29 +199,26 @@ class LieDerivation:
         self.val_y = val_y
         self.degree_shift = degree_shift
 
-    def apply(self, elem: Mapping[str, Fraction]) -> Assoc:
+    def apply(self, elem: Mapping[str, Number]) -> Assoc:
         out: Assoc = {}
+        get = out.get
+        val_x, val_y = tuple(self.val_x.items()), tuple(self.val_y.items())
         for w, q in elem.items():
             for i, ch in enumerate(w):
-                val = self.val_x if ch == "x" else self.val_y
                 pre, post = w[:i], w[i + 1 :]
-                for sub, qs in val.items():
+                for sub, qs in val_x if ch == "x" else val_y:
                     ww = pre + sub + post
-                    s = out.get(ww, Fraction(0)) + q * qs
-                    if s:
-                        out[ww] = s
-                    else:
-                        out.pop(ww, None)
-        return out
+                    out[ww] = get(ww, 0) + q * qs
+        return {w: q for w, q in out.items() if q}
 
     def bracket(self, other: "LieDerivation") -> "LieDerivation":
         vx = self.apply(other.val_x)
-        _assoc_add(vx, other.apply(self.val_x), Fraction(-1))
+        _assoc_add(vx, other.apply(self.val_x), -1)
         vy = self.apply(other.val_y)
-        _assoc_add(vy, other.apply(self.val_y), Fraction(-1))
+        _assoc_add(vy, other.apply(self.val_y), -1)
         return LieDerivation(vx, vy, self.degree_shift + other.degree_shift)
 
-    def scale(self, q: Fraction) -> "LieDerivation":
+    def scale(self, q: Number) -> "LieDerivation":
         return LieDerivation(
             {w: c * q for w, c in self.val_x.items()},
             {w: c * q for w, c in self.val_y.items()},
@@ -236,7 +238,7 @@ def eps_derivation(k2: int, tilde: bool = False) -> LieDerivation:
     val_y: Assoc = {}
     for j in range(k):
         term = assoc_bracket(_ad_x_pow(j), _ad_x_pow(k2 - 1 - j))
-        _assoc_add(val_y, term, Fraction((-1) ** j))
+        _assoc_add(val_y, term, (-1) ** j)
     der = LieDerivation(val_x, val_y, k2)
     return der.scale(eps_tilde_scale(k2)) if tilde else der
 
@@ -354,22 +356,15 @@ def _eps_lyndon_candidates(weight: int, depth: int) -> list[tuple[int, ...]]:
 def _candidate_derivation(word: tuple[int, ...]) -> LieDerivation:
     if len(word) == 1:
         return eps_derivation(word[0])
-    w = "".join(chr(65 + k // 2) for k in word)  # any injective letter coding
-    # standard factorization on the coded word, mapped back to indices
-    v = min(w[i:] for i in range(1, len(w)))
-    cut = len(w) - len(v)
-    left = _candidate_derivation(word[:cut])
-    right = _candidate_derivation(word[cut:])
-    return left.bracket(right)
+    left, right = standard_factorization(word)
+    return _candidate_derivation(left).bracket(_candidate_derivation(right))
 
 
 def candidate_label(word: tuple[int, ...]) -> str:
     if len(word) == 1:
         return f"eps{word[0]}"
-    w = "".join(chr(65 + k // 2) for k in word)
-    v = min(w[i:] for i in range(1, len(w)))
-    cut = len(w) - len(v)
-    return f"[{candidate_label(word[:cut])},{candidate_label(word[cut:])}]"
+    left, right = standard_factorization(word)
+    return f"[{candidate_label(left)},{candidate_label(right)}]"
 
 
 _relations_cache: dict[tuple, RelationSet] = {}
@@ -406,13 +401,13 @@ def find_lie_relations(
         {(g, w) for d in ders for g, side in ((0, d.val_x), (1, d.val_y)) for w in side}
     )
     pos = {c: i for i, c in enumerate(coords)}
-    rows = [[Fraction(0)] * len(cand) for _ in coords]
+    rows = [[0] * len(cand) for _ in coords]
     for j, d in enumerate(ders):
         for g, side in ((0, d.val_x), (1, d.val_y)):
             for w, q in side.items():
                 rows[pos[(g, w)]][j] = q
     if not rows:
-        rows = [[Fraction(0)] * len(cand)]
+        rows = [[0] * len(cand)]
     vectors = tuple(kernel_basis(RatMatrix.from_rows(rows)))
     rel = RelationSet(
         weight=weight,
@@ -433,11 +428,7 @@ def relation_tensor_elements(weight: int, depth: int) -> list[dict[EWord, Fracti
     def bracket_expand(word: tuple[int, ...]) -> dict[EWord, Fraction]:
         if len(word) == 1:
             return {word: Fraction(1)}
-        w = "".join(chr(65 + k // 2) for k in word)
-        v = min(w[i:] for i in range(1, len(w)))
-        cut = len(w) - len(v)
-        left = bracket_expand(word[:cut])
-        right = bracket_expand(word[cut:])
+        left, right = (bracket_expand(part) for part in standard_factorization(word))
         out: dict[EWord, Fraction] = {}
         for u, qu in left.items():
             for vv, qv in right.items():
@@ -621,13 +612,11 @@ def eps_tilde_scale(k2: int) -> Fraction:
 def eps_nc(k2: int) -> NCDerivation:
     """eps_{2k} on a, b words (x -> a, y -> b), with integer generator values."""
     der = eps_derivation(k2)
-    sides = []
-    for val in (der.val_x, der.val_y):
-        assert all(q.denominator == 1 for q in val.values())
-        sides.append(
-            {w.replace("x", "a").replace("y", "b"): q.numerator for w, q in val.items()}
-        )
-    return NCDerivation(*sides)
+    val_a, val_b = (
+        {w.replace("x", "a").replace("y", "b"): q for w, q in val.items()}
+        for val in (der.val_x, der.val_y)
+    )
+    return NCDerivation(val_a, val_b)
 
 
 def build_D_derivation(maxdeg: int) -> NCDerivation:

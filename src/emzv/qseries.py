@@ -16,11 +16,12 @@ convention used everywhere in this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .coeffring import CoeffElem, MzvTable, coeff_mul, merge_tables
+from .coeffring import CoeffElem, MzvMonomial, MzvTable, coeff_mul, merge_tables
 from .errors import FourierViolation
 
 
@@ -112,32 +113,68 @@ class QTSeries:
 
     def scale(self, c: CoeffElem | Fraction | int) -> "QTSeries":
         if isinstance(c, CoeffElem):
-            d = {k: coeff_mul(v, c, self.table) for k, v in self.coeffs.items()}
-        else:
-            d = {k: v.scale(c) for k, v in self.coeffs.items()}
-        return QTSeries(self.order, d, self.table)
+            if not c.is_rational():
+                d = {k: coeff_mul(v, c, self.table) for k, v in self.coeffs.items()}
+                return QTSeries(self.order, d, self.table)
+            c = c.rational_part()
+        return QTSeries(self.order, {k: v.scale(c) for k, v in self.coeffs.items()}, self.table)
+
+
+def _integer_slices(
+    f: QTSeries, order: int
+) -> dict[MzvMonomial, tuple[int, list[tuple[int, int, int]]]]:
+    """Split by coefficient monomial into (common denominator, integer terms).
+
+    The terms are (m, j, n) with m below the order, sorted by m, so that the
+    monomial's part of f is the sum of n / denominator * q^m T^j.
+    """
+    raw: dict[MzvMonomial, list[tuple[int, int, Fraction]]] = {}
+    for (m, j), c in f.coeffs.items():
+        if m < order:
+            for mono, q in c.items():
+                raw.setdefault(mono, []).append((m, j, q))
+    out = {}
+    for mono, terms in raw.items():
+        den = math.lcm(*(q.denominator for _, _, q in terms))
+        terms.sort(key=lambda t: t[0])
+        out[mono] = (den, [(m, j, q.numerator * (den // q.denominator)) for m, j, q in terms])
+    return out
 
 
 def qt_mul(f: QTSeries, g: QTSeries) -> QTSeries:
-    """Product truncated at the smaller order; T degrees add."""
+    """Product truncated at the smaller order; T degrees add.
+
+    Works one pair of coefficient monomials at a time: the two integer
+    slices are convolved, and the monomials are multiplied once, through
+    :func:`coeff_mul`, only if the slices meet below the order.  So
+    TableOverflow is raised exactly when some pair of terms whose product
+    survives the truncation carries an overflowing symbol product.
+    """
     order = min(f.order, g.order)
     table = f._merge_table(g)
-    acc: dict[tuple[int, int], CoeffElem] = {}
-    for (m1, j1), c1 in f.coeffs.items():
-        if m1 >= order:
-            continue
-        for (m2, j2), c2 in g.coeffs.items():
-            m = m1 + m2
-            if m >= order:
+    g_slices = _integer_slices(g, order)
+    acc: dict[tuple[int, int], dict[MzvMonomial, Fraction]] = {}
+    for mu, (den_f, terms_f) in _integer_slices(f, order).items():
+        for nu, (den_g, terms_g) in g_slices.items():
+            if terms_f[0][0] + terms_g[0][0] >= order:
                 continue
-            k = (m, j1 + j2)
-            p = coeff_mul(c1, c2, table)
-            s = acc.get(k, CoeffElem.zero()) + p
-            if s.is_zero():
-                acc.pop(k, None)
-            else:
-                acc[k] = s
-    return QTSeries(order, acc, table)
+            # the product of two unit monomials is one unit monomial
+            [(rho, _)] = coeff_mul(CoeffElem({mu: 1}), CoeffElem({nu: 1}), table).items()
+            conv: dict[tuple[int, int], int] = {}
+            get = conv.get
+            for m1, j1, n1 in terms_f:
+                room = order - m1
+                for m2, j2, n2 in terms_g:
+                    if m2 >= room:
+                        break
+                    k = (m1 + m2, j1 + j2)
+                    conv[k] = get(k, 0) + n1 * n2
+            den = den_f * den_g
+            for k, n in conv.items():
+                if n:
+                    cell = acc.setdefault(k, {})
+                    cell[rho] = cell.get(rho, 0) + Fraction(n, den)
+    return QTSeries(order, {k: CoeffElem(cell) for k, cell in acc.items()}, table)
 
 
 def qt_ddT(f: QTSeries) -> QTSeries:

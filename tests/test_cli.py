@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +78,14 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "membership", "--epoly", '[["2,x", "1 * 1"]]')
     assert code == 2
     assert err.count("\n") == 1 and "JSON list of [index, coefficient] pairs" in err
+    for argv, need in (
+        (["--weight", "-2", "--depth", "2"], "even and ≥ 0"),
+        (["--weight", "13", "--depth", "2"], "even and ≥ 0"),
+        (["--weight", "14", "--depth", "0"], "depth must be ≥ 1"),
+    ):
+        code, out, err = run_cli(capsys, "derlie-relations", *argv)
+        assert code == 2, argv
+        assert not out and err.count("\n") == 1 and need in err
 
 
 def test_table_guard_is_exact(capsys):
@@ -177,3 +188,20 @@ def test_runconfig_validation():
         RunConfig(q_order=0)
     with pytest.raises(ValueError):
         RunConfig(lie_degree=2)
+
+
+def test_relation_survey_script_runs():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "relation_survey.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--max-length", "2", "--max-weight", "3"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    # (length, weight, #indices) of every exact family in range
+    assert [tuple(map(int, r[:3])) for r in rows] == [
+        (1, 0, 1), (1, 1, 1), (1, 2, 1), (1, 3, 1),
+        (2, 0, 1), (2, 1, 2), (2, 2, 3), (2, 3, 4),
+    ]

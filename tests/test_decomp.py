@@ -20,6 +20,7 @@ from emzv.decomp import (
     find_emzv_relations,
     format_index,
     gseries_decompose,
+    indices_exact,
     indices_upto,
     parse_index,
 )
@@ -55,6 +56,18 @@ def test_indices_upto():
         (0,), (1,), (2,),
         (0, 0), (0, 1), (1, 0), (0, 2), (2, 0), (1, 1),
     }
+
+
+@pytest.mark.parametrize("length", range(5))
+def test_indices_exact_is_filtered_indices_upto(length):
+    for weight in range(-1, 6):
+        want = [
+            i
+            for i in indices_upto(length, max(weight, 0))
+            if len(i) == length and sum(i) == weight
+        ]
+        got = indices_exact(length, weight)
+        assert sorted(got) == sorted(want) and len(set(got)) == len(got)
 
 
 def test_diffeq_expand_200():

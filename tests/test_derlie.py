@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from emzv.coeffring import CoeffElem, bernoulli, shipped_table
 from emzv.derlie import (
     LieVec,
+    _candidate_derivation,
+    _eps_lyndon_candidates,
     annihilates,
     assoc_bracket,
     build_D_derivation,
@@ -30,6 +33,7 @@ from emzv.derlie import (
 )
 from emzv.eisalg import EPoly, epoly_mul, shuffle_words
 from emzv.errors import TruncationOverflow
+from emzv.linalg import RatMatrix, kernel_basis
 from emzv.ncalg import NCSeries, build_Ainf, build_ytilde, nc_bracket
 
 F = Fraction
@@ -316,3 +320,129 @@ def test_eps_tilde_nc_normalization():
     assert {w: eps_tilde_scale(4) * q for w, q in d4.val_a.items()} == {
         "aaaab": F(1), "aaaba": F(-4), "aabaa": F(6), "abaaa": F(-4), "baaaa": F(1)
     }
+
+
+# ---------------------------------------------------------------------------
+# The Fraction-valued derivation engine that the integer one replaced, kept
+# as the reference for the generator values of the bracket words
+
+
+def _frac_concat(x, y):
+    out = {}
+    for w1, q1 in x.items():
+        for w2, q2 in y.items():
+            w = w1 + w2
+            s = out.get(w, F(0)) + q1 * q2
+            if s:
+                out[w] = s
+            else:
+                out.pop(w, None)
+    return out
+
+
+def _frac_add(acc, other, scale):
+    for w, q in other.items():
+        s = acc.get(w, F(0)) + q * scale
+        if s:
+            acc[w] = s
+        else:
+            acc.pop(w, None)
+
+
+def _frac_bracket(x, y):
+    out = _frac_concat(x, y)
+    _frac_add(out, _frac_concat(y, x), F(-1))
+    return out
+
+
+class _FractionDerivation:
+    def __init__(self, val_x, val_y):
+        self.val_x = val_x
+        self.val_y = val_y
+
+    def apply(self, elem):
+        out = {}
+        for w, q in elem.items():
+            for i, ch in enumerate(w):
+                val = self.val_x if ch == "x" else self.val_y
+                pre, post = w[:i], w[i + 1 :]
+                for sub, qs in val.items():
+                    ww = pre + sub + post
+                    s = out.get(ww, F(0)) + q * qs
+                    if s:
+                        out[ww] = s
+                    else:
+                        out.pop(ww, None)
+        return out
+
+    def bracket(self, other):
+        vx = self.apply(other.val_x)
+        _frac_add(vx, other.apply(self.val_x), F(-1))
+        vy = self.apply(other.val_y)
+        _frac_add(vy, other.apply(self.val_y), F(-1))
+        return _FractionDerivation(vx, vy)
+
+
+def _frac_ad_x_pow(k):
+    return {
+        "x" * (k - j) + "y" + "x" * j: F((-1) ** j * math.comb(k, j))
+        for j in range(k + 1)
+    }
+
+
+def _frac_eps(k2):
+    val_y = {}
+    for j in range(k2 // 2):
+        term = _frac_bracket(_frac_ad_x_pow(j), _frac_ad_x_pow(k2 - 1 - j))
+        _frac_add(val_y, term, F((-1) ** j))
+    return _FractionDerivation(_frac_ad_x_pow(k2), val_y)
+
+
+def _coded_cut(word):
+    """Standard factorisation on the letter coding 2k -> chr(65 + k)."""
+    w = "".join(chr(65 + k // 2) for k in word)
+    v = min(w[i:] for i in range(1, len(w)))
+    return len(w) - len(v)
+
+
+def _frac_candidate(word):
+    if len(word) == 1:
+        return _frac_eps(word[0])
+    cut = _coded_cut(word)
+    return _frac_candidate(word[:cut]).bracket(_frac_candidate(word[cut:]))
+
+
+@pytest.mark.parametrize("weight,depth", [(14, 3), (16, 3)])
+def test_integer_engine_matches_fraction_engine(weight, depth):
+    cand = _eps_lyndon_candidates(weight, depth)
+    rows = {}
+    for j, c in enumerate(cand):
+        got = _candidate_derivation(c)
+        want = _frac_candidate(c)
+        assert got.val_x == want.val_x and got.val_y == want.val_y, c
+        for g, side in ((0, got.val_x), (1, got.val_y)):
+            assert all(type(q) is int for q in side.values()), c
+            for w, q in side.items():
+                rows.setdefault((g, w), [0] * len(cand))[j] = q
+    matrix = RatMatrix.from_rows([rows[k] for k in sorted(rows)])
+    assert find_lie_relations(weight, depth).vectors == tuple(kernel_basis(matrix))
+
+
+def test_eps_generator_values_are_integers():
+    for k2 in range(0, 19, 2):
+        d = eps_derivation(k2)
+        assert d.val_x and all(type(q) is int for q in d.val_x.values())
+        assert all(type(q) is int for q in d.val_y.values())
+        assert (k2 == 0) == (not d.val_y)
+        assert eps_nc(k2).val_a == {
+            w.replace("x", "a").replace("y", "b"): q for w, q in d.val_x.items()
+        }
+    tilde = eps_derivation(6, tilde=True)
+    assert tilde.val_x == {w: q * eps_tilde_scale(6) for w, q in eps_derivation(6).val_x.items()}
+
+
+@pytest.mark.parametrize("weight,depth", [(16, 3), (14, 4), (12, 5)])
+def test_tuple_factorisation_matches_letter_coding(weight, depth):
+    for c in _eps_lyndon_candidates(weight, depth):
+        left, right = standard_factorization(c)
+        assert left + right == c and len(left) == _coded_cut(c)

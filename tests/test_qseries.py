@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emzv.coeffring import CoeffElem
-from emzv.errors import FourierViolation
+from emzv.coeffring import CoeffElem, MzvMonomial, coeff_mul, shipped_table
+from emzv.decomp import emzv_qexp
+from emzv.eisalg import eisenstein_qexp
+from emzv.errors import FourierViolation, TableOverflow
 from emzv.qseries import QTSeries, qt_antider, qt_ddT, qt_mul
 
 F = Fraction
@@ -99,3 +101,120 @@ def test_t_free_guard():
 def test_rendering_sorted():
     f = series(4, c1_1=1, c0_0=3, c1_0=2)
     assert str(f) == "(3 * 1) + (2 * 1) q + (1 * 1) q T"
+
+
+def reference_qt_mul(f, g):
+    """The per-term product that the monomial-sliced kernel replaced."""
+    order = min(f.order, g.order)
+    table = f._merge_table(g)
+    acc = {}
+    for (m1, j1), c1 in f.coeffs.items():
+        if m1 >= order:
+            continue
+        for (m2, j2), c2 in g.coeffs.items():
+            m = m1 + m2
+            if m >= order:
+                continue
+            k = (m, j1 + j2)
+            p = coeff_mul(c1, c2, table)
+            s = acc.get(k, CoeffElem.zero()) + p
+            if s.is_zero():
+                acc.pop(k, None)
+            else:
+                acc[k] = s
+    return QTSeries(order, acc, table)
+
+
+def _outcome(mul, f, g):
+    try:
+        return mul(f, g)
+    except TableOverflow:
+        return TableOverflow
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_series(max_order=8), _random_series(max_order=5))
+def test_mul_matches_reference_on_rational_series(f, g):
+    assert qt_mul(f, g) == reference_qt_mul(f, g)
+    assert qt_mul(g, f) == reference_qt_mul(g, f)
+
+
+_MONOMIALS = (
+    MzvMonomial(0, ()),
+    MzvMonomial(2, ()),
+    MzvMonomial(0, ("z3",)),
+    MzvMonomial(1, ("z3",)),
+    MzvMonomial(0, ("z5",)),
+    MzvMonomial(0, ("z3", "z3")),
+    MzvMonomial(0, ("z7",)),
+)
+
+
+def _random_symbol_series(order):
+    keys = st.tuples(st.integers(0, order - 1), st.integers(0, 2))
+    coeff = st.dictionaries(
+        st.sampled_from(_MONOMIALS),
+        st.fractions(min_value=-6, max_value=6, max_denominator=6),
+        min_size=1,
+        max_size=3,
+    ).map(CoeffElem)
+    return st.dictionaries(keys, coeff, max_size=5).map(
+        lambda d: QTSeries(order, d, shipped_table())
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_symbol_series(6), _random_symbol_series(5))
+def test_mul_matches_reference_on_symbol_series(f, g):
+    # equal products, and TableOverflow from exactly the same operands
+    assert _outcome(qt_mul, f, g) == _outcome(reference_qt_mul, f, g)
+
+
+def test_mul_matches_reference_on_recursion_products():
+    # the products of the right side of the length recursion, where the
+    # constants carry pi z3 and pi^4
+    table = shipped_table()
+    order = 10
+    for idx in ((0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 2, 1), (0, 0, 1, 2)):
+        sub = emzv_qexp(idx, order, table)
+        assert any(m.symbols for _, _, c in sub.terms() for m, _ in c.items())
+        for k in (0, 2, 4, 6):
+            eis = eisenstein_qexp(k, order, table)
+            assert qt_mul(eis, sub) == reference_qt_mul(eis, sub)
+        assert qt_mul(sub, sub) == reference_qt_mul(sub, sub)
+
+
+def test_mul_overflow_parity():
+    table = shipped_table()
+
+    def sym(order, *terms):
+        return QTSeries(
+            order, {(m, j): CoeffElem.symbol(name) for m, j, name in terms}, table
+        )
+
+    # z5 * z5 has weight 10 > 8: raised only if the two terms meet below the order
+    meets = (sym(6, (2, 0, "z5")), sym(6, (3, 1, "z5")))
+    for f, g in (meets, meets[::-1]):
+        with pytest.raises(TableOverflow):
+            reference_qt_mul(f, g)
+        with pytest.raises(TableOverflow):
+            qt_mul(f, g)
+    # the only meeting lies at m = 6 >= order: no product, no overflow
+    apart = (sym(6, (3, 0, "z5"), (0, 0, "z3")), sym(6, (3, 1, "z5"), (1, 0, "z3")))
+    assert qt_mul(*apart) == reference_qt_mul(*apart)
+    assert qt_mul(*apart).coefficient(1, 0) == CoeffElem({MzvMonomial(0, ("z3", "z3")): 1})
+    # the orders differ: the smaller one decides
+    short = sym(5, (2, 0, "z5"))
+    assert qt_mul(short, sym(9, (3, 0, "z5"))) == reference_qt_mul(short, sym(9, (3, 0, "z5")))
+    # symbols without any table
+    bare = QTSeries(4, {(0, 0): CoeffElem.symbol("z3")})
+    with pytest.raises(TableOverflow):
+        qt_mul(bare, bare)
+
+
+def test_scale_by_rational_coeff_matches_coeff_mul():
+    f = series(6, c0_0=F(1, 3), c2_1=-2, c5_0=7)
+    for q in (F(0), F(-5, 4), F(3)):
+        c = CoeffElem.from_rational(q)
+        want = QTSeries(f.order, {k: coeff_mul(v, c, None) for k, v in f.coeffs.items()})
+        assert f.scale(c) == want
