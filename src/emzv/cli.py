@@ -62,8 +62,13 @@ class RunConfig:
     fmt: str = "text"
 
     def __post_init__(self) -> None:
-        if self.q_order < 1 or self.nc_degree < 1 or self.lie_degree < 4:
-            raise ValueError("bounds: order >= 1, degree >= 1, lie degree >= 4")
+        for flag, what, value, least in (
+            ("--order", "order", self.q_order, 1),
+            ("--degree", "degree", self.nc_degree, 1),
+            ("--lie-degree", "lie degree", self.lie_degree, 4),
+        ):
+            if value < least:
+                raise ValueError(f"bad {flag} {value}: the {what} must be ≥ {least}")
 
     def load_table(self) -> MzvTable:
         path = self.mzv_table_path
@@ -142,6 +147,14 @@ def _emit(cfg: RunConfig, doc: dict, text: str) -> None:
     print(json.dumps(doc, indent=2) if cfg.fmt == "json" else text)
 
 
+def _require_table_weight(what: str, need: int, table: MzvTable) -> None:
+    if need > table.max_weight:
+        raise TableOverflow(
+            f"{what} needs a table of weight ≥ {need} "
+            f"(cap {table.max_weight}); pass `--mzv-table`"
+        )
+
+
 def _guarded_index(ns: argparse.Namespace, table: MzvTable) -> tuple[int, ...]:
     try:
         idx = parse_index(ns.index)
@@ -150,12 +163,7 @@ def _guarded_index(ns: argparse.Namespace, table: MzvTable) -> tuple[int, ...]:
             f"bad --index {ns.index!r}: pass nonnegative integers separated "
             "by commas, e.g. --index 0,1,0,0"
         ) from None
-    need = required_table_weight(idx)
-    if need > table.max_weight:
-        raise TableOverflow(
-            f"index {format_index(idx)} needs a table of weight ≥ {need} "
-            f"(cap {table.max_weight}); pass `--mzv-table`"
-        )
+    _require_table_weight(f"index {format_index(idx)}", required_table_weight(idx), table)
     return idx
 
 
@@ -215,7 +223,18 @@ def _cmd_gamma(ns: argparse.Namespace) -> int:
 
 def _cmd_relations(ns: argparse.Namespace) -> int:
     cfg = _config(ns)
+    if ns.length < 0:
+        raise ValueError(f"bad --length {ns.length}: the length must be ≥ 0")
+    if ns.weight < 0:
+        raise ValueError(f"bad --weight {ns.weight}: the weight must be ≥ 0")
     table = cfg.load_table()
+    if ns.length:
+        # every index of this length and weight needs the same table weight
+        _require_table_weight(
+            f"each index of length {ns.length} and weight {ns.weight}",
+            required_table_weight((ns.weight,) + (0,) * (ns.length - 1)),
+            table,
+        )
     indices = indices_exact(ns.length, ns.weight)
     vectors = find_emzv_relations(indices, table)
     doc = {
@@ -292,6 +311,11 @@ def _cmd_membership(ns: argparse.Namespace) -> int:
 def _cmd_dump_ainf(ns: argparse.Namespace) -> int:
     cfg = _config(ns)
     table = cfg.load_table()
+    _require_table_weight(
+        f"the limit series at degree {cfg.nc_degree}",
+        required_table_weight((0,) * cfg.nc_degree),  # same for every index at this degree
+        table,
+    )
     ainf = build_Ainf(cfg.nc_degree, table)
     doc = {
         "schema": "emzv.ncseries/1",

@@ -28,13 +28,15 @@ import re
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .errors import ConsistencyError, ParseError, TableOverflow
 
 Rational = Fraction
 
 PI_SYMBOL = "pi"
+
+K = TypeVar("K")
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
 _bernoulli_lock = threading.Lock()
@@ -91,6 +93,13 @@ class CoeffElem:
         self._terms = d
 
     # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def _from_clean(terms: dict[MzvMonomial, Fraction]) -> "CoeffElem":
+        """Adopt a dict of monomials to nonzero Fractions as it is."""
+        out = CoeffElem()
+        out._terms = terms
+        return out
 
     @staticmethod
     def zero() -> "CoeffElem":
@@ -248,9 +257,6 @@ class MzvTable:
     def monomial_weight(self, mono: MzvMonomial) -> int:
         return mono.weight(self.symbols)
 
-    def mul(self, x: CoeffElem, y: CoeffElem) -> CoeffElem:
-        return coeff_mul(x, y, self)
-
 
 def coeff_mul(x: CoeffElem, y: CoeffElem, table: MzvTable | None) -> CoeffElem:
     """Bilinear product; pi powers add, symbol products go through the table.
@@ -284,6 +290,34 @@ def coeff_mul(x: CoeffElem, y: CoeffElem, table: MzvTable | None) -> CoeffElem:
             else:
                 acc.pop(mono, None)
     return CoeffElem(acc)
+
+
+def monomial_mul(mu: MzvMonomial, nu: MzvMonomial, table: MzvTable | None) -> MzvMonomial:
+    """Product of two unit monomials; a symbol pair goes through :func:`coeff_mul`,
+    so its weight cap raises TableOverflow exactly as for the full product."""
+    if mu.symbols and nu.symbols:
+        [(rho, _)] = coeff_mul(CoeffElem({mu: 1}), CoeffElem({nu: 1}), table).items()
+        return rho
+    return MzvMonomial(mu.pi_power + nu.pi_power, mu.symbols or nu.symbols)
+
+
+def integer_slices(
+    terms: Iterable[tuple[K, CoeffElem]],
+) -> dict[MzvMonomial, tuple[int, list[tuple[K, int]]]]:
+    """Split (key, coefficient) pairs by coefficient monomial.
+
+    Each monomial gets (common denominator, [(key, n)]) with integer n, so
+    that its part of the combination is the sum of n / denominator * key.
+    """
+    raw: dict[MzvMonomial, list[tuple[K, tuple[int, int]]]] = {}
+    for key, c in terms:
+        for mono, q in c.items():
+            raw.setdefault(mono, []).append((key, q.as_integer_ratio()))
+    out = {}
+    for mono, pairs in raw.items():
+        den = math.lcm(*(d for _, (_, d) in pairs))
+        out[mono] = (den, [(key, n * (den // d)) for key, (n, d) in pairs])
+    return out
 
 
 def merge_tables(a: MzvTable | None, b: MzvTable | None) -> MzvTable | None:

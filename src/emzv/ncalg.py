@@ -26,12 +26,15 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .coeffring import (
+    MONOMIAL_ONE,
     CoeffElem,
     MzvMonomial,
     MzvTable,
     bernoulli,
     coeff_mul,
+    integer_slices,
     merge_tables,
+    monomial_mul,
 )
 from .errors import (
     DegreeMismatch,
@@ -67,6 +70,18 @@ class NCSeries:
         self._solve_cache: dict = {}
 
     # -- constructors ---------------------------------------------------
+
+    @staticmethod
+    def _from_clean(
+        maxdeg: int, coeffs: dict[NCWord, CoeffElem], table: MzvTable | None
+    ) -> "NCSeries":
+        """Adopt a dict of words within maxdeg to nonzero coefficients as it is."""
+        out = object.__new__(NCSeries)
+        out.maxdeg = maxdeg
+        out.coeffs = coeffs
+        out.table = table
+        out._solve_cache = {}
+        return out
 
     @staticmethod
     def zero(maxdeg: int, table: MzvTable | None = None) -> "NCSeries":
@@ -109,7 +124,8 @@ class NCSeries:
         return out
 
     def truncate(self, maxdeg: int) -> "NCSeries":
-        return NCSeries(maxdeg, self.coeffs, self.table)
+        d = {w: c for w, c in self.coeffs.items() if len(w) <= maxdeg}
+        return NCSeries._from_clean(maxdeg, d, self.table)
 
     def items(self) -> Iterator[tuple[NCWord, CoeffElem]]:
         return iter(self.coeffs.items())
@@ -142,42 +158,97 @@ class NCSeries:
                 d.pop(w, None)
             else:
                 d[w] = s
-        return NCSeries(self.maxdeg, d, self._merged_table(other))
+        return NCSeries._from_clean(self.maxdeg, d, self._merged_table(other))
 
     def __neg__(self) -> "NCSeries":
-        return NCSeries(self.maxdeg, {w: -c for w, c in self.coeffs.items()}, self.table)
+        return NCSeries._from_clean(
+            self.maxdeg, {w: -c for w, c in self.coeffs.items()}, self.table
+        )
 
     def __sub__(self, other: "NCSeries") -> "NCSeries":
         return self + (-other)
 
     def scale(self, c: CoeffElem | Fraction | int) -> "NCSeries":
+        # the coefficient ring has no zero divisors: a nonzero c keeps every term
+        if not c:
+            return NCSeries.zero(self.maxdeg, self.table)
         if isinstance(c, CoeffElem):
             d = {w: coeff_mul(v, c, self.table) for w, v in self.coeffs.items()}
         else:
             d = {w: v.scale(c) for w, v in self.coeffs.items()}
-        return NCSeries(self.maxdeg, d, self.table)
+        return NCSeries._from_clean(self.maxdeg, d, self.table)
+
+
+# A monomial's integer slice: (common denominator, [(degree, [(word, n)])]) with
+# the degree buckets in increasing order, standing for sum n / denominator * word.
+_Slice = tuple[int, list[tuple[int, list[tuple[NCWord, int]]]]]
+
+
+def _degree_slices(s: NCSeries) -> dict[MzvMonomial, _Slice]:
+    """Integer slices of a series, each bucketed by word degree."""
+    out: dict[MzvMonomial, _Slice] = {}
+    for mono, (den, terms) in integer_slices(s.coeffs.items()).items():
+        buckets: dict[int, list[tuple[NCWord, int]]] = {}
+        for w, n in terms:
+            buckets.setdefault(len(w), []).append((w, n))
+        out[mono] = (den, sorted(buckets.items()))
+    return out
+
+
+def _build_coeffs(cells: dict[NCWord, dict[MzvMonomial, Fraction]]) -> dict[NCWord, CoeffElem]:
+    """Word -> monomial -> Fraction cells as coefficients, zeros dropped."""
+    out: dict[NCWord, CoeffElem] = {}
+    for w, cell in cells.items():
+        terms = {mono: q for mono, q in cell.items() if q}
+        if terms:
+            out[w] = CoeffElem._from_clean(terms)
+    return out
 
 
 def nc_mul(x: NCSeries, y: NCSeries) -> NCSeries:
-    """Concatenation product truncated at the common maxdeg."""
+    """Concatenation product truncated at the common maxdeg.
+
+    Works one pair of coefficient monomials at a time: the pairs are grouped
+    by their product monomial, and each group's integer slices are convolved
+    degree bucket by degree bucket over one common denominator.  A pair is
+    multiplied, through :func:`coeff_mul` when both carry symbols, only if
+    its slices meet within maxdeg; so TableOverflow is raised exactly when
+    some pair of terms whose product survives the truncation carries an
+    overflowing symbol product.
+    """
     if x.maxdeg != y.maxdeg:
         raise DegreeMismatch(f"maxdeg {x.maxdeg} != {y.maxdeg}")
     D = x.maxdeg
     table = x._merged_table(y)
-    acc: dict[NCWord, CoeffElem] = {}
-    for w1, c1 in x.coeffs.items():
-        room = D - len(w1)
-        for w2, c2 in y.coeffs.items():
-            if len(w2) > room:
+    y_slices = _degree_slices(y)
+    groups: dict[MzvMonomial, list[tuple[int, list, list]]] = {}
+    for mu, (den_x, buckets_x) in _degree_slices(x).items():
+        for nu, (den_y, buckets_y) in y_slices.items():
+            if buckets_x[0][0] + buckets_y[0][0] > D:
                 continue
-            w = w1 + w2
-            p = coeff_mul(c1, c2, table)
-            s = acc.get(w, CoeffElem.zero()) + p
-            if s.is_zero():
-                acc.pop(w, None)
-            else:
-                acc[w] = s
-    return NCSeries(D, acc, table)
+            rho = monomial_mul(mu, nu, table)
+            groups.setdefault(rho, []).append((den_x * den_y, buckets_x, buckets_y))
+    cells: dict[NCWord, dict[MzvMonomial, Fraction]] = {}
+    for rho, pairs in groups.items():
+        den = math.lcm(*(d for d, _, _ in pairs))
+        conv: dict[NCWord, int] = {}
+        get = conv.get
+        for d, buckets_x, buckets_y in pairs:
+            f = den // d
+            for d1, terms_x in buckets_x:
+                room = D - d1
+                for d2, terms_y in buckets_y:
+                    if d2 > room:
+                        break
+                    for w1, n1 in terms_x:
+                        n1 *= f
+                        for w2, n2 in terms_y:
+                            w = w1 + w2
+                            conv[w] = get(w, 0) + n1 * n2
+        for w, n in conv.items():
+            if n:
+                cells.setdefault(w, {})[rho] = Fraction(n, den)
+    return NCSeries._from_clean(D, _build_coeffs(cells), table)
 
 
 def nc_bracket(x: NCSeries, y: NCSeries) -> NCSeries:
@@ -363,10 +434,23 @@ def build_phi(
     arg = {0: x.truncate(D), 1: y.truncate(D)}
     mindeg = {0: mx, 1: my}
     letter = {0: x_letter, 1: y_letter}
-    acc = NCSeries.one(D, table)
+    # Phi accumulates in (word -> monomial -> rational) cells; each monomial
+    # pair is multiplied once, so a symbol pair meets coeff_mul's cap check
+    # exactly when some term of subst.scale(c) would have.
+    cells: dict[NCWord, dict[MzvMonomial, Fraction]] = {"": {MONOMIAL_ONE: Fraction(1)}}
+    products: dict[tuple[MzvMonomial, MzvMonomial], MzvMonomial] = {}
+
+    def add_scaled(subst: NCSeries, c: CoeffElem) -> None:
+        for w, v in subst.coeffs.items():
+            cell = cells.setdefault(w, {})
+            for mu, p in v.items():
+                for nu, q in c.items():
+                    rho = products.get((mu, nu))
+                    if rho is None:
+                        rho = products[mu, nu] = monomial_mul(mu, nu, table)
+                    cell[rho] = cell.get(rho, 0) + p * q
 
     def visit(word: tuple[int, ...], subst: NCSeries, degree_floor: int) -> None:
-        nonlocal acc
         if word:
             n_y = sum(word)
             n_x = len(word) - n_y
@@ -377,7 +461,7 @@ def build_phi(
             if not c.is_zero():
                 if (x_sign == -1 and n_x % 2) != (y_sign == -1 and n_y % 2):
                     c = -c
-                acc = acc + subst.scale(c)
+                add_scaled(subst, c)
         for l in (0, 1):
             nd = degree_floor + mindeg[l]
             if nd > D:
@@ -388,7 +472,7 @@ def build_phi(
             visit(word + (l,), nxt, nd)
 
     visit((), NCSeries.one(D, table), 0)
-    return acc
+    return NCSeries._from_clean(D, _build_coeffs(cells), table)
 
 
 def required_table_weight(idx: Iterable[int]) -> int:

@@ -16,12 +16,19 @@ convention used everywhere in this package.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .coeffring import CoeffElem, MzvMonomial, MzvTable, coeff_mul, merge_tables
+from .coeffring import (
+    CoeffElem,
+    MzvMonomial,
+    MzvTable,
+    coeff_mul,
+    integer_slices,
+    merge_tables,
+    monomial_mul,
+)
 from .errors import FourierViolation
 
 
@@ -122,22 +129,11 @@ class QTSeries:
 
 def _integer_slices(
     f: QTSeries, order: int
-) -> dict[MzvMonomial, tuple[int, list[tuple[int, int, int]]]]:
-    """Split by coefficient monomial into (common denominator, integer terms).
-
-    The terms are (m, j, n) with m below the order, sorted by m, so that the
-    monomial's part of f is the sum of n / denominator * q^m T^j.
-    """
-    raw: dict[MzvMonomial, list[tuple[int, int, Fraction]]] = {}
-    for (m, j), c in f.coeffs.items():
-        if m < order:
-            for mono, q in c.items():
-                raw.setdefault(mono, []).append((m, j, q))
-    out = {}
-    for mono, terms in raw.items():
-        den = math.lcm(*(q.denominator for _, _, q in terms))
-        terms.sort(key=lambda t: t[0])
-        out[mono] = (den, [(m, j, q.numerator * (den // q.denominator)) for m, j, q in terms])
+) -> dict[MzvMonomial, tuple[int, list[tuple[tuple[int, int], int]]]]:
+    """Integer slices of the terms below the order, each sorted by m."""
+    out = integer_slices((k, c) for k, c in f.coeffs.items() if k[0] < order)
+    for _, terms in out.values():
+        terms.sort(key=lambda t: t[0][0])
     return out
 
 
@@ -146,7 +142,7 @@ def qt_mul(f: QTSeries, g: QTSeries) -> QTSeries:
 
     Works one pair of coefficient monomials at a time: the two integer
     slices are convolved, and the monomials are multiplied once, through
-    :func:`coeff_mul`, only if the slices meet below the order.  So
+    :func:`monomial_mul`, only if the slices meet below the order.  So
     TableOverflow is raised exactly when some pair of terms whose product
     survives the truncation carries an overflowing symbol product.
     """
@@ -156,15 +152,14 @@ def qt_mul(f: QTSeries, g: QTSeries) -> QTSeries:
     acc: dict[tuple[int, int], dict[MzvMonomial, Fraction]] = {}
     for mu, (den_f, terms_f) in _integer_slices(f, order).items():
         for nu, (den_g, terms_g) in g_slices.items():
-            if terms_f[0][0] + terms_g[0][0] >= order:
+            if terms_f[0][0][0] + terms_g[0][0][0] >= order:
                 continue
-            # the product of two unit monomials is one unit monomial
-            [(rho, _)] = coeff_mul(CoeffElem({mu: 1}), CoeffElem({nu: 1}), table).items()
+            rho = monomial_mul(mu, nu, table)
             conv: dict[tuple[int, int], int] = {}
             get = conv.get
-            for m1, j1, n1 in terms_f:
+            for (m1, j1), n1 in terms_f:
                 room = order - m1
-                for m2, j2, n2 in terms_g:
+                for (m2, j2), n2 in terms_g:
                     if m2 >= room:
                         break
                     k = (m1 + m2, j1 + j2)

@@ -86,6 +86,25 @@ def test_usage_error_exit_code(capsys):
         code, out, err = run_cli(capsys, "derlie-relations", *argv)
         assert code == 2, argv
         assert not out and err.count("\n") == 1 and need in err
+    for argv, need in (
+        (["relations", "--length", "-1", "--weight", "3"], "bad --length -1: the length must be ≥ 0"),
+        (["relations", "--length", "2", "--weight", "-1"], "bad --weight -1: the weight must be ≥ 0"),
+        (["dump-ainf", "--degree", "-3"], "bad --degree -3: the degree must be ≥ 1"),
+        (["gamma", "--index", "1", "--order", "0"], "bad --order 0: the order must be ≥ 1"),
+        (["verify", "--lie-degree", "2"], "bad --lie-degree 2: the lie degree must be ≥ 4"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert not out and err.count("\n") == 1 and need in err
+    # beyond the table's cap: refused up front, naming the flag that fixes it
+    for argv, need in (
+        (["relations", "--length", "5", "--weight", "5"], "needs a table of weight ≥ 9"),
+        (["dump-ainf", "--degree", "10"], "needs a table of weight ≥ 9"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert not out and err.count("\n") == 1
+        assert err.startswith("TableOverflow") and need in err and "--mzv-table" in err
 
 
 def test_table_guard_is_exact(capsys):
@@ -124,6 +143,10 @@ def test_relations(capsys):
     code, out, _ = run_cli(capsys, "relations", "--length", "1", "--weight", "1")
     assert code == 0
     assert "relation: 1" in out
+    # length 4 and weight 5 needs exactly the cap 8
+    code, out, _ = run_cli(capsys, "relations", "--length", "4", "--weight", "5")
+    assert code == 0
+    assert out.startswith("indices: ")
 
 
 def test_membership_and_fourier(capsys):
@@ -184,9 +207,11 @@ def test_table_from_environment(tmp_path, capsys, monkeypatch):
 
 
 def test_runconfig_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad --order 0: the order must be ≥ 1"):
         RunConfig(q_order=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad --degree -3: the degree must be ≥ 1"):
+        RunConfig(nc_degree=-3)
+    with pytest.raises(ValueError, match="bad --lie-degree 2: the lie degree must be ≥ 4"):
         RunConfig(lie_degree=2)
 
 

@@ -11,7 +11,9 @@ from emzv.coeffring import (
     bernoulli,
     coeff_mul,
     dump_mzv_table,
+    integer_slices,
     loads_mzv_table,
+    monomial_mul,
     parse_coeff,
     reduce_even_zeta,
     render_coeff,
@@ -165,6 +167,36 @@ def test_weight_grading(small_table, x, y):
             assert got_w == w
         recompose = recompose + piece
     assert recompose == p
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=_random_coeffs(), y=_random_coeffs())
+def test_slices_and_monomial_products_match_coeff_mul(small_table, x, y):
+    # the integer slices recompose each coefficient, and the unit-monomial
+    # products recompose the full product
+    slices = integer_slices([("x", x), ("y", y)])
+    for key, c in (("x", x), ("y", y)):
+        terms = {
+            mono: F(n, den) for mono, (den, pairs) in slices.items() for k, n in pairs if k == key
+        }
+        assert all(isinstance(n, int) for _, pairs in slices.values() for _, n in pairs)
+        assert CoeffElem(terms) == c
+    acc = {}
+    for mu, p in x.items():
+        for nu, q in y.items():
+            rho = monomial_mul(mu, nu, small_table)
+            acc[rho] = acc.get(rho, 0) + p * q
+    assert CoeffElem(acc) == coeff_mul(x, y, small_table)
+
+
+def test_monomial_mul_overflow(small_table):
+    table = loads_mzv_table(MINIMAL_TABLE)
+    z3 = MzvMonomial(0, ("z3",))
+    assert monomial_mul(z3, MzvMonomial(5, ()), table) == MzvMonomial(5, ("z3",))
+    assert monomial_mul(z3, z3, small_table) == MzvMonomial(0, ("z3", "z3"))
+    for t in (table, None):  # weight 6 > cap 3, and no table at all
+        with pytest.raises(TableOverflow):
+            monomial_mul(z3, z3, t)
 
 
 def test_mixed_tables_rejected(small_table):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emzv.coeffring import CoeffElem, shipped_table
+from emzv.coeffring import CoeffElem, MzvMonomial, coeff_mul, shipped_table
 from emzv.errors import (
     DegreeMismatch,
     ExtractionInconsistent,
@@ -148,7 +148,7 @@ def test_reg_is_shuffle_character(table):
 
     cases = [("AB", "BA"), ("A", "ABB"), ("BA", "BA"), ("B", "AABB")]
     for u, v in cases:
-        lhs = table.mul(shuffle_regularize(u, table), shuffle_regularize(v, table))
+        lhs = coeff_mul(shuffle_regularize(u, table), shuffle_regularize(v, table), table)
         rhs = CoeffElem.zero()
         for w, mult in bin_shuffle(u, v).items():
             rhs = rhs + shuffle_regularize(w, table).scale(mult)
@@ -293,3 +293,221 @@ def test_required_table_weight():
     assert required_table_weight((3, 4)) == 8
     assert required_table_weight((8,)) == 8
     assert required_table_weight(()) == -1
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the monomial-sliced kernels against the per-term code
+# they replaced.
+
+
+def reference_nc_mul(x, y):
+    """The per-term product that the monomial-sliced kernel replaced."""
+    if x.maxdeg != y.maxdeg:
+        raise DegreeMismatch(f"maxdeg {x.maxdeg} != {y.maxdeg}")
+    D = x.maxdeg
+    table = x._merged_table(y)
+    acc = {}
+    for w1, c1 in x.coeffs.items():
+        room = D - len(w1)
+        for w2, c2 in y.coeffs.items():
+            if len(w2) > room:
+                continue
+            w = w1 + w2
+            p = coeff_mul(c1, c2, table)
+            s = acc.get(w, CoeffElem.zero()) + p
+            if s.is_zero():
+                acc.pop(w, None)
+            else:
+                acc[w] = s
+    return NCSeries(D, acc, table)
+
+
+def reference_build_phi(x, y, D, table):
+    """The associator that added subst.scale(c) into a full series per node."""
+    from emzv import ncalg
+
+    letter = {0: ncalg._PHI_X_LETTER, 1: "A" if ncalg._PHI_X_LETTER == "B" else "B"}
+    big = D + 1
+    mindeg = {0: x.min_degree() or big, 1: y.min_degree() or big}
+    arg = {0: x.truncate(D), 1: y.truncate(D)}
+    acc = NCSeries.one(D, table)
+
+    def visit(word, subst, degree_floor):
+        nonlocal acc
+        if word:
+            n_y = sum(word)
+            n_x = len(word) - n_y
+            bin_word = "".join(letter[l] for l in word)
+            if ncalg._PHI_REVERSE:
+                bin_word = bin_word[::-1]
+            c = shuffle_regularize(bin_word, table)
+            if not c.is_zero():
+                flip_x = ncalg._PHI_X_SIGN == -1 and n_x % 2
+                flip_y = ncalg._PHI_Y_SIGN == -1 and n_y % 2
+                if flip_x != flip_y:
+                    c = -c
+                acc = acc + subst.scale(c)
+        for l in (0, 1):
+            nd = degree_floor + mindeg[l]
+            if nd > D:
+                continue
+            nxt = reference_nc_mul(subst, arg[l])
+            if nxt.is_zero():
+                continue
+            visit(word + (l,), nxt, nd)
+
+    visit((), NCSeries.one(D, table), 0)
+    return acc
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TableOverflow:
+        return TableOverflow
+
+
+_WORDS = ["", "a", "b", "ab", "ba", "bb", "aab", "bab", "abba", "babab"]
+
+
+def _rational_series(maxdeg):
+    vals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+    return st.dictionaries(st.sampled_from(_WORDS), vals, max_size=7).map(
+        lambda d: NCSeries(maxdeg, {w: CoeffElem.from_rational(q) for w, q in d.items()})
+    )
+
+
+_MONOMIALS = (
+    MzvMonomial(0, ()),
+    MzvMonomial(2, ()),
+    MzvMonomial(0, ("z3",)),
+    MzvMonomial(1, ("z3",)),
+    MzvMonomial(0, ("z5",)),
+    MzvMonomial(0, ("z3", "z3")),
+    MzvMonomial(0, ("z7",)),
+)
+
+
+def _symbol_coeff():
+    return st.dictionaries(
+        st.sampled_from(_MONOMIALS),
+        st.fractions(min_value=-6, max_value=6, max_denominator=6),
+        min_size=1,
+        max_size=3,
+    ).map(CoeffElem)
+
+
+def _symbol_series(maxdeg, table=None):
+    return st.dictionaries(st.sampled_from(_WORDS), _symbol_coeff(), max_size=6).map(
+        lambda d: NCSeries(maxdeg, d, table)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda D: st.tuples(_rational_series(D), _rational_series(D))))
+def test_mul_matches_reference_on_rational_series(pair):
+    x, y = pair
+    assert nc_mul(x, y) == reference_nc_mul(x, y)
+    assert nc_mul(y, x) == reference_nc_mul(y, x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_symbol_series(5, shipped_table()), _symbol_series(5))
+def test_mul_matches_reference_on_symbol_series(x, y):
+    # equal products, and TableOverflow from exactly the same operands
+    assert _outcome(nc_mul, x, y) == _outcome(reference_nc_mul, x, y)
+    assert _outcome(nc_mul, y, x) == _outcome(reference_nc_mul, y, x)
+
+
+def test_mul_overflow_parity(table):
+    def sym(D, *terms):
+        return NCSeries(D, {w: CoeffElem.symbol(name) for w, name in terms}, table)
+
+    # z5 * z5 has weight 10 > 8: raised only if the two words meet within maxdeg
+    for D in (5, 6):
+        x, y = sym(D, ("aa", "z5")), sym(D, ("bab", "z5"))
+        for f, g in ((x, y), (y, x)):
+            with pytest.raises(TableOverflow):
+                reference_nc_mul(f, g)
+            with pytest.raises(TableOverflow):
+                nc_mul(f, g)
+    # the only meeting lies at degree 5 > maxdeg: no product, no overflow
+    x, y = sym(4, ("aa", "z5"), ("", "z3")), sym(4, ("bab", "z5"), ("b", "z3"))
+    assert nc_mul(x, y) == reference_nc_mul(x, y)
+    prod = nc_mul(x, y)
+    assert prod.coefficient("b") == CoeffElem({MzvMonomial(0, ("z3", "z3")): 1})
+    assert prod.coefficient("aab") == CoeffElem({MzvMonomial(0, ("z3", "z5")): 1})
+    assert set(prod.coeffs) == {"b", "aab", "bab"}
+    # symbols without any table
+    bare = NCSeries(3, {"a": CoeffElem.symbol("z3")})
+    with pytest.raises(TableOverflow):
+        nc_mul(bare, bare)
+
+
+@pytest.mark.parametrize("D", range(1, 10))
+def test_phi_matches_reference(table, D):
+    a = NCSeries.letter("a", D, table)
+    b = NCSeries.letter("b", D, table)
+    t = -nc_bracket(a, b)
+    y = build_ytilde(D, table)
+    assert build_phi(y, t, D, table) == reference_build_phi(y, t, D, table)
+
+
+@pytest.mark.parametrize("D", (4, 5, 6))
+def test_phi_matches_reference_on_symbol_arguments(table, D):
+    # symbol-bearing arguments: the same series, or TableOverflow on both sides
+    a = NCSeries.letter("a", D, table)
+    b = NCSeries.letter("b", D, table)
+    t = -nc_bracket(a, b)
+    y = build_ytilde(D, table)
+    for x_arg, y_arg in (
+        (y.scale(CoeffElem.symbol("z3")), t),
+        (y, t.scale(CoeffElem.symbol("z5"))),
+        (y + a.scale(CoeffElem.pi_pow(1, 3)), t.scale(CoeffElem.symbol("z3"))),
+    ):
+        got = _outcome(build_phi, x_arg, y_arg, D, table)
+        assert got == _outcome(reference_build_phi, x_arg, y_arg, D, table)
+
+
+def test_phi_overflow_parity_in_accumulation(table):
+    # With t scaled by z3 the word walk stays within the cap up to degree 5,
+    # but at degree 5 the word x y y carries z3^2 against a weight-3 value.
+    def args(D):
+        a = NCSeries.letter("a", D, table)
+        b = NCSeries.letter("b", D, table)
+        t = -nc_bracket(a, b)
+        return build_ytilde(D, table), t.scale(CoeffElem.symbol("z3")), D, table
+
+    assert build_phi(*args(4)) == reference_build_phi(*args(4))
+    with pytest.raises(TableOverflow):
+        reference_build_phi(*args(5))
+    with pytest.raises(TableOverflow, match="weight 9"):
+        build_phi(*args(5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _symbol_series(4, shipped_table()),
+    _symbol_series(4, shipped_table()),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    _symbol_coeff(),
+)
+def test_unvalidated_results_match_validating_constructor(x, y, q, c):
+    # the operations that skip re-validation build what the constructor would
+    D, table = x.maxdeg, x.table
+    words = set(x.coeffs) | set(y.coeffs)
+    assert x + y == NCSeries(D, {w: x.coefficient(w) + y.coefficient(w) for w in words}, table)
+    assert -x == NCSeries(D, {w: -v for w, v in x.items()}, table)
+    assert x.scale(q) == NCSeries(D, {w: v.scale(q) for w, v in x.items()}, table)
+    scaled = _outcome(x.scale, c)
+    assert scaled == _outcome(
+        lambda: NCSeries(D, {w: coeff_mul(v, c, table) for w, v in x.items()}, table)
+    )
+    assert x.truncate(2) == NCSeries(2, x.coeffs, table)
+    assert NCSeries._from_clean(D, dict(x.coeffs), table) == x
+    product = _outcome(nc_mul, x, y)
+    for s in (x + y, -x, x.scale(q), scaled, x.truncate(2), product):
+        if s is not TableOverflow:
+            assert all(len(w) <= s.maxdeg and not v.is_zero() for w, v in s.items())
+    assert x.scale(0).is_zero() and x.scale(CoeffElem.zero()).is_zero()
+    assert (x - x).is_zero()
