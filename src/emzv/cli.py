@@ -25,8 +25,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .coeffring import (
+    CoeffElem,
     MzvTable,
     load_mzv_table,
+    parse_coeff,
     render_coeff,
     shipped_table,
 )
@@ -46,7 +48,6 @@ from .derlie import (
 )
 from .eisalg import EPoly
 from .errors import EmzvError, ParseError, TableOverflow
-from .coeffring import parse_coeff
 from .ncalg import build_Ainf, required_table_weight
 from .verify import VerifyContext, run_checks
 
@@ -173,10 +174,17 @@ def _epoly_argument(ns: argparse.Namespace, table: MzvTable) -> EPoly:
     if ns.index is not None:
         idx = _guarded_index(ns, table)
         return decompose(idx, table).epoly.without_constant()
+    coeffs: dict[tuple[int, ...], CoeffElem] = {}
     try:
-        coeffs = {
-            parse_index(w): parse_coeff(c, table.symbols) for w, c in json.loads(ns.epoly)
-        }
+        pairs = json.loads(ns.epoly)
+        if not isinstance(pairs, list):
+            raise TypeError("not a JSON list")
+        for w, c in pairs:
+            if not (isinstance(w, str) and isinstance(c, str)):
+                raise TypeError(f"{json.dumps([w, c])} is not a pair of strings")
+            # a linear combination: a word given twice gets the sum
+            word = parse_index(w)
+            coeffs[word] = coeffs.get(word, CoeffElem.zero()) + parse_coeff(c, table.symbols)
     except (ValueError, TypeError, ParseError) as exc:
         raise ValueError(
             f"bad --epoly ({exc}): pass a JSON list of [index, coefficient] "

@@ -41,7 +41,7 @@ from .eisalg import EPoly, EWord, eisenstein_qexp, epoly_to_qexp
 from .errors import ParseError
 from .linalg import RatMatrix, kernel_basis
 from .ncalg import NCSeries, canonical_ainf, extract_gamma, triangular_index_solve
-from .qseries import QTSeries, qt_mul
+from .qseries import QTSeries, qt_lincomb, qt_mul
 
 EmzvIndex = tuple[int, ...]
 
@@ -250,14 +250,20 @@ def emzv_qexp(idx: Iterable[int], order: int, table: MzvTable) -> QTSeries:
 
 def diffeq_rhs_qexp(idx: Iterable[int], order: int, table: MzvTable) -> QTSeries:
     """q-expansion of the right side of the recursion, assembled termwise."""
-    acc = QTSeries.zero(order, table)
-    for term in diffeq_expand(idx):
-        piece = qt_mul(
-            eisenstein_qexp(term.eis_weight, order, table),
-            emzv_qexp(term.sub_index, order, table),
-        )
-        acc = acc + piece.scale(term.coeff)
-    return acc
+    return qt_lincomb(
+        (
+            (
+                CoeffElem.from_rational(term.coeff),
+                qt_mul(
+                    eisenstein_qexp(term.eis_weight, order, table),
+                    emzv_qexp(term.sub_index, order, table),
+                ),
+            )
+            for term in diffeq_expand(idx)
+        ),
+        order,
+        table,
+    )
 
 
 # ---------------------------------------------------------------------------

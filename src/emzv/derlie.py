@@ -371,6 +371,14 @@ _relations_cache: dict[tuple, RelationSet] = {}
 _relations_lock = threading.Lock()
 
 
+def _primitive_row(row: list[int]) -> tuple[int, ...]:
+    """The row divided by its gcd, signed so its first nonzero entry is positive."""
+    g = math.gcd(*row)
+    if next(x for x in row if x) < 0:
+        g = -g
+    return tuple(x // g for x in row)
+
+
 def find_lie_relations(
     weight: int,
     depth: int,
@@ -397,17 +405,15 @@ def find_lie_relations(
         if sum(c) != weight or len(c) != depth:
             raise ValueError(f"candidate {c} does not match (weight, depth)")
     ders = [_candidate_derivation(c) for c in cand]
-    coords: list[tuple[int, str]] = sorted(
-        {(g, w) for d in ders for g, side in ((0, d.val_x), (1, d.val_y)) for w in side}
-    )
-    pos = {c: i for i, c in enumerate(coords)}
-    rows = [[0] * len(cand) for _ in coords]
+    coords: dict[tuple[int, str], list[int]] = {}
     for j, d in enumerate(ders):
         for g, side in ((0, d.val_x), (1, d.val_y)):
             for w, q in side.items():
-                rows[pos[(g, w)]][j] = q
+                coords.setdefault((g, w), [0] * len(cand))[j] = q
+    # The kernel depends only on the row space: keep each primitive row once.
+    rows = sorted({_primitive_row(r) for r in coords.values() if any(r)})
     if not rows:
-        rows = [[0] * len(cand)]
+        rows = [(0,) * len(cand)]
     vectors = tuple(kernel_basis(RatMatrix.from_rows(rows)))
     rel = RelationSet(
         weight=weight,

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .coeffring import CoeffElem, MzvTable, bernoulli, coeff_mul, merge_tables
-from .qseries import QTSeries, qt_antider, qt_mul
+from .qseries import QTSeries, qt_antider, qt_lincomb, qt_mul
 from .words import deconcatenations, shuffle_multiset
 
 EWord = tuple[int, ...]
@@ -253,10 +253,7 @@ def epoly_mul(x: EPoly, y: EPoly) -> EPoly:
 
 def epoly_to_qexp(x: EPoly, order: int) -> QTSeries:
     """Realize the word combination as a q-expansion to the given order."""
-    acc = QTSeries.zero(order, x.table)
-    for w, c in x.items():
-        acc = acc + iei_qexp(w, order).scale(c)
-    return acc
+    return qt_lincomb(((c, iei_qexp(w, order)) for w, c in x.items()), order, x.table)
 
 
 def deconcat(x: EPoly) -> dict[tuple[EWord, EWord], CoeffElem]:

@@ -16,9 +16,10 @@ convention used everywhere in this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .coeffring import (
     CoeffElem,
@@ -45,6 +46,17 @@ class QTSeries:
             k: v for k, v in self.coeffs.items() if not v.is_zero() and k[0] < self.order
         }
         object.__setattr__(self, "coeffs", clean)
+
+    @staticmethod
+    def _from_clean(
+        order: int, coeffs: dict[tuple[int, int], CoeffElem], table: MzvTable | None
+    ) -> "QTSeries":
+        """Adopt a dict of keys below the order to nonzero coefficients as it is."""
+        out = object.__new__(QTSeries)
+        object.__setattr__(out, "order", order)
+        object.__setattr__(out, "coeffs", coeffs)
+        object.__setattr__(out, "table", table)
+        return out
 
     @staticmethod
     def zero(order: int, table: MzvTable | None = None) -> "QTSeries":
@@ -137,6 +149,31 @@ def _integer_slices(
     return out
 
 
+# Integer numerators of a sum under construction: product monomial ->
+# denominator -> (m, j) -> numerator.
+_Cells = dict[MzvMonomial, dict[int, dict[tuple[int, int], int]]]
+
+
+def _build(acc: _Cells, order: int, table: MzvTable | None) -> QTSeries:
+    """Bring each product monomial's numerators over one common denominator
+    and build every output coefficient once."""
+    out: dict[tuple[int, int], dict[MzvMonomial, Fraction]] = {}
+    for rho, by_den in acc.items():
+        common = math.lcm(*by_den)
+        sums: dict[tuple[int, int], int] = {}
+        get = sums.get
+        for den, cell in by_den.items():
+            lift = common // den
+            for k, n in cell.items():
+                sums[k] = get(k, 0) + n * lift
+        for k, n in sums.items():
+            if n:
+                out.setdefault(k, {})[rho] = Fraction(n, common)
+    return QTSeries._from_clean(
+        order, {k: CoeffElem._from_clean(cell) for k, cell in out.items()}, table
+    )
+
+
 def qt_mul(f: QTSeries, g: QTSeries) -> QTSeries:
     """Product truncated at the smaller order; T degrees add.
 
@@ -149,13 +186,13 @@ def qt_mul(f: QTSeries, g: QTSeries) -> QTSeries:
     order = min(f.order, g.order)
     table = f._merge_table(g)
     g_slices = _integer_slices(g, order)
-    acc: dict[tuple[int, int], dict[MzvMonomial, Fraction]] = {}
+    acc: _Cells = {}
     for mu, (den_f, terms_f) in _integer_slices(f, order).items():
         for nu, (den_g, terms_g) in g_slices.items():
             if terms_f[0][0][0] + terms_g[0][0][0] >= order:
                 continue
             rho = monomial_mul(mu, nu, table)
-            conv: dict[tuple[int, int], int] = {}
+            conv = acc.setdefault(rho, {}).setdefault(den_f * den_g, {})
             get = conv.get
             for (m1, j1), n1 in terms_f:
                 room = order - m1
@@ -164,12 +201,38 @@ def qt_mul(f: QTSeries, g: QTSeries) -> QTSeries:
                         break
                     k = (m1 + m2, j1 + j2)
                     conv[k] = get(k, 0) + n1 * n2
-            den = den_f * den_g
-            for k, n in conv.items():
-                if n:
-                    cell = acc.setdefault(k, {})
-                    cell[rho] = cell.get(rho, 0) + Fraction(n, den)
-    return QTSeries(order, {k: CoeffElem(cell) for k, cell in acc.items()}, table)
+    return _build(acc, order, table)
+
+
+def qt_lincomb(
+    pairs: Iterable[tuple[CoeffElem, QTSeries]],
+    order: int,
+    table: MzvTable | None = None,
+) -> QTSeries:
+    """The linear combination sum c_i * f_i, truncated at the order.
+
+    Each scalar and each series is split by coefficient monomial into
+    integer slices; a pair's monomials are multiplied once, through
+    :func:`monomial_mul`, so TableOverflow is raised exactly when some
+    scalar term meets a series term below the order with an overflowing
+    symbol product.  The integer numerators are added per (m, j) and
+    product monomial, and each output coefficient is built once.  The
+    result carries the table shared by ``table`` and every series.
+    """
+    pairs = list(pairs)
+    for _, f in pairs:
+        table = merge_tables(table, f.table)
+    series = [_integer_slices(f, order) for _, f in pairs]
+    acc: _Cells = {}
+    for mu, (den_c, scalars) in integer_slices(enumerate(c for c, _ in pairs)).items():
+        for i, a in scalars:
+            for nu, (den_f, terms) in series[i].items():
+                rho = monomial_mul(mu, nu, table)
+                cell = acc.setdefault(rho, {}).setdefault(den_c * den_f, {})
+                get = cell.get
+                for k, n in terms:
+                    cell[k] = get(k, 0) + a * n
+    return _build(acc, order, table)
 
 
 def qt_ddT(f: QTSeries) -> QTSeries:

@@ -1,13 +1,15 @@
 """Acceptance suite: one test per criterion, all exact, zero tolerance.
 
 Each test delegates to the corresponding check in emzv.verify (shared with
-the CLI ``verify`` subcommand) and prints one pass/fail line.
+the CLI ``verify`` subcommand) and prints one pass/fail line.  The finer
+worked-example checks of ``emzv verify`` run here as well, one test each.
 """
 
 import pytest
 
 from emzv.coeffring import shipped_table
 from emzv.verify import (
+    CHECKS,
     VerifyContext,
     criterion_01_length_one,
     criterion_02_length_two,
@@ -45,3 +47,16 @@ def test_acceptance_criterion(ctx, label, check):
     ok, detail = check(ctx)
     print(f"ACCEPTANCE {label}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {label} failed: {detail}"
+
+
+WORKED_CHECKS = [(name, fn) for name, fn in CHECKS if not name.startswith("criterion-")]
+
+
+@pytest.mark.parametrize("name,check", WORKED_CHECKS, ids=[c[0] for c in WORKED_CHECKS])
+def test_worked_example_check(ctx, name, check):
+    ok, detail = check(ctx)
+    assert ok, f"check {name} failed: {detail}"
+
+
+def test_every_check_is_run_here():
+    assert len(WORKED_CHECKS) + len(CRITERIA) == len(CHECKS)

@@ -75,9 +75,13 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "gamma", "--index", "-1")
     assert code == 2
     assert err.count("\n") == 1 and "nonnegative integers" in err
-    code, _, err = run_cli(capsys, "membership", "--epoly", '[["2,x", "1 * 1"]]')
-    assert code == 2
-    assert err.count("\n") == 1 and "JSON list of [index, coefficient] pairs" in err
+    for epoly in ('[["2,x", "1 * 1"]]', '[[2, "1 * 1"]]', '[["2,4", 5]]'):
+        for command in ("membership", "fourier-check"):
+            code, out, err = run_cli(capsys, command, "--epoly", epoly)
+            assert code == 2, (command, epoly)
+            assert not out and err.count("\n") == 1
+            assert err.startswith("ValueError: bad --epoly")
+            assert "JSON list of [index, coefficient] pairs" in err
     for argv, need in (
         (["--weight", "-2", "--depth", "2"], "even and ≥ 0"),
         (["--weight", "13", "--depth", "2"], "even and ≥ 0"),
@@ -139,6 +143,12 @@ def test_derlie_relations(capsys):
     assert found
 
 
+def test_derlie_relations_with_only_zero_rows(capsys):
+    code, out, _ = run_cli(capsys, "derlie-relations", "--weight", "2", "--depth", "3")
+    assert code == 0
+    assert out.splitlines() == ["candidates: [eps0,[eps0,eps2]]", "relation: 1"]
+
+
 def test_relations(capsys):
     code, out, _ = run_cli(capsys, "relations", "--length", "1", "--weight", "1")
     assert code == 0
@@ -162,6 +172,32 @@ def test_membership_and_fourier(capsys):
     assert code == 0
     code, out, _ = run_cli(capsys, "fourier-check", "--epoly", '[["0", "1 * 1"]]')
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "command,split,merged,code",
+    [
+        # the image part of decompose(2,0,0), with -2 pi split in halves
+        (
+            "fourier-check",
+            '[["0,4", "-1 * pi"], ["0,0", "-1/120 * pi"], ["0,4", "-1 * pi"]]',
+            '[["0,4", "-2 * pi"], ["0,0", "-1/120 * pi"]]',
+            0,
+        ),
+        ("fourier-check", '[["2", "1 * 1"], ["2", "-1 * 1"]]', "[]", 0),
+        ("fourier-check", '[["0", "1/3 * 1"], ["0", "2/3 * 1"]]', '[["0", "1 * 1"]]', 1),
+        (
+            "membership",
+            '[["2,4", "1/2 * 1"], ["4,2", "1 * 1"], ["2,4", "1/2 * 1"]]',
+            '[["2,4", "1 * 1"], ["4,2", "1 * 1"]]',
+            0,
+        ),
+    ],
+)
+def test_epoly_repeated_words_are_summed(capsys, command, split, merged, code):
+    got = run_cli(capsys, command, "--epoly", split)
+    assert got == run_cli(capsys, command, "--epoly", merged)
+    assert got[0] == code
 
 
 def test_dump_ainf(capsys):

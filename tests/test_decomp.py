@@ -25,10 +25,10 @@ from emzv.decomp import (
     parse_index,
 )
 from emzv.derlie import eps_derivation
-from emzv.eisalg import EPoly, epoly_mul, shuffle_words
+from emzv.eisalg import EPoly, eisenstein_qexp, epoly_mul, shuffle_words
 from emzv.errors import ExtractionInconsistent, ParseError, TableOverflow
 from emzv.ncalg import NCSeries, build_Ainf, triangular_index_solve
-from emzv.qseries import QTSeries, qt_ddT
+from emzv.qseries import QTSeries, qt_ddT, qt_mul
 
 F = Fraction
 PI = CoeffElem.pi_pow
@@ -174,6 +174,45 @@ def test_differential_consistency(table):
         lhs = qt_ddT(emzv_qexp(idx, 12, table))
         rhs = diffeq_rhs_qexp(idx, 12, table)
         assert lhs.coeffs == rhs.coeffs, idx
+
+
+def _reference_diffeq_rhs_qexp(idx, order, table):
+    """The per-term accumulation that the linear-combination kernel replaced."""
+    acc = QTSeries.zero(order, table)
+    for term in diffeq_expand(idx):
+        piece = qt_mul(
+            eisenstein_qexp(term.eis_weight, order, table),
+            emzv_qexp(term.sub_index, order, table),
+        )
+        acc = acc + piece.scale(term.coeff)
+    return acc
+
+
+# Whether pi z3 survives in the sum: the constants of the length-four
+# sub-indices carry it, and for (0, 1, 0, 1, 0) it cancels.
+_RHS_CASES = {
+    (3, 0): False,
+    (2, 2): False,
+    (0, 1, 0, 0): False,
+    (0, 0, 0, 1, 1): True,
+    (0, 1, 0, 0, 1): True,
+    (1, 1, 0, 0, 0): True,
+    (0, 1, 0, 1, 0): False,
+}
+
+
+@pytest.mark.parametrize("idx", list(_RHS_CASES))
+def test_diffeq_rhs_matches_per_term_reference(table, idx):
+    got = diffeq_rhs_qexp(idx, 10, table)
+    assert got == _reference_diffeq_rhs_qexp(idx, 10, table)
+    assert got.order == 10 and got.table is table
+    assert all(m < 10 and not c.is_zero() for (m, _), c in got.coeffs.items())
+    carries = any(
+        mono.pi_power and "z3" in mono.symbols
+        for c in got.coeffs.values()
+        for mono, _ in c.items()
+    )
+    assert carries == _RHS_CASES[idx]
 
 
 def test_gseries_matches_recursion_small(table):

@@ -11,6 +11,7 @@ from emzv.derlie import (
     LieVec,
     _candidate_derivation,
     _eps_lyndon_candidates,
+    _primitive_row,
     annihilates,
     assoc_bracket,
     build_D_derivation,
@@ -412,9 +413,17 @@ def _frac_candidate(word):
     return _frac_candidate(word[:cut]).bracket(_frac_candidate(word[cut:]))
 
 
-@pytest.mark.parametrize("weight,depth", [(14, 3), (16, 3)])
-def test_integer_engine_matches_fraction_engine(weight, depth):
-    cand = _eps_lyndon_candidates(weight, depth)
+@pytest.mark.parametrize(
+    "weight,depth,candidates",
+    [
+        pytest.param(14, 2, None, id="14-2"),
+        pytest.param(14, 3, None, id="14-3"),
+        pytest.param(16, 3, None, id="16-3"),
+        pytest.param(14, 2, [(4, 10), (6, 8)], id="14-2-pollack"),
+    ],
+)
+def test_integer_engine_matches_fraction_engine(weight, depth, candidates):
+    cand = candidates or _eps_lyndon_candidates(weight, depth)
     rows = {}
     for j, c in enumerate(cand):
         got = _candidate_derivation(c)
@@ -424,8 +433,24 @@ def test_integer_engine_matches_fraction_engine(weight, depth):
             assert all(type(q) is int for q in side.values()), c
             for w, q in side.items():
                 rows.setdefault((g, w), [0] * len(cand))[j] = q
+    # the full matrix: one row per (generator, word) coordinate
     matrix = RatMatrix.from_rows([rows[k] for k in sorted(rows)])
-    assert find_lie_relations(weight, depth).vectors == tuple(kernel_basis(matrix))
+    got = find_lie_relations(weight, depth, candidates=candidates)
+    assert got.vectors == tuple(kernel_basis(matrix))
+    assert got.vectors  # each case has a relation
+
+
+def test_primitive_rows():
+    assert _primitive_row([0, -4, 6, 0]) == (0, 2, -3, 0)
+    assert _primitive_row([6, -4]) == (3, -2) == _primitive_row([-3, 2])
+    assert _primitive_row([-7]) == (1,)
+
+
+def test_lie_relations_with_only_zero_rows():
+    # [eps0, [eps0, eps2]] vanishes: no coordinate row at all
+    der = _candidate_derivation((0, 0, 2))
+    assert der.val_x == {} and der.val_y == {}
+    assert find_lie_relations(2, 3).vectors == ((F(1),),)
 
 
 def test_eps_generator_values_are_integers():

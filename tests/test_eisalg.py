@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emzv.coeffring import CoeffElem, coeff_mul
+from emzv.coeffring import CoeffElem, MzvMonomial, coeff_mul, shipped_table
 from emzv.eisalg import (
     EPoly,
     deconcat,
@@ -177,3 +177,61 @@ def test_epoly_arithmetic_matches_validating_constructor(x, y, q, c):
     for z in (x + y, -x, x.scale(q), x.scale(c)):
         assert all(k % 2 == 0 for w in z.coeffs for k in w)
         assert all(not v.is_zero() for v in z.coeffs.values())
+
+
+def reference_epoly_to_qexp(x, order):
+    """The per-term realization that the linear-combination kernel replaced."""
+    acc = QTSeries.zero(order, x.table)
+    for w, c in x.items():
+        acc = acc + iei_qexp(w, order).scale(c)
+    return acc
+
+
+_MIXED_MONOMIALS = (
+    MzvMonomial(0, ()),
+    MzvMonomial(1, ()),
+    MzvMonomial(2, ()),
+    MzvMonomial(0, ("z3",)),
+    MzvMonomial(1, ("z3",)),
+    MzvMonomial(0, ("z3", "z5")),
+)
+_mixed_coeffs = st.dictionaries(
+    st.sampled_from(_MIXED_MONOMIALS),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    min_size=1,
+    max_size=3,
+).map(CoeffElem)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    terms=st.dictionaries(
+        st.lists(st.sampled_from([0, 2, 3, 4, 6]), max_size=3).map(tuple),
+        _mixed_coeffs,
+        max_size=5,
+    ),
+    cancel=st.one_of(st.none(), _mixed_coeffs),
+    order=st.integers(1, 12),
+)
+def test_epoly_to_qexp_matches_per_term_reference(terms, cancel, order):
+    table = shipped_table()
+    if cancel is not None:
+        # iei(e4) + 1/240 iei(e0) has no q^0 T term: that coefficient cancels
+        terms[(4,)] = cancel
+        terms[(0,)] = cancel.scale(F(1, 240))
+    x = EPoly(terms, table)
+    got = epoly_to_qexp(x, order)
+    assert got == reference_epoly_to_qexp(x, order)
+    assert got.order == order and got.table is table
+    assert all(m < order and not c.is_zero() for (m, _), c in got.coeffs.items())
+
+
+def test_epoly_to_qexp_drops_cancelled_coefficients():
+    table = shipped_table()
+    c = CoeffElem({MzvMonomial(1, ("z3",)): F(2, 3), MzvMonomial(0, ()): 5})
+    x = EPoly.word((4,), c, table) + EPoly.word((0,), c.scale(F(1, 240)), table)
+    for order in (1, 2, 6):
+        got = epoly_to_qexp(x, order)
+        assert got == reference_epoly_to_qexp(x, order)
+        assert (0, 1) not in got.coeffs
+    assert epoly_to_qexp(x, 1).is_zero() and epoly_to_qexp(x, 1).table is table

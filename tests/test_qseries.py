@@ -8,7 +8,7 @@ from emzv.coeffring import CoeffElem, MzvMonomial, coeff_mul, shipped_table
 from emzv.decomp import emzv_qexp
 from emzv.eisalg import eisenstein_qexp
 from emzv.errors import FourierViolation, TableOverflow
-from emzv.qseries import QTSeries, qt_antider, qt_ddT, qt_mul
+from emzv.qseries import QTSeries, qt_antider, qt_ddT, qt_lincomb, qt_mul
 
 F = Fraction
 
@@ -218,3 +218,66 @@ def test_scale_by_rational_coeff_matches_coeff_mul():
         c = CoeffElem.from_rational(q)
         want = QTSeries(f.order, {k: coeff_mul(v, c, None) for k, v in f.coeffs.items()})
         assert f.scale(c) == want
+
+
+def reference_lincomb(pairs, order, table):
+    """The per-term accumulation that the linear-combination kernel replaced."""
+    acc = QTSeries.zero(order, table)
+    for c, f in pairs:
+        acc = acc + f.scale(c)
+    return acc
+
+
+_symbol_scalars = st.dictionaries(
+    st.sampled_from(_MONOMIALS),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    max_size=3,
+).map(CoeffElem)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(_symbol_scalars, _random_symbol_series(6)), max_size=4),
+    st.booleans(),
+)
+def test_lincomb_matches_reference(pairs, pass_table):
+    # equal sums, and TableOverflow from exactly the same operands; the
+    # series carry the table, so passing it or not changes nothing
+    pairs += [(-c, f) for c, f in pairs[:1]]  # a pair cancelled by its negative
+    table = shipped_table() if pass_table else None
+    got = _outcome(lambda p, t: qt_lincomb(p, 6, t), pairs, table)
+    assert got == _outcome(lambda p, t: reference_lincomb(p, 6, t), pairs, table)
+    if got is not TableOverflow:
+        assert got.table is (shipped_table() if pairs else table) and got.order == 6
+        assert all(m < 6 and not c.is_zero() for (m, _), c in got.coeffs.items())
+
+
+def test_lincomb_overflow_parity():
+    table = shipped_table()
+    z3, z5 = CoeffElem.symbol("z3"), CoeffElem.symbol("z5")
+    f = QTSeries(6, {(2, 0): z5, (0, 1): CoeffElem.pi_pow(2, F(1, 3))}, table)
+    # z5 * z5 has weight 10 > 8
+    for lincomb in (qt_lincomb, reference_lincomb):
+        with pytest.raises(TableOverflow):
+            lincomb([(CoeffElem.one(), f), (z5, f)], 6, table)
+    # z3 * z5 has weight 8, within the cap
+    within = [(z3, f), (CoeffElem.pi_pow(1, -2), f)]
+    got = qt_lincomb(within, 6, table)
+    assert got == reference_lincomb(within, 6, table)
+    assert got.coefficient(2, 0) == CoeffElem(
+        {MzvMonomial(0, ("z3", "z5")): 1, MzvMonomial(1, ("z5",)): -2}
+    )
+    assert qt_lincomb([], 4, table) == QTSeries.zero(4) and qt_lincomb([], 4, table).table is table
+
+
+_keys = st.tuples(st.integers(0, 7), st.integers(0, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.dictionaries(_keys, _symbol_scalars, max_size=6))
+def test_from_clean_matches_validating_constructor(order, coeffs):
+    want = QTSeries(order, coeffs, shipped_table())
+    clean = {k: c for k, c in coeffs.items() if k[0] < order and not c.is_zero()}
+    got = QTSeries._from_clean(order, clean, shipped_table())
+    assert got == want and got.coeffs == want.coeffs
+    assert got.order == want.order and got.table is want.table and str(got) == str(want)
