@@ -21,15 +21,12 @@ from .decomp import (
     gseries_decompose,
 )
 from .derlie import (
-    LieVec,
     annihilates,
     build_D_derivation,
-    eps_apply,
     find_lie_relations,
     fourier_membership,
     to_E0_basis,
     uu_dual_membership,
-    word_operator,
 )
 from .eisalg import (
     EPoly,

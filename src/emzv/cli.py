@@ -59,14 +59,12 @@ class RunConfig:
     mzv_table_path: Path | None = None
     q_order: int = 20
     nc_degree: int = 8
-    lie_degree: int = 16
     fmt: str = "text"
 
     def __post_init__(self) -> None:
         for flag, what, value, least in (
             ("--order", "order", self.q_order, 1),
             ("--degree", "degree", self.nc_degree, 1),
-            ("--lie-degree", "lie degree", self.lie_degree, 4),
         ):
             if value < least:
                 raise ValueError(f"bad {flag} {value}: the {what} must be ≥ {least}")
@@ -88,7 +86,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--mzv-table", type=Path, default=None, metavar="PATH")
     common.add_argument("--order", type=int, default=20, metavar="N")
     common.add_argument("--degree", type=int, default=8, metavar="D")
-    common.add_argument("--lie-degree", type=int, default=16, metavar="DL")
     common.add_argument("--format", choices=("text", "json"), default="text")
     return common
 
@@ -139,7 +136,6 @@ def _config(ns: argparse.Namespace) -> RunConfig:
         mzv_table_path=ns.mzv_table,
         q_order=ns.order,
         nc_degree=ns.degree,
-        lie_degree=ns.lie_degree,
         fmt=ns.format,
     )
 
@@ -264,7 +260,7 @@ def _cmd_derlie_relations(ns: argparse.Namespace) -> int:
         raise ValueError(f"bad --weight {ns.weight}: the weight must be even and ≥ 0")
     if ns.depth < 1:
         raise ValueError(f"bad --depth {ns.depth}: the depth must be ≥ 1")
-    rel = find_lie_relations(ns.weight, ns.depth, cfg.lie_degree)
+    rel = find_lie_relations(ns.weight, ns.depth)
     lines = [f"candidates: {' '.join(rel.candidates)}"]
     lines += ["relation: " + " ".join(str(q) for q in v) for v in rel.vectors]
     if not rel.vectors:
@@ -343,7 +339,6 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         table=cfg.load_table(),
         q_order=cfg.q_order,
         nc_degree=cfg.nc_degree,
-        lie_degree=cfg.lie_degree,
     )
     results = run_checks(ctx, only=ns.only)
     for name, ok, detail in results:

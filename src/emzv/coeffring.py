@@ -144,9 +144,6 @@ class CoeffElem:
     def rational_part(self) -> Fraction:
         return self._terms.get(MONOMIAL_ONE, Fraction(0))
 
-    def has_symbols(self) -> bool:
-        return any(m.symbols for m in self._terms)
-
     def weights(self, symbol_weights: Mapping[str, int]) -> set[int]:
         return {m.weight(symbol_weights) for m in self._terms}
 
@@ -253,9 +250,6 @@ class MzvTable:
     cache_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
-
-    def monomial_weight(self, mono: MzvMonomial) -> int:
-        return mono.weight(self.symbols)
 
 
 def coeff_mul(x: CoeffElem, y: CoeffElem, table: MzvTable | None) -> CoeffElem:

@@ -5,12 +5,12 @@ For every k >= 0 there is a derivation raising degree by 2k,
     eps_{2k}(x) = ad^{2k}(x)(y),
     eps_{2k}(y) = sum_{0 <= j < k} (-1)^j [ad^j(x)(y), ad^{2k-1-j}(x)(y)],
 
-so eps_0 = y d/dx and eps_2 = -ad([x, y]).  Lie elements are stored in the
-Lyndon-word basis (letters ordered x < y); derivations are evaluated on the
-free associative algebra, where a derivation is determined exactly by its
-generator values, so relation discovery among bracket words of the eps's
-needs no truncation at all.  The truncation degree only bounds the sizes of
-operator matrices and of applied vectors.
+so eps_0 = y d/dx and eps_2 = -ad([x, y]).  Lie elements are written as
+their word expansions in the free associative algebra (the standard
+bracketings of Lyndon words, letters ordered x < y, span the free Lie
+algebra).  A derivation is determined exactly by its generator values, so
+relation discovery among bracket words of the eps's needs no truncation at
+all.
 
 The last part of the module deals with the image constraints on e-word
 polynomials: the dual-ideal membership test against the discovered
@@ -28,11 +28,10 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterator, Mapping, Sequence, TypeVar
 
 from .coeffring import CoeffElem, bernoulli
-from .eisalg import EPoly, EWord, epoly_to_qexp, make_eword
-from .errors import TruncationOverflow
+from .eisalg import EPoly, EWord, epoly_to_qexp
 from .linalg import RatMatrix, kernel_basis
 from .ncalg import NCSeries
 
@@ -76,7 +75,9 @@ def standard_factorization(w: _Word) -> tuple[_Word, _Word]:
     return w[: len(w) - len(v)], v
 
 
-def _assoc_add(acc: Assoc, other: Mapping[str, Number], scale: Number = 1) -> None:
+def _assoc_add(
+    acc: dict[_Word, Number], other: Mapping[_Word, Number], scale: Number = 1
+) -> None:
     for w, q in other.items():
         s = acc.get(w, 0) + q * scale
         if s:
@@ -85,8 +86,8 @@ def _assoc_add(acc: Assoc, other: Mapping[str, Number], scale: Number = 1) -> No
             acc.pop(w, None)
 
 
-def assoc_concat(x: Mapping[str, Number], y: Mapping[str, Number]) -> Assoc:
-    out: Assoc = {}
+def assoc_concat(x: Mapping[_Word, Number], y: Mapping[_Word, Number]) -> dict[_Word, Number]:
+    out: dict[_Word, Number] = {}
     get = out.get
     for w1, q1 in x.items():
         for w2, q2 in y.items():
@@ -95,7 +96,7 @@ def assoc_concat(x: Mapping[str, Number], y: Mapping[str, Number]) -> Assoc:
     return {w: q for w, q in out.items() if q}
 
 
-def assoc_bracket(x: Mapping[str, Number], y: Mapping[str, Number]) -> Assoc:
+def assoc_bracket(x: Mapping[_Word, Number], y: Mapping[_Word, Number]) -> dict[_Word, Number]:
     out = assoc_concat(x, y)
     _assoc_add(out, assoc_concat(y, x), -1)
     return out
@@ -109,8 +110,7 @@ def expand_lyndon(w: str) -> Assoc:
     """Word expansion of the standard bracketing of a Lyndon word.
 
     Triangular: the expansion is the word itself plus lexicographically
-    larger rearrangements, which the greedy coordinate conversion relies on;
-    asserted here at build time.
+    larger rearrangements; asserted here at build time.
     """
     hit = _expand_cache.get(w)
     if hit is not None:
@@ -126,57 +126,6 @@ def expand_lyndon(w: str) -> Assoc:
     return res
 
 
-def to_lie_coords(elem: Mapping[str, Number]) -> dict[str, Number]:
-    """Lyndon-basis coordinates of a Lie element given by its word expansion."""
-    work = dict(elem)
-    coords: dict[str, Number] = {}
-    while work:
-        w = min(work)
-        c = work[w]
-        expansion = expand_lyndon(w)  # raises/fails if w is not Lyndon
-        if min(expansion) != w:
-            raise ValueError(f"element is not Lie: stray word {w!r}")
-        coords[w] = coords.get(w, 0) + c
-        _assoc_add(work, expansion, -c)
-    return {w: q for w, q in coords.items() if q}
-
-
-def lie_dimension(d: int) -> int:
-    return sum(1 for w in lyndon_words(d) if len(w) == d)
-
-
-@dataclass(frozen=True)
-class LieVec:
-    """Element of the free Lie algebra in Lyndon coordinates, degree-capped."""
-
-    coords: Mapping[str, Fraction]
-    maxdeg: int
-
-    def __post_init__(self) -> None:
-        bad = [w for w in self.coords if len(w) > self.maxdeg]
-        if bad:
-            raise TruncationOverflow(f"coordinates beyond degree {self.maxdeg}: {bad}")
-        object.__setattr__(
-            self, "coords", {w: q for w, q in self.coords.items() if q}
-        )
-
-    @staticmethod
-    def from_assoc(elem: Mapping[str, Fraction], maxdeg: int) -> "LieVec":
-        return LieVec(to_lie_coords(elem), maxdeg)
-
-    def to_assoc(self) -> Assoc:
-        acc: Assoc = {}
-        for w, q in self.coords.items():
-            _assoc_add(acc, expand_lyndon(w), q)
-        return acc
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def degrees(self) -> set[int]:
-        return {len(w) for w in self.coords}
-
-
 # ---------------------------------------------------------------------------
 # The derivations
 
@@ -188,8 +137,8 @@ def _ad_x_pow(k: int) -> Assoc:
 class LieDerivation:
     """Derivation of the free associative algebra fixed by generator values.
 
-    Coefficients are whatever numbers the generator values carry: the
-    eps_{2k} have integer ones, and only the normalized eps~ are rational.
+    Coefficients are whatever numbers the generator values carry; the
+    eps_{2k} and their brackets have integer ones.
     """
 
     __slots__ = ("val_x", "val_y", "degree_shift")
@@ -218,19 +167,9 @@ class LieDerivation:
         _assoc_add(vy, other.apply(self.val_y), -1)
         return LieDerivation(vx, vy, self.degree_shift + other.degree_shift)
 
-    def scale(self, q: Number) -> "LieDerivation":
-        return LieDerivation(
-            {w: c * q for w, c in self.val_x.items()},
-            {w: c * q for w, c in self.val_y.items()},
-            self.degree_shift,
-        )
 
-    def is_zero(self) -> bool:
-        return not self.val_x and not self.val_y
-
-
-def eps_derivation(k2: int, tilde: bool = False) -> LieDerivation:
-    """The derivation for the even index k2 = 2k (normalized when tilde)."""
+def eps_derivation(k2: int) -> LieDerivation:
+    """The derivation for the even index k2 = 2k."""
     if k2 < 0 or k2 % 2:
         raise ValueError("eps index must be even and nonnegative")
     k = k2 // 2
@@ -239,73 +178,7 @@ def eps_derivation(k2: int, tilde: bool = False) -> LieDerivation:
     for j in range(k):
         term = assoc_bracket(_ad_x_pow(j), _ad_x_pow(k2 - 1 - j))
         _assoc_add(val_y, term, (-1) ** j)
-    der = LieDerivation(val_x, val_y, k2)
-    return der.scale(eps_tilde_scale(k2)) if tilde else der
-
-
-def eps_apply(k2: int, v: LieVec) -> LieVec:
-    """Apply eps_{k2}; raises TruncationOverflow if the image leaves the cap."""
-    if any(d + k2 > v.maxdeg for d in v.degrees()):
-        raise TruncationOverflow(
-            f"eps_{k2} image exceeds the truncation degree {v.maxdeg}"
-        )
-    der = eps_derivation(k2)
-    return LieVec.from_assoc(der.apply(v.to_assoc()), v.maxdeg)
-
-
-class EpsOperator:
-    """Composition of eps derivations, with lazily built matrix blocks."""
-
-    def __init__(self, word: EWord, maxdeg: int, tilde: bool = False):
-        self.word = make_eword(word)
-        self.maxdeg = maxdeg
-        self.tilde = tilde
-        self.degree_shift = sum(self.word)
-        self._ders = [eps_derivation(k, tilde) for k in self.word]
-        self._blocks: dict[int, RatMatrix] = {}
-
-    def apply_assoc(self, elem: Mapping[str, Fraction]) -> Assoc:
-        acc: Assoc = dict(elem)
-        for der in reversed(self._ders):
-            acc = der.apply(acc)
-        return acc
-
-    def apply(self, v: LieVec) -> LieVec:
-        if any(d + self.degree_shift > self.maxdeg for d in v.degrees()):
-            raise TruncationOverflow(
-                f"operator image exceeds the truncation degree {self.maxdeg}"
-            )
-        return LieVec.from_assoc(self.apply_assoc(v.to_assoc()), self.maxdeg)
-
-    def matrix(self, d: int) -> RatMatrix:
-        """Block sending the degree-d basis into degree d + shift."""
-        if d + self.degree_shift > self.maxdeg:
-            raise TruncationOverflow(
-                f"block at degree {d} exceeds the truncation degree {self.maxdeg}"
-            )
-        if d not in self._blocks:
-            src = [w for w in lyndon_words(d) if len(w) == d]
-            tgt_deg = d + self.degree_shift
-            tgt = [w for w in lyndon_words(tgt_deg) if len(w) == tgt_deg]
-            tgt_pos = {w: i for i, w in enumerate(tgt)}
-            cols = []
-            for w in src:
-                coords = to_lie_coords(self.apply_assoc(expand_lyndon(w)))
-                col = [Fraction(0)] * len(tgt)
-                for ww, q in coords.items():
-                    col[tgt_pos[ww]] = q
-                cols.append(col)
-            rows = [[cols[j][i] for j in range(len(src))] for i in range(len(tgt))]
-            self._blocks[d] = (
-                RatMatrix.from_rows(rows)
-                if rows
-                else RatMatrix(0, len(src), ())
-            )
-        return self._blocks[d]
-
-
-def word_operator(w: Iterable[int], maxdeg: int, tilde: bool = False) -> EpsOperator:
-    return EpsOperator(make_eword(w), maxdeg, tilde)
+    return LieDerivation(val_x, val_y, k2)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +191,6 @@ class RelationSet:
     depth: int
     candidates: tuple[str, ...]
     vectors: tuple[tuple[Fraction, ...], ...]
-    lie_degrees: str = "exact"  # evaluated on generators, no truncation
 
     def to_doc(self) -> dict:
         return {
@@ -327,7 +199,7 @@ class RelationSet:
             "depth": self.depth,
             "candidates": list(self.candidates),
             "kernel": [[str(q) for q in v] for v in self.vectors],
-            "lie_degrees": self.lie_degrees,
+            "lie_degrees": "exact",  # evaluated on generators, no truncation
         }
 
 
@@ -382,25 +254,20 @@ def _primitive_row(row: list[int]) -> tuple[int, ...]:
 def find_lie_relations(
     weight: int,
     depth: int,
-    maxdeg: int = 16,
-    candidates: Sequence[tuple[int, ...]] | None = None,
+    candidates: Sequence[Sequence[int]] | None = None,
 ) -> RelationSet:
     """Kernel of the evaluation of formal bracket words in the derivations.
 
     A bracket word evaluates to a derivation, and a derivation vanishes if
     and only if it kills both generators, so the kernel computed from the
-    generator values is exact; maxdeg plays no role in the result and is
-    kept for interface parity with the operator constructors.
+    generator values is exact.
     """
-    key = (weight, depth, tuple(candidates) if candidates is not None else None)
+    chosen = None if candidates is None else tuple(tuple(c) for c in candidates)
+    key = (weight, depth, chosen)
     with _relations_lock:
         if key in _relations_cache:
             return _relations_cache[key]
-    cand = (
-        [tuple(c) for c in candidates]
-        if candidates is not None
-        else _eps_lyndon_candidates(weight, depth)
-    )
+    cand = _eps_lyndon_candidates(weight, depth) if chosen is None else chosen
     for c in cand:
         if sum(c) != weight or len(c) != depth:
             raise ValueError(f"candidate {c} does not match (weight, depth)")
@@ -430,35 +297,22 @@ def relation_tensor_elements(weight: int, depth: int) -> list[dict[EWord, Fracti
     """Relations expanded in the tensor algebra on the e-letters."""
     cand = _eps_lyndon_candidates(weight, depth)
     rel = find_lie_relations(weight, depth, candidates=cand)
-
-    def bracket_expand(word: tuple[int, ...]) -> dict[EWord, Fraction]:
-        if len(word) == 1:
-            return {word: Fraction(1)}
-        left, right = (bracket_expand(part) for part in standard_factorization(word))
-        out: dict[EWord, Fraction] = {}
-        for u, qu in left.items():
-            for vv, qv in right.items():
-                for ww, sign in ((u + vv, 1), (vv + u, -1)):
-                    s = out.get(ww, Fraction(0)) + qu * qv * sign
-                    if s:
-                        out[ww] = s
-                    else:
-                        out.pop(ww, None)
-        return out
-
     out = []
     for vec in rel.vectors:
         elem: dict[EWord, Fraction] = {}
         for c, q in zip(cand, vec):
             if q:
-                for w, qq in bracket_expand(c).items():
-                    s = elem.get(w, Fraction(0)) + q * qq
-                    if s:
-                        elem[w] = s
-                    else:
-                        elem.pop(w, None)
+                _assoc_add(elem, _bracket_expansion(c), q)
         out.append(elem)
     return out
+
+
+def _bracket_expansion(word: EWord) -> dict[EWord, int]:
+    """Tensor-algebra expansion of the standard bracketing of a Lyndon e-word."""
+    if len(word) == 1:
+        return {word: 1}
+    left, right = standard_factorization(word)
+    return assoc_bracket(_bracket_expansion(left), _bracket_expansion(right))
 
 
 def even_words(length: int, total: int) -> Iterator[EWord]:
@@ -472,65 +326,43 @@ def even_words(length: int, total: int) -> Iterator[EWord]:
             yield (first,) + rest
 
 
-def uu_dual_membership(
-    x: EPoly, bounds: tuple[int, int] | None = None
-) -> dict[tuple[int, int], bool]:
+def uu_dual_membership(x: EPoly) -> dict[tuple[int, int], bool]:
     """Per homogeneous component: does the functional kill the relation ideal?
 
     Components are indexed by (word length, letter sum).  The ideal is
-    generated, within the given bounds, by the relations found among the
-    bracket words of the derivations; bounds default to the componentwise
-    maxima present in x.
+    generated by the relations found among the bracket words of the
+    derivations.
     """
     comps: dict[tuple[int, int], dict[EWord, CoeffElem]] = {}
     for w, c in x.items():
         comps.setdefault((len(w), sum(w)), {})[w] = c
-    need = (
-        max((l for l, _ in comps), default=0),
-        max((s for _, s in comps), default=0),
-    )
-    if bounds is None:
-        bounds = need
-    if bounds[0] < need[0] or bounds[1] < need[1]:
-        raise TruncationOverflow(f"bounds {bounds} below component degrees {need}")
+    return {key: _kills_relation_ideal(comp, *key) for key, comp in comps.items()}
 
-    out: dict[tuple[int, int], bool] = {}
-    for (length, letter_sum), comp in comps.items():
-        ok = True
-        for depth in range(2, length + 1):
-            for w_rel in range(0, letter_sum + 1, 2):
-                rels = relation_tensor_elements(w_rel, depth)
-                if not rels:
-                    continue
-                rest_len = length - depth
-                rest_sum = letter_sum - w_rel
-                for len_u in range(rest_len + 1):
-                    for sum_u in range(0, rest_sum + 1, 2):
-                        for u in even_words(len_u, sum_u):
-                            for v in even_words(rest_len - len_u, rest_sum - sum_u):
-                                for rel in rels:
-                                    acc = CoeffElem.zero()
-                                    for wr, q in rel.items():
-                                        c = comp.get(u + wr + v)
-                                        if c is not None:
-                                            acc = acc + c.scale(q)
-                                    if not acc.is_zero():
-                                        ok = False
-                                        break
-                                if not ok:
-                                    break
-                            if not ok:
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        out[(length, letter_sum)] = ok
-    return out
+
+def _kills_relation_ideal(
+    comp: Mapping[EWord, CoeffElem], length: int, letter_sum: int
+) -> bool:
+    """True iff comp vanishes on every u . rel . v of its (length, letter sum)."""
+    for depth in range(2, length + 1):
+        for w_rel in range(0, letter_sum + 1, 2):
+            rels = relation_tensor_elements(w_rel, depth)
+            if not rels:
+                continue
+            rest_len = length - depth
+            rest_sum = letter_sum - w_rel
+            for len_u in range(rest_len + 1):
+                for sum_u in range(0, rest_sum + 1, 2):
+                    for u in even_words(len_u, sum_u):
+                        for v in even_words(rest_len - len_u, rest_sum - sum_u):
+                            for rel in rels:
+                                acc = CoeffElem.zero()
+                                for wr, q in rel.items():
+                                    c = comp.get(u + wr + v)
+                                    if c is not None:
+                                        acc = acc + c.scale(q)
+                                if not acc.is_zero():
+                                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -93,11 +93,6 @@ def iei_qexp(w: Iterable[int], order: int) -> QTSeries:
     return res
 
 
-def clear_iei_cache() -> None:
-    with _iei_lock:
-        _iei_cache.clear()
-
-
 class EPoly:
     """Finite CoeffElem-linear combination of even e-words."""
 

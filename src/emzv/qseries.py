@@ -72,9 +72,6 @@ class QTSeries:
 
     # -- queries ------------------------------------------------------
 
-    def tdeg(self) -> int:
-        return max((j for (_, j) in self.coeffs), default=0)
-
     def coefficient(self, m: int, j: int) -> CoeffElem:
         return self.coeffs.get((m, j), CoeffElem.zero())
 

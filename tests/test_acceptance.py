@@ -39,7 +39,7 @@ CRITERIA = [
 
 @pytest.fixture(scope="module")
 def ctx():
-    return VerifyContext(table=shipped_table(), q_order=20, nc_degree=8, lie_degree=16)
+    return VerifyContext(table=shipped_table(), q_order=20, nc_degree=8)
 
 
 @pytest.mark.parametrize("label,check", CRITERIA, ids=[c[0] for c in CRITERIA])

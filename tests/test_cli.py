@@ -90,12 +90,16 @@ def test_usage_error_exit_code(capsys):
         code, out, err = run_cli(capsys, "derlie-relations", *argv)
         assert code == 2, argv
         assert not out and err.count("\n") == 1 and need in err
+    # the relations are exact, so there is no truncation flag to pass
+    code, out, err = run_cli(
+        capsys, "derlie-relations", "--weight", "14", "--depth", "2", "--lie-degree", "16"
+    )
+    assert code == 2 and not out and "unrecognized arguments" in err
     for argv, need in (
         (["relations", "--length", "-1", "--weight", "3"], "bad --length -1: the length must be ≥ 0"),
         (["relations", "--length", "2", "--weight", "-1"], "bad --weight -1: the weight must be ≥ 0"),
         (["dump-ainf", "--degree", "-3"], "bad --degree -3: the degree must be ≥ 1"),
         (["gamma", "--index", "1", "--order", "0"], "bad --order 0: the order must be ≥ 1"),
-        (["verify", "--lie-degree", "2"], "bad --lie-degree 2: the lie degree must be ≥ 4"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -247,8 +251,6 @@ def test_runconfig_validation():
         RunConfig(q_order=0)
     with pytest.raises(ValueError, match="bad --degree -3: the degree must be ≥ 1"):
         RunConfig(nc_degree=-3)
-    with pytest.raises(ValueError, match="bad --lie-degree 2: the lie degree must be ≥ 4"):
-        RunConfig(lie_degree=2)
 
 
 def test_relation_survey_script_runs():
