@@ -37,6 +37,37 @@ Rational = Fraction
 PI_SYMBOL = "pi"
 
 K = TypeVar("K")
+V = TypeVar("V")
+
+
+def accumulate(acc: dict[K, V], pairs: Iterable[tuple[K, V]]) -> dict[K, V]:
+    """Add each (key, value) into acc, dropping keys whose sum is zero.
+
+    The sparse kernel of every container in the package: values may be of
+    any type with + whose zero is falsy (int, Fraction, CoeffElem, EPoly).
+    Returns acc.
+    """
+    get = acc.get
+    for key, value in pairs:
+        cur = get(key)
+        s = value if cur is None else cur + value
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+def assoc_concat(x: Mapping[K, V], y: Mapping[K, V]) -> dict[K, V]:
+    """Concatenation product of two sparse word vectors (str or tuple words)."""
+    out: dict = {}
+    get = out.get
+    for w1, q1 in x.items():
+        for w2, q2 in y.items():
+            w = w1 + w2
+            out[w] = get(w, 0) + q1 * q2
+    return {w: q for w, q in out.items() if q}
+
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
 _bernoulli_lock = threading.Lock()
@@ -161,15 +192,8 @@ class CoeffElem:
     def __add__(self, other: "CoeffElem") -> "CoeffElem":
         if not isinstance(other, CoeffElem):
             return NotImplemented
-        d = dict(self._terms)
-        for mono, q in other._terms.items():
-            s = d.get(mono, Fraction(0)) + q
-            if s:
-                d[mono] = s
-            else:
-                d.pop(mono, None)
         out = CoeffElem()
-        out._terms = d
+        out._terms = accumulate(dict(self._terms), other._terms.items())
         return out
 
     def __neg__(self) -> "CoeffElem":
@@ -259,31 +283,26 @@ def coeff_mul(x: CoeffElem, y: CoeffElem, table: MzvTable | None) -> CoeffElem:
     weights sum beyond the table's cap (or when there is no table at all):
     beyond the cap the data cannot certify that the basis stays free.
     """
-    acc: dict[MzvMonomial, Fraction] = {}
-    for mx, qx in x.items():
-        for my, qy in y.items():
-            if mx.symbols and my.symbols:
-                if table is None:
-                    raise TableOverflow(
-                        "symbol product requires a table: "
-                        f"{mx.symbols} * {my.symbols}"
-                    )
-                sw = mx.symbol_weight(table.symbols) + my.symbol_weight(table.symbols)
-                if sw > table.max_weight:
-                    raise TableOverflow(
-                        f"symbol product of weight {sw} exceeds table cap "
-                        f"{table.max_weight}"
-                    )
-            mono = MzvMonomial(
-                mx.pi_power + my.pi_power, tuple(sorted(mx.symbols + my.symbols))
-            )
-            q = qx * qy
-            s = acc.get(mono, Fraction(0)) + q
-            if s:
-                acc[mono] = s
-            else:
-                acc.pop(mono, None)
-    return CoeffElem(acc)
+
+    def product(mx: MzvMonomial, my: MzvMonomial) -> MzvMonomial:
+        if mx.symbols and my.symbols:
+            if table is None:
+                raise TableOverflow(
+                    "symbol product requires a table: "
+                    f"{mx.symbols} * {my.symbols}"
+                )
+            sw = mx.symbol_weight(table.symbols) + my.symbol_weight(table.symbols)
+            if sw > table.max_weight:
+                raise TableOverflow(
+                    f"symbol product of weight {sw} exceeds table cap "
+                    f"{table.max_weight}"
+                )
+        return MzvMonomial(
+            mx.pi_power + my.pi_power, tuple(sorted(mx.symbols + my.symbols))
+        )
+
+    terms = ((product(mx, my), qx * qy) for mx, qx in x.items() for my, qy in y.items())
+    return CoeffElem._from_clean(accumulate({}, terms))
 
 
 def monomial_mul(mu: MzvMonomial, nu: MzvMonomial, table: MzvTable | None) -> MzvMonomial:

@@ -26,12 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .coeffring import (
     CoeffElem,
     MzvMonomial,
     MzvTable,
+    accumulate,
     bernoulli,
     parse_coeff,
     render_coeff,
@@ -129,35 +130,22 @@ def diffeq_expand(idx: Iterable[int]) -> list[DiffTerm]:
     n = len(k)
     if n < 1:
         raise ValueError("the recursion needs length >= 1")
-    acc: dict[tuple[int, EmzvIndex], Fraction] = {}
 
-    def add(eis: int, sub: EmzvIndex, q: Fraction | int) -> None:
-        if not q:
-            return
-        key = (eis, sub)
-        s = acc.get(key, Fraction(0)) + q
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
+    def terms() -> Iterator[tuple[tuple[int, EmzvIndex], Fraction]]:
+        yield (k[0] + 1, k[1:]), _alpha(k[0] + 1)
+        yield (k[-1] + 1, k[:-1]), -_alpha(k[-1] + 1)
+        for i in range(2, n + 1):  # position of k_i, 1-based as in the recursion
+            prev, cur = k[i - 2], k[i - 1]
+            head, tail = k[: i - 2], k[i:]
+            yield (prev + cur + 1, head + (0,) + tail), (-1) ** cur * _alpha(prev + cur + 1)
+            for m in range(prev + 2):
+                q = _binom(cur + m - 1, m) * _alpha(prev - m + 1)
+                yield (prev - m + 1, head + (m + cur,) + tail), -q
+            for m in range(cur + 2):
+                q = _binom(prev + m - 1, m) * _alpha(cur - m + 1)
+                yield (cur - m + 1, head + (m + prev,) + tail), q
 
-    add(k[0] + 1, k[1:], _alpha(k[0] + 1))
-    add(k[-1] + 1, k[:-1], -_alpha(k[-1] + 1))
-    for i in range(2, n + 1):  # position of k_i, 1-based as in the recursion
-        prev, cur = k[i - 2], k[i - 1]
-        head, tail = k[: i - 2], k[i:]
-        add(
-            prev + cur + 1,
-            head + (0,) + tail,
-            (-1) ** cur * _alpha(prev + cur + 1),
-        )
-        for m in range(prev + 2):
-            q = _binom(cur + m - 1, m) * _alpha(prev - m + 1)
-            add(prev - m + 1, head + (m + cur,) + tail, -q)
-        for m in range(cur + 2):
-            q = _binom(prev + m - 1, m) * _alpha(cur - m + 1)
-            add(cur - m + 1, head + (m + prev,) + tail, q)
-
+    acc = accumulate({}, terms())
     return [
         DiffTerm(eis, sub, q)
         for (eis, sub), q in sorted(acc.items())

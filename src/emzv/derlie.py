@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, TypeVar
 
-from .coeffring import CoeffElem, bernoulli
+from .coeffring import CoeffElem, accumulate, assoc_concat, bernoulli
 from .eisalg import EPoly, EWord, epoly_to_qexp
 from .linalg import RatMatrix, kernel_basis
-from .ncalg import NCSeries
+from .ncalg import NCSeries, ad_expansion
 
 Number = int | Fraction
 Assoc = dict[str, Number]  # sparse free-associative element
@@ -75,31 +75,8 @@ def standard_factorization(w: _Word) -> tuple[_Word, _Word]:
     return w[: len(w) - len(v)], v
 
 
-def _assoc_add(
-    acc: dict[_Word, Number], other: Mapping[_Word, Number], scale: Number = 1
-) -> None:
-    for w, q in other.items():
-        s = acc.get(w, 0) + q * scale
-        if s:
-            acc[w] = s
-        else:
-            acc.pop(w, None)
-
-
-def assoc_concat(x: Mapping[_Word, Number], y: Mapping[_Word, Number]) -> dict[_Word, Number]:
-    out: dict[_Word, Number] = {}
-    get = out.get
-    for w1, q1 in x.items():
-        for w2, q2 in y.items():
-            w = w1 + w2
-            out[w] = get(w, 0) + q1 * q2
-    return {w: q for w, q in out.items() if q}
-
-
 def assoc_bracket(x: Mapping[_Word, Number], y: Mapping[_Word, Number]) -> dict[_Word, Number]:
-    out = assoc_concat(x, y)
-    _assoc_add(out, assoc_concat(y, x), -1)
-    return out
+    return accumulate(assoc_concat(x, y), ((w, -q) for w, q in assoc_concat(y, x).items()))
 
 
 _expand_cache: dict[str, Assoc] = {}
@@ -130,8 +107,23 @@ def expand_lyndon(w: str) -> Assoc:
 # The derivations
 
 
-def _ad_x_pow(k: int) -> Assoc:
-    return {"x" * (k - j) + "y" + "x" * j: (-1) ** j * math.comb(k, j) for j in range(k + 1)}
+def _apply_derivation(
+    vec: Mapping[str, Number], values: Mapping[str, Mapping[str, Number]]
+) -> Assoc:
+    """Image of a word vector under the derivation with the given letter values.
+
+    Leibniz rule: each letter of each word is replaced in turn by its value.
+    """
+    subs = {ch: tuple(val.items()) for ch, val in values.items()}
+    out: Assoc = {}
+    get = out.get
+    for w, q in vec.items():
+        for i, ch in enumerate(w):
+            pre, post = w[:i], w[i + 1 :]
+            for sub, qs in subs[ch]:
+                ww = pre + sub + post
+                out[ww] = get(ww, 0) + q * qs
+    return {w: q for w, q in out.items() if q}
 
 
 class LieDerivation:
@@ -149,22 +141,15 @@ class LieDerivation:
         self.degree_shift = degree_shift
 
     def apply(self, elem: Mapping[str, Number]) -> Assoc:
-        out: Assoc = {}
-        get = out.get
-        val_x, val_y = tuple(self.val_x.items()), tuple(self.val_y.items())
-        for w, q in elem.items():
-            for i, ch in enumerate(w):
-                pre, post = w[:i], w[i + 1 :]
-                for sub, qs in val_x if ch == "x" else val_y:
-                    ww = pre + sub + post
-                    out[ww] = get(ww, 0) + q * qs
-        return {w: q for w, q in out.items() if q}
+        return _apply_derivation(elem, {"x": self.val_x, "y": self.val_y})
 
     def bracket(self, other: "LieDerivation") -> "LieDerivation":
-        vx = self.apply(other.val_x)
-        _assoc_add(vx, other.apply(self.val_x), -1)
-        vy = self.apply(other.val_y)
-        _assoc_add(vy, other.apply(self.val_y), -1)
+        def commutator(mine: Assoc, theirs: Assoc) -> Assoc:
+            minus = ((w, -q) for w, q in other.apply(mine).items())
+            return accumulate(self.apply(theirs), minus)
+
+        vx = commutator(self.val_x, other.val_x)
+        vy = commutator(self.val_y, other.val_y)
         return LieDerivation(vx, vy, self.degree_shift + other.degree_shift)
 
 
@@ -172,13 +157,13 @@ def eps_derivation(k2: int) -> LieDerivation:
     """The derivation for the even index k2 = 2k."""
     if k2 < 0 or k2 % 2:
         raise ValueError("eps index must be even and nonnegative")
-    k = k2 // 2
-    val_x = _ad_x_pow(k2)
-    val_y: Assoc = {}
-    for j in range(k):
-        term = assoc_bracket(_ad_x_pow(j), _ad_x_pow(k2 - 1 - j))
-        _assoc_add(val_y, term, (-1) ** j)
-    return LieDerivation(val_x, val_y, k2)
+    ad = [ad_expansion(j, "x", "y") for j in range(k2 + 1)]
+    terms = (
+        (w, (-1) ** j * q)
+        for j in range(k2 // 2)
+        for w, q in assoc_bracket(ad[j], ad[k2 - 1 - j]).items()
+    )
+    return LieDerivation(ad[k2], accumulate({}, terms), k2)
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +247,13 @@ def find_lie_relations(
     and only if it kills both generators, so the kernel computed from the
     generator values is exact.
     """
-    chosen = None if candidates is None else tuple(tuple(c) for c in candidates)
-    key = (weight, depth, chosen)
+    if candidates is None:
+        candidates = _eps_lyndon_candidates(weight, depth)
+    cand = tuple(tuple(c) for c in candidates)
+    key = (weight, depth, cand)
     with _relations_lock:
         if key in _relations_cache:
             return _relations_cache[key]
-    cand = _eps_lyndon_candidates(weight, depth) if chosen is None else chosen
     for c in cand:
         if sum(c) != weight or len(c) != depth:
             raise ValueError(f"candidate {c} does not match (weight, depth)")
@@ -296,14 +282,12 @@ def find_lie_relations(
 def relation_tensor_elements(weight: int, depth: int) -> list[dict[EWord, Fraction]]:
     """Relations expanded in the tensor algebra on the e-letters."""
     cand = _eps_lyndon_candidates(weight, depth)
-    rel = find_lie_relations(weight, depth, candidates=cand)
     out = []
-    for vec in rel.vectors:
-        elem: dict[EWord, Fraction] = {}
-        for c, q in zip(cand, vec):
-            if q:
-                _assoc_add(elem, _bracket_expansion(c), q)
-        out.append(elem)
+    for vec in find_lie_relations(weight, depth).vectors:
+        terms = (
+            (w, q * n) for c, q in zip(cand, vec) if q for w, n in _bracket_expansion(c).items()
+        )
+        out.append(accumulate({}, terms))
     return out
 
 
@@ -377,26 +361,13 @@ def to_E0_basis(x: EPoly) -> tuple[dict[EWord, CoeffElem], EPoly]:
     word to the constant.  The residual collects what remains on words
     ending in the letter 0.
     """
-    combination: dict[EWord, CoeffElem] = {}
-    residual: dict[EWord, CoeffElem] = {}
-    for w, c in x.items():
-        if not w:
-            combination[w] = c
-        elif w[-1] != 0:
-            combination[w] = c
-        else:
-            residual[w] = residual.get(w, CoeffElem.zero()) + c
-    for w, c in combination.items():
-        if not w:
-            continue
-        k2 = w[-1]
-        corr = c.scale(-bernoulli(k2) / (2 * k2))
-        w0 = w[:-1] + (0,)
-        s = residual.get(w0, CoeffElem.zero()) - corr
-        if s.is_zero():
-            residual.pop(w0, None)
-        else:
-            residual[w0] = s
+    combination = {w: c for w, c in x.items() if not w or w[-1] != 0}
+    corrections = (
+        (w[:-1] + (0,), c.scale(bernoulli(w[-1]) / (2 * w[-1])))
+        for w, c in combination.items()
+        if w
+    )
+    residual = accumulate({w: c for w, c in x.items() if w and w[-1] == 0}, corrections)
     return combination, EPoly(residual, x.table)
 
 
@@ -425,19 +396,7 @@ class NCDerivation:
         self.val_b = dict(val_b)
 
     def apply(self, vec: Mapping[str, Number]) -> dict[str, Number]:
-        out: dict[str, Number] = {}
-        for w, q in vec.items():
-            for i, ch in enumerate(w):
-                val = self.val_a if ch == "a" else self.val_b
-                pre, post = w[:i], w[i + 1 :]
-                for sub, qs in val.items():
-                    ww = pre + sub + post
-                    s = out.get(ww, 0) + q * qs
-                    if s:
-                        out[ww] = s
-                    else:
-                        out.pop(ww, None)
-        return out
+        return _apply_derivation(vec, {"a": self.val_a, "b": self.val_b})
 
 
 def eps_tilde_scale(k2: int) -> Fraction:
@@ -470,8 +429,8 @@ def build_D_derivation(maxdeg: int) -> NCDerivation:
         if k:
             coeff *= bernoulli(2 * k) / (4 * k)
         eps = eps_nc(2 * k)
-        _assoc_add(val_a, eps.val_a, coeff)
-        _assoc_add(val_b, eps.val_b, coeff)
+        accumulate(val_a, ((w, q * coeff) for w, q in eps.val_a.items()))
+        accumulate(val_b, ((w, q * coeff) for w, q in eps.val_b.items()))
     return NCDerivation(val_a, val_b)
 
 

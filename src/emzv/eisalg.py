@@ -23,7 +23,7 @@ import threading
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .coeffring import CoeffElem, MzvTable, bernoulli, coeff_mul, merge_tables
+from .coeffring import CoeffElem, MzvTable, accumulate, bernoulli, coeff_mul, merge_tables
 from .qseries import QTSeries, qt_antider, qt_lincomb, qt_mul
 from .words import deconcatenations, shuffle_multiset
 
@@ -192,13 +192,7 @@ class EPoly:
         return merge_tables(self.table, other.table)
 
     def __add__(self, other: "EPoly") -> "EPoly":
-        d = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = d.get(w, CoeffElem.zero()) + c
-            if s.is_zero():
-                d.pop(w, None)
-            else:
-                d[w] = s
+        d = accumulate(dict(self.coeffs), other.coeffs.items())
         return EPoly._from_clean(d, self._merged_table(other))
 
     def __neg__(self) -> "EPoly":
@@ -253,13 +247,4 @@ def epoly_to_qexp(x: EPoly, order: int) -> QTSeries:
 
 def deconcat(x: EPoly) -> dict[tuple[EWord, EWord], CoeffElem]:
     """Deconcatenation coproduct: all splits of each word, coefficients kept."""
-    out: dict[tuple[EWord, EWord], CoeffElem] = {}
-    for w, c in x.items():
-        for u, v in deconcatenations(w):
-            key = (u, v)
-            s = out.get(key, CoeffElem.zero()) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
+    return accumulate({}, ((split, c) for w, c in x.items() for split in deconcatenations(w)))

@@ -21,6 +21,7 @@ calibration constants below, which are pinned by the gamma anchor tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -30,6 +31,8 @@ from .coeffring import (
     CoeffElem,
     MzvMonomial,
     MzvTable,
+    accumulate,
+    assoc_concat,
     bernoulli,
     coeff_mul,
     integer_slices,
@@ -151,13 +154,7 @@ class NCSeries:
     def __add__(self, other: "NCSeries") -> "NCSeries":
         if self.maxdeg != other.maxdeg:
             raise DegreeMismatch(f"maxdeg {self.maxdeg} != {other.maxdeg}")
-        d = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = d.get(w, CoeffElem.zero()) + c
-            if s.is_zero():
-                d.pop(w, None)
-            else:
-                d[w] = s
+        d = accumulate(dict(self.coeffs), other.coeffs.items())
         return NCSeries._from_clean(self.maxdeg, d, self._merged_table(other))
 
     def __neg__(self) -> "NCSeries":
@@ -284,17 +281,17 @@ def nc_inv(x: NCSeries) -> NCSeries:
     return acc
 
 
+def ad_expansion(k: int, x: str = "a", y: str = "b") -> dict[str, int]:
+    """Word expansion of ad^k(x)(y) = sum_j (-1)^j C(k, j) x^{k-j} y x^j."""
+    return {x * (k - j) + y + x * j: (-1) ** j * math.comb(k, j) for j in range(k + 1)}
+
+
 def ad_pow(k: int, maxdeg: int | None = None, table: MzvTable | None = None) -> NCSeries:
-    """The element ad^k(a)(b) = sum_j (-1)^j C(k, j) a^{k-j} b a^j."""
+    """The element ad^k(a)(b) as a series."""
     if k < 0:
         raise ValueError("k must be >= 0")
     D = maxdeg if maxdeg is not None else k + 1
-    coeffs = {
-        "a" * (k - j) + "b" + "a" * j: CoeffElem.from_rational(
-            (-1) ** j * math.comb(k, j)
-        )
-        for j in range(k + 1)
-    }
+    coeffs = {w: CoeffElem.from_rational(q) for w, q in ad_expansion(k).items()}
     return NCSeries(D, coeffs, table)
 
 
@@ -391,23 +388,8 @@ _PHI_Y_SIGN = -1
 _PHI_REVERSE = True
 
 
-def build_phi(
-    x: NCSeries,
-    y: NCSeries,
-    maxdeg: int,
-    table: MzvTable,
-    *,
-    _x_letter: str | None = None,
-    _x_sign: int | None = None,
-    _y_sign: int | None = None,
-    _reverse: bool | None = None,
-) -> NCSeries:
+def build_phi(x: NCSeries, y: NCSeries, maxdeg: int, table: MzvTable) -> NCSeries:
     """Associator series evaluated at (x, y), truncated at maxdeg."""
-    x_letter = _PHI_X_LETTER if _x_letter is None else _x_letter
-    x_sign = _PHI_X_SIGN if _x_sign is None else _x_sign
-    y_sign = _PHI_Y_SIGN if _y_sign is None else _y_sign
-    reverse = _PHI_REVERSE if _reverse is None else _reverse
-    y_letter = "A" if x_letter == "B" else "B"
     if not x.constant_term().is_zero() or not y.constant_term().is_zero():
         raise PreconditionViolated("associator arguments need zero constant term")
 
@@ -433,7 +415,7 @@ def build_phi(
 
     arg = {0: x.truncate(D), 1: y.truncate(D)}
     mindeg = {0: mx, 1: my}
-    letter = {0: x_letter, 1: y_letter}
+    letter = {0: _PHI_X_LETTER, 1: "A" if _PHI_X_LETTER == "B" else "B"}
     # Phi accumulates in (word -> monomial -> rational) cells; each monomial
     # pair is multiplied once, so a symbol pair meets coeff_mul's cap check
     # exactly when some term of subst.scale(c) would have.
@@ -455,11 +437,11 @@ def build_phi(
             n_y = sum(word)
             n_x = len(word) - n_y
             bin_word = "".join(letter[l] for l in word)
-            if reverse:
+            if _PHI_REVERSE:
                 bin_word = bin_word[::-1]
             c = shuffle_regularize(bin_word, table)
             if not c.is_zero():
-                if (x_sign == -1 and n_x % 2) != (y_sign == -1 and n_y % 2):
+                if (_PHI_X_SIGN == -1 and n_x % 2) != (_PHI_Y_SIGN == -1 and n_y % 2):
                     c = -c
                 add_scaled(subst, c)
         for l in (0, 1):
@@ -558,25 +540,9 @@ def compositions_of(d: int) -> list[EmzvIndexTuple]:
     return out
 
 
-def index_monomial(idx: EmzvIndexTuple) -> dict[NCWord, Fraction]:
+def index_monomial(idx: EmzvIndexTuple) -> dict[NCWord, int]:
     """Word expansion of ad^{k_n}(a)(b) ... ad^{k_1}(a)(b)."""
-    acc: dict[NCWord, Fraction] = {"": Fraction(1)}
-    for k in reversed(idx):
-        factor = {
-            "a" * (k - j) + "b" + "a" * j: Fraction((-1) ** j * math.comb(k, j))
-            for j in range(k + 1)
-        }
-        nxt: dict[NCWord, Fraction] = {}
-        for w1, q1 in acc.items():
-            for w2, q2 in factor.items():
-                w = w1 + w2
-                s = nxt.get(w, Fraction(0)) + q1 * q2
-                if s:
-                    nxt[w] = s
-                else:
-                    nxt.pop(w, None)
-        acc = nxt
-    return acc
+    return functools.reduce(assoc_concat, map(ad_expansion, reversed(idx)), {"": 1})
 
 
 def pure_word(idx: EmzvIndexTuple) -> NCWord:
@@ -591,7 +557,7 @@ def triangular_index_solve(component: Mapping[NCWord, object], degree: int):
     are processed in decreasing reversed-lexicographic order; the final
     residual must vanish, otherwise the component does not lie in their span
     and ExtractionInconsistent is raised.  Values may be any type with
-    +, -, scale(Fraction) and is_zero().
+    + and scale(int) whose zero is falsy.
     """
     work = dict(component)
     out: dict[EmzvIndexTuple, object] = {}
@@ -599,17 +565,11 @@ def triangular_index_solve(component: Mapping[NCWord, object], degree: int):
     for j in comps:
         x = work.get(pure_word(j))
         out[j] = x
-        if x is None or x.is_zero():  # type: ignore[attr-defined]
+        if not x:
             continue
-        for w, q in index_monomial(j).items():
-            cur = work.get(w)
-            delta = x.scale(q)  # type: ignore[attr-defined]
-            nxt = cur - delta if cur is not None else -delta  # type: ignore[operator]
-            if nxt.is_zero():
-                work.pop(w, None)
-            else:
-                work[w] = nxt
-    leftovers = [w for w, v in work.items() if not v.is_zero()]  # type: ignore[attr-defined]
+        terms = index_monomial(j).items()
+        accumulate(work, ((w, x.scale(-q)) for w, q in terms))  # type: ignore[attr-defined]
+    leftovers = [w for w, v in work.items() if v]
     if leftovers:
         raise ExtractionInconsistent(
             f"degree-{degree} residual outside the index-monomial span on "
@@ -657,34 +617,25 @@ def _solved_components(ainf: NCSeries, d: int) -> dict[EmzvIndexTuple, CoeffElem
 
 def nc_coproduct(s: NCSeries) -> dict[tuple[NCWord, NCWord], CoeffElem]:
     """Both letters primitive: words split over all position subsets."""
-    out: dict[tuple[NCWord, NCWord], CoeffElem] = {}
-    for w, c in s.items():
+    def splits(w: NCWord) -> Iterator[tuple[NCWord, NCWord]]:
         n = len(w)
         for mask in range(1 << n):
             left = "".join(w[i] for i in range(n) if mask >> i & 1)
             right = "".join(w[i] for i in range(n) if not mask >> i & 1)
-            key = (left, right)
-            acc = out.get(key, CoeffElem.zero()) + c
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return out
+            yield left, right
+
+    return accumulate({}, ((key, c) for w, c in s.items() for key in splits(w)))
 
 
 def is_grouplike(s: NCSeries) -> bool:
     """Delta(s) == s (x) s up to the truncation degree."""
-    table = s.table
-    lhs = nc_coproduct(s)
-    rhs: dict[tuple[NCWord, NCWord], CoeffElem] = {}
-    for w1, c1 in s.items():
-        for w2, c2 in s.items():
-            if len(w1) + len(w2) > s.maxdeg:
-                continue
-            key = (w1, w2)
-            acc = rhs.get(key, CoeffElem.zero()) + coeff_mul(c1, c2, table)
-            if acc.is_zero():
-                rhs.pop(key, None)
-            else:
-                rhs[key] = acc
-    return lhs == rhs
+    rhs = accumulate(
+        {},
+        (
+            ((w1, w2), coeff_mul(c1, c2, s.table))
+            for w1, c1 in s.items()
+            for w2, c2 in s.items()
+            if len(w1) + len(w2) <= s.maxdeg
+        ),
+    )
+    return nc_coproduct(s) == rhs

@@ -25,6 +25,7 @@ from .coeffring import (
     CoeffElem,
     MzvMonomial,
     MzvTable,
+    accumulate,
     coeff_mul,
     integer_slices,
     merge_tables,
@@ -109,17 +110,9 @@ class QTSeries:
 
     def __add__(self, other: "QTSeries") -> "QTSeries":
         order = min(self.order, other.order)
-        d: dict[tuple[int, int], CoeffElem] = {
-            k: v for k, v in self.coeffs.items() if k[0] < order
-        }
-        for k, v in other.coeffs.items():
-            if k[0] < order:
-                s = d.get(k, CoeffElem.zero()) + v
-                if s.is_zero():
-                    d.pop(k, None)
-                else:
-                    d[k] = s
-        return QTSeries(order, d, self._merge_table(other))
+        d = {k: v for k, v in self.coeffs.items() if k[0] < order}
+        accumulate(d, ((k, v) for k, v in other.coeffs.items() if k[0] < order))
+        return QTSeries._from_clean(order, d, self._merge_table(other))
 
     def __neg__(self) -> "QTSeries":
         return QTSeries(self.order, {k: -v for k, v in self.coeffs.items()}, self.table)
@@ -234,21 +227,9 @@ def qt_lincomb(
 
 def qt_ddT(f: QTSeries) -> QTSeries:
     """Exact derivative d/dT, same truncation order."""
-    acc: dict[tuple[int, int], CoeffElem] = {}
-
-    def add(k: tuple[int, int], c: CoeffElem) -> None:
-        s = acc.get(k, CoeffElem.zero()) + c
-        if s.is_zero():
-            acc.pop(k, None)
-        else:
-            acc[k] = s
-
-    for (m, j), c in f.coeffs.items():
-        if m:
-            add((m, j), c.scale(m))
-        if j:
-            add((m, j - 1), c.scale(j))
-    return QTSeries(f.order, acc, f.table)
+    terms = [((m, j), c.scale(m)) for (m, j), c in f.coeffs.items() if m]
+    terms += [((m, j - 1), c.scale(j)) for (m, j), c in f.coeffs.items() if j]
+    return QTSeries._from_clean(f.order, accumulate({}, terms), f.table)
 
 
 def qt_antider(f: QTSeries) -> QTSeries:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from emzv.coeffring import (
     CoeffElem,
     MzvMonomial,
+    accumulate,
     bernoulli,
     coeff_mul,
     dump_mzv_table,
@@ -187,6 +188,46 @@ def test_slices_and_monomial_products_match_coeff_mul(small_table, x, y):
             rho = monomial_mul(mu, nu, small_table)
             acc[rho] = acc.get(rho, 0) + p * q
     assert CoeffElem(acc) == coeff_mul(x, y, small_table)
+
+
+_KERNEL_VALUES = {
+    "int": st.integers(min_value=-4, max_value=4),
+    "Fraction": st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    "CoeffElem": _random_coeffs(max_terms=2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNEL_VALUES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_accumulate_matches_reference_sum(kind, data):
+    values = _KERNEL_VALUES[kind]
+    keys = st.integers(min_value=0, max_value=3)
+    start = {k: v for k, v in data.draw(st.dictionaries(keys, values)).items() if v}
+    pairs = []
+    for key, value in data.draw(st.lists(st.tuples(keys, values), max_size=10)):
+        pairs.append((key, value))
+        if data.draw(st.booleans()):  # a cancelling partner
+            pairs.append((key, -value))
+    if data.draw(st.booleans()):  # cancel the starting values as well
+        pairs.extend((k, -v) for k, v in start.items())
+    pairs = data.draw(st.permutations(pairs))
+
+    zero = CoeffElem.zero() if kind == "CoeffElem" else 0
+    want = {}
+    for key in set(start) | {k for k, _ in pairs}:
+        total = start.get(key, zero)
+        for k, v in pairs:
+            if k == key:
+                total = total + v
+        if total:
+            want[key] = total
+
+    acc = dict(start)
+    out = accumulate(acc, pairs)
+    assert out is acc
+    assert out == want
+    assert all(out.values())
 
 
 def test_monomial_mul_overflow(small_table):

@@ -456,6 +456,50 @@ def test_integer_engine_matches_fraction_engine(weight, depth, candidates):
     assert got.vectors  # each case has a relation
 
 
+def test_relation_tensor_elements_reuse_the_cached_kernel(monkeypatch):
+    from emzv import derlie
+
+    calls = []
+
+    def counting_kernel_basis(matrix):
+        calls.append(matrix)
+        return kernel_basis(matrix)
+
+    monkeypatch.setattr(derlie, "kernel_basis", counting_kernel_basis)
+    monkeypatch.setattr(derlie, "_relations_cache", {})
+    rel = find_lie_relations(16, 3)
+    assert relation_tensor_elements(16, 3)
+    assert len(calls) == 1 and len(derlie._relations_cache) == 1
+    # the full candidate list passed explicitly is the same cache entry
+    assert find_lie_relations(16, 3, candidates=_eps_lyndon_candidates(16, 3)) is rel
+    assert len(calls) == 1
+
+
+def _reference_nc_apply(der, vec):
+    """NCDerivation.apply as a loop of its own that drops zeros as it adds."""
+    out = {}
+    for w, q in vec.items():
+        for i, ch in enumerate(w):
+            val = der.val_a if ch == "a" else der.val_b
+            pre, post = w[:i], w[i + 1 :]
+            for sub, qs in val.items():
+                ww = pre + sub + post
+                s = out.get(ww, 0) + q * qs
+                if s:
+                    out[ww] = s
+                else:
+                    out.pop(ww, None)
+    return out
+
+
+def test_nc_apply_matches_reference_loop():
+    slices = build_Ainf(8, shipped_table()).monomial_slices().values()
+    ders = [eps_nc(k) for k in range(0, 11, 2)] + [build_D_derivation(8)]
+    for der in ders:
+        for vec in slices:
+            assert der.apply(vec) == _reference_nc_apply(der, vec)
+
+
 def test_primitive_rows():
     assert _primitive_row([0, -4, 6, 0]) == (0, 2, -3, 0)
     assert _primitive_row([6, -4]) == (3, -2) == _primitive_row([-3, 2])

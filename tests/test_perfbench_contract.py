@@ -1,0 +1,45 @@
+"""The benchmark tracer's boundaries resolve the way ``Tracer.install`` does.
+
+``perfbench/tracer.py`` wraps a ``Class.method`` boundary through the class's
+own ``__dict__`` and a function boundary through its ``emzv`` module, so a
+method moved into a base class, or a renamed function, fails here rather
+than when a traced benchmark run installs the tracer.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    """perfbench/tracer.py, imported as the benchmark imports it (not installed)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    own = [name for name in ("tracer", "workloads") if name not in sys.modules]
+    yield importlib.import_module("tracer")
+    for name in own:
+        sys.modules.pop(name, None)
+
+
+def test_tracer_boundaries_resolve(tracer):
+    importlib.import_module("emzv.cli")
+    importlib.import_module("emzv.verify")
+    for module, path, kind in tracer.BOUNDARIES:
+        assert kind in ("span", "leaf"), (module, path)
+        home = sys.modules[f"emzv.{module}"]
+        if "." in path:
+            cls_name, attr = path.split(".")
+            cls = getattr(home, cls_name)
+            assert attr in cls.__dict__, f"{module}.{path} is not defined in {cls_name}'s body"
+        else:
+            assert callable(getattr(home, path, None)), f"emzv.{module} has no {path}"
+
+
+def test_expected_calls_name_boundaries(tracer):
+    names = {tracer.metric_name(module, path) for module, path, _ in tracer.BOUNDARIES}
+    for workload, expected in tracer.EXPECTED.items():
+        assert set(expected) <= names, workload
