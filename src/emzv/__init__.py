@@ -47,7 +47,6 @@ from .errors import (
     ParseError,
     PreconditionViolated,
     TableOverflow,
-    TruncationOverflow,
 )
 from .linalg import RatMatrix, kernel_basis, rref, solve
 from .ncalg import (

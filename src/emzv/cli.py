@@ -70,15 +70,18 @@ class RunConfig:
                 raise ValueError(f"bad {flag} {value}: the {what} must be ≥ {least}")
 
     def load_table(self) -> MzvTable:
-        path = self.mzv_table_path
+        path, source = self.mzv_table_path, "--mzv-table"
         if path is None:
             env = os.environ.get(ENV_TABLE)
             if env:
-                path = Path(env)
+                path, source = Path(env), ENV_TABLE
         if path is None:
             return shipped_table()
-        with open(path, "rb") as fh:
-            return load_mzv_table(fh)
+        try:
+            with open(path, "rb") as fh:
+                return load_mzv_table(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read {source} {str(path)!r}: {exc.strerror}") from None
 
 
 def _common_flags() -> argparse.ArgumentParser:

@@ -28,7 +28,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .errors import ConsistencyError, ParseError, TableOverflow
 
@@ -69,19 +69,38 @@ def assoc_concat(x: Mapping[K, V], y: Mapping[K, V]) -> dict[K, V]:
     return {w: q for w, q in out.items() if q}
 
 
+# The one lock of the package's memo policy: every cache stores under it.
+MEMO_LOCK = threading.Lock()
+
+
+def memoized(cache: dict[K, V], key: K, compute: Callable[[], V]) -> V:
+    """cache[key], computing and storing it on a miss.
+
+    compute runs outside the lock (it may recurse into memoized itself);
+    the store is a setdefault under MEMO_LOCK, and the stored value is
+    returned, so concurrent callers all get the first writer's object.
+    Values must not be None.
+    """
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    value = compute()
+    with MEMO_LOCK:
+        return cache.setdefault(key, value)
+
+
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
-_bernoulli_lock = threading.Lock()
 
 
 def bernoulli(m: int) -> Fraction:
     """Return B_m for the generating function t/(e^t - 1), so B_1 = -1/2.
 
-    Memoized; safe under concurrent readers.
+    Memoized as a growing prefix, extended under MEMO_LOCK.
     """
     if m < 0:
         raise ValueError("Bernoulli index must be nonnegative")
     if m >= len(_bernoulli_cache):
-        with _bernoulli_lock:
+        with MEMO_LOCK:
             while len(_bernoulli_cache) <= m:
                 n = len(_bernoulli_cache)
                 acc = Fraction(0)
@@ -271,9 +290,6 @@ class MzvTable:
     single_zeta: dict[int, CoeffElem]
     convergent_words: dict[str, CoeffElem]
     caches: dict = field(default_factory=dict, repr=False, compare=False)
-    cache_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
 
 def coeff_mul(x: CoeffElem, y: CoeffElem, table: MzvTable | None) -> CoeffElem:
@@ -597,19 +613,18 @@ def dump_mzv_table(t: MzvTable) -> str:
 
 
 _shipped: dict[str, MzvTable] = {}
-_shipped_lock = threading.Lock()
 
 SHIPPED_TABLE_RESOURCE = "mzv_table_w8.txt"
 
 
 def shipped_table() -> MzvTable:
     """The table packaged with the distribution (weight cap 8)."""
-    with _shipped_lock:
-        if SHIPPED_TABLE_RESOURCE not in _shipped:
-            from importlib.resources import files
 
-            text = (
-                files("emzv.data").joinpath(SHIPPED_TABLE_RESOURCE).read_text("utf-8")
-            )
-            _shipped[SHIPPED_TABLE_RESOURCE] = loads_mzv_table(text)
-        return _shipped[SHIPPED_TABLE_RESOURCE]
+    def load() -> MzvTable:
+        from importlib.resources import files
+
+        return loads_mzv_table(
+            files("emzv.data").joinpath(SHIPPED_TABLE_RESOURCE).read_text("utf-8")
+        )
+
+    return memoized(_shipped, SHIPPED_TABLE_RESOURCE, load)

@@ -34,6 +34,7 @@ from .coeffring import (
     MzvTable,
     accumulate,
     bernoulli,
+    memoized,
     parse_coeff,
     render_coeff,
 )
@@ -41,7 +42,7 @@ from .derlie import eps_nc, eps_tilde_scale
 from .eisalg import EPoly, EWord, eisenstein_qexp, epoly_to_qexp
 from .errors import ParseError
 from .linalg import RatMatrix, kernel_basis
-from .ncalg import NCSeries, canonical_ainf, extract_gamma, triangular_index_solve
+from .ncalg import NCSeries, build_Ainf, extract_gamma, triangular_index_solve
 from .qseries import QTSeries, qt_lincomb, qt_mul
 
 EmzvIndex = tuple[int, ...]
@@ -201,33 +202,28 @@ def decompose(idx: Iterable[int], table: MzvTable) -> Decomposition:
     limit series at word degree weight + length.
     """
     index = make_index(idx)
-    memo: dict[EmzvIndex, Decomposition] = table.caches.setdefault("decomp", {})
-    hit = memo.get(index)
-    if hit is not None:
-        return hit
+    return memoized(
+        table.caches.setdefault("decomp", {}), index, lambda: _decompose(index, table)
+    )
 
+
+def _decompose(index: EmzvIndex, table: MzvTable) -> Decomposition:
     n = len(index)
     if n == 0:
-        dec = Decomposition((), EPoly.constant(1, table), CoeffElem.one())
-    elif n == 1:
+        return Decomposition((), EPoly.constant(1, table), CoeffElem.one())
+    if n == 1:
         k = index[0]
         if k % 2:
             gamma = CoeffElem.zero()
         else:
             gamma = CoeffElem.pi_pow(1, bernoulli(k) / math.factorial(k))
-        dec = Decomposition(index, EPoly.constant(gamma, table), gamma)
-    else:
-        degree = index_weight(index) + n
-        ainf = canonical_ainf(table, degree)
-        gamma = extract_gamma(index, ainf)
-        acc = EPoly.constant(gamma, table)
-        for term in diffeq_expand(index):
-            sub = decompose(term.sub_index, table)
-            acc = acc + sub.epoly.prepend(term.eis_weight).scale(-term.coeff)
-        dec = Decomposition(index, acc, gamma, nc_degree=degree)
-
-    with table.cache_lock:
-        return memo.setdefault(index, dec)
+        return Decomposition(index, EPoly.constant(gamma, table), gamma)
+    gamma = extract_gamma(index, table)
+    acc = EPoly.constant(gamma, table)
+    for term in diffeq_expand(index):
+        sub = decompose(term.sub_index, table)
+        acc = acc + sub.epoly.prepend(term.eis_weight).scale(-term.coeff)
+    return Decomposition(index, acc, gamma, nc_degree=index_weight(index) + n)
 
 
 def emzv_qexp(idx: Iterable[int], order: int, table: MzvTable) -> QTSeries:
@@ -273,7 +269,7 @@ def gseries_decompose(
     out: dict[EmzvIndex, EPoly] = {(): EPoly.constant(1, table)}
     if not degrees:
         return out
-    images = _eps_word_images(canonical_ainf(table, max(degrees)), degrees)
+    images = _eps_word_images(build_Ainf(max(degrees), table), degrees)
     wanted = set(indices)
     for d in degrees:
         solved = triangular_index_solve(_gseries_component(images.pop(d), table), d)

@@ -25,12 +25,11 @@ constant-term data.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, TypeVar
 
-from .coeffring import CoeffElem, accumulate, assoc_concat, bernoulli
+from .coeffring import CoeffElem, accumulate, assoc_concat, bernoulli, memoized
 from .eisalg import EPoly, EWord, epoly_to_qexp
 from .linalg import RatMatrix, kernel_basis
 from .ncalg import NCSeries, ad_expansion
@@ -80,7 +79,6 @@ def assoc_bracket(x: Mapping[_Word, Number], y: Mapping[_Word, Number]) -> dict[
 
 
 _expand_cache: dict[str, Assoc] = {}
-_expand_lock = threading.Lock()
 
 
 def expand_lyndon(w: str) -> Assoc:
@@ -89,18 +87,16 @@ def expand_lyndon(w: str) -> Assoc:
     Triangular: the expansion is the word itself plus lexicographically
     larger rearrangements; asserted here at build time.
     """
-    hit = _expand_cache.get(w)
-    if hit is not None:
-        return hit
-    if len(w) == 1:
-        res: Assoc = {w: 1}
-    else:
+
+    def compute() -> Assoc:
+        if len(w) == 1:
+            return {w: 1}
         u, v = standard_factorization(w)
         res = assoc_bracket(expand_lyndon(u), expand_lyndon(v))
         assert min(res) == w and res[w] == 1
-    with _expand_lock:
-        _expand_cache.setdefault(w, res)
-    return res
+        return res
+
+    return memoized(_expand_cache, w, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +221,13 @@ def candidate_label(word: tuple[int, ...]) -> str:
 
 
 _relations_cache: dict[tuple, RelationSet] = {}
-_relations_lock = threading.Lock()
+_candidates_cache: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+
+
+def _default_candidates(weight: int, depth: int) -> tuple[tuple[int, ...], ...]:
+    """The Lyndon candidates of (weight, depth), enumerated once."""
+    key = (weight, depth)
+    return memoized(_candidates_cache, key, lambda: tuple(_eps_lyndon_candidates(*key)))
 
 
 def _primitive_row(row: list[int]) -> tuple[int, ...]:
@@ -248,12 +250,14 @@ def find_lie_relations(
     generator values is exact.
     """
     if candidates is None:
-        candidates = _eps_lyndon_candidates(weight, depth)
-    cand = tuple(tuple(c) for c in candidates)
+        cand = _default_candidates(weight, depth)
+    else:
+        cand = tuple(tuple(c) for c in candidates)
     key = (weight, depth, cand)
-    with _relations_lock:
-        if key in _relations_cache:
-            return _relations_cache[key]
+    return memoized(_relations_cache, key, lambda: _lie_kernel(*key))
+
+
+def _lie_kernel(weight: int, depth: int, cand: tuple[tuple[int, ...], ...]) -> RelationSet:
     for c in cand:
         if sum(c) != weight or len(c) != depth:
             raise ValueError(f"candidate {c} does not match (weight, depth)")
@@ -268,20 +272,17 @@ def find_lie_relations(
     if not rows:
         rows = [(0,) * len(cand)]
     vectors = tuple(kernel_basis(RatMatrix.from_rows(rows)))
-    rel = RelationSet(
+    return RelationSet(
         weight=weight,
         depth=depth,
         candidates=tuple(candidate_label(c) for c in cand),
         vectors=vectors,
     )
-    with _relations_lock:
-        _relations_cache.setdefault(key, rel)
-    return rel
 
 
 def relation_tensor_elements(weight: int, depth: int) -> list[dict[EWord, Fraction]]:
     """Relations expanded in the tensor algebra on the e-letters."""
-    cand = _eps_lyndon_candidates(weight, depth)
+    cand = _default_candidates(weight, depth)
     out = []
     for vec in find_lie_relations(weight, depth).vectors:
         terms = (

@@ -19,11 +19,18 @@ odd letter represent the zero function and are dropped at the boundary.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .coeffring import CoeffElem, MzvTable, accumulate, bernoulli, coeff_mul, merge_tables
+from .coeffring import (
+    CoeffElem,
+    MzvTable,
+    accumulate,
+    bernoulli,
+    coeff_mul,
+    memoized,
+    merge_tables,
+)
 from .qseries import QTSeries, qt_antider, qt_lincomb, qt_mul
 from .words import deconcatenations, shuffle_multiset
 
@@ -63,7 +70,6 @@ def eisenstein_qexp(k: int, order: int, table: MzvTable | None = None) -> QTSeri
 
 
 _iei_cache: dict[tuple[EWord, int], QTSeries] = {}
-_iei_lock = threading.Lock()
 
 
 def iei_qexp(w: Iterable[int], order: int) -> QTSeries:
@@ -75,22 +81,16 @@ def iei_qexp(w: Iterable[int], order: int) -> QTSeries:
     word = make_eword(w)
     if order < 1:
         raise ValueError("order must be >= 1")
-    key = (word, order)
-    hit = _iei_cache.get(key)
-    if hit is not None:
-        return hit
-    if not word:
-        res = QTSeries.constant(1, order)
-    elif has_odd_letter(word):
-        res = QTSeries.zero(order)
-    else:
+
+    def compute() -> QTSeries:
+        if not word:
+            return QTSeries.constant(1, order)
+        if has_odd_letter(word):
+            return QTSeries.zero(order)
         head, tail = word[0], word[1:]
-        res = qt_antider(
-            qt_mul(-eisenstein_qexp(head, order), iei_qexp(tail, order))
-        )
-    with _iei_lock:
-        _iei_cache.setdefault(key, res)
-    return res
+        return qt_antider(qt_mul(-eisenstein_qexp(head, order), iei_qexp(tail, order)))
+
+    return memoized(_iei_cache, (word, order), compute)
 
 
 class EPoly:

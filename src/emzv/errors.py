@@ -35,7 +35,3 @@ class ExtractionInconsistent(EmzvError):
 
 class FourierViolation(EmzvError):
     """A q-expansion that must be free of log(q) terms contains one."""
-
-
-class TruncationOverflow(EmzvError):
-    """A Lie-algebra computation would leave the truncated degree range."""

@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .coeffring import (
+    MEMO_LOCK,
     MONOMIAL_ONE,
     CoeffElem,
     MzvMonomial,
@@ -36,6 +37,7 @@ from .coeffring import (
     bernoulli,
     coeff_mul,
     integer_slices,
+    memoized,
     merge_tables,
     monomial_mul,
 )
@@ -54,7 +56,7 @@ BinWord = str  # over the alphabet {"A", "B"}
 class NCSeries:
     """Degree-truncated series: finite map word -> CoeffElem."""
 
-    __slots__ = ("maxdeg", "coeffs", "table", "_solve_cache")
+    __slots__ = ("maxdeg", "coeffs", "table")
 
     def __init__(
         self,
@@ -70,7 +72,6 @@ class NCSeries:
                     d[w] = c
         self.coeffs = d
         self.table = table
-        self._solve_cache: dict = {}
 
     # -- constructors ---------------------------------------------------
 
@@ -83,7 +84,6 @@ class NCSeries:
         out.maxdeg = maxdeg
         out.coeffs = coeffs
         out.table = table
-        out._solve_cache = {}
         return out
 
     @staticmethod
@@ -332,41 +332,31 @@ def shuffle_regularize(w: BinWord, table: MzvTable) -> CoeffElem:
     cache: dict[BinWord, CoeffElem] = table.caches.setdefault("reg", {})
 
     def reg(word: BinWord) -> CoeffElem:
-        hit = cache.get(word)
-        if hit is not None:
-            return hit
+        return memoized(cache, word, lambda: value(word))
+
+    def value(word: BinWord) -> CoeffElem:
         if not word:
-            res = CoeffElem.one()
-        elif len(word) == 1:
-            res = CoeffElem.zero()
-        elif is_admissible(word):
+            return CoeffElem.one()
+        if len(word) == 1:
+            return CoeffElem.zero()
+        if is_admissible(word):
             if len(word) > table.max_weight:
                 raise TableOverflow(
                     f"regularized value at weight {len(word)} exceeds cap "
                     f"{table.max_weight}"
                 )
-            res = table.convergent_words[word]
-        elif word[0] == "B":
+            return table.convergent_words[word]
+        if word[0] == "B":
             p = len(word) - len(word.lstrip("B"))
-            rest = word[1:]  # B^(p-1) . tail
-            acc = CoeffElem.zero()
-            for other, mult in bin_shuffle("B", rest).items():
-                if other == word:
-                    continue  # appears with multiplicity p
-                acc = acc + reg(other).scale(mult)
-            res = acc.scale(Fraction(-1, p))
+            shuffled = bin_shuffle("B", word[1:])  # B . B^(p-1) . tail
         else:  # starts with A, ends with A
-            q = len(word) - len(word.rstrip("A"))
-            rest = word[:-1]  # head . A^(q-1)
-            acc = CoeffElem.zero()
-            for other, mult in bin_shuffle(rest, "A").items():
-                if other == word:
-                    continue  # appears with multiplicity q
+            p = len(word) - len(word.rstrip("A"))
+            shuffled = bin_shuffle(word[:-1], "A")  # head . A^(p-1) . A
+        acc = CoeffElem.zero()
+        for other, mult in shuffled.items():
+            if other != word:  # the word itself appears with multiplicity p
                 acc = acc + reg(other).scale(mult)
-            res = acc.scale(Fraction(-1, q))
-        with table.cache_lock:
-            cache.setdefault(word, res)
-        return res
+        return acc.scale(Fraction(-1, p))
 
     return reg(w)
 
@@ -469,12 +459,12 @@ def required_table_weight(idx: Iterable[int]) -> int:
 def build_Ainf(maxdeg: int, table: MzvTable) -> NCSeries:
     """Limit of the generating series at the cusp, built from the associator.
 
-    Cached on the table; larger builds serve smaller requests by truncation.
+    Cached on the table in one slot holding the largest build, stored under
+    MEMO_LOCK; smaller requests are served by truncation.
     """
     if maxdeg < 1:
         raise ValueError("maxdeg must be >= 1")
-    with table.cache_lock:
-        cached: NCSeries | None = table.caches.get("ainf")
+    cached: NCSeries | None = table.caches.get("ainf")
     if cached is not None and cached.maxdeg >= maxdeg:
         return cached.truncate(maxdeg)
 
@@ -495,26 +485,11 @@ def build_Ainf(maxdeg: int, table: MzvTable) -> NCSeries:
     exp_pit = nc_exp(t.scale(half_pi))
     exp_piy = nc_exp(ytilde.scale(CoeffElem.pi_pow(1)))
     ainf = nc_mul(nc_mul(nc_mul(exp_pit, phi), exp_piy), phi_inv)
-    with table.cache_lock:
+    with MEMO_LOCK:
         prev: NCSeries | None = table.caches.get("ainf")
         if prev is None or prev.maxdeg < D:
             table.caches["ainf"] = ainf
     return ainf
-
-
-def canonical_ainf(table: MzvTable, min_degree: int) -> NCSeries:
-    """The table's cached limit series, grown on demand, never truncated.
-
-    Extraction only reads one homogeneous component, so callers can share
-    this object (and its solve cache) across different requested degrees.
-    """
-    with table.cache_lock:
-        cached: NCSeries | None = table.caches.get("ainf")
-    if cached is not None and cached.maxdeg >= min_degree:
-        return cached
-    build_Ainf(min_degree, table)
-    with table.cache_lock:
-        return table.caches["ainf"]
 
 
 # ---------------------------------------------------------------------------
@@ -578,37 +553,26 @@ def triangular_index_solve(component: Mapping[NCWord, object], degree: int):
     return out
 
 
-def extract_gamma(idx: Iterable[int], ainf: NCSeries) -> CoeffElem:
-    """Constant gamma_{k_1..k_n}: coefficient extraction from the limit series."""
+def extract_gamma(idx: Iterable[int], table: MzvTable) -> CoeffElem:
+    """Constant gamma_{k_1..k_n}: coefficient extraction from the limit series.
+
+    Each degree d is solved once per table, from the degree-d component of
+    build_Ainf(d, table); that component does not depend on the degree the
+    series was built at, so one solve serves every build.
+    """
     index = tuple(int(k) for k in idx)
     if any(k < 0 for k in index):
         raise ValueError("index entries must be nonnegative")
     d = sum(k + 1 for k in index)
-    if d > ainf.maxdeg:
-        raise PreconditionViolated(
-            f"index needs degree {d}, series truncated at {ainf.maxdeg}"
-        )
-    if d == 0:
-        return ainf.constant_term()
-    solved = _solved_components(ainf, d)
-    x = solved.get(index)
-    if x is None:
+
+    def solve() -> dict[EmzvIndexTuple, CoeffElem]:
+        component = build_Ainf(max(d, 1), table).component(d)
+        return triangular_index_solve(component, d)
+
+    x = memoized(table.caches.setdefault("solve", {}), d, solve).get(index)
+    if not x:
         return CoeffElem.zero()
     return x if len(index) % 2 == 0 else -x
-
-
-def _solved_components(ainf: NCSeries, d: int) -> dict[EmzvIndexTuple, CoeffElem]:
-    # Cached per series object: different builds at the same degree must
-    # not share solutions.
-    hit = ainf._solve_cache.get(d)
-    if hit is not None:
-        return hit
-    comp = ainf.component(d)
-    solved = triangular_index_solve(comp, d)
-    solved = {
-        j: (v if v is not None else CoeffElem.zero()) for j, v in solved.items()
-    }
-    return ainf._solve_cache.setdefault(d, solved)
 
 
 # ---------------------------------------------------------------------------

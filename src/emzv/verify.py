@@ -47,7 +47,6 @@ from .ncalg import (
     build_Ainf,
     build_phi,
     build_ytilde,
-    canonical_ainf,
     extract_gamma,
     is_grouplike,
     nc_bracket,
@@ -345,12 +344,11 @@ def criterion_10_associator(ctx: VerifyContext) -> CheckResult:
     for name, val in (("t", t), ("ytilde", ytilde), ("the limit series", ainf)):
         if not annihilates(der, val):
             return False, f"annihilating derivation fails on {name}"
-    if extract_gamma((2, 0, 0), canonical_ainf(table, 5)) != PI(3, F(1, 72)):
+    if extract_gamma((2, 0, 0), table) != PI(3, F(1, 72)):
         return False, "constant at (2,0,0) differs"
-    big = canonical_ainf(table, 8)
     for k1 in range(7):
         for k2 in range(7 - k1):
-            if extract_gamma((k1, k2), big) != _gamma2_closed(k1, k2):
+            if extract_gamma((k1, k2), table) != _gamma2_closed(k1, k2):
                 return False, f"constant table differs at {(k1, k2)}"
     return True, (
         f"group-like to degree {D}; derivation annihilates every monomial slice; "
@@ -416,12 +414,12 @@ def check_diffeq_examples(ctx: VerifyContext) -> CheckResult:
 
 
 def check_gamma_anchors(ctx: VerifyContext) -> CheckResult:
-    ainf = canonical_ainf(ctx.table, 5)
+    table = ctx.table
     ok = (
-        extract_gamma((2, 0, 0), ainf) == PI(3, F(1, 72))
-        and extract_gamma((0, 1, 0, 0), ainf) == CoeffElem.symbol("z3", -3).mul_pi(1)
-        and extract_gamma((1, 1), ainf) == CoeffElem.zero()
-        and ainf.coefficient("b") == PI(1, -1)
+        extract_gamma((2, 0, 0), table) == PI(3, F(1, 72))
+        and extract_gamma((0, 1, 0, 0), table) == CoeffElem.symbol("z3", -3).mul_pi(1)
+        and extract_gamma((1, 1), table) == CoeffElem.zero()
+        and build_Ainf(1, table).coefficient("b") == PI(1, -1)
     )
     return ok, "worked constants and the degree-one coefficient"
 

@@ -72,6 +72,20 @@ def test_usage_error_exit_code(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.count("\n") == 1 and "exactly one of --index or --epoly" in err
+    # an unreadable table path names its source and the OS reason
+    for argv, env, need in (
+        (["--mzv-table", "/nonexistent"], None, "--mzv-table '/nonexistent': No such file"),
+        ([], "/nonexistent", "EMZV_MZV_TABLE '/nonexistent': No such file"),
+        (["--mzv-table", str(Path(__file__).parent)], None, "': Is a directory"),
+    ):
+        with pytest.MonkeyPatch.context() as mp:
+            if env is None:
+                mp.delenv("EMZV_MZV_TABLE", raising=False)
+            else:
+                mp.setenv("EMZV_MZV_TABLE", env)
+            code, out, err = run_cli(capsys, "gamma", "--index", "2,0,0", *argv)
+        assert code == 2, argv
+        assert not out and err.count("\n") == 1 and need in err, err
     code, _, err = run_cli(capsys, "gamma", "--index", "-1")
     assert code == 2
     assert err.count("\n") == 1 and "nonnegative integers" in err

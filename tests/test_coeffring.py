@@ -14,6 +14,7 @@ from emzv.coeffring import (
     dump_mzv_table,
     integer_slices,
     loads_mzv_table,
+    memoized,
     monomial_mul,
     parse_coeff,
     reduce_even_zeta,
@@ -61,6 +62,46 @@ def test_bernoulli_thread_safety():
         vals = list(ex.map(bernoulli, [40] * 16))
     assert len(set(vals)) == 1
     assert vals[0] == bernoulli(40)
+
+
+def test_memoized_returns_the_stored_value():
+    # compute stores a rival value under the key, as a concurrent caller
+    # finishing first would; the call must hand back the stored object
+    cache = {}
+    rival = ["rival"]
+
+    def compute():
+        cache["k"] = rival
+        return ["own"]
+
+    assert memoized(cache, "k", compute) is rival
+    assert cache == {"k": rival}
+    assert memoized(cache, "k", lambda: pytest.fail("recomputed on a hit")) is rival
+
+
+def test_memoized_concurrent_callers_share_one_object():
+    import sys
+    import threading
+
+    cache, results = {}, []
+
+    def worker():
+        for k in range(200):
+            results.append((k, memoized(cache, k, object)))
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8 * 200
+    assert all(obj is cache[k] for k, obj in results)
 
 
 def test_reduce_even_zeta():

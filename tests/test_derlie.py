@@ -475,6 +475,21 @@ def test_relation_tensor_elements_reuse_the_cached_kernel(monkeypatch):
     assert len(calls) == 1
 
 
+def test_warm_relation_tensor_elements_enumerate_no_candidates(monkeypatch):
+    from emzv import derlie
+
+    relation_tensor_elements(14, 2)
+    runs = []
+
+    def counting_candidates(weight, depth):
+        runs.append((weight, depth))
+        return _eps_lyndon_candidates(weight, depth)
+
+    monkeypatch.setattr(derlie, "_eps_lyndon_candidates", counting_candidates)
+    assert relation_tensor_elements(14, 2)
+    assert runs == []
+
+
 def _reference_nc_apply(der, vec):
     """NCDerivation.apply as a loop of its own that drops zeros as it adds."""
     out = {}

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emzv.coeffring import CoeffElem, MzvMonomial, coeff_mul, shipped_table
+from emzv.coeffring import (
+    CoeffElem,
+    MzvMonomial,
+    coeff_mul,
+    dump_mzv_table,
+    loads_mzv_table,
+    shipped_table,
+)
 from emzv.errors import (
     DegreeMismatch,
     ExtractionInconsistent,
@@ -17,7 +24,6 @@ from emzv.ncalg import (
     build_Ainf,
     build_phi,
     build_ytilde,
-    canonical_ainf,
     compositions_of,
     extract_gamma,
     index_monomial,
@@ -28,6 +34,7 @@ from emzv.ncalg import (
     nc_mul,
     pure_word,
     shuffle_regularize,
+    triangular_index_solve,
 )
 
 F = Fraction
@@ -197,11 +204,10 @@ def test_ainf_low_terms(table):
 def test_gamma_length_one(table):
     from emzv.coeffring import bernoulli
 
-    ainf = canonical_ainf(table, 7)
     import math
 
     for k in range(0, 7):
-        got = extract_gamma((k,), ainf)
+        got = extract_gamma((k,), table)
         if k % 2:
             want = CoeffElem.zero()
         else:
@@ -210,21 +216,19 @@ def test_gamma_length_one(table):
 
 
 def test_gamma_anchors(table):
-    ainf = canonical_ainf(table, 5)
-    assert extract_gamma((), ainf) == CoeffElem.one()
-    assert extract_gamma((1, 1), ainf) == CoeffElem.zero()
-    assert extract_gamma((2, 0, 0), ainf) == CoeffElem.pi_pow(3, F(1, 72))
-    assert extract_gamma((0, 1, 0, 0), ainf) == CoeffElem.symbol("z3", -3).mul_pi(1)
+    assert extract_gamma((), table) == CoeffElem.one()
+    assert extract_gamma((1, 1), table) == CoeffElem.zero()
+    assert extract_gamma((2, 0, 0), table) == CoeffElem.pi_pow(3, F(1, 72))
+    assert extract_gamma((0, 1, 0, 0), table) == CoeffElem.symbol("z3", -3).mul_pi(1)
 
 
 def test_gamma_length_two_closed_form(table):
     import math
     from emzv.coeffring import bernoulli
 
-    ainf = canonical_ainf(table, 8)
     for k1 in range(0, 7):
         for k2 in range(0, 7 - k1):
-            got = extract_gamma((k1, k2), ainf)
+            got = extract_gamma((k1, k2), table)
             if (k1, k2) == (1, 1):
                 want = CoeffElem.zero()
             else:
@@ -241,9 +245,31 @@ def test_gamma_length_two_closed_form(table):
 
 
 def test_extraction_residual_detected():
-    bad = NCSeries(2, {"aa": CoeffElem.one()})
+    # "aa" is not in the span of the degree-2 index monomials ab - ba and bb
     with pytest.raises(ExtractionInconsistent):
-        extract_gamma((1,), bad)
+        triangular_index_solve({"aa": 1}, 2)
+
+
+def fresh_table():
+    return loads_mzv_table(dump_mzv_table(shipped_table()))
+
+
+def test_ainf_components_do_not_depend_on_the_build_degree():
+    # the precondition of extract_gamma's per-table solve cache
+    big = build_Ainf(9, fresh_table())
+    for d in range(1, 9):
+        assert build_Ainf(d, fresh_table()).coeffs == big.truncate(d).coeffs, d
+
+
+def test_extract_gamma_agrees_across_build_degrees():
+    # one table whose limit series was first built at degree 9, against a
+    # fresh table per degree that builds it at the index's own degree
+    shared = fresh_table()
+    build_Ainf(9, shared)
+    for d in range(1, 10):
+        own = fresh_table()
+        for idx in compositions_of(d):
+            assert extract_gamma(idx, shared) == extract_gamma(idx, own), idx
 
 
 def test_triangular_solve_recovers_random_combinations():

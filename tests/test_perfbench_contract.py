@@ -43,3 +43,31 @@ def test_expected_calls_name_boundaries(tracer):
     names = {tracer.metric_name(module, path) for module, path, _ in tracer.BOUNDARIES}
     for workload, expected in tracer.EXPECTED.items():
         assert set(expected) <= names, workload
+
+
+def test_cache_observers_read_live_caches(tracer):
+    # the traced hit ratios read these caches by name and key; a renamed
+    # cache fails traced runs, a changed key reads silently as no hits
+    from emzv import eisalg
+    from emzv.coeffring import dump_mzv_table, loads_mzv_table, shipped_table
+    from emzv.decomp import decompose
+    from emzv.ncalg import shuffle_regularize
+
+    t = loads_mzv_table(dump_mzv_table(shipped_table()))
+    decompose((2, 0, 0), t)
+    assert (2, 0, 0) in t.caches["decomp"]
+    shuffle_regularize("AB", t)
+    assert "AB" in t.caches["reg"]
+    eisalg.iei_qexp((4,), 6)
+    assert ((4,), 6) in eisalg._iei_cache
+
+    tr = tracer.Tracer()
+    observers = tr._observers()
+    for name, args in (
+        ("decomp.decompose", ((2, 0, 0), t)),
+        ("ncalg.shuffle_regularize", ("AB", t)),
+        ("eisalg.iei_qexp", ((4,), 6)),
+    ):
+        before, _ = observers[name]
+        before(args)
+        assert tr.hits.get(name) == 1, name
