@@ -189,7 +189,7 @@ def _epoly_argument(ns: argparse.Namespace, table: MzvTable) -> EPoly:
             f"bad --epoly ({exc}): pass a JSON list of [index, coefficient] "
             """pairs, e.g. --epoly '[["2,4", "1 * 1"]]'"""
         ) from None
-    return EPoly(coeffs, table)
+    return EPoly(coeffs)
 
 
 def _cmd_decompose(ns: argparse.Namespace) -> int:
@@ -344,12 +344,12 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         nc_degree=cfg.nc_degree,
     )
     results = run_checks(ctx, only=ns.only)
-    for name, ok, detail in results:
-        print(f"{'ok  ' if ok else 'FAIL'} {name} - {detail}")
+    for name, ok, detail, seconds in results:
+        print(f"{'ok  ' if ok else 'FAIL'} {name} - {detail} ({seconds:.2f} s)")
     if not results:
         print("no checks selected", file=sys.stderr)
         return 2
-    return 0 if all(ok for _, ok, _ in results) else 1
+    return 0 if all(ok for _, ok, _, _ in results) else 1
 
 
 _DISPATCH = {

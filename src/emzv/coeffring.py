@@ -349,13 +349,6 @@ def integer_slices(
     return out
 
 
-def merge_tables(a: MzvTable | None, b: MzvTable | None) -> MzvTable | None:
-    """Shared table of two operands; mixing distinct tables is an error."""
-    if a is not None and b is not None and a is not b:
-        raise ConsistencyError("operands carry different coefficient tables")
-    return a or b
-
-
 # ---------------------------------------------------------------------------
 # Rendering and parsing of coefficient expressions
 #

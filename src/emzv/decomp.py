@@ -188,7 +188,7 @@ class Decomposition:
         }
         return Decomposition(
             index=make_index(doc["index"]),
-            epoly=EPoly(coeffs, table),
+            epoly=EPoly(coeffs),
             gamma=parse_coeff(doc["gamma"], table.symbols),
             nc_degree=int(doc.get("params", {}).get("nc_degree", 0)),
         )
@@ -210,16 +210,16 @@ def decompose(idx: Iterable[int], table: MzvTable) -> Decomposition:
 def _decompose(index: EmzvIndex, table: MzvTable) -> Decomposition:
     n = len(index)
     if n == 0:
-        return Decomposition((), EPoly.constant(1, table), CoeffElem.one())
+        return Decomposition((), EPoly.constant(1), CoeffElem.one())
     if n == 1:
         k = index[0]
         if k % 2:
             gamma = CoeffElem.zero()
         else:
             gamma = CoeffElem.pi_pow(1, bernoulli(k) / math.factorial(k))
-        return Decomposition(index, EPoly.constant(gamma, table), gamma)
+        return Decomposition(index, EPoly.constant(gamma), gamma)
     gamma = extract_gamma(index, table)
-    acc = EPoly.constant(gamma, table)
+    acc = EPoly.constant(gamma)
     for term in diffeq_expand(index):
         sub = decompose(term.sub_index, table)
         acc = acc + sub.epoly.prepend(term.eis_weight).scale(-term.coeff)
@@ -239,14 +239,13 @@ def diffeq_rhs_qexp(idx: Iterable[int], order: int, table: MzvTable) -> QTSeries
             (
                 CoeffElem.from_rational(term.coeff),
                 qt_mul(
-                    eisenstein_qexp(term.eis_weight, order, table),
+                    eisenstein_qexp(term.eis_weight, order),
                     emzv_qexp(term.sub_index, order, table),
                 ),
             )
             for term in diffeq_expand(idx)
         ),
         order,
-        table,
     )
 
 
@@ -266,16 +265,16 @@ def gseries_decompose(
     """
     indices = indices_upto(max_len, max_wt)
     degrees = sorted({index_weight(i) + len(i) for i in indices if i})
-    out: dict[EmzvIndex, EPoly] = {(): EPoly.constant(1, table)}
+    out: dict[EmzvIndex, EPoly] = {(): EPoly.constant(1)}
     if not degrees:
         return out
     images = _eps_word_images(build_Ainf(max(degrees), table), degrees)
     wanted = set(indices)
     for d in degrees:
-        solved = triangular_index_solve(_gseries_component(images.pop(d), table), d)
+        solved = triangular_index_solve(_gseries_component(images.pop(d)), d)
         for idx in wanted:
             if idx and index_weight(idx) + len(idx) == d:
-                val = solved.get(idx) or EPoly.zero(table)
+                val = solved.get(idx) or EPoly.zero()
                 out[idx] = val if len(idx) % 2 == 0 else -val
     return out
 
@@ -321,7 +320,7 @@ def _eps_word_images(ainf: NCSeries, degrees: Sequence[int]) -> dict[int, list[_
     return images
 
 
-def _gseries_component(images: list[_EpsImage], table: MzvTable) -> dict[str, EPoly]:
+def _gseries_component(images: list[_EpsImage]) -> dict[str, EPoly]:
     """Word -> e-word polynomial of one degree, each coefficient built once.
 
     Consumes the images and then the integer table built from them, so the
@@ -341,7 +340,7 @@ def _gseries_component(images: list[_EpsImage], table: MzvTable) -> dict[str, EP
             eword: CoeffElem({mono: factors[eword, mono] * n for mono, n in terms.items()})
             for eword, terms in per.items()
         }
-        component[w] = EPoly(coeffs, table)
+        component[w] = EPoly(coeffs)
     return component
 
 
@@ -360,7 +359,7 @@ def find_emzv_relations(
     have one trailing entry per adjoined constant.
     """
     polys = [decompose(i, table).epoly for i in indices]
-    polys.extend(EPoly.constant(c, table) for c in adjoin)
+    polys.extend(EPoly.constant(c) for c in adjoin)
     coords = sorted(
         {(w, mono) for p in polys for w, c in p.items() for mono, _ in c.items()}
     )

@@ -369,7 +369,7 @@ def to_E0_basis(x: EPoly) -> tuple[dict[EWord, CoeffElem], EPoly]:
         if w
     )
     residual = accumulate({w: c for w, c in x.items() if w and w[-1] == 0}, corrections)
-    return combination, EPoly(residual, x.table)
+    return combination, EPoly(residual)
 
 
 def fourier_membership(x: EPoly, order: int = 20) -> bool:

@@ -29,7 +29,6 @@ from .coeffring import (
     bernoulli,
     coeff_mul,
     memoized,
-    merge_tables,
 )
 from .qseries import QTSeries, qt_antider, qt_lincomb, qt_mul
 from .words import deconcatenations, shuffle_multiset
@@ -53,20 +52,20 @@ def sigma(m: int, n: int) -> int:
     return sum(d**m for d in range(1, n + 1) if n % d == 0)
 
 
-def eisenstein_qexp(k: int, order: int, table: MzvTable | None = None) -> QTSeries:
+def eisenstein_qexp(k: int, order: int) -> QTSeries:
     """q-expansion of E_k to the given order (constant -1 for k = 0)."""
     if order < 1:
         raise ValueError("order must be >= 1")
     if k == 0:
-        return QTSeries.constant(-1, order, table)
+        return QTSeries.constant(-1, order)
     if k % 2:
-        return QTSeries.zero(order, table)
+        return QTSeries.zero(order)
     coeffs: dict[tuple[int, int], CoeffElem] = {
         (0, 0): CoeffElem.from_rational(-bernoulli(k) / (2 * k))
     }
     for n in range(1, order):
         coeffs[(n, 0)] = CoeffElem.from_rational(sigma(k - 1, n))
-    return QTSeries(order, coeffs, table)
+    return QTSeries(order, coeffs)
 
 
 _iei_cache: dict[tuple[EWord, int], QTSeries] = {}
@@ -75,8 +74,7 @@ _iei_cache: dict[tuple[EWord, int], QTSeries] = {}
 def iei_qexp(w: Iterable[int], order: int) -> QTSeries:
     """Iterated Eisenstein integral of the word, as a QTSeries.
 
-    Memoized on (word, order); coefficients are rational, so the result
-    carries no table.
+    Memoized on (word, order); the coefficients are rational.
     """
     word = make_eword(w)
     if order < 1:
@@ -96,13 +94,9 @@ def iei_qexp(w: Iterable[int], order: int) -> QTSeries:
 class EPoly:
     """Finite CoeffElem-linear combination of even e-words."""
 
-    __slots__ = ("coeffs", "table")
+    __slots__ = ("coeffs",)
 
-    def __init__(
-        self,
-        coeffs: Mapping[EWord, CoeffElem] | None = None,
-        table: MzvTable | None = None,
-    ):
+    def __init__(self, coeffs: Mapping[EWord, CoeffElem] | None = None):
         d: dict[EWord, CoeffElem] = {}
         if coeffs:
             for w, c in coeffs.items():
@@ -111,37 +105,29 @@ class EPoly:
                     continue
                 d[word] = c
         self.coeffs = d
-        self.table = table
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def _from_clean(coeffs: dict[EWord, CoeffElem], table: MzvTable | None) -> "EPoly":
+    def _from_clean(coeffs: dict[EWord, CoeffElem]) -> "EPoly":
         """Adopt a dict of even words to nonzero coefficients as it is."""
         out = object.__new__(EPoly)
         out.coeffs = coeffs
-        out.table = table
         return out
 
     @staticmethod
-    def zero(table: MzvTable | None = None) -> "EPoly":
-        return EPoly({}, table)
+    def zero() -> "EPoly":
+        return EPoly({})
 
     @staticmethod
-    def word(
-        w: Iterable[int],
-        coeff: CoeffElem | Fraction | int = 1,
-        table: MzvTable | None = None,
-    ) -> "EPoly":
+    def word(w: Iterable[int], coeff: CoeffElem | Fraction | int = 1) -> "EPoly":
         if not isinstance(coeff, CoeffElem):
             coeff = CoeffElem.from_rational(coeff)
-        return EPoly({make_eword(w): coeff}, table)
+        return EPoly({make_eword(w): coeff})
 
     @staticmethod
-    def constant(
-        c: CoeffElem | Fraction | int, table: MzvTable | None = None
-    ) -> "EPoly":
-        return EPoly.word((), c, table)
+    def constant(c: CoeffElem | Fraction | int) -> "EPoly":
+        return EPoly.word((), c)
 
     # -- queries ----------------------------------------------------------
 
@@ -169,7 +155,7 @@ class EPoly:
         return self.coefficient(())
 
     def without_constant(self) -> "EPoly":
-        return EPoly({w: c for w, c in self.coeffs.items() if w}, self.table)
+        return EPoly({w: c for w, c in self.coeffs.items() if w})
 
     def words(self) -> list[EWord]:
         return sorted(self.coeffs, key=lambda w: (len(w), w))
@@ -188,36 +174,33 @@ class EPoly:
 
     # -- linear structure ---------------------------------------------
 
-    def _merged_table(self, other: "EPoly") -> MzvTable | None:
-        return merge_tables(self.table, other.table)
-
     def __add__(self, other: "EPoly") -> "EPoly":
         d = accumulate(dict(self.coeffs), other.coeffs.items())
-        return EPoly._from_clean(d, self._merged_table(other))
+        return EPoly._from_clean(d)
 
     def __neg__(self) -> "EPoly":
-        return EPoly._from_clean({w: -c for w, c in self.coeffs.items()}, self.table)
+        return EPoly._from_clean({w: -c for w, c in self.coeffs.items()})
 
     def __sub__(self, other: "EPoly") -> "EPoly":
         return self + (-other)
 
-    def scale(self, c: CoeffElem | Fraction | int) -> "EPoly":
+    def scale(
+        self, c: CoeffElem | Fraction | int, table: MzvTable | None = None
+    ) -> "EPoly":
         # the coefficient ring has no zero divisors: a nonzero c keeps every term
         if not c:
-            return EPoly.zero(self.table)
+            return EPoly.zero()
         if isinstance(c, CoeffElem):
-            d = {w: coeff_mul(v, c, self.table) for w, v in self.coeffs.items()}
+            d = {w: coeff_mul(v, c, table) for w, v in self.coeffs.items()}
         else:
             d = {w: v.scale(c) for w, v in self.coeffs.items()}
-        return EPoly._from_clean(d, self.table)
+        return EPoly._from_clean(d)
 
     def prepend(self, letter: int) -> "EPoly":
         """Left-concatenate one letter onto every word."""
         if letter % 2:
-            return EPoly.zero(self.table)
-        return EPoly(
-            {(letter,) + w: c for w, c in self.coeffs.items()}, self.table
-        )
+            return EPoly.zero()
+        return EPoly({(letter,) + w: c for w, c in self.coeffs.items()})
 
 
 def shuffle_words(u: Iterable[int], v: Iterable[int]) -> EPoly:
@@ -229,10 +212,9 @@ def shuffle_words(u: Iterable[int], v: Iterable[int]) -> EPoly:
     return EPoly(out)
 
 
-def epoly_mul(x: EPoly, y: EPoly) -> EPoly:
+def epoly_mul(x: EPoly, y: EPoly, table: MzvTable | None = None) -> EPoly:
     """Bilinear extension of the shuffle product."""
-    table = x._merged_table(y)
-    acc = EPoly.zero(table)
+    acc = EPoly.zero()
     for wx, cx in x.items():
         for wy, cy in y.items():
             c = coeff_mul(cx, cy, table)
@@ -242,7 +224,7 @@ def epoly_mul(x: EPoly, y: EPoly) -> EPoly:
 
 def epoly_to_qexp(x: EPoly, order: int) -> QTSeries:
     """Realize the word combination as a q-expansion to the given order."""
-    return qt_lincomb(((c, iei_qexp(w, order)) for w, c in x.items()), order, x.table)
+    return qt_lincomb(((c, iei_qexp(w, order)) for w, c in x.items()), order)
 
 
 def deconcat(x: EPoly) -> dict[tuple[EWord, EWord], CoeffElem]:

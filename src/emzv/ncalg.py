@@ -38,7 +38,6 @@ from .coeffring import (
     coeff_mul,
     integer_slices,
     memoized,
-    merge_tables,
     monomial_mul,
 )
 from .errors import (
@@ -56,14 +55,9 @@ BinWord = str  # over the alphabet {"A", "B"}
 class NCSeries:
     """Degree-truncated series: finite map word -> CoeffElem."""
 
-    __slots__ = ("maxdeg", "coeffs", "table")
+    __slots__ = ("maxdeg", "coeffs")
 
-    def __init__(
-        self,
-        maxdeg: int,
-        coeffs: Mapping[NCWord, CoeffElem] | None = None,
-        table: MzvTable | None = None,
-    ):
+    def __init__(self, maxdeg: int, coeffs: Mapping[NCWord, CoeffElem] | None = None):
         self.maxdeg = maxdeg
         d: dict[NCWord, CoeffElem] = {}
         if coeffs:
@@ -71,32 +65,28 @@ class NCSeries:
                 if len(w) <= maxdeg and not c.is_zero():
                     d[w] = c
         self.coeffs = d
-        self.table = table
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def _from_clean(
-        maxdeg: int, coeffs: dict[NCWord, CoeffElem], table: MzvTable | None
-    ) -> "NCSeries":
+    def _from_clean(maxdeg: int, coeffs: dict[NCWord, CoeffElem]) -> "NCSeries":
         """Adopt a dict of words within maxdeg to nonzero coefficients as it is."""
         out = object.__new__(NCSeries)
         out.maxdeg = maxdeg
         out.coeffs = coeffs
-        out.table = table
         return out
 
     @staticmethod
-    def zero(maxdeg: int, table: MzvTable | None = None) -> "NCSeries":
-        return NCSeries(maxdeg, {}, table)
+    def zero(maxdeg: int) -> "NCSeries":
+        return NCSeries(maxdeg, {})
 
     @staticmethod
-    def one(maxdeg: int, table: MzvTable | None = None) -> "NCSeries":
-        return NCSeries(maxdeg, {"": CoeffElem.one()}, table)
+    def one(maxdeg: int) -> "NCSeries":
+        return NCSeries(maxdeg, {"": CoeffElem.one()})
 
     @staticmethod
-    def letter(name: str, maxdeg: int, table: MzvTable | None = None) -> "NCSeries":
-        return NCSeries(maxdeg, {name: CoeffElem.one()}, table)
+    def letter(name: str, maxdeg: int) -> "NCSeries":
+        return NCSeries(maxdeg, {name: CoeffElem.one()})
 
     # -- queries ----------------------------------------------------------
 
@@ -128,7 +118,7 @@ class NCSeries:
 
     def truncate(self, maxdeg: int) -> "NCSeries":
         d = {w: c for w, c in self.coeffs.items() if len(w) <= maxdeg}
-        return NCSeries._from_clean(maxdeg, d, self.table)
+        return NCSeries._from_clean(maxdeg, d)
 
     def items(self) -> Iterator[tuple[NCWord, CoeffElem]]:
         return iter(self.coeffs.items())
@@ -148,32 +138,29 @@ class NCSeries:
 
     # -- linear structure ---------------------------------------------
 
-    def _merged_table(self, other: "NCSeries") -> MzvTable | None:
-        return merge_tables(self.table, other.table)
-
     def __add__(self, other: "NCSeries") -> "NCSeries":
         if self.maxdeg != other.maxdeg:
             raise DegreeMismatch(f"maxdeg {self.maxdeg} != {other.maxdeg}")
         d = accumulate(dict(self.coeffs), other.coeffs.items())
-        return NCSeries._from_clean(self.maxdeg, d, self._merged_table(other))
+        return NCSeries._from_clean(self.maxdeg, d)
 
     def __neg__(self) -> "NCSeries":
-        return NCSeries._from_clean(
-            self.maxdeg, {w: -c for w, c in self.coeffs.items()}, self.table
-        )
+        return NCSeries._from_clean(self.maxdeg, {w: -c for w, c in self.coeffs.items()})
 
     def __sub__(self, other: "NCSeries") -> "NCSeries":
         return self + (-other)
 
-    def scale(self, c: CoeffElem | Fraction | int) -> "NCSeries":
+    def scale(
+        self, c: CoeffElem | Fraction | int, table: MzvTable | None = None
+    ) -> "NCSeries":
         # the coefficient ring has no zero divisors: a nonzero c keeps every term
         if not c:
-            return NCSeries.zero(self.maxdeg, self.table)
+            return NCSeries.zero(self.maxdeg)
         if isinstance(c, CoeffElem):
-            d = {w: coeff_mul(v, c, self.table) for w, v in self.coeffs.items()}
+            d = {w: coeff_mul(v, c, table) for w, v in self.coeffs.items()}
         else:
             d = {w: v.scale(c) for w, v in self.coeffs.items()}
-        return NCSeries._from_clean(self.maxdeg, d, self.table)
+        return NCSeries._from_clean(self.maxdeg, d)
 
 
 # A monomial's integer slice: (common denominator, [(degree, [(word, n)])]) with
@@ -202,7 +189,7 @@ def _build_coeffs(cells: dict[NCWord, dict[MzvMonomial, Fraction]]) -> dict[NCWo
     return out
 
 
-def nc_mul(x: NCSeries, y: NCSeries) -> NCSeries:
+def nc_mul(x: NCSeries, y: NCSeries, table: MzvTable | None = None) -> NCSeries:
     """Concatenation product truncated at the common maxdeg.
 
     Works one pair of coefficient monomials at a time: the pairs are grouped
@@ -216,7 +203,6 @@ def nc_mul(x: NCSeries, y: NCSeries) -> NCSeries:
     if x.maxdeg != y.maxdeg:
         raise DegreeMismatch(f"maxdeg {x.maxdeg} != {y.maxdeg}")
     D = x.maxdeg
-    table = x._merged_table(y)
     y_slices = _degree_slices(y)
     groups: dict[MzvMonomial, list[tuple[int, list, list]]] = {}
     for mu, (den_x, buckets_x) in _degree_slices(x).items():
@@ -245,36 +231,36 @@ def nc_mul(x: NCSeries, y: NCSeries) -> NCSeries:
         for w, n in conv.items():
             if n:
                 cells.setdefault(w, {})[rho] = Fraction(n, den)
-    return NCSeries._from_clean(D, _build_coeffs(cells), table)
+    return NCSeries._from_clean(D, _build_coeffs(cells))
 
 
-def nc_bracket(x: NCSeries, y: NCSeries) -> NCSeries:
-    return nc_mul(x, y) - nc_mul(y, x)
+def nc_bracket(x: NCSeries, y: NCSeries, table: MzvTable | None = None) -> NCSeries:
+    return nc_mul(x, y, table) - nc_mul(y, x, table)
 
 
-def nc_exp(x: NCSeries) -> NCSeries:
+def nc_exp(x: NCSeries, table: MzvTable | None = None) -> NCSeries:
     """exp of a series with zero constant term."""
     if not x.constant_term().is_zero():
         raise PreconditionViolated("nc_exp needs zero constant term")
-    acc = NCSeries.one(x.maxdeg, x.table)
-    power = NCSeries.one(x.maxdeg, x.table)
+    acc = NCSeries.one(x.maxdeg)
+    power = NCSeries.one(x.maxdeg)
     for n in range(1, x.maxdeg + 1):
-        power = nc_mul(power, x).scale(Fraction(1, n))
+        power = nc_mul(power, x, table).scale(Fraction(1, n))
         if power.is_zero():
             break
         acc = acc + power
     return acc
 
 
-def nc_inv(x: NCSeries) -> NCSeries:
+def nc_inv(x: NCSeries, table: MzvTable | None = None) -> NCSeries:
     """Inverse of a series with constant term 1."""
     if x.constant_term() != CoeffElem.one():
         raise PreconditionViolated("nc_inv needs constant term 1")
-    u = NCSeries.one(x.maxdeg, x.table) - x  # min degree >= 1
-    acc = NCSeries.one(x.maxdeg, x.table)
-    power = NCSeries.one(x.maxdeg, x.table)
+    u = NCSeries.one(x.maxdeg) - x  # min degree >= 1
+    acc = NCSeries.one(x.maxdeg)
+    power = NCSeries.one(x.maxdeg)
     for _ in range(x.maxdeg):
-        power = nc_mul(power, u)
+        power = nc_mul(power, u, table)
         if power.is_zero():
             break
         acc = acc + power
@@ -286,22 +272,22 @@ def ad_expansion(k: int, x: str = "a", y: str = "b") -> dict[str, int]:
     return {x * (k - j) + y + x * j: (-1) ** j * math.comb(k, j) for j in range(k + 1)}
 
 
-def ad_pow(k: int, maxdeg: int | None = None, table: MzvTable | None = None) -> NCSeries:
+def ad_pow(k: int, maxdeg: int | None = None) -> NCSeries:
     """The element ad^k(a)(b) as a series."""
     if k < 0:
         raise ValueError("k must be >= 0")
     D = maxdeg if maxdeg is not None else k + 1
     coeffs = {w: CoeffElem.from_rational(q) for w, q in ad_expansion(k).items()}
-    return NCSeries(D, coeffs, table)
+    return NCSeries(D, coeffs)
 
 
-def build_ytilde(maxdeg: int, table: MzvTable | None = None) -> NCSeries:
+def build_ytilde(maxdeg: int) -> NCSeries:
     """ytilde = -(ad(a) / (e^{ad(a)} - 1))(b) = -sum B_n/n! ad^n(a)(b)."""
     if maxdeg < 1:
         raise ValueError("maxdeg must be >= 1")
-    acc = NCSeries.zero(maxdeg, table)
+    acc = NCSeries.zero(maxdeg)
     for n in range(maxdeg):
-        term = ad_pow(n, maxdeg, table).scale(-bernoulli(n) / math.factorial(n))
+        term = ad_pow(n, maxdeg).scale(-bernoulli(n) / math.factorial(n))
         acc = acc + term
     return acc
 
@@ -438,13 +424,13 @@ def build_phi(x: NCSeries, y: NCSeries, maxdeg: int, table: MzvTable) -> NCSerie
             nd = degree_floor + mindeg[l]
             if nd > D:
                 continue
-            nxt = nc_mul(subst, arg[l])
+            nxt = nc_mul(subst, arg[l], table)
             if nxt.is_zero():
                 continue
             visit(word + (l,), nxt, nd)
 
-    visit((), NCSeries.one(D, table), 0)
-    return NCSeries._from_clean(D, _build_coeffs(cells), table)
+    visit((), NCSeries.one(D), 0)
+    return NCSeries._from_clean(D, _build_coeffs(cells))
 
 
 def required_table_weight(idx: Iterable[int]) -> int:
@@ -475,16 +461,15 @@ def build_Ainf(maxdeg: int, table: MzvTable) -> NCSeries:
             f">= {need}, cap is {table.max_weight}"
         )
     D = maxdeg
-    a = NCSeries.letter("a", D, table)
-    b = NCSeries.letter("b", D, table)
-    t = -nc_bracket(a, b)
-    ytilde = build_ytilde(D, table)
+    t = -nc_bracket(NCSeries.letter("a", D), NCSeries.letter("b", D))
+    ytilde = build_ytilde(D)
     phi = build_phi(ytilde, t, D, table)
-    phi_inv = nc_inv(phi)
+    # Phi and its inverse carry zeta symbols: their products need the table
+    phi_inv = nc_inv(phi, table)
     half_pi = CoeffElem.pi_pow(1, Fraction(1, 2))  # pi*i = (2*pi*i)/2
-    exp_pit = nc_exp(t.scale(half_pi))
-    exp_piy = nc_exp(ytilde.scale(CoeffElem.pi_pow(1)))
-    ainf = nc_mul(nc_mul(nc_mul(exp_pit, phi), exp_piy), phi_inv)
+    exp_pit = nc_exp(t.scale(half_pi), table)
+    exp_piy = nc_exp(ytilde.scale(CoeffElem.pi_pow(1)), table)
+    ainf = nc_mul(nc_mul(nc_mul(exp_pit, phi, table), exp_piy, table), phi_inv, table)
     with MEMO_LOCK:
         prev: NCSeries | None = table.caches.get("ainf")
         if prev is None or prev.maxdeg < D:
@@ -591,12 +576,12 @@ def nc_coproduct(s: NCSeries) -> dict[tuple[NCWord, NCWord], CoeffElem]:
     return accumulate({}, ((key, c) for w, c in s.items() for key in splits(w)))
 
 
-def is_grouplike(s: NCSeries) -> bool:
+def is_grouplike(s: NCSeries, table: MzvTable | None = None) -> bool:
     """Delta(s) == s (x) s up to the truncation degree."""
     rhs = accumulate(
         {},
         (
-            ((w1, w2), coeff_mul(c1, c2, s.table))
+            ((w1, w2), coeff_mul(c1, c2, table))
             for w1, c1 in s.items()
             for w2, c2 in s.items()
             if len(w1) + len(w2) <= s.maxdeg

@@ -17,7 +17,7 @@ convention used everywhere in this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -28,7 +28,6 @@ from .coeffring import (
     accumulate,
     coeff_mul,
     integer_slices,
-    merge_tables,
     monomial_mul,
 )
 from .errors import FourierViolation
@@ -40,7 +39,6 @@ class QTSeries:
 
     order: int
     coeffs: Mapping[tuple[int, int], CoeffElem]
-    table: MzvTable | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         clean = {
@@ -49,27 +47,22 @@ class QTSeries:
         object.__setattr__(self, "coeffs", clean)
 
     @staticmethod
-    def _from_clean(
-        order: int, coeffs: dict[tuple[int, int], CoeffElem], table: MzvTable | None
-    ) -> "QTSeries":
+    def _from_clean(order: int, coeffs: dict[tuple[int, int], CoeffElem]) -> "QTSeries":
         """Adopt a dict of keys below the order to nonzero coefficients as it is."""
         out = object.__new__(QTSeries)
         object.__setattr__(out, "order", order)
         object.__setattr__(out, "coeffs", coeffs)
-        object.__setattr__(out, "table", table)
         return out
 
     @staticmethod
-    def zero(order: int, table: MzvTable | None = None) -> "QTSeries":
-        return QTSeries(order, {}, table)
+    def zero(order: int) -> "QTSeries":
+        return QTSeries(order, {})
 
     @staticmethod
-    def constant(
-        c: CoeffElem | Fraction | int, order: int, table: MzvTable | None = None
-    ) -> "QTSeries":
+    def constant(c: CoeffElem | Fraction | int, order: int) -> "QTSeries":
         if not isinstance(c, CoeffElem):
             c = CoeffElem.from_rational(c)
-        return QTSeries(order, {(0, 0): c}, table)
+        return QTSeries(order, {(0, 0): c})
 
     # -- queries ------------------------------------------------------
 
@@ -105,28 +98,27 @@ class QTSeries:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _merge_table(self, other: "QTSeries") -> MzvTable | None:
-        return merge_tables(self.table, other.table)
-
     def __add__(self, other: "QTSeries") -> "QTSeries":
         order = min(self.order, other.order)
         d = {k: v for k, v in self.coeffs.items() if k[0] < order}
         accumulate(d, ((k, v) for k, v in other.coeffs.items() if k[0] < order))
-        return QTSeries._from_clean(order, d, self._merge_table(other))
+        return QTSeries._from_clean(order, d)
 
     def __neg__(self) -> "QTSeries":
-        return QTSeries(self.order, {k: -v for k, v in self.coeffs.items()}, self.table)
+        return QTSeries(self.order, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other: "QTSeries") -> "QTSeries":
         return self + (-other)
 
-    def scale(self, c: CoeffElem | Fraction | int) -> "QTSeries":
+    def scale(
+        self, c: CoeffElem | Fraction | int, table: MzvTable | None = None
+    ) -> "QTSeries":
         if isinstance(c, CoeffElem):
             if not c.is_rational():
-                d = {k: coeff_mul(v, c, self.table) for k, v in self.coeffs.items()}
-                return QTSeries(self.order, d, self.table)
+                d = {k: coeff_mul(v, c, table) for k, v in self.coeffs.items()}
+                return QTSeries(self.order, d)
             c = c.rational_part()
-        return QTSeries(self.order, {k: v.scale(c) for k, v in self.coeffs.items()}, self.table)
+        return QTSeries(self.order, {k: v.scale(c) for k, v in self.coeffs.items()})
 
 
 def _integer_slices(
@@ -144,7 +136,7 @@ def _integer_slices(
 _Cells = dict[MzvMonomial, dict[int, dict[tuple[int, int], int]]]
 
 
-def _build(acc: _Cells, order: int, table: MzvTable | None) -> QTSeries:
+def _build(acc: _Cells, order: int) -> QTSeries:
     """Bring each product monomial's numerators over one common denominator
     and build every output coefficient once."""
     out: dict[tuple[int, int], dict[MzvMonomial, Fraction]] = {}
@@ -160,11 +152,11 @@ def _build(acc: _Cells, order: int, table: MzvTable | None) -> QTSeries:
             if n:
                 out.setdefault(k, {})[rho] = Fraction(n, common)
     return QTSeries._from_clean(
-        order, {k: CoeffElem._from_clean(cell) for k, cell in out.items()}, table
+        order, {k: CoeffElem._from_clean(cell) for k, cell in out.items()}
     )
 
 
-def qt_mul(f: QTSeries, g: QTSeries) -> QTSeries:
+def qt_mul(f: QTSeries, g: QTSeries, table: MzvTable | None = None) -> QTSeries:
     """Product truncated at the smaller order; T degrees add.
 
     Works one pair of coefficient monomials at a time: the two integer
@@ -174,7 +166,6 @@ def qt_mul(f: QTSeries, g: QTSeries) -> QTSeries:
     survives the truncation carries an overflowing symbol product.
     """
     order = min(f.order, g.order)
-    table = f._merge_table(g)
     g_slices = _integer_slices(g, order)
     acc: _Cells = {}
     for mu, (den_f, terms_f) in _integer_slices(f, order).items():
@@ -191,7 +182,7 @@ def qt_mul(f: QTSeries, g: QTSeries) -> QTSeries:
                         break
                     k = (m1 + m2, j1 + j2)
                     conv[k] = get(k, 0) + n1 * n2
-    return _build(acc, order, table)
+    return _build(acc, order)
 
 
 def qt_lincomb(
@@ -206,12 +197,9 @@ def qt_lincomb(
     :func:`monomial_mul`, so TableOverflow is raised exactly when some
     scalar term meets a series term below the order with an overflowing
     symbol product.  The integer numerators are added per (m, j) and
-    product monomial, and each output coefficient is built once.  The
-    result carries the table shared by ``table`` and every series.
+    product monomial, and each output coefficient is built once.
     """
     pairs = list(pairs)
-    for _, f in pairs:
-        table = merge_tables(table, f.table)
     series = [_integer_slices(f, order) for _, f in pairs]
     acc: _Cells = {}
     for mu, (den_c, scalars) in integer_slices(enumerate(c for c, _ in pairs)).items():
@@ -222,14 +210,14 @@ def qt_lincomb(
                 get = cell.get
                 for k, n in terms:
                     cell[k] = get(k, 0) + a * n
-    return _build(acc, order, table)
+    return _build(acc, order)
 
 
 def qt_ddT(f: QTSeries) -> QTSeries:
     """Exact derivative d/dT, same truncation order."""
     terms = [((m, j), c.scale(m)) for (m, j), c in f.coeffs.items() if m]
     terms += [((m, j - 1), c.scale(j)) for (m, j), c in f.coeffs.items() if j]
-    return QTSeries._from_clean(f.order, accumulate({}, terms), f.table)
+    return QTSeries._from_clean(f.order, accumulate({}, terms))
 
 
 def qt_antider(f: QTSeries) -> QTSeries:
@@ -256,4 +244,4 @@ def qt_antider(f: QTSeries) -> QTSeries:
             if not p_j.is_zero():
                 acc[(m, j)] = p_j
             p_next = p_j
-    return QTSeries(f.order, acc, f.table)
+    return QTSeries(f.order, acc)

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -232,6 +233,8 @@ def test_verify_subset(capsys):
     code, out, _ = run_cli(capsys, "verify", "--only", "bernoulli")
     assert code == 0
     assert out.startswith("ok")
+    # each line ends with the check's wall time
+    assert re.fullmatch(r"ok   bernoulli - .* \(\d+\.\d\d s\)\n", out)
     code, _, err = run_cli(capsys, "verify", "--only", "zzz-no-such-check")
     assert code == 2
 

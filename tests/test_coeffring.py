@@ -19,8 +19,12 @@ from emzv.coeffring import (
     parse_coeff,
     reduce_even_zeta,
     render_coeff,
+    shipped_table,
 )
+from emzv.eisalg import EPoly, epoly_mul
 from emzv.errors import ConsistencyError, ParseError, TableOverflow
+from emzv.ncalg import NCSeries, is_grouplike, nc_bracket, nc_exp, nc_inv, nc_mul
+from emzv.qseries import QTSeries, qt_lincomb, qt_mul
 
 F = Fraction
 
@@ -281,21 +285,50 @@ def test_monomial_mul_overflow(small_table):
             monomial_mul(z3, z3, t)
 
 
-def test_mixed_tables_rejected(small_table):
-    from emzv.coeffring import MzvTable, merge_tables
-    from emzv.qseries import QTSeries, qt_mul
+_Z3 = CoeffElem.symbol("z3")
+_Z3_SQUARED = CoeffElem({MzvMonomial(0, ("z3", "z3")): F(1)})
+_A_Z3 = NCSeries(2, {"a": _Z3})
+_Q_Z3 = QTSeries(3, {(1, 0): _Z3})
 
-    other = MzvTable(
-        max_weight=4, symbols={}, products={}, single_zeta={}, convergent_words={}
-    )
-    assert merge_tables(None, small_table) is small_table
-    assert merge_tables(small_table, small_table) is small_table
-    with pytest.raises(ConsistencyError):
-        merge_tables(small_table, other)
-    with pytest.raises(ConsistencyError):
-        qt_mul(
-            QTSeries.constant(1, 4, small_table), QTSeries.constant(1, 4, other)
-        )
+# Every product that multiplies two coefficients, on operands that both carry
+# z3: table -> the term where the two z3 meet, and that term's value.
+_PRODUCTS = {
+    "nc_mul": (lambda t: nc_mul(_A_Z3, _A_Z3, t).coefficient("aa"), _Z3_SQUARED),
+    "nc_bracket": (
+        lambda t: nc_bracket(_A_Z3, NCSeries(2, {"b": _Z3}), t).coefficient("ba"),
+        -_Z3_SQUARED,
+    ),
+    "nc_exp": (lambda t: nc_exp(_A_Z3, t).coefficient("aa"), _Z3_SQUARED.scale(F(1, 2))),
+    "nc_inv": (lambda t: nc_inv(NCSeries.one(2) + _A_Z3, t).coefficient("aa"), _Z3_SQUARED),
+    "NCSeries.scale": (lambda t: _A_Z3.scale(_Z3, t).coefficient("a"), _Z3_SQUARED),
+    "is_grouplike": (
+        lambda t: is_grouplike(
+            NCSeries(2, {"": CoeffElem.one(), "a": _Z3, "aa": _Z3_SQUARED.scale(F(1, 2))}), t
+        ),
+        True,
+    ),
+    "qt_mul": (lambda t: qt_mul(_Q_Z3, _Q_Z3, t).coefficient(2, 0), _Z3_SQUARED),
+    "QTSeries.scale": (lambda t: _Q_Z3.scale(_Z3, t).coefficient(1, 0), _Z3_SQUARED),
+    "qt_lincomb": (lambda t: qt_lincomb([(_Z3, _Q_Z3)], 3, t).coefficient(1, 0), _Z3_SQUARED),
+    "EPoly.scale": (
+        lambda t: EPoly.word((2,), _Z3).scale(_Z3, t).coefficient((2,)),
+        _Z3_SQUARED,
+    ),
+    "epoly_mul": (
+        lambda t: epoly_mul(EPoly.word((2,), _Z3), EPoly.word((4,), _Z3), t).coefficient((2, 4)),
+        _Z3_SQUARED,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRODUCTS))
+def test_products_take_the_table(name):
+    product, want = _PRODUCTS[name]
+    assert product(shipped_table()) == want
+    # no table at all, and z3^2 of weight 6 beyond the cap 3
+    for table in (None, loads_mzv_table(MINIMAL_TABLE)):
+        with pytest.raises(TableOverflow):
+            product(table)
 
 
 def test_even_zeta_products_stay_pure():

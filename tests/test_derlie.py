@@ -312,16 +312,16 @@ def test_fourier_agrees_with_residual_criterion():
 def test_D_derivation_annihilates_structure():
     table = shipped_table()
     for D in (6, 8):
-        a = NCSeries.letter("a", D, table)
-        b = NCSeries.letter("b", D, table)
+        a = NCSeries.letter("a", D)
+        b = NCSeries.letter("b", D)
         t = -nc_bracket(a, b)
         der = build_D_derivation(D)
         ainf = build_Ainf(D, table)
         assert annihilates(der, t)
-        assert annihilates(der, build_ytilde(D, table))
+        assert annihilates(der, build_ytilde(D))
         assert annihilates(der, ainf)
         # negative control: one rational word more and the check must fail
-        perturbed = ainf + NCSeries(D, {"ab": CoeffElem.one()}, table)
+        perturbed = ainf + NCSeries(D, {"ab": CoeffElem.one()})
         assert not annihilates(der, perturbed)
 
 

@@ -1,12 +1,16 @@
-"""The benchmark tracer's boundaries resolve the way ``Tracer.install`` does.
+"""The benchmark's calls into the package still work and give its outputs.
 
 ``perfbench/tracer.py`` wraps a ``Class.method`` boundary through the class's
 own ``__dict__`` and a function boundary through its ``emzv`` module, so a
 method moved into a base class, or a renamed function, fails here rather
-than when a traced benchmark run installs the tracer.
+than when a traced benchmark run installs the tracer.  A few requests of
+each workload are served through ``perfbench/workloads.py`` and checked
+against the recorded digests, so a changed call shape or output fails here
+rather than in a benchmark run.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -23,6 +27,16 @@ def tracer(monkeypatch):
     yield importlib.import_module("tracer")
     for name in own:
         sys.modules.pop(name, None)
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """perfbench/workloads.py, imported as the benchmark imports it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    own = "workloads" not in sys.modules
+    yield importlib.import_module("workloads")
+    if own:
+        sys.modules.pop("workloads", None)
 
 
 def test_tracer_boundaries_resolve(tracer):
@@ -71,3 +85,23 @@ def test_cache_observers_read_live_caches(tracer):
         before, _ = observers[name]
         before(args)
         assert tr.hits.get(name) == 1, name
+
+
+# A few small requests of each workload, each served on a fresh table.
+_SERVED = {
+    "cusp": ("decompose:[0,1,0,0]", "decompose:[1,0,0,1,0,0]", "relations:l=3,w=4"),
+    "crosscheck": ("gseries:3,5",),
+    "image": ("shuffle:[2]x[4,2]", "fourier:[2,0,1]", "lie:14,3"),
+}
+
+
+@pytest.mark.parametrize(
+    "workload, rid", [(w, rid) for w, rids in _SERVED.items() for rid in rids]
+)
+def test_requests_match_reference_digests(workloads, workload, rid):
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    request = next(
+        r for op in workloads.build_operations(workload) for r in op.requests if r.rid == rid
+    )
+    out = request.run(workloads.fresh_table())
+    assert workloads.digest(request.render(out)) == reference["workloads"][workload][rid]
