@@ -121,8 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", type=int, required=True, metavar="W")
     p.add_argument("--depth", type=int, required=True, metavar="P")
 
-    for name in ("fourier-check", "membership"):
-        p = sub.add_parser(name, parents=[common])
+    for name, about in (
+        ("fourier-check", "Fourier-subspace check of an index or e-word sum"),
+        ("membership", "dual-ideal membership of an index or e-word sum"),
+    ):
+        p = sub.add_parser(name, parents=[common], help=about)
         p.add_argument("--index")
         p.add_argument("--epoly", metavar="JSON")
 

@@ -139,14 +139,19 @@ class LieDerivation:
     def apply(self, elem: Mapping[str, Number]) -> Assoc:
         return _apply_derivation(elem, {"x": self.val_x, "y": self.val_y})
 
-    def bracket(self, other: "LieDerivation") -> "LieDerivation":
-        def commutator(mine: Assoc, theirs: Assoc) -> Assoc:
-            minus = ((w, -q) for w, q in other.apply(mine).items())
-            return accumulate(self.apply(theirs), minus)
+    def bracket_value(self, other: "LieDerivation", g: str) -> Assoc:
+        """[self, other] on the generator g ("x" or "y"):
+        self(other(g)) - other(self(g))."""
+        mine, theirs = (self.val_x, other.val_x) if g == "x" else (self.val_y, other.val_y)
+        minus = ((w, -q) for w, q in other.apply(mine).items())
+        return accumulate(self.apply(theirs), minus)
 
-        vx = commutator(self.val_x, other.val_x)
-        vy = commutator(self.val_y, other.val_y)
-        return LieDerivation(vx, vy, self.degree_shift + other.degree_shift)
+    def bracket(self, other: "LieDerivation") -> "LieDerivation":
+        return LieDerivation(
+            self.bracket_value(other, "x"),
+            self.bracket_value(other, "y"),
+            self.degree_shift + other.degree_shift,
+        )
 
 
 def eps_derivation(k2: int) -> LieDerivation:
@@ -213,6 +218,15 @@ def _candidate_derivation(word: tuple[int, ...]) -> LieDerivation:
     return _candidate_derivation(left).bracket(_candidate_derivation(right))
 
 
+def _candidate_x_value(word: tuple[int, ...]) -> Assoc:
+    """The value on x of the candidate's derivation; a bracket evaluates its
+    outer commutator on x only."""
+    if len(word) == 1:
+        return eps_derivation(word[0]).val_x
+    left, right = standard_factorization(word)
+    return _candidate_derivation(left).bracket_value(_candidate_derivation(right), "x")
+
+
 def candidate_label(word: tuple[int, ...]) -> str:
     if len(word) == 1:
         return f"eps{word[0]}"
@@ -245,9 +259,16 @@ def find_lie_relations(
 ) -> RelationSet:
     """Kernel of the evaluation of formal bracket words in the derivations.
 
-    A bracket word evaluates to a derivation, and a derivation vanishes if
-    and only if it kills both generators, so the kernel computed from the
-    generator values is exact.
+    A bracket word evaluates to a derivation D, and D vanishes if and only
+    if it kills both generators, so a kernel computed from generator values
+    is exact.  For weight >= 1 the value on x alone decides: every eps_{2k}
+    kills [x, y], hence so does every bracket of them, and D raises the
+    degree by the weight.  If D(x) = 0, then 0 = D([x, y]) = [x, D(y)], so
+    the Lie element D(y) commutes with x and is a multiple of x; its degree
+    is 1 + weight >= 2, so D(y) = 0.  The rows from the x-values therefore
+    span the same row space as those from both values, and the kernel is
+    the same.  At weight 0 every candidate is eps_0 or a bracket of eps_0
+    with itself, so D = c * eps_0, and D(x) = c * y decides there too.
     """
     if candidates is None:
         cand = _default_candidates(weight, depth)
@@ -261,12 +282,11 @@ def _lie_kernel(weight: int, depth: int, cand: tuple[tuple[int, ...], ...]) -> R
     for c in cand:
         if sum(c) != weight or len(c) != depth:
             raise ValueError(f"candidate {c} does not match (weight, depth)")
-    ders = [_candidate_derivation(c) for c in cand]
-    coords: dict[tuple[int, str], list[int]] = {}
-    for j, d in enumerate(ders):
-        for g, side in ((0, d.val_x), (1, d.val_y)):
-            for w, q in side.items():
-                coords.setdefault((g, w), [0] * len(cand))[j] = q
+    # One row per word of the values on x (see find_lie_relations).
+    coords: dict[str, list[int]] = {}
+    for j, c in enumerate(cand):
+        for w, q in _candidate_x_value(c).items():
+            coords.setdefault(w, [0] * len(cand))[j] = q
     # The kernel depends only on the row space: keep each primitive row once.
     rows = sorted({_primitive_row(r) for r in coords.values() if any(r)})
     if not rows:

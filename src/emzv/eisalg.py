@@ -20,7 +20,7 @@ odd letter represent the zero function and are dropped at the boundary.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .coeffring import (
     CoeffElem,
@@ -30,7 +30,7 @@ from .coeffring import (
     coeff_mul,
     memoized,
 )
-from .qseries import QTSeries, qt_antider, qt_lincomb, qt_mul
+from .qseries import QTSeries, Slices, qt_antider, qt_lincomb_slices, qt_mul, qt_slices
 from .words import deconcatenations, shuffle_multiset
 
 EWord = tuple[int, ...]
@@ -68,27 +68,43 @@ def eisenstein_qexp(k: int, order: int) -> QTSeries:
     return QTSeries(order, coeffs)
 
 
-_iei_cache: dict[tuple[EWord, int], QTSeries] = {}
+class _Integral(NamedTuple):
+    """A cached iterated integral and its integer slices below its order."""
+
+    series: QTSeries
+    slices: Slices
+
+
+_iei_cache: dict[tuple[EWord, int], _Integral] = {}
+
+
+def _iei_entry(word: EWord, order: int) -> _Integral:
+    """The cached integral of an e-word, built and sliced once on a miss."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+
+    def compute() -> _Integral:
+        if not word:
+            series = QTSeries.constant(1, order)
+        elif has_odd_letter(word):
+            series = QTSeries.zero(order)
+        else:
+            head, tail = word[0], word[1:]
+            series = qt_antider(
+                qt_mul(-eisenstein_qexp(head, order), iei_qexp(tail, order))
+            )
+        return _Integral(series, qt_slices(series, order))
+
+    return memoized(_iei_cache, (word, order), compute)
 
 
 def iei_qexp(w: Iterable[int], order: int) -> QTSeries:
     """Iterated Eisenstein integral of the word, as a QTSeries.
 
-    Memoized on (word, order); the coefficients are rational.
+    Memoized on (word, order) together with its integer slices; the
+    coefficients are rational.
     """
-    word = make_eword(w)
-    if order < 1:
-        raise ValueError("order must be >= 1")
-
-    def compute() -> QTSeries:
-        if not word:
-            return QTSeries.constant(1, order)
-        if has_odd_letter(word):
-            return QTSeries.zero(order)
-        head, tail = word[0], word[1:]
-        return qt_antider(qt_mul(-eisenstein_qexp(head, order), iei_qexp(tail, order)))
-
-    return memoized(_iei_cache, (word, order), compute)
+    return _iei_entry(make_eword(w), order).series
 
 
 class EPoly:
@@ -223,8 +239,13 @@ def epoly_mul(x: EPoly, y: EPoly, table: MzvTable | None = None) -> EPoly:
 
 
 def epoly_to_qexp(x: EPoly, order: int) -> QTSeries:
-    """Realize the word combination as a q-expansion to the given order."""
-    return qt_lincomb(((c, iei_qexp(w, order)) for w, c in x.items()), order)
+    """Realize the word combination as a q-expansion to the given order.
+
+    Sums the cached integer slices of the integrals, so no integral is
+    sliced again.
+    """
+    pairs = ((c, _iei_entry(w, order).slices) for w, c in x.items())
+    return qt_lincomb_slices(pairs, order)
 
 
 def deconcat(x: EPoly) -> dict[tuple[EWord, EWord], CoeffElem]:

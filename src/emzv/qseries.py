@@ -121,9 +121,12 @@ class QTSeries:
         return QTSeries(self.order, {k: v.scale(c) for k, v in self.coeffs.items()})
 
 
-def _integer_slices(
-    f: QTSeries, order: int
-) -> dict[MzvMonomial, tuple[int, list[tuple[tuple[int, int], int]]]]:
+# Integer slices of a series: coefficient monomial -> (common denominator,
+# [((m, j), numerator)] sorted by m).
+Slices = dict[MzvMonomial, tuple[int, list[tuple[tuple[int, int], int]]]]
+
+
+def qt_slices(f: QTSeries, order: int) -> Slices:
     """Integer slices of the terms below the order, each sorted by m."""
     out = integer_slices((k, c) for k, c in f.coeffs.items() if k[0] < order)
     for _, terms in out.values():
@@ -166,9 +169,9 @@ def qt_mul(f: QTSeries, g: QTSeries, table: MzvTable | None = None) -> QTSeries:
     survives the truncation carries an overflowing symbol product.
     """
     order = min(f.order, g.order)
-    g_slices = _integer_slices(g, order)
+    g_slices = qt_slices(g, order)
     acc: _Cells = {}
-    for mu, (den_f, terms_f) in _integer_slices(f, order).items():
+    for mu, (den_f, terms_f) in qt_slices(f, order).items():
         for nu, (den_g, terms_g) in g_slices.items():
             if terms_f[0][0][0] + terms_g[0][0][0] >= order:
                 continue
@@ -192,19 +195,31 @@ def qt_lincomb(
 ) -> QTSeries:
     """The linear combination sum c_i * f_i, truncated at the order.
 
-    Each scalar and each series is split by coefficient monomial into
-    integer slices; a pair's monomials are multiplied once, through
-    :func:`monomial_mul`, so TableOverflow is raised exactly when some
-    scalar term meets a series term below the order with an overflowing
-    symbol product.  The integer numerators are added per (m, j) and
-    product monomial, and each output coefficient is built once.
+    Slices each series (:func:`qt_slices`) and sums with
+    :func:`qt_lincomb_slices`.
+    """
+    return qt_lincomb_slices(((c, qt_slices(f, order)) for c, f in pairs), order, table)
+
+
+def qt_lincomb_slices(
+    pairs: Iterable[tuple[CoeffElem, Slices]],
+    order: int,
+    table: MzvTable | None = None,
+) -> QTSeries:
+    """The linear combination sum c_i * f_i of series given by their integer
+    slices below the order.
+
+    Each scalar is split by coefficient monomial too; a pair's monomials are
+    multiplied once, through :func:`monomial_mul`, so TableOverflow is raised
+    exactly when some scalar term meets a series term below the order with an
+    overflowing symbol product.  The integer numerators are added per (m, j)
+    and product monomial, and each output coefficient is built once.
     """
     pairs = list(pairs)
-    series = [_integer_slices(f, order) for _, f in pairs]
     acc: _Cells = {}
     for mu, (den_c, scalars) in integer_slices(enumerate(c for c, _ in pairs)).items():
         for i, a in scalars:
-            for nu, (den_f, terms) in series[i].items():
+            for nu, (den_f, terms) in pairs[i][1].items():
                 rho = monomial_mul(mu, nu, table)
                 cell = acc.setdefault(rho, {}).setdefault(den_c * den_f, {})
                 get = cell.get
@@ -225,23 +240,31 @@ def qt_antider(f: QTSeries) -> QTSeries:
 
     For m = 0 the T-profile integrates termwise; for m >= 1 the triangular
     system m p_j + (j+1) p_{j+1} = f_j is solved by back-substitution from
-    the top T degree.
+    the top T degree.  Both run on the integer slices of f: if one
+    coefficient monomial carries f_j = n_j / den, then
+
+        P_j = n_j * m^(top-j) - (j+1) * P_{j+1}
+
+    is an integer and p_j = P_j / (den * m^(top-j+1)).  Each output
+    coefficient is built once.
     """
-    acc: dict[tuple[int, int], CoeffElem] = {}
-    by_m: dict[int, dict[int, CoeffElem]] = {}
-    for (m, j), c in f.coeffs.items():
-        by_m.setdefault(m, {})[j] = c
-    for m, prof in by_m.items():
-        if m == 0:
-            for j, c in prof.items():
-                acc[(0, j + 1)] = c.scale(Fraction(1, j + 1))
-            continue
-        top = max(prof)
-        p_next = CoeffElem.zero()  # p_{j+1} during the descent
-        for j in range(top, -1, -1):
-            f_j = prof.get(j, CoeffElem.zero())
-            p_j = (f_j - p_next.scale(j + 1)).scale(Fraction(1, m))
-            if not p_j.is_zero():
-                acc[(m, j)] = p_j
-            p_next = p_j
-    return QTSeries(f.order, acc)
+    out: dict[tuple[int, int], dict[MzvMonomial, Fraction]] = {}
+    for mu, (den, terms) in integer_slices(f.coeffs.items()).items():
+        by_m: dict[int, dict[int, int]] = {}
+        for (m, j), n in terms:
+            by_m.setdefault(m, {})[j] = n
+        for m, prof in by_m.items():
+            if m == 0:
+                for j, n in prof.items():
+                    out.setdefault((0, j + 1), {})[mu] = Fraction(n, den * (j + 1))
+                continue
+            big = 0  # P_{j+1} during the descent
+            power = 1  # m^(top-j)
+            for j in range(max(prof), -1, -1):
+                big = prof.get(j, 0) * power - (j + 1) * big
+                if big:
+                    out.setdefault((m, j), {})[mu] = Fraction(big, den * power * m)
+                power *= m
+    return QTSeries._from_clean(
+        f.order, {k: CoeffElem._from_clean(cell) for k, cell in out.items()}
+    )

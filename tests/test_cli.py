@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from emzv.cli import RunConfig, run
+from emzv.cli import _DISPATCH, RunConfig, run
 from emzv.coeffring import shipped_table
 from emzv.decomp import Decomposition, decompose
 
@@ -51,6 +51,15 @@ def test_qexp(capsys):
     code, out, _ = run_cli(capsys, "qexp", "--index", "3,0", "--order", "12")
     assert code == 0
     assert "(1 * pi) q" in out and "(9/2 * pi) q^2" in out
+
+
+def test_help_lists_every_subcommand(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    # each command gets its own line with a help string, not only a place in
+    # the {a,b,...} choice list
+    described = re.findall(r"^ {4}(\S+)\s+\S", out, re.MULTILINE)
+    assert sorted(described) == sorted(_DISPATCH)
 
 
 def test_overflow_exit_code(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from emzv.coeffring import CoeffElem, bernoulli, shipped_table
 from emzv.derlie import (
     _candidate_derivation,
+    _candidate_x_value,
     _eps_lyndon_candidates,
     _primitive_row,
     annihilates,
@@ -435,16 +436,22 @@ def _frac_candidate(word):
         pytest.param(14, 2, None, id="14-2"),
         pytest.param(14, 3, None, id="14-3"),
         pytest.param(16, 3, None, id="16-3"),
+        pytest.param(12, 4, None, id="12-4"),
         pytest.param(14, 2, [(4, 10), (6, 8)], id="14-2-pollack"),
+        pytest.param(14, 2, [[4, 10], [6, 8]], id="14-2-list"),
+        pytest.param(16, 3, [[2, 4, 10], [4, 6, 6], [0, 8, 8], [2, 6, 8]], id="16-3-list"),
     ],
 )
 def test_integer_engine_matches_fraction_engine(weight, depth, candidates):
-    cand = candidates or _eps_lyndon_candidates(weight, depth)
+    # find_lie_relations builds its rows from the values on x only; the
+    # reference here is the kernel of the full matrix of both values
+    cand = [tuple(c) for c in candidates or _eps_lyndon_candidates(weight, depth)]
     rows = {}
     for j, c in enumerate(cand):
         got = _candidate_derivation(c)
         want = _frac_candidate(c)
         assert got.val_x == want.val_x and got.val_y == want.val_y, c
+        assert _candidate_x_value(c) == got.val_x, c
         for g, side in ((0, got.val_x), (1, got.val_y)):
             assert all(type(q) is int for q in side.values()), c
             for w, q in side.items():
@@ -544,3 +551,49 @@ def test_tuple_factorisation_matches_letter_coding(weight, depth):
     for c in _eps_lyndon_candidates(weight, depth):
         left, right = standard_factorization(c)
         assert left + right == c and len(left) == _coded_cut(c)
+
+
+def _period_action(poly, n, a, b, c, d):
+    """P(aX + bY, cX + dY) for P = sum poly[i] X^i Y^(n-i)."""
+    out = {}
+    for i, q in poly.items():
+        for k1 in range(i + 1):
+            x1 = math.comb(i, k1) * a**k1 * b ** (i - k1)
+            for k2 in range(n - i + 1):
+                x2 = math.comb(n - i, k2) * c**k2 * d ** (n - i - k2)
+                out[k1 + k2] = out.get(k1 + k2, 0) + q * x1 * x2
+    return out
+
+
+def _is_zero_poly(*polys):
+    total = {}
+    for p in polys:
+        for k, q in p.items():
+            total[k] = total.get(k, 0) + q
+    return not any(total.values())
+
+
+def test_pollack_relations_count_cusp_forms():
+    # Pollack (2009): relations among [eps_a, eps_b], 4 <= a < b, a + b = w,
+    # match even period polynomials of cusp forms of weight w - 2; the kernel
+    # dimension is dim S_{w-2} and every relation's polynomial
+    # P = sum c (X^(a-2) Y^(b-2) - X^(b-2) Y^(a-2)) satisfies the period
+    # relations P|(1+S) = 0 and P|(1+U+U^2) = 0
+    for w in range(8, 31, 2):
+        k = w - 2
+        dim_cusp = k // 12 - (1 if k % 12 == 2 else 0)
+        cand = [(a, w - a) for a in range(4, w // 2, 2)]
+        rel = find_lie_relations(w, 2, candidates=cand)
+        assert len(rel.vectors) == dim_cusp, w
+        n = w - 4
+        for vec in rel.vectors:
+            poly = {}
+            for (a, b), q in zip(cand, vec):
+                poly[a - 2] = poly.get(a - 2, 0) + q
+                poly[b - 2] = poly.get(b - 2, 0) - q
+            s = _period_action(poly, n, 0, -1, 1, 0)
+            u = _period_action(poly, n, 1, -1, 1, 0)
+            uu = _period_action(u, n, 1, -1, 1, 0)
+            assert _is_zero_poly(poly, s) and _is_zero_poly(poly, u, uu), w
+    # the Delta relation [eps4, eps10] = 3 [eps6, eps8]
+    assert find_lie_relations(14, 2, candidates=[(4, 10), (6, 8)]).vectors == ((F(-1, 3), F(1)),)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from emzv.coeffring import CoeffElem, MzvMonomial, coeff_mul
 from emzv.eisalg import (
     EPoly,
+    _iei_cache,
     deconcat,
     eisenstein_qexp,
     epoly_mul,
@@ -15,7 +16,7 @@ from emzv.eisalg import (
     iei_qexp,
     shuffle_words,
 )
-from emzv.qseries import QTSeries, qt_ddT, qt_mul
+from emzv.qseries import QTSeries, qt_ddT, qt_mul, qt_slices
 
 F = Fraction
 
@@ -233,3 +234,39 @@ def test_epoly_to_qexp_drops_cancelled_coefficients():
         assert got == reference_epoly_to_qexp(x, order)
         assert (0, 1) not in got.coeffs
     assert epoly_to_qexp(x, 1).is_zero()
+
+
+def _reference_antider(f):
+    """The per-term back-substitution that the integer one in qseries replaced."""
+    acc = {}
+    by_m = {}
+    for (m, j), c in f.coeffs.items():
+        by_m.setdefault(m, {})[j] = c
+    for m, prof in by_m.items():
+        if m == 0:
+            for j, c in prof.items():
+                acc[(0, j + 1)] = c.scale(F(1, j + 1))
+            continue
+        p_next = CoeffElem.zero()
+        for j in range(max(prof), -1, -1):
+            p_j = (prof.get(j, CoeffElem.zero()) - p_next.scale(j + 1)).scale(F(1, m))
+            if not p_j.is_zero():
+                acc[(m, j)] = p_j
+            p_next = p_j
+    return QTSeries(f.order, acc)
+
+
+def test_iei_matches_uncached_recursion():
+    # every even word with letters <= 8 and length <= 3, at order 12, against
+    # the recursion on plain series that the sliced cache replaced
+    order = 12
+    ref = {(): QTSeries.constant(1, order)}
+    for n in range(1, 4):
+        for w in itertools.product((0, 2, 4, 6, 8), repeat=n):
+            e = eisenstein_qexp(w[0], order)
+            ref[w] = _reference_antider(qt_mul(-e, ref[w[1:]]))
+    for w, want in ref.items():
+        got = iei_qexp(w, order)
+        assert got == want, w
+        assert _iei_cache[(w, order)].slices == qt_slices(want, order)
+    assert len(ref) == 156

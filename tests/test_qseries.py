@@ -55,6 +55,12 @@ def test_antider_examples():
     got = qt_antider(series(4, c1_1=1))
     assert got == series(4, c1_1=1, c1_0=-1)
     assert qt_ddT(got) == series(4, c1_1=1)
+    # q T^2 / 3 -> q (T^2 - 2T + 2) / 3, and a symbol coefficient
+    f = series(4, c1_2=F(1, 3), c3_0=F(2, 5))
+    assert qt_antider(f) == series(4, c1_2=F(1, 3), c1_1=F(-2, 3), c1_0=F(2, 3), c3_0=F(2, 15))
+    g = QTSeries(3, {(2, 1): CoeffElem.symbol("z3", F(1, 2)), (0, 0): CoeffElem.pi_pow(1)})
+    assert qt_antider(g).coefficient(2, 0) == CoeffElem.symbol("z3", F(-1, 8))
+    assert qt_antider(g).coefficient(0, 1) == CoeffElem.pi_pow(1)
 
 
 def _random_series(max_order=6, max_t=3):
@@ -280,3 +286,52 @@ def test_from_clean_matches_validating_constructor(order, coeffs):
     got = QTSeries._from_clean(order, clean)
     assert got == want and got.coeffs == want.coeffs
     assert got.order == want.order and str(got) == str(want)
+
+
+def reference_antider(f):
+    """The per-term back-substitution on coefficients that the integer one replaced."""
+    acc = {}
+    by_m = {}
+    for (m, j), c in f.coeffs.items():
+        by_m.setdefault(m, {})[j] = c
+    for m, prof in by_m.items():
+        if m == 0:
+            for j, c in prof.items():
+                acc[(0, j + 1)] = c.scale(Fraction(1, j + 1))
+            continue
+        top = max(prof)
+        p_next = CoeffElem.zero()
+        for j in range(top, -1, -1):
+            f_j = prof.get(j, CoeffElem.zero())
+            p_j = (f_j - p_next.scale(j + 1)).scale(Fraction(1, m))
+            if not p_j.is_zero():
+                acc[(m, j)] = p_j
+            p_next = p_j
+    return QTSeries(f.order, acc)
+
+
+_antider_coeffs = st.dictionaries(
+    st.sampled_from(_MONOMIALS + (MzvMonomial(1, ()),)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    min_size=1,
+    max_size=3,
+).map(CoeffElem)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.dictionaries(
+        st.tuples(st.integers(0, 10), st.integers(0, 4)), _antider_coeffs, max_size=8
+    ),
+)
+def test_antider_matches_per_term_reference(order, coeffs):
+    # rational, pi and symbol monomials; keys at or above the order are
+    # dropped by the constructor on both sides
+    f = QTSeries(order, coeffs)
+    got = qt_antider(f)
+    assert got == reference_antider(f)
+    assert got.order == order
+    assert all(m < order and not c.is_zero() for (m, _), c in got.coeffs.items())
+    assert qt_ddT(got) == f
+
