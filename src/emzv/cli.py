@@ -47,7 +47,7 @@ from .derlie import (
     uu_dual_membership,
 )
 from .eisalg import EPoly
-from .errors import EmzvError, ParseError, TableOverflow
+from .errors import ConsistencyError, EmzvError, ParseError, TableOverflow
 from .ncalg import build_Ainf, required_table_weight
 from .verify import VerifyContext, run_checks
 
@@ -82,6 +82,8 @@ class RunConfig:
                 return load_mzv_table(fh)
         except OSError as exc:
             raise ValueError(f"cannot read {source} {str(path)!r}: {exc.strerror}") from None
+        except (ParseError, ConsistencyError, UnicodeDecodeError) as exc:
+            raise ValueError(f"bad {source} {str(path)!r}: {exc}") from None
 
 
 def _common_flags() -> argparse.ArgumentParser:

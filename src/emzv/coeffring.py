@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
-from .errors import ConsistencyError, ParseError, TableOverflow
+from .errors import ConsistencyError, DegreeMismatch, ParseError, TableOverflow
 
 Rational = Fraction
 
@@ -330,6 +330,109 @@ def monomial_mul(mu: MzvMonomial, nu: MzvMonomial, table: MzvTable | None) -> Mz
     return MzvMonomial(mu.pi_power + nu.pi_power, mu.symbols or nu.symbols)
 
 
+class CoeffMap:
+    """Finite map key -> nonzero CoeffElem: the linear structure of the
+    sparse containers (``NCSeries``, ``EPoly``, ``QTSeries``).
+
+    ``shape`` is the truncation (a word degree, a q order, or None) and is
+    part of the value: ``+`` or ``-`` of two maps of different shapes
+    raises DegreeMismatch.  A subclass supplies its key rule as ``_keep``,
+    which filters a whole dict of terms at once; the results of ``+``,
+    ``-`` and ``scale`` obey the rule by construction and are adopted as
+    they are.
+    """
+
+    __slots__ = ("shape", "coeffs")
+
+    def __init__(self, shape: int | None, coeffs: Mapping | None = None):
+        self.shape = shape
+        self.coeffs = self._keep(coeffs) if coeffs else {}
+
+    def _keep(self, coeffs: Mapping) -> dict:
+        """The terms of coeffs that obey the key rule, zero coefficients dropped."""
+        raise NotImplementedError
+
+    @classmethod
+    def _from_clean(cls, shape: int | None, coeffs: dict):
+        """Adopt a dict that obeys the key rule and holds no zero coefficient."""
+        out = object.__new__(cls)
+        out.shape = shape
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
+    def zero(cls, shape: int | None = None):
+        return cls._from_clean(shape, {})
+
+    # -- queries ------------------------------------------------------
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def items(self) -> Iterator[tuple]:
+        return iter(self.coeffs.items())
+
+    def coefficient(self, key) -> CoeffElem:
+        return self.coeffs.get(key, CoeffElem.zero())
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.shape == other.shape and self.coeffs == other.coeffs
+
+    def __repr__(self) -> str:
+        shape = "" if self.shape is None else f"{self.shape}, "
+        return f"{type(self).__name__}({shape}{self})"
+
+    # -- linear structure ---------------------------------------------
+
+    def __add__(self, other):
+        if self.shape != other.shape:
+            raise DegreeMismatch(f"truncation {self.shape} != {other.shape}")
+        return self._from_clean(self.shape, accumulate(dict(self.coeffs), other.coeffs.items()))
+
+    def __neg__(self):
+        return self._from_clean(self.shape, {k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c: CoeffElem | Fraction | int, table: MzvTable | None = None):
+        """Every coefficient times c.
+
+        A rational c (a number, or a CoeffElem whose only monomial is 1)
+        scales by its Fraction; any other CoeffElem multiplies through
+        :func:`coeff_mul` with the table.  The coefficient ring has no zero
+        divisors, so a nonzero c keeps every term.
+        """
+        if isinstance(c, CoeffElem):
+            if not c.is_rational():
+                d = {k: coeff_mul(v, c, table) for k, v in self.coeffs.items()}
+                return self._from_clean(self.shape, d)
+            c = c.rational_part()
+        if not c:
+            return self.zero(self.shape)
+        return self._from_clean(self.shape, {k: v.scale(c) for k, v in self.coeffs.items()})
+
+
+def build_coeffs(cells: Mapping[K, Mapping[MzvMonomial, Fraction]]) -> dict[K, CoeffElem]:
+    """Key -> monomial -> rational cells as coefficients, zeros dropped.
+
+    The one place the integer kernels (``nc_mul``, ``build_phi``,
+    ``qt_mul``, ``qt_lincomb_slices``, ``qt_antider``) build their output
+    coefficients, each once.
+    """
+    out: dict[K, CoeffElem] = {}
+    for key, cell in cells.items():
+        terms = {mono: q for mono, q in cell.items() if q}
+        if terms:
+            out[key] = CoeffElem._from_clean(terms)
+    return out
+
+
 def integer_slices(
     terms: Iterable[tuple[K, CoeffElem]],
 ) -> dict[MzvMonomial, tuple[int, list[tuple[K, int]]]]:
@@ -462,6 +565,11 @@ def load_mzv_table(source: IO[str] | IO[bytes]) -> MzvTable:
 
 
 def loads_mzv_table(text: str) -> MzvTable:
+    """Parse and validate a table document.
+
+    A malformed line raises ParseError naming the line; a document that
+    parses but breaks a structural invariant raises ConsistencyError.
+    """
     max_weight: int | None = None
     symbols: dict[str, int] = {}
     products: dict[tuple[str, str], CoeffElem] = {}
@@ -469,11 +577,17 @@ def loads_mzv_table(text: str) -> MzvTable:
     convergent: dict[str, CoeffElem] = {}
     saw_format = False
 
-    def split_entry(rest: str, lineno: int) -> tuple[str, str]:
+    def split_entry(rest: str) -> tuple[str, str]:
         if "=" not in rest:
-            raise ParseError(f"line {lineno}: missing '='")
+            raise ParseError("missing '='")
         lhs, rhs = rest.split("=", 1)
         return lhs.strip(), rhs.strip()
+
+    def integer(text: str, what: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ParseError(f"bad {what} {text!r}") from None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -481,46 +595,53 @@ def loads_mzv_table(text: str) -> MzvTable:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head == "format":
-            parts = rest.split()
-            if len(parts) != 2 or parts[0] != FORMAT_NAME:
-                raise ParseError(f"line {lineno}: unrecognized format line")
-            if int(parts[1]) != FORMAT_VERSION:
-                raise ParseError(f"line {lineno}: unsupported version {parts[1]}")
-            saw_format = True
-        elif head == "max_weight":
-            max_weight = int(rest)
-        elif head == "symbol":
-            parts = rest.split()
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected 'symbol NAME WEIGHT'")
-            name, w = parts[0], int(parts[1])
-            if name == PI_SYMBOL or name in symbols:
-                raise ParseError(f"line {lineno}: bad or duplicate symbol {name!r}")
-            symbols[name] = w
-        elif head == "single_zeta":
-            lhs, rhs = split_entry(rest, lineno)
-            s = int(lhs)
-            if s in single_zeta:
-                raise ParseError(f"line {lineno}: duplicate single_zeta {s}")
-            single_zeta[s] = parse_coeff(rhs, symbols)
-        elif head == "product":
-            lhs, rhs = split_entry(rest, lineno)
-            pair = tuple(sorted(lhs.split()))
-            if len(pair) != 2:
-                raise ParseError(f"line {lineno}: expected 'product S T = ...'")
-            if pair in products:
-                raise ParseError(f"line {lineno}: duplicate product {pair}")
-            products[pair] = parse_coeff(rhs, symbols)  # type: ignore[index]
-        elif head == "convergent":
-            lhs, rhs = split_entry(rest, lineno)
-            if not lhs or set(lhs) - {"A", "B"}:
-                raise ParseError(f"line {lineno}: bad word {lhs!r}")
-            if lhs in convergent:
-                raise ParseError(f"line {lineno}: duplicate word {lhs!r}")
-            convergent[lhs] = parse_coeff(rhs, symbols)
-        else:
-            raise ParseError(f"line {lineno}: unknown directive {head!r}")
+        try:
+            if head == "format":
+                if saw_format:
+                    raise ParseError("duplicate format line")
+                parts = rest.split()
+                if len(parts) != 2 or parts[0] != FORMAT_NAME:
+                    raise ParseError("unrecognized format line")
+                if integer(parts[1], "format version") != FORMAT_VERSION:
+                    raise ParseError(f"unsupported version {parts[1]}")
+                saw_format = True
+            elif head == "max_weight":
+                if max_weight is not None:
+                    raise ParseError("duplicate max_weight line")
+                max_weight = integer(rest, "max_weight")
+            elif head == "symbol":
+                parts = rest.split()
+                if len(parts) != 2:
+                    raise ParseError("expected 'symbol NAME WEIGHT'")
+                name, w = parts[0], integer(parts[1], "symbol weight")
+                if name == PI_SYMBOL or name in symbols:
+                    raise ParseError(f"bad or duplicate symbol {name!r}")
+                symbols[name] = w
+            elif head == "single_zeta":
+                lhs, rhs = split_entry(rest)
+                s = integer(lhs, "single_zeta index")
+                if s in single_zeta:
+                    raise ParseError(f"duplicate single_zeta {s}")
+                single_zeta[s] = parse_coeff(rhs, symbols)
+            elif head == "product":
+                lhs, rhs = split_entry(rest)
+                pair = tuple(sorted(lhs.split()))
+                if len(pair) != 2:
+                    raise ParseError("expected 'product S T = ...'")
+                if pair in products:
+                    raise ParseError(f"duplicate product {pair}")
+                products[pair] = parse_coeff(rhs, symbols)  # type: ignore[index]
+            elif head == "convergent":
+                lhs, rhs = split_entry(rest)
+                if not lhs or set(lhs) - {"A", "B"}:
+                    raise ParseError(f"bad word {lhs!r}")
+                if lhs in convergent:
+                    raise ParseError(f"duplicate word {lhs!r}")
+                convergent[lhs] = parse_coeff(rhs, symbols)
+            else:
+                raise ParseError(f"unknown directive {head!r}")
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
 
     if not saw_format:
         raise ParseError("missing format line")

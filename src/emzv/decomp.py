@@ -349,17 +349,10 @@ def _gseries_component(images: list[_EpsImage]) -> dict[str, EPoly]:
 
 
 def find_emzv_relations(
-    indices: Sequence[Iterable[int]],
-    table: MzvTable,
-    adjoin: Sequence[CoeffElem] = (),
+    indices: Sequence[Iterable[int]], table: MzvTable
 ) -> list[tuple[Fraction, ...]]:
-    """Kernel of the decompositions in common (word, monomial) coordinates.
-
-    Extra constants can be adjoined as additional rows; kernel vectors then
-    have one trailing entry per adjoined constant.
-    """
+    """Kernel of the decompositions in common (word, monomial) coordinates."""
     polys = [decompose(i, table).epoly for i in indices]
-    polys.extend(EPoly.constant(c) for c in adjoin)
     coords = sorted(
         {(w, mono) for p in polys for w, c in p.items() for mono, _ in c.items()}
     )

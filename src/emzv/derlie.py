@@ -42,16 +42,15 @@ Assoc = dict[str, Number]  # sparse free-associative element
 # Lyndon words and the basis of the free Lie algebra
 
 
-def lyndon_words(max_len: int, alphabet: str = "xy") -> list[str]:
-    """All Lyndon words of length <= max_len (Duval's generation)."""
-    k = len(alphabet)
+def lyndon_words(max_len: int) -> list[str]:
+    """All Lyndon words in x, y of length <= max_len (Duval's generation)."""
     out: list[str] = []
     w = [0]
     while True:
-        out.append("".join(alphabet[i] for i in w))
+        out.append("".join("xy"[i] for i in w))
         m = len(w)
         w = [w[i % m] for i in range(max_len)]
-        while w and w[-1] == k - 1:
+        while w and w[-1] == 1:
             w.pop()
         if not w:
             break
@@ -392,7 +391,7 @@ def to_E0_basis(x: EPoly) -> tuple[dict[EWord, CoeffElem], EPoly]:
     return combination, EPoly(residual)
 
 
-def fourier_membership(x: EPoly, order: int = 20) -> bool:
+def fourier_membership(x: EPoly, order: int) -> bool:
     """True iff the q-expansion of x carries no T = log q terms."""
     return epoly_to_qexp(x, order).is_t_free()
 

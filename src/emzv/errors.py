@@ -22,7 +22,7 @@ class DimensionMismatch(EmzvError):
 
 
 class DegreeMismatch(EmzvError):
-    """Noncommutative series with different truncation degrees were combined."""
+    """Series or polynomials with different truncations were combined."""
 
 
 class PreconditionViolated(EmzvError):

@@ -30,11 +30,13 @@ from .coeffring import (
     MEMO_LOCK,
     MONOMIAL_ONE,
     CoeffElem,
+    CoeffMap,
     MzvMonomial,
     MzvTable,
     accumulate,
     assoc_concat,
     bernoulli,
+    build_coeffs,
     coeff_mul,
     integer_slices,
     memoized,
@@ -52,33 +54,17 @@ NCWord = str  # over the alphabet {"a", "b"}
 BinWord = str  # over the alphabet {"A", "B"}
 
 
-class NCSeries:
-    """Degree-truncated series: finite map word -> CoeffElem."""
+class NCSeries(CoeffMap):
+    """Degree-truncated series: finite map word -> CoeffElem, words within maxdeg."""
 
-    __slots__ = ("maxdeg", "coeffs")
+    __slots__ = ()
+    maxdeg = CoeffMap.shape  # the truncation degree, stored in the base's slot
 
-    def __init__(self, maxdeg: int, coeffs: Mapping[NCWord, CoeffElem] | None = None):
-        self.maxdeg = maxdeg
-        d: dict[NCWord, CoeffElem] = {}
-        if coeffs:
-            for w, c in coeffs.items():
-                if len(w) <= maxdeg and not c.is_zero():
-                    d[w] = c
-        self.coeffs = d
+    def _keep(self, coeffs: Mapping[NCWord, CoeffElem]) -> dict[NCWord, CoeffElem]:
+        D = self.maxdeg
+        return {w: c for w, c in coeffs.items() if len(w) <= D and c}
 
     # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def _from_clean(maxdeg: int, coeffs: dict[NCWord, CoeffElem]) -> "NCSeries":
-        """Adopt a dict of words within maxdeg to nonzero coefficients as it is."""
-        out = object.__new__(NCSeries)
-        out.maxdeg = maxdeg
-        out.coeffs = coeffs
-        return out
-
-    @staticmethod
-    def zero(maxdeg: int) -> "NCSeries":
-        return NCSeries(maxdeg, {})
 
     @staticmethod
     def one(maxdeg: int) -> "NCSeries":
@@ -89,15 +75,6 @@ class NCSeries:
         return NCSeries(maxdeg, {name: CoeffElem.one()})
 
     # -- queries ----------------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, w: NCWord) -> CoeffElem:
-        return self.coeffs.get(w, CoeffElem.zero())
 
     def constant_term(self) -> CoeffElem:
         return self.coefficient("")
@@ -120,14 +97,6 @@ class NCSeries:
         d = {w: c for w, c in self.coeffs.items() if len(w) <= maxdeg}
         return NCSeries._from_clean(maxdeg, d)
 
-    def items(self) -> Iterator[tuple[NCWord, CoeffElem]]:
-        return iter(self.coeffs.items())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NCSeries):
-            return NotImplemented
-        return self.maxdeg == other.maxdeg and self.coeffs == other.coeffs
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -135,32 +104,6 @@ class NCSeries:
         for w in sorted(self.coeffs, key=lambda w: (len(w), w)):
             parts.append(f"({self.coeffs[w]}) {w or '1'}")
         return " + ".join(parts)
-
-    # -- linear structure ---------------------------------------------
-
-    def __add__(self, other: "NCSeries") -> "NCSeries":
-        if self.maxdeg != other.maxdeg:
-            raise DegreeMismatch(f"maxdeg {self.maxdeg} != {other.maxdeg}")
-        d = accumulate(dict(self.coeffs), other.coeffs.items())
-        return NCSeries._from_clean(self.maxdeg, d)
-
-    def __neg__(self) -> "NCSeries":
-        return NCSeries._from_clean(self.maxdeg, {w: -c for w, c in self.coeffs.items()})
-
-    def __sub__(self, other: "NCSeries") -> "NCSeries":
-        return self + (-other)
-
-    def scale(
-        self, c: CoeffElem | Fraction | int, table: MzvTable | None = None
-    ) -> "NCSeries":
-        # the coefficient ring has no zero divisors: a nonzero c keeps every term
-        if not c:
-            return NCSeries.zero(self.maxdeg)
-        if isinstance(c, CoeffElem):
-            d = {w: coeff_mul(v, c, table) for w, v in self.coeffs.items()}
-        else:
-            d = {w: v.scale(c) for w, v in self.coeffs.items()}
-        return NCSeries._from_clean(self.maxdeg, d)
 
 
 # A monomial's integer slice: (common denominator, [(degree, [(word, n)])]) with
@@ -176,16 +119,6 @@ def _degree_slices(s: NCSeries) -> dict[MzvMonomial, _Slice]:
         for w, n in terms:
             buckets.setdefault(len(w), []).append((w, n))
         out[mono] = (den, sorted(buckets.items()))
-    return out
-
-
-def _build_coeffs(cells: dict[NCWord, dict[MzvMonomial, Fraction]]) -> dict[NCWord, CoeffElem]:
-    """Word -> monomial -> Fraction cells as coefficients, zeros dropped."""
-    out: dict[NCWord, CoeffElem] = {}
-    for w, cell in cells.items():
-        terms = {mono: q for mono, q in cell.items() if q}
-        if terms:
-            out[w] = CoeffElem._from_clean(terms)
     return out
 
 
@@ -231,7 +164,7 @@ def nc_mul(x: NCSeries, y: NCSeries, table: MzvTable | None = None) -> NCSeries:
         for w, n in conv.items():
             if n:
                 cells.setdefault(w, {})[rho] = Fraction(n, den)
-    return NCSeries._from_clean(D, _build_coeffs(cells))
+    return NCSeries._from_clean(D, build_coeffs(cells))
 
 
 def nc_bracket(x: NCSeries, y: NCSeries, table: MzvTable | None = None) -> NCSeries:
@@ -430,7 +363,7 @@ def build_phi(x: NCSeries, y: NCSeries, maxdeg: int, table: MzvTable) -> NCSerie
             visit(word + (l,), nxt, nd)
 
     visit((), NCSeries.one(D), 0)
-    return NCSeries._from_clean(D, _build_coeffs(cells))
+    return NCSeries._from_clean(D, build_coeffs(cells))
 
 
 def required_table_weight(idx: Iterable[int]) -> int:

@@ -17,46 +17,33 @@ convention used everywhere in this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .coeffring import (
     CoeffElem,
+    CoeffMap,
     MzvMonomial,
     MzvTable,
     accumulate,
-    coeff_mul,
+    build_coeffs,
     integer_slices,
     monomial_mul,
 )
 from .errors import FourierViolation
 
 
-@dataclass(frozen=True)
-class QTSeries:
-    """Coefficients live on keys (m, j): the q^m T^j term."""
+class QTSeries(CoeffMap):
+    """Coefficients live on keys (m, j): the q^m T^j term, with m < order."""
 
-    order: int
-    coeffs: Mapping[tuple[int, int], CoeffElem]
+    __slots__ = ()
+    order = CoeffMap.shape  # the q truncation, stored in the base's slot
 
-    def __post_init__(self) -> None:
-        clean = {
-            k: v for k, v in self.coeffs.items() if not v.is_zero() and k[0] < self.order
-        }
-        object.__setattr__(self, "coeffs", clean)
-
-    @staticmethod
-    def _from_clean(order: int, coeffs: dict[tuple[int, int], CoeffElem]) -> "QTSeries":
-        """Adopt a dict of keys below the order to nonzero coefficients as it is."""
-        out = object.__new__(QTSeries)
-        object.__setattr__(out, "order", order)
-        object.__setattr__(out, "coeffs", coeffs)
-        return out
-
-    @staticmethod
-    def zero(order: int) -> "QTSeries":
-        return QTSeries(order, {})
+    def _keep(
+        self, coeffs: Mapping[tuple[int, int], CoeffElem]
+    ) -> dict[tuple[int, int], CoeffElem]:
+        order = self.order
+        return {k: c for k, c in coeffs.items() if k[0] < order and c}
 
     @staticmethod
     def constant(c: CoeffElem | Fraction | int, order: int) -> "QTSeries":
@@ -68,9 +55,6 @@ class QTSeries:
 
     def coefficient(self, m: int, j: int) -> CoeffElem:
         return self.coeffs.get((m, j), CoeffElem.zero())
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def is_t_free(self) -> bool:
         return all(j == 0 for (_, j) in self.coeffs)
@@ -95,30 +79,6 @@ class QTSeries:
             ).strip()
             parts.append(f"({c})" + (f" {mono}" if mono else ""))
         return " + ".join(parts)
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "QTSeries") -> "QTSeries":
-        order = min(self.order, other.order)
-        d = {k: v for k, v in self.coeffs.items() if k[0] < order}
-        accumulate(d, ((k, v) for k, v in other.coeffs.items() if k[0] < order))
-        return QTSeries._from_clean(order, d)
-
-    def __neg__(self) -> "QTSeries":
-        return QTSeries(self.order, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "QTSeries") -> "QTSeries":
-        return self + (-other)
-
-    def scale(
-        self, c: CoeffElem | Fraction | int, table: MzvTable | None = None
-    ) -> "QTSeries":
-        if isinstance(c, CoeffElem):
-            if not c.is_rational():
-                d = {k: coeff_mul(v, c, table) for k, v in self.coeffs.items()}
-                return QTSeries(self.order, d)
-            c = c.rational_part()
-        return QTSeries(self.order, {k: v.scale(c) for k, v in self.coeffs.items()})
 
 
 # Integer slices of a series: coefficient monomial -> (common denominator,
@@ -154,9 +114,7 @@ def _build(acc: _Cells, order: int) -> QTSeries:
         for k, n in sums.items():
             if n:
                 out.setdefault(k, {})[rho] = Fraction(n, common)
-    return QTSeries._from_clean(
-        order, {k: CoeffElem._from_clean(cell) for k, cell in out.items()}
-    )
+    return QTSeries._from_clean(order, build_coeffs(out))
 
 
 def qt_mul(f: QTSeries, g: QTSeries, table: MzvTable | None = None) -> QTSeries:
@@ -265,6 +223,4 @@ def qt_antider(f: QTSeries) -> QTSeries:
                 if big:
                     out.setdefault((m, j), {})[mu] = Fraction(big, den * power * m)
                 power *= m
-    return QTSeries._from_clean(
-        f.order, {k: CoeffElem._from_clean(cell) for k, cell in out.items()}
-    )
+    return QTSeries._from_clean(f.order, build_coeffs(out))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from emzv.cli import _DISPATCH, RunConfig, run
-from emzv.coeffring import shipped_table
+from emzv.coeffring import dump_mzv_table, shipped_table
 from emzv.decomp import Decomposition, decompose
 
 
@@ -68,7 +68,7 @@ def test_overflow_exit_code(capsys):
     assert "TableOverflow" in err
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "decompose")  # missing --index
     assert code == 2
     code, _, _ = run_cli(capsys, "no-such-command")
@@ -95,6 +95,26 @@ def test_usage_error_exit_code(capsys):
                 mp.setenv("EMZV_MZV_TABLE", env)
             code, out, err = run_cli(capsys, "gamma", "--index", "2,0,0", *argv)
         assert code == 2, argv
+        assert not out and err.count("\n") == 1 and need in err, err
+    # so does a table that fails to parse (with its line) or to validate
+    text = dump_mzv_table(shipped_table())
+    malformed, invalid = tmp_path / "malformed.txt", tmp_path / "invalid.txt"
+    malformed.write_text(text.replace("max_weight 8", "max_weight x"), encoding="utf-8")
+    invalid.write_text(text.replace("convergent AB =", "convergent AA ="), encoding="utf-8")
+    for path, env, need in (
+        (malformed, False, f"--mzv-table {str(malformed)!r}: line 3: bad max_weight 'x'"),
+        (malformed, True, f"EMZV_MZV_TABLE {str(malformed)!r}: line 3: bad max_weight 'x'"),
+        (invalid, False, f"--mzv-table {str(invalid)!r}: word 'AA' is not admissible"),
+    ):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv("EMZV_MZV_TABLE", raising=False)
+            if env:
+                mp.setenv("EMZV_MZV_TABLE", str(path))
+                argv = []
+            else:
+                argv = ["--mzv-table", str(path)]
+            code, out, err = run_cli(capsys, "gamma", "--index", "2,0,0", *argv)
+        assert code == 2, (path, env)
         assert not out and err.count("\n") == 1 and need in err, err
     code, _, err = run_cli(capsys, "gamma", "--index", "-1")
     assert code == 2

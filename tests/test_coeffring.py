@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -415,3 +416,21 @@ def test_parse_errors():
         loads_mzv_table(
             "format emzv-mzv-table 1\nmax_weight 0\nfrobnicate 1\n"
         )
+    # every malformed line is a ParseError that names the line
+    lines = MINIMAL_TABLE.strip().splitlines()
+    for lineno, bad, need in (
+        (1, "format emzv-mzv-table x", "bad format version 'x'"),
+        (2, "max_weight x", "bad max_weight 'x'"),
+        (3, "symbol z3 x", "bad symbol weight 'x'"),
+        (4, "single_zeta x = -1/24 * pi^2", "bad single_zeta index 'x'"),
+        (5, "single_zeta 3 = 1/0 * z3", "bad rational '1/0'"),
+        (6, "convergent AB = -1/24 * pi^x", "bad monomial factor 'pi^x'"),
+    ):
+        text = "\n".join(lines[: lineno - 1] + [bad] + lines[lineno:])
+        with pytest.raises(ParseError, match=f"^line {lineno}: {re.escape(need)}$"):
+            loads_mzv_table(text)
+    # a second format or max_weight line is rejected like every other duplicate
+    for repeated in lines[:2]:
+        text = "\n".join(lines[:3] + [repeated] + lines[3:])
+        with pytest.raises(ParseError, match="^line 4: duplicate (format|max_weight) line$"):
+            loads_mzv_table(text)

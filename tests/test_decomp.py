@@ -338,29 +338,16 @@ def test_find_relations_odd_vanishing(table):
 
 
 def test_find_relations_length_two_constants(table):
-    pi2 = PI(2)
-    vecs = find_emzv_relations([(0, 4), (4, 0), (2, 2)], table, adjoin=[pi2])
-    assert len(vecs) == 3
     # each value is a rational multiple of pi^2: gamma_{0,4} = gamma_{4,0}
-    # = -pi^2/1440 and gamma_{2,2} = pi^2/288
-    import itertools
-
-    def in_kernel(v):
-        rows = [decompose(i, table).epoly for i in [(0, 4), (4, 0), (2, 2)]]
-        rows.append(EPoly.constant(pi2))
-        acc = EPoly.zero()
-        for q, p in zip(v, rows):
-            acc = acc + p.scale(q)
-        return acc.is_zero()
-
-    for want in [
-        (1, 0, 0, F(1, 1440)),
-        (0, 1, 0, F(1, 1440)),
-        (0, 0, 1, F(-1, 288)),
-    ]:
-        assert in_kernel(want), want
-    for got in vecs:
-        assert in_kernel(got), got
+    # = -pi^2/1440 and gamma_{2,2} = pi^2/288, with no word terms
+    values = {(0, 4): F(-1, 1440), (4, 0): F(-1, 1440), (2, 2): F(1, 288)}
+    for idx, q in values.items():
+        assert decompose(idx, table).epoly == EPoly.constant(PI(2, q)), idx
+    # so the three indices span one dimension and have two relations
+    vecs = find_emzv_relations(list(values), table)
+    assert len(vecs) == 2
+    for v in vecs:
+        assert sum(c * q for c, q in zip(v, values.values())) == 0, v
 
 
 def test_concurrent_decompose(table):

@@ -282,10 +282,10 @@ def test_to_E0_basis_examples():
 
 
 def test_fourier_membership_examples():
-    assert fourier_membership(EPoly.constant(5)) is True
-    assert fourier_membership(EPoly.word((0,))) is False
+    assert fourier_membership(EPoly.constant(5), 20) is True
+    assert fourier_membership(EPoly.word((0,)), 20) is False
     x = EPoly.word((0, 4), -2) + EPoly.word((0, 0), F(-1, 120))
-    assert fourier_membership(x) is True
+    assert fourier_membership(x, 20) is True
 
 
 def _random_epoly(rng):

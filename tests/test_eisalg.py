@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emzv.coeffring import CoeffElem, MzvMonomial, coeff_mul
+from emzv.coeffring import CoeffElem, MzvMonomial, coeff_mul, shipped_table
 from emzv.eisalg import (
     EPoly,
     _iei_cache,
@@ -175,6 +175,14 @@ def test_epoly_arithmetic_matches_validating_constructor(x, y, q, c):
         x.coeffs, lambda w: coeff_mul(x.coefficient(w), c, None)
     )
     assert x.scale(0).is_zero() and x.scale(CoeffElem.zero()).is_zero()
+    # a rational CoeffElem scales as its Fraction, with or without a table
+    r = CoeffElem.from_rational(q)
+    assert x.scale(r) == x.scale(r, shipped_table()) == x.scale(q)
+    assert x.scale(F(0)) == x.scale(CoeffElem.zero(), shipped_table()) == EPoly.zero()
+    # words with an odd letter are dropped, and their coefficient is zero
+    assert EPoly({(2, 3): CoeffElem.one()}).is_zero()
+    for w in ((3,), (2, 3), (0, 4, 3)):
+        assert x.coefficient(w) == (x - y).coefficient(w) == CoeffElem.zero()
     for z in (x + y, -x, x.scale(q), x.scale(c)):
         assert all(k % 2 == 0 for w in z.coeffs for k in w)
         assert all(not v.is_zero() for v in z.coeffs.values())

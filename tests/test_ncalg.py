@@ -64,6 +64,15 @@ def test_nc_mul_examples():
         nc_mul(NCSeries.one(2), NCSeries.one(3))
 
 
+def test_add_of_unequal_truncations_raises():
+    # the truncation is part of the value: no container adds across shapes
+    for op in (NCSeries.__add__, NCSeries.__sub__):
+        with pytest.raises(DegreeMismatch):
+            op(NCSeries.one(2), NCSeries.one(3))
+    with pytest.raises(DegreeMismatch):
+        NCSeries.zero(3) + NCSeries.zero(2)
+
+
 def test_exp_inv_examples():
     assert nc_exp(NCSeries.zero(4)) == NCSeries.one(4)
     assert nc_inv(NCSeries.one(4)) == NCSeries.one(4)
@@ -538,3 +547,12 @@ def test_unvalidated_results_match_validating_constructor(x, y, q, c):
             assert all(len(w) <= s.maxdeg and not v.is_zero() for w, v in s.items())
     assert x.scale(0).is_zero() and x.scale(CoeffElem.zero()).is_zero()
     assert (x - x).is_zero()
+    # a rational CoeffElem scales as its Fraction, with or without a table;
+    # a zero scalar keeps the truncation
+    r = CoeffElem.from_rational(q)
+    assert x.scale(r) == x.scale(r, table) == x.scale(q)
+    assert x.scale(CoeffElem.zero(), table) == x.scale(F(0)) == NCSeries.zero(D)
+    # a word beyond the truncation is dropped, and its coefficient is zero
+    long = "ab" * D + "b"
+    assert NCSeries(D, {long: c}).is_zero()
+    assert x.coefficient(long) == (x + y).coefficient(long) == CoeffElem.zero()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from emzv.coeffring import CoeffElem, MzvMonomial, coeff_mul, shipped_table
 from emzv.decomp import emzv_qexp
 from emzv.eisalg import eisenstein_qexp
-from emzv.errors import FourierViolation, TableOverflow
+from emzv.errors import DegreeMismatch, FourierViolation, TableOverflow
 from emzv.qseries import QTSeries, qt_antider, qt_ddT, qt_lincomb, qt_mul
 
 F = Fraction
@@ -286,6 +286,35 @@ def test_from_clean_matches_validating_constructor(order, coeffs):
     got = QTSeries._from_clean(order, clean)
     assert got == want and got.coeffs == want.coeffs
     assert got.order == want.order and str(got) == str(want)
+    # the operations that adopt their result build what the constructor would
+    table = shipped_table()
+    assert -got == QTSeries(order, {k: -c for k, c in coeffs.items()})
+    for q in (Fraction(-3, 2), Fraction(0), 5):
+        want_q = QTSeries(order, {k: c.scale(q) for k, c in coeffs.items()})
+        assert got.scale(q) == want_q
+        # a rational CoeffElem scales as its Fraction, with or without a table
+        r = CoeffElem.from_rational(q)
+        assert got.scale(r) == got.scale(r, table) == want_q
+    assert got.scale(CoeffElem.zero(), table) == QTSeries.zero(order)
+    mixed = CoeffElem.pi_pow(1, Fraction(-2, 3)) + CoeffElem.one()
+    assert got.scale(mixed, table) == QTSeries(
+        order, {k: coeff_mul(c, mixed, table) for k, c in coeffs.items()}
+    )
+    # a key at or above the order is dropped, and its coefficient is zero
+    for m, j in coeffs:
+        if m >= order:
+            assert got.coefficient(m, j) == (got - got).coefficient(m, j) == CoeffElem.zero()
+    assert got.coefficient(order, 0).is_zero()
+
+
+def test_add_of_unequal_orders_raises():
+    # the order is part of the value: + and - never truncate to the smaller one
+    with pytest.raises(DegreeMismatch):
+        QTSeries.zero(4) + QTSeries.zero(6)
+    with pytest.raises(DegreeMismatch):
+        QTSeries.constant(1, 6) - QTSeries.constant(1, 4)
+    # qt_mul keeps its rule: the smaller order decides
+    assert qt_mul(QTSeries.constant(2, 4), QTSeries.constant(3, 6)) == QTSeries.constant(6, 4)
 
 
 def reference_antider(f):
