@@ -28,7 +28,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .errors import ConsistencyError, DegreeMismatch, ParseError, TableOverflow
 
@@ -418,19 +418,15 @@ class CoeffMap:
         return self._from_clean(self.shape, {k: v.scale(c) for k, v in self.coeffs.items()})
 
 
-def build_coeffs(cells: Mapping[K, Mapping[MzvMonomial, Fraction]]) -> dict[K, CoeffElem]:
-    """Key -> monomial -> rational cells as coefficients, zeros dropped.
+def build_coeffs(cells: Mapping[K, dict[MzvMonomial, Fraction]]) -> dict[K, CoeffElem]:
+    """Key -> monomial -> nonzero rational cells, each nonempty, as coefficients.
 
-    The one place the integer kernels (``nc_mul``, ``build_phi``,
-    ``qt_mul``, ``qt_lincomb_slices``, ``qt_antider``) build their output
-    coefficients, each once.
+    The one place the integer kernels build their output coefficients, each
+    once: :func:`build_cells` for the slice engine's products and linear
+    combinations, and ``qt_antider`` directly.  The cells are adopted as
+    they are.
     """
-    out: dict[K, CoeffElem] = {}
-    for key, cell in cells.items():
-        terms = {mono: q for mono, q in cell.items() if q}
-        if terms:
-            out[key] = CoeffElem._from_clean(terms)
-    return out
+    return {key: CoeffElem._from_clean(cell) for key, cell in cells.items()}
 
 
 def integer_slices(
@@ -450,6 +446,129 @@ def integer_slices(
         den = math.lcm(*(d for _, (_, d) in pairs))
         out[mono] = (den, [(key, n * (den // d)) for key, (n, d) in pairs])
     return out
+
+
+# ---------------------------------------------------------------------------
+# The integer slice engine
+#
+# The truncated product algebras (two-letter series, q/T expansions) compute
+# on graded integer slices: coefficient monomial -> (common denominator,
+# buckets), the buckets [(grade, [(key, n)])] in increasing grade with
+# integer n, standing for sum n / denominator * key.  Keys multiply by +
+# (words concatenate; q/T terms travel as an additive integer code, see
+# qseries) and grades add.  Products and linear combinations add integer
+# numerators into cells, which are brought over one denominator per
+# monomial at the end, into slices again or into coefficients.
+
+Slices = dict[MzvMonomial, tuple[int, list[tuple[int, list[tuple[Any, int]]]]]]
+
+# Integer numerators under construction: monomial -> denominator -> key -> n.
+Cells = dict[MzvMonomial, dict[int, dict[Any, int]]]
+
+
+def _graded(terms: Iterable[tuple[K, int]], grade: Callable[[K], int]) -> list:
+    buckets: dict[int, list[tuple[K, int]]] = {}
+    for key, n in terms:
+        if n:
+            buckets.setdefault(grade(key), []).append((key, n))
+    return sorted(buckets.items())
+
+
+def graded_slices(terms: Iterable[tuple[K, CoeffElem]], grade: Callable[[K], int]) -> Slices:
+    """The slices of (key, coefficient) pairs, each bucketed by grade(key)."""
+    return {mono: (den, _graded(t, grade)) for mono, (den, t) in integer_slices(terms).items()}
+
+
+def convolve(x: Slices, y: Slices, bound: int, table: MzvTable | None) -> Cells:
+    """The product of two slices: every (k1 + k2, n1 * n2), grades within bound.
+
+    A pair of monomials is multiplied once, through :func:`monomial_mul`,
+    and only if its slices meet within the bound; so TableOverflow is raised
+    exactly when some pair of terms whose product survives the truncation
+    carries an overflowing symbol product.
+    """
+    cells: Cells = {}
+    for mu, (den_x, buckets_x) in x.items():
+        for nu, (den_y, buckets_y) in y.items():
+            low = buckets_y[0][0]
+            if buckets_x[0][0] + low > bound:
+                continue
+            rho = monomial_mul(mu, nu, table)
+            cell = cells.setdefault(rho, {}).setdefault(den_x * den_y, {})
+            get = cell.get
+            for g1, terms_x in buckets_x:
+                room = bound - g1
+                if low > room:
+                    break
+                for g2, terms_y in buckets_y:
+                    if g2 > room:
+                        break
+                    for k1, n1 in terms_x:
+                        for k2, n2 in terms_y:
+                            k = k1 + k2
+                            cell[k] = get(k, 0) + n1 * n2
+    return cells
+
+
+def lincomb(pairs: Iterable[tuple[CoeffElem, Slices]], bound: int, table: MzvTable | None) -> Cells:
+    """The linear combination sum c_i * f_i of slices, grades within bound.
+
+    Each scalar is split by coefficient monomial too, and a pair of
+    monomials is multiplied once, through :func:`monomial_mul`, when the
+    slice has a term within the bound.
+    """
+    cells: Cells = {}
+    pairs = list(pairs)
+    for mu, (den_c, scalars) in integer_slices(enumerate(c for c, _ in pairs)).items():
+        for i, a in scalars:
+            for nu, (den_f, buckets) in pairs[i][1].items():
+                if buckets[0][0] > bound:
+                    continue
+                rho = monomial_mul(mu, nu, table)
+                cell = cells.setdefault(rho, {}).setdefault(den_c * den_f, {})
+                get = cell.get
+                for g, terms in buckets:
+                    if g > bound:
+                        break
+                    for k, n in terms:
+                        cell[k] = get(k, 0) + a * n
+    return cells
+
+
+def _over_common(cells: Cells) -> Iterator[tuple[MzvMonomial, int, dict]]:
+    """Each monomial's numerators over one common denominator, the lcm."""
+    for rho, by_den in cells.items():
+        if len(by_den) == 1:
+            [(common, sums)] = by_den.items()
+        else:
+            common = math.lcm(*by_den)
+            sums = {}
+            get = sums.get
+            for den, cell in by_den.items():
+                lift = common // den
+                for k, n in cell.items():
+                    sums[k] = get(k, 0) + n * lift
+        yield rho, common, sums
+
+
+def normalise(cells: Cells, grade: Callable[[Any], int]) -> Slices:
+    """Cells as slices, bucketed by grade(key); zero numerators dropped."""
+    out: Slices = {}
+    for rho, den, sums in _over_common(cells):
+        buckets = _graded(sums.items(), grade)
+        if buckets:
+            out[rho] = (den, buckets)
+    return out
+
+
+def build_cells(cells: Cells) -> dict[Any, CoeffElem]:
+    """Cells as key -> coefficient, each coefficient built once."""
+    out: dict[Any, dict[MzvMonomial, Fraction]] = {}
+    for rho, den, sums in _over_common(cells):
+        for k, n in sums.items():
+            if n:
+                out.setdefault(k, {})[rho] = Fraction(n, den)
+    return build_coeffs(out)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .coeffring import (
     MzvTable,
     accumulate,
     bernoulli,
+    graded_slices,
     memoized,
     parse_coeff,
     render_coeff,
@@ -287,25 +288,22 @@ _EpsImage = tuple[EWord, MzvMonomial, Fraction, dict[str, int]]
 def _eps_word_images(ainf: NCSeries, degrees: Sequence[int]) -> dict[int, list[_EpsImage]]:
     """Every nonzero eps~_w applied to the pieces of the limit series.
 
-    A piece is homogeneous in word degree m and coefficient monomial mu.
-    It is cleared to an integer vector and pushed once through the integer
-    derivations eps_{2k}; each raises the degree by exactly 2k, so the
-    image under eps_w lands at degree m + |w| and serves every requested
-    degree.  The eps~ normalisation and the cleared denominator are carried
-    as one rational factor per (e-word, monomial).
+    A piece is one degree bucket m of the series' integer slices on a
+    coefficient monomial mu (:func:`coeffring.graded_slices`).  Its integer
+    vector is pushed once through the integer derivations eps_{2k}; each
+    raises the degree by exactly 2k, so the image under eps_w lands at
+    degree m + |w| and serves every requested degree.  The eps~
+    normalisation and the slice's denominator are carried as one rational
+    factor per (e-word, monomial).
     """
     top = max(degrees)
     ops = [(k2, eps_nc(k2), eps_tilde_scale(k2)) for k2 in range(0, top, 2)]
     images: dict[int, list[_EpsImage]] = {d: [] for d in degrees}
-    for mono, vec in ainf.monomial_slices().items():
-        pieces: dict[int, dict[str, Fraction]] = {}
-        for w, q in vec.items():
-            if 1 <= len(w) <= top:
-                pieces.setdefault(len(w), {})[w] = q
-        for m, piece in pieces.items():
-            den = math.lcm(*(q.denominator for q in piece.values()))
-            ints = {w: q.numerator * (den // q.denominator) for w, q in piece.items()}
-            stack = [(m, (), Fraction(1, den), ints)]
+    for mono, (den, buckets) in graded_slices(ainf.coeffs.items(), len).items():
+        for m, terms in buckets:
+            if not 1 <= m <= top:
+                continue
+            stack = [(m, (), Fraction(1, den), dict(terms))]
             while stack:
                 deg, eword, factor, v = stack.pop()
                 if deg in images:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, TypeVar
 
-from .coeffring import CoeffElem, accumulate, assoc_concat, bernoulli, memoized
+from .coeffring import CoeffElem, accumulate, assoc_concat, bernoulli, integer_slices, memoized
 from .eisalg import EPoly, EWord, epoly_to_qexp
 from .linalg import RatMatrix, kernel_basis
 from .ncalg import NCSeries, ad_expansion
@@ -128,12 +128,11 @@ class LieDerivation:
     eps_{2k} and their brackets have integer ones.
     """
 
-    __slots__ = ("val_x", "val_y", "degree_shift")
+    __slots__ = ("val_x", "val_y")
 
-    def __init__(self, val_x: Assoc, val_y: Assoc, degree_shift: int):
+    def __init__(self, val_x: Assoc, val_y: Assoc):
         self.val_x = val_x
         self.val_y = val_y
-        self.degree_shift = degree_shift
 
     def apply(self, elem: Mapping[str, Number]) -> Assoc:
         return _apply_derivation(elem, {"x": self.val_x, "y": self.val_y})
@@ -146,11 +145,7 @@ class LieDerivation:
         return accumulate(self.apply(theirs), minus)
 
     def bracket(self, other: "LieDerivation") -> "LieDerivation":
-        return LieDerivation(
-            self.bracket_value(other, "x"),
-            self.bracket_value(other, "y"),
-            self.degree_shift + other.degree_shift,
-        )
+        return LieDerivation(self.bracket_value(other, "x"), self.bracket_value(other, "y"))
 
 
 def eps_derivation(k2: int) -> LieDerivation:
@@ -163,7 +158,7 @@ def eps_derivation(k2: int) -> LieDerivation:
         for j in range(k2 // 2)
         for w, q in assoc_bracket(ad[j], ad[k2 - 1 - j]).items()
     )
-    return LieDerivation(ad[k2], accumulate({}, terms), k2)
+    return LieDerivation(ad[k2], accumulate({}, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +453,9 @@ def annihilates(der: NCDerivation, s: NCSeries) -> bool:
     """True iff der(s) vanishes up to the truncation degree of s.
 
     The derivation is Q-linear, so it kills s exactly when it kills the
-    rational word vector of every coefficient monomial.
+    integer word vector of every coefficient monomial's slice.
     """
     return all(
-        all(len(w) > s.maxdeg for w in der.apply(piece))
-        for piece in s.monomial_slices().values()
+        all(len(w) > s.maxdeg for w in der.apply(dict(terms)))
+        for _, terms in integer_slices(s.coeffs.items()).values()
     )

@@ -26,12 +26,14 @@ from .coeffring import (
     CoeffElem,
     CoeffMap,
     MzvTable,
+    Slices,
     accumulate,
     bernoulli,
     coeff_mul,
+    convolve,
     memoized,
 )
-from .qseries import QTSeries, Slices, qt_antider, qt_lincomb_slices, qt_mul, qt_slices
+from .qseries import QTSeries, qt_antider, qt_from_cells, qt_lincomb, qt_slices
 from .words import deconcatenations, shuffle_multiset
 
 EWord = tuple[int, ...]
@@ -80,7 +82,8 @@ _iei_cache: dict[tuple[EWord, int], _Integral] = {}
 
 
 def _iei_entry(word: EWord, order: int) -> _Integral:
-    """The cached integral of an e-word, built and sliced once on a miss."""
+    """The cached integral of an e-word, built and sliced once on a miss
+    from the cached slices of its tail."""
     if order < 1:
         raise ValueError("order must be >= 1")
 
@@ -90,11 +93,10 @@ def _iei_entry(word: EWord, order: int) -> _Integral:
         elif has_odd_letter(word):
             series = QTSeries.zero(order)
         else:
-            head, tail = word[0], word[1:]
-            series = qt_antider(
-                qt_mul(-eisenstein_qexp(head, order), iei_qexp(tail, order))
-            )
-        return _Integral(series, qt_slices(series, order))
+            minus_e = qt_slices(-eisenstein_qexp(word[0], order))
+            tail = _iei_entry(word[1:], order).slices
+            series = qt_antider(qt_from_cells(convolve(minus_e, tail, order - 1, None), order))
+        return _Integral(series, qt_slices(series))
 
     return memoized(_iei_cache, (word, order), compute)
 
@@ -145,7 +147,7 @@ class EPoly(CoeffMap):
         return self.coefficient(())
 
     def without_constant(self) -> "EPoly":
-        return EPoly({w: c for w, c in self.coeffs.items() if w})
+        return EPoly._from_clean(None, {w: c for w, c in self.coeffs.items() if w})
 
     def __hash__(self) -> int:
         return hash(frozenset(self.coeffs.items()))
@@ -167,10 +169,15 @@ class EPoly(CoeffMap):
     __add__ = CoeffMap.__add__
 
     def prepend(self, letter: int) -> "EPoly":
-        """Left-concatenate one letter onto every word."""
-        if letter % 2:
+        """Left-concatenate one letter onto every word.
+
+        The letter is checked once (a negative one raises ValueError); an
+        odd letter gives zero, and an even one keeps the key rule.
+        """
+        head = make_eword((letter,))
+        if head[0] % 2:
             return EPoly.zero()
-        return EPoly({(letter,) + w: c for w, c in self.coeffs.items()})
+        return EPoly._from_clean(None, {head + w: c for w, c in self.coeffs.items()})
 
 
 def shuffle_words(u: Iterable[int], v: Iterable[int]) -> EPoly:
@@ -198,8 +205,7 @@ def epoly_to_qexp(x: EPoly, order: int) -> QTSeries:
     Sums the cached integer slices of the integrals, so no integral is
     sliced again.
     """
-    pairs = ((c, _iei_entry(w, order).slices) for w, c in x.items())
-    return qt_lincomb_slices(pairs, order)
+    return qt_lincomb(((c, _iei_entry(w, order).slices) for w, c in x.items()), order)
 
 
 def deconcat(x: EPoly) -> dict[tuple[EWord, EWord], CoeffElem]:

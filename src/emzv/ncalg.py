@@ -31,16 +31,18 @@ from .coeffring import (
     MONOMIAL_ONE,
     CoeffElem,
     CoeffMap,
-    MzvMonomial,
     MzvTable,
+    Slices,
     accumulate,
     assoc_concat,
     bernoulli,
-    build_coeffs,
+    build_cells,
     coeff_mul,
-    integer_slices,
+    convolve,
+    graded_slices,
+    lincomb,
     memoized,
-    monomial_mul,
+    normalise,
 )
 from .errors import (
     DegreeMismatch,
@@ -85,14 +87,6 @@ class NCSeries(CoeffMap):
     def component(self, d: int) -> dict[NCWord, CoeffElem]:
         return {w: c for w, c in self.coeffs.items() if len(w) == d}
 
-    def monomial_slices(self) -> dict[MzvMonomial, dict[NCWord, Fraction]]:
-        """The rational word vector carried by each coefficient monomial."""
-        out: dict[MzvMonomial, dict[NCWord, Fraction]] = {}
-        for w, c in self.coeffs.items():
-            for mono, q in c.items():
-                out.setdefault(mono, {})[w] = q
-        return out
-
     def truncate(self, maxdeg: int) -> "NCSeries":
         d = {w: c for w, c in self.coeffs.items() if len(w) <= maxdeg}
         return NCSeries._from_clean(maxdeg, d)
@@ -106,65 +100,18 @@ class NCSeries(CoeffMap):
         return " + ".join(parts)
 
 
-# A monomial's integer slice: (common denominator, [(degree, [(word, n)])]) with
-# the degree buckets in increasing order, standing for sum n / denominator * word.
-_Slice = tuple[int, list[tuple[int, list[tuple[NCWord, int]]]]]
-
-
-def _degree_slices(s: NCSeries) -> dict[MzvMonomial, _Slice]:
-    """Integer slices of a series, each bucketed by word degree."""
-    out: dict[MzvMonomial, _Slice] = {}
-    for mono, (den, terms) in integer_slices(s.coeffs.items()).items():
-        buckets: dict[int, list[tuple[NCWord, int]]] = {}
-        for w, n in terms:
-            buckets.setdefault(len(w), []).append((w, n))
-        out[mono] = (den, sorted(buckets.items()))
-    return out
-
-
 def nc_mul(x: NCSeries, y: NCSeries, table: MzvTable | None = None) -> NCSeries:
-    """Concatenation product truncated at the common maxdeg.
-
-    Works one pair of coefficient monomials at a time: the pairs are grouped
-    by their product monomial, and each group's integer slices are convolved
-    degree bucket by degree bucket over one common denominator.  A pair is
-    multiplied, through :func:`coeff_mul` when both carry symbols, only if
-    its slices meet within maxdeg; so TableOverflow is raised exactly when
-    some pair of terms whose product survives the truncation carries an
-    overflowing symbol product.
-    """
+    """Concatenation product truncated at the common maxdeg: the
+    convolution of the operands' slices graded by word degree, with the
+    TableOverflow rule of :func:`coeffring.convolve`."""
     if x.maxdeg != y.maxdeg:
         raise DegreeMismatch(f"maxdeg {x.maxdeg} != {y.maxdeg}")
-    D = x.maxdeg
-    y_slices = _degree_slices(y)
-    groups: dict[MzvMonomial, list[tuple[int, list, list]]] = {}
-    for mu, (den_x, buckets_x) in _degree_slices(x).items():
-        for nu, (den_y, buckets_y) in y_slices.items():
-            if buckets_x[0][0] + buckets_y[0][0] > D:
-                continue
-            rho = monomial_mul(mu, nu, table)
-            groups.setdefault(rho, []).append((den_x * den_y, buckets_x, buckets_y))
-    cells: dict[NCWord, dict[MzvMonomial, Fraction]] = {}
-    for rho, pairs in groups.items():
-        den = math.lcm(*(d for d, _, _ in pairs))
-        conv: dict[NCWord, int] = {}
-        get = conv.get
-        for d, buckets_x, buckets_y in pairs:
-            f = den // d
-            for d1, terms_x in buckets_x:
-                room = D - d1
-                for d2, terms_y in buckets_y:
-                    if d2 > room:
-                        break
-                    for w1, n1 in terms_x:
-                        n1 *= f
-                        for w2, n2 in terms_y:
-                            w = w1 + w2
-                            conv[w] = get(w, 0) + n1 * n2
-        for w, n in conv.items():
-            if n:
-                cells.setdefault(w, {})[rho] = Fraction(n, den)
-    return NCSeries._from_clean(D, build_coeffs(cells))
+    cells = convolve(_slices(x), _slices(y), x.maxdeg, table)
+    return NCSeries._from_clean(x.maxdeg, build_cells(cells))
+
+
+def _slices(s: NCSeries) -> Slices:
+    return graded_slices(s.coeffs.items(), len)
 
 
 def nc_bracket(x: NCSeries, y: NCSeries, table: MzvTable | None = None) -> NCSeries:
@@ -322,26 +269,16 @@ def build_phi(x: NCSeries, y: NCSeries, maxdeg: int, table: MzvTable) -> NCSerie
             f"{needed}, table cap is {table.max_weight}"
         )
 
-    arg = {0: x.truncate(D), 1: y.truncate(D)}
+    arg = {0: _slices(x), 1: _slices(y)}
     mindeg = {0: mx, 1: my}
     letter = {0: _PHI_X_LETTER, 1: "A" if _PHI_X_LETTER == "B" else "B"}
-    # Phi accumulates in (word -> monomial -> rational) cells; each monomial
-    # pair is multiplied once, so a symbol pair meets coeff_mul's cap check
-    # exactly when some term of subst.scale(c) would have.
-    cells: dict[NCWord, dict[MzvMonomial, Fraction]] = {"": {MONOMIAL_ONE: Fraction(1)}}
-    products: dict[tuple[MzvMonomial, MzvMonomial], MzvMonomial] = {}
+    # The walk carries each node's word product as integer slices and
+    # collects (regularized value, word product) pairs; Phi is their linear
+    # combination, its coefficients built once at the end.
+    root: Slices = {MONOMIAL_ONE: (1, [(0, [("", 1)])])}
+    terms = [(CoeffElem.one(), root)]
 
-    def add_scaled(subst: NCSeries, c: CoeffElem) -> None:
-        for w, v in subst.coeffs.items():
-            cell = cells.setdefault(w, {})
-            for mu, p in v.items():
-                for nu, q in c.items():
-                    rho = products.get((mu, nu))
-                    if rho is None:
-                        rho = products[mu, nu] = monomial_mul(mu, nu, table)
-                    cell[rho] = cell.get(rho, 0) + p * q
-
-    def visit(word: tuple[int, ...], subst: NCSeries, degree_floor: int) -> None:
+    def visit(word: tuple[int, ...], node: Slices, degree_floor: int) -> None:
         if word:
             n_y = sum(word)
             n_x = len(word) - n_y
@@ -352,18 +289,17 @@ def build_phi(x: NCSeries, y: NCSeries, maxdeg: int, table: MzvTable) -> NCSerie
             if not c.is_zero():
                 if (_PHI_X_SIGN == -1 and n_x % 2) != (_PHI_Y_SIGN == -1 and n_y % 2):
                     c = -c
-                add_scaled(subst, c)
+                terms.append((c, node))
         for l in (0, 1):
             nd = degree_floor + mindeg[l]
             if nd > D:
                 continue
-            nxt = nc_mul(subst, arg[l], table)
-            if nxt.is_zero():
-                continue
-            visit(word + (l,), nxt, nd)
+            nxt = normalise(convolve(node, arg[l], D, table), len)
+            if nxt:
+                visit(word + (l,), nxt, nd)
 
-    visit((), NCSeries.one(D), 0)
-    return NCSeries._from_clean(D, build_coeffs(cells))
+    visit((), root, 0)
+    return NCSeries._from_clean(D, build_cells(lincomb(terms, D, table)))
 
 
 def required_table_weight(idx: Iterable[int]) -> int:

@@ -16,19 +16,22 @@ convention used everywhere in this package.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .coeffring import (
+    Cells,
     CoeffElem,
     CoeffMap,
     MzvMonomial,
     MzvTable,
+    Slices,
     accumulate,
+    build_cells,
     build_coeffs,
-    integer_slices,
-    monomial_mul,
+    convolve,
+    graded_slices,
+    lincomb,
 )
 from .errors import FourierViolation
 
@@ -81,109 +84,45 @@ class QTSeries(CoeffMap):
         return " + ".join(parts)
 
 
-# Integer slices of a series: coefficient monomial -> (common denominator,
-# [((m, j), numerator)] sorted by m).
-Slices = dict[MzvMonomial, tuple[int, list[tuple[tuple[int, int], int]]]]
+# A term q^m T^j travels through the slice engine as the key m << 32 | j:
+# the product of two terms is the sum of their keys, and the grade is m.
+_SHIFT = 32
+_T_MASK = (1 << _SHIFT) - 1
 
 
-def qt_slices(f: QTSeries, order: int) -> Slices:
-    """Integer slices of the terms below the order, each sorted by m."""
-    out = integer_slices((k, c) for k, c in f.coeffs.items() if k[0] < order)
-    for _, terms in out.values():
-        terms.sort(key=lambda t: t[0][0])
-    return out
+def _q_power(key: int) -> int:
+    return key >> _SHIFT
 
 
-# Integer numerators of a sum under construction: product monomial ->
-# denominator -> (m, j) -> numerator.
-_Cells = dict[MzvMonomial, dict[int, dict[tuple[int, int], int]]]
+def qt_slices(f: QTSeries) -> Slices:
+    """Integer slices of f, graded by the q power, with coded keys."""
+    return graded_slices(((m << _SHIFT | j, c) for (m, j), c in f.coeffs.items()), _q_power)
 
 
-def _build(acc: _Cells, order: int) -> QTSeries:
-    """Bring each product monomial's numerators over one common denominator
-    and build every output coefficient once."""
-    out: dict[tuple[int, int], dict[MzvMonomial, Fraction]] = {}
-    for rho, by_den in acc.items():
-        common = math.lcm(*by_den)
-        sums: dict[tuple[int, int], int] = {}
-        get = sums.get
-        for den, cell in by_den.items():
-            lift = common // den
-            for k, n in cell.items():
-                sums[k] = get(k, 0) + n * lift
-        for k, n in sums.items():
-            if n:
-                out.setdefault(k, {})[rho] = Fraction(n, common)
-    return QTSeries._from_clean(order, build_coeffs(out))
+def qt_from_cells(cells: Cells, order: int) -> QTSeries:
+    """The series of coded cells, each coefficient built once."""
+    coeffs = build_cells(cells)
+    return QTSeries._from_clean(order, {(k >> _SHIFT, k & _T_MASK): c for k, c in coeffs.items()})
 
 
 def qt_mul(f: QTSeries, g: QTSeries, table: MzvTable | None = None) -> QTSeries:
-    """Product truncated at the smaller order; T degrees add.
-
-    Works one pair of coefficient monomials at a time: the two integer
-    slices are convolved, and the monomials are multiplied once, through
-    :func:`monomial_mul`, only if the slices meet below the order.  So
-    TableOverflow is raised exactly when some pair of terms whose product
-    survives the truncation carries an overflowing symbol product.
-    """
+    """Product truncated at the smaller order; T degrees add.  The
+    convolution of the operands' slices below the order, with the
+    TableOverflow rule of :func:`coeffring.convolve`."""
     order = min(f.order, g.order)
-    g_slices = qt_slices(g, order)
-    acc: _Cells = {}
-    for mu, (den_f, terms_f) in qt_slices(f, order).items():
-        for nu, (den_g, terms_g) in g_slices.items():
-            if terms_f[0][0][0] + terms_g[0][0][0] >= order:
-                continue
-            rho = monomial_mul(mu, nu, table)
-            conv = acc.setdefault(rho, {}).setdefault(den_f * den_g, {})
-            get = conv.get
-            for (m1, j1), n1 in terms_f:
-                room = order - m1
-                for (m2, j2), n2 in terms_g:
-                    if m2 >= room:
-                        break
-                    k = (m1 + m2, j1 + j2)
-                    conv[k] = get(k, 0) + n1 * n2
-    return _build(acc, order)
+    return qt_from_cells(convolve(qt_slices(f), qt_slices(g), order - 1, table), order)
 
 
 def qt_lincomb(
-    pairs: Iterable[tuple[CoeffElem, QTSeries]],
+    pairs: Iterable[tuple[CoeffElem, QTSeries | Slices]],
     order: int,
     table: MzvTable | None = None,
 ) -> QTSeries:
-    """The linear combination sum c_i * f_i, truncated at the order.
-
-    Slices each series (:func:`qt_slices`) and sums with
-    :func:`qt_lincomb_slices`.
-    """
-    return qt_lincomb_slices(((c, qt_slices(f, order)) for c, f in pairs), order, table)
-
-
-def qt_lincomb_slices(
-    pairs: Iterable[tuple[CoeffElem, Slices]],
-    order: int,
-    table: MzvTable | None = None,
-) -> QTSeries:
-    """The linear combination sum c_i * f_i of series given by their integer
-    slices below the order.
-
-    Each scalar is split by coefficient monomial too; a pair's monomials are
-    multiplied once, through :func:`monomial_mul`, so TableOverflow is raised
-    exactly when some scalar term meets a series term below the order with an
-    overflowing symbol product.  The integer numerators are added per (m, j)
-    and product monomial, and each output coefficient is built once.
-    """
-    pairs = list(pairs)
-    acc: _Cells = {}
-    for mu, (den_c, scalars) in integer_slices(enumerate(c for c, _ in pairs)).items():
-        for i, a in scalars:
-            for nu, (den_f, terms) in pairs[i][1].items():
-                rho = monomial_mul(mu, nu, table)
-                cell = acc.setdefault(rho, {}).setdefault(den_c * den_f, {})
-                get = cell.get
-                for k, n in terms:
-                    cell[k] = get(k, 0) + a * n
-    return _build(acc, order)
+    """The linear combination sum c_i * f_i, truncated at the order; each
+    f_i a series or its :func:`qt_slices`.  TableOverflow is raised as by
+    :func:`coeffring.lincomb`."""
+    sliced = ((c, qt_slices(f) if isinstance(f, QTSeries) else f) for c, f in pairs)
+    return qt_from_cells(lincomb(sliced, order - 1, table), order)
 
 
 def qt_ddT(f: QTSeries) -> QTSeries:
@@ -207,11 +146,9 @@ def qt_antider(f: QTSeries) -> QTSeries:
     coefficient is built once.
     """
     out: dict[tuple[int, int], dict[MzvMonomial, Fraction]] = {}
-    for mu, (den, terms) in integer_slices(f.coeffs.items()).items():
-        by_m: dict[int, dict[int, int]] = {}
-        for (m, j), n in terms:
-            by_m.setdefault(m, {})[j] = n
-        for m, prof in by_m.items():
+    for mu, (den, buckets) in qt_slices(f).items():
+        for m, terms in buckets:
+            prof = {k & _T_MASK: n for k, n in terms}
             if m == 0:
                 for j, n in prof.items():
                     out.setdefault((0, j + 1), {})[mu] = Fraction(n, den * (j + 1))

@@ -11,12 +11,16 @@ from emzv.coeffring import (
     MzvMonomial,
     accumulate,
     bernoulli,
+    build_cells,
     coeff_mul,
     dump_mzv_table,
+    graded_slices,
     integer_slices,
+    lincomb,
     loads_mzv_table,
     memoized,
     monomial_mul,
+    normalise,
     parse_coeff,
     reduce_even_zeta,
     render_coeff,
@@ -25,7 +29,7 @@ from emzv.coeffring import (
 from emzv.eisalg import EPoly, epoly_mul
 from emzv.errors import ConsistencyError, ParseError, TableOverflow
 from emzv.ncalg import NCSeries, is_grouplike, nc_bracket, nc_exp, nc_inv, nc_mul
-from emzv.qseries import QTSeries, qt_lincomb, qt_mul
+from emzv.qseries import QTSeries, qt_from_cells, qt_lincomb, qt_mul, qt_slices
 
 F = Fraction
 
@@ -234,6 +238,47 @@ def test_slices_and_monomial_products_match_coeff_mul(small_table, x, y):
             rho = monomial_mul(mu, nu, small_table)
             acc[rho] = acc.get(rho, 0) + p * q
     assert CoeffElem(acc) == coeff_mul(x, y, small_table)
+
+
+_SERIES_COEFFS = st.dictionaries(
+    st.sampled_from(
+        [MzvMonomial(0, ()), MzvMonomial(2, ()), MzvMonomial(0, ("z3",)), MzvMonomial(1, ("z5",))]
+    ),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    max_size=3,
+).map(CoeffElem)
+
+
+def _as_cells(slices):
+    return {
+        mono: {den: {k: n for _, terms in buckets for k, n in terms}}
+        for mono, (den, buckets) in slices.items()
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    words=st.dictionaries(st.text("ab", max_size=4), _SERIES_COEFFS, max_size=6),
+    qt_terms=st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 3)), _SERIES_COEFFS, max_size=6
+    ),
+)
+def test_slices_round_trip(words, qt_terms):
+    # a series' graded slices, built back directly and through lincomb of
+    # [(1, slices)], give the series again, for both graded algebras
+    nc, qt = NCSeries(4, words), QTSeries(6, qt_terms)
+    cases = [
+        (nc, graded_slices(nc.coeffs.items(), len), len, lambda c: NCSeries(4, build_cells(c))),
+        (qt, qt_slices(qt), lambda k: k >> 32, lambda cells: qt_from_cells(cells, 6)),
+    ]
+    for series, slices, grade, build in cases:
+        for den, buckets in slices.values():
+            assert buckets and [g for g, _ in buckets] == sorted({g for g, _ in buckets})
+            assert all(grade(k) == g and isinstance(n, int) and n for g, t in buckets for k, n in t)
+        assert build(_as_cells(slices)) == series
+        cells = lincomb([(CoeffElem.one(), slices)], 5, None)
+        assert build(cells) == series
+        assert normalise(cells, grade) == slices
 
 
 _KERNEL_VALUES = {

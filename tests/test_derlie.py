@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emzv.coeffring import CoeffElem, bernoulli, shipped_table
+from emzv.coeffring import CoeffElem, bernoulli, integer_slices, shipped_table
 from emzv.derlie import (
     _candidate_derivation,
     _candidate_x_value,
@@ -515,7 +515,12 @@ def _reference_nc_apply(der, vec):
 
 
 def test_nc_apply_matches_reference_loop():
-    slices = build_Ainf(8, shipped_table()).monomial_slices().values()
+    # the rational word vector of each coefficient monomial, rebuilt from
+    # its integer slice
+    slices = [
+        {w: Fraction(n, den) for w, n in terms}
+        for den, terms in integer_slices(build_Ainf(8, shipped_table()).coeffs.items()).values()
+    ]
     ders = [eps_nc(k) for k in range(0, 11, 2)] + [build_D_derivation(8)]
     for der in ders:
         for vec in slices:

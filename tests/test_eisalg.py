@@ -276,5 +276,24 @@ def test_iei_matches_uncached_recursion():
     for w, want in ref.items():
         got = iei_qexp(w, order)
         assert got == want, w
-        assert _iei_cache[(w, order)].slices == qt_slices(want, order)
+        assert _iei_cache[(w, order)].slices == qt_slices(want)
     assert len(ref) == 156
+
+
+def test_prepend_and_without_constant_match_the_validating_constructor():
+    x = EPoly(
+        {
+            (): CoeffElem.one(),
+            (2,): CoeffElem.symbol("z3"),
+            (4, 0): CoeffElem.from_rational(F(-1, 3)),
+        }
+    )
+    for letter in (0, 2, 6):
+        assert x.prepend(letter) == EPoly({(letter,) + w: c for w, c in x.items()})
+    assert x.prepend(3) == EPoly.zero() == x.prepend(5)
+    for letter in (-1, -2):
+        with pytest.raises(ValueError):
+            x.prepend(letter)
+    assert x.without_constant() == EPoly({w: c for w, c in x.items() if w})
+    assert x.without_constant().constant_term().is_zero()
+    assert EPoly.constant(2).without_constant() == EPoly.zero()
