@@ -32,8 +32,6 @@ from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, T
 
 from .errors import ConsistencyError, DegreeMismatch, ParseError, TableOverflow
 
-Rational = Fraction
-
 PI_SYMBOL = "pi"
 
 K = TypeVar("K")
@@ -254,10 +252,6 @@ class CoeffElem:
 
     def __str__(self) -> str:
         return render_coeff(self)
-
-
-ZERO = CoeffElem.zero()
-ONE = CoeffElem.one()
 
 
 def reduce_even_zeta(s: int) -> CoeffElem:

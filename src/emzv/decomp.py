@@ -322,7 +322,9 @@ def _gseries_component(images: list[_EpsImage]) -> dict[str, EPoly]:
     """Word -> e-word polynomial of one degree, each coefficient built once.
 
     Consumes the images and then the integer table built from them, so the
-    raw data is freed while the polynomials are built.
+    raw data is freed while the polynomials are built.  The factors and
+    integers are nonzero and the e-words even, so coefficients and
+    polynomials are adopted as they are.
     """
     factors: dict[tuple[EWord, MzvMonomial], Fraction] = {}
     ints: dict[str, dict[EWord, dict[MzvMonomial, int]]] = {}
@@ -335,10 +337,12 @@ def _gseries_component(images: list[_EpsImage]) -> dict[str, EPoly]:
     while ints:
         w, per = ints.popitem()
         coeffs = {
-            eword: CoeffElem({mono: factors[eword, mono] * n for mono, n in terms.items()})
+            eword: CoeffElem._from_clean(
+                {mono: factors[eword, mono] * n for mono, n in terms.items()}
+            )
             for eword, terms in per.items()
         }
-        component[w] = EPoly(coeffs)
+        component[w] = EPoly._from_clean(None, coeffs)
     return component
 
 
@@ -351,19 +355,10 @@ def find_emzv_relations(
 ) -> list[tuple[Fraction, ...]]:
     """Kernel of the decompositions in common (word, monomial) coordinates."""
     polys = [decompose(i, table).epoly for i in indices]
-    coords = sorted(
-        {(w, mono) for p in polys for w, c in p.items() for mono, _ in c.items()}
-    )
-    pos = {c: i for i, c in enumerate(coords)}
-    nrows = max(len(coords), 1)
-    cols = []
-    for p in polys:
-        col = [Fraction(0)] * nrows
+    rows: dict[tuple[EWord, MzvMonomial], list[Fraction | int]] = {}
+    for j, p in enumerate(polys):
         for w, c in p.items():
             for mono, q in c.items():
-                col[pos[(w, mono)]] = q
-        cols.append(col)
-    mat = RatMatrix.from_rows(
-        [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
-    )
+                rows.setdefault((w, mono), [0] * len(polys))[j] = q
+    mat = RatMatrix(len(rows), len(polys), tuple(q for row in rows.values() for q in row))
     return kernel_basis(mat)

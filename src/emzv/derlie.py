@@ -1,16 +1,17 @@
 """The derivation algebra on the free Lie algebra over x, y.
 
-For every k >= 0 there is a derivation raising degree by 2k,
+For every k >= 0 Tsunogai's derivation eps_{2k} raises the degree by 2k and
+is defined by
 
-    eps_{2k}(x) = ad^{2k}(x)(y),
-    eps_{2k}(y) = sum_{0 <= j < k} (-1)^j [ad^j(x)(y), ad^{2k-1-j}(x)(y)],
+    eps_{2k}(x) = ad^{2k}(x)(y),    eps_{2k}([x, y]) = 0,
 
 so eps_0 = y d/dx and eps_2 = -ad([x, y]).  Lie elements are written as
 their word expansions in the free associative algebra (the standard
 bracketings of Lyndon words, letters ordered x < y, span the free Lie
-algebra).  A derivation is determined exactly by its generator values, so
-relation discovery among bracket words of the eps's needs no truncation at
-all.
+algebra).  Every eps_{2k}, and every bracket of them, kills [x, y], so it
+is fixed exactly by its value on x (the value on y follows by
+:func:`_second_value`), and relation discovery among bracket words of the
+eps's needs no truncation at all.
 
 The last part of the module deals with the image constraints on e-word
 polynomials: the dual-ideal membership test against the discovered
@@ -121,44 +122,60 @@ def _apply_derivation(
     return {w: q for w, q in out.items() if q}
 
 
-class LieDerivation:
-    """Derivation of the free associative algebra fixed by generator values.
+def _second_value(val: Mapping[str, Number], x: str, y: str) -> Assoc:
+    """The value on y of the derivation D that kills [x, y] and has D(x) = val.
 
-    Coefficients are whatever numbers the generator values carry; the
-    eps_{2k} and their brackets have integer ones.
+    D([x, y]) = 0 reads x.D(y) - D(y).x = r with r = [y, D(x)], and D(y) has
+    no pure power of x.  So each word u = x^l v of r (v not starting with x)
+    adds r_u to each of the words u[i:] x^(i-1), i = 1..l.  Under ad(x)
+    their sum telescopes to u - v x^l, and the words v x^l cancel over r,
+    because moving the leading x's of a word to its end sends x.w and w.x
+    to the same word.  At degree 1 (D raises the degree by 0) D(y) is fixed
+    only up to a multiple of x; there r = [y, c y] = 0 and the rule picks
+    0, which is eps_0(y).
+    """
+    r = assoc_bracket({y: 1}, val)
+    terms = (
+        (u[i:] + x * (i - 1), q)
+        for u, q in r.items()
+        for i in range(1, len(u) - len(u.lstrip(x)) + 1)
+    )
+    return accumulate({}, terms)
+
+
+class LieDerivation:
+    """Derivation of the free associative algebra on x, y that kills [x, y],
+    fixed by its value on x.
+
+    Coefficients are whatever numbers the value carries; the eps_{2k} and
+    their brackets have integer ones.
     """
 
     __slots__ = ("val_x", "val_y")
 
-    def __init__(self, val_x: Assoc, val_y: Assoc):
+    def __init__(self, val_x: Assoc):
         self.val_x = val_x
-        self.val_y = val_y
+        self.val_y = _second_value(val_x, "x", "y")
 
     def apply(self, elem: Mapping[str, Number]) -> Assoc:
         return _apply_derivation(elem, {"x": self.val_x, "y": self.val_y})
 
-    def bracket_value(self, other: "LieDerivation", g: str) -> Assoc:
-        """[self, other] on the generator g ("x" or "y"):
-        self(other(g)) - other(self(g))."""
-        mine, theirs = (self.val_x, other.val_x) if g == "x" else (self.val_y, other.val_y)
-        minus = ((w, -q) for w, q in other.apply(mine).items())
-        return accumulate(self.apply(theirs), minus)
+    def bracket_x(self, other: "LieDerivation") -> Assoc:
+        """[self, other] on x: self(other(x)) - other(self(x))."""
+        minus = ((w, -q) for w, q in other.apply(self.val_x).items())
+        return accumulate(self.apply(other.val_x), minus)
 
-    def bracket(self, other: "LieDerivation") -> "LieDerivation":
-        return LieDerivation(self.bracket_value(other, "x"), self.bracket_value(other, "y"))
+
+def _eps_value(k2: int, x: str, y: str) -> dict[str, int]:
+    """eps_{k2}(x) = ad^{k2}(x)(y) in the letters x, y."""
+    if k2 < 0 or k2 % 2:
+        raise ValueError("eps index must be even and nonnegative")
+    return ad_expansion(k2, x, y)
 
 
 def eps_derivation(k2: int) -> LieDerivation:
     """The derivation for the even index k2 = 2k."""
-    if k2 < 0 or k2 % 2:
-        raise ValueError("eps index must be even and nonnegative")
-    ad = [ad_expansion(j, "x", "y") for j in range(k2 + 1)]
-    terms = (
-        (w, (-1) ** j * q)
-        for j in range(k2 // 2)
-        for w, q in assoc_bracket(ad[j], ad[k2 - 1 - j]).items()
-    )
-    return LieDerivation(ad[k2], accumulate({}, terms))
+    return LieDerivation(_eps_value(k2, "x", "y"))
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +222,18 @@ def _eps_lyndon_candidates(weight: int, depth: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _candidate_derivation(word: tuple[int, ...]) -> LieDerivation:
-    if len(word) == 1:
-        return eps_derivation(word[0])
-    left, right = standard_factorization(word)
-    return _candidate_derivation(left).bracket(_candidate_derivation(right))
-
-
 def _candidate_x_value(word: tuple[int, ...]) -> Assoc:
-    """The value on x of the candidate's derivation; a bracket evaluates its
-    outer commutator on x only."""
+    """The value on x of the candidate's derivation.
+
+    Each half of the standard factorization is the derivation fixed by its
+    own value on x; the outer bracket is evaluated on x only.
+    """
     if len(word) == 1:
-        return eps_derivation(word[0]).val_x
+        return _eps_value(word[0], "x", "y")
     left, right = standard_factorization(word)
-    return _candidate_derivation(left).bracket_value(_candidate_derivation(right), "x")
+    return LieDerivation(_candidate_x_value(left)).bracket_x(
+        LieDerivation(_candidate_x_value(right))
+    )
 
 
 def candidate_label(word: tuple[int, ...]) -> str:
@@ -236,14 +251,6 @@ def _default_candidates(weight: int, depth: int) -> tuple[tuple[int, ...], ...]:
     """The Lyndon candidates of (weight, depth), enumerated once."""
     key = (weight, depth)
     return memoized(_candidates_cache, key, lambda: tuple(_eps_lyndon_candidates(*key)))
-
-
-def _primitive_row(row: list[int]) -> tuple[int, ...]:
-    """The row divided by its gcd, signed so its first nonzero entry is positive."""
-    g = math.gcd(*row)
-    if next(x for x in row if x) < 0:
-        g = -g
-    return tuple(x // g for x in row)
 
 
 def find_lie_relations(
@@ -281,11 +288,8 @@ def _lie_kernel(weight: int, depth: int, cand: tuple[tuple[int, ...], ...]) -> R
     for j, c in enumerate(cand):
         for w, q in _candidate_x_value(c).items():
             coords.setdefault(w, [0] * len(cand))[j] = q
-    # The kernel depends only on the row space: keep each primitive row once.
-    rows = sorted({_primitive_row(r) for r in coords.values() if any(r)})
-    if not rows:
-        rows = [(0,) * len(cand)]
-    vectors = tuple(kernel_basis(RatMatrix.from_rows(rows)))
+    flat = tuple(q for row in coords.values() for q in row)
+    vectors = tuple(kernel_basis(RatMatrix(len(coords), len(cand), flat)))
     return RelationSet(
         weight=weight,
         depth=depth,
@@ -396,19 +400,20 @@ def fourier_membership(x: EPoly, order: int) -> bool:
 
 
 class NCDerivation:
-    """Derivation of the a, b word algebra fixed by its generator values.
+    """Derivation of the a, b word algebra that kills [a, b], fixed by its
+    value on a.
 
-    The eps_{2k} have integer generator values (:func:`eps_nc`); the
-    annihilating derivation of :func:`build_D_derivation` has rational ones.
-    ``apply`` maps a finite word -> number vector to its image and keeps
-    every degree: callers truncate.
+    The eps_{2k} have integer values (:func:`eps_nc`); the annihilating
+    derivation of :func:`build_D_derivation` has rational ones.  ``apply``
+    maps a finite word -> number vector to its image and keeps every degree:
+    callers truncate.
     """
 
     __slots__ = ("val_a", "val_b")
 
-    def __init__(self, val_a: Mapping[str, Number], val_b: Mapping[str, Number]):
+    def __init__(self, val_a: Mapping[str, Number]):
         self.val_a = dict(val_a)
-        self.val_b = dict(val_b)
+        self.val_b = _second_value(self.val_a, "a", "b")
 
     def apply(self, vec: Mapping[str, Number]) -> dict[str, Number]:
         return _apply_derivation(vec, {"a": self.val_a, "b": self.val_b})
@@ -422,13 +427,8 @@ def eps_tilde_scale(k2: int) -> Fraction:
 
 
 def eps_nc(k2: int) -> NCDerivation:
-    """eps_{2k} on a, b words (x -> a, y -> b), with integer generator values."""
-    der = eps_derivation(k2)
-    val_a, val_b = (
-        {w.replace("x", "a").replace("y", "b"): q for w, q in val.items()}
-        for val in (der.val_x, der.val_y)
-    )
-    return NCDerivation(val_a, val_b)
+    """eps_{2k} on a, b words, with integer generator values."""
+    return NCDerivation(_eps_value(k2, "a", "b"))
 
 
 def build_D_derivation(maxdeg: int) -> NCDerivation:
@@ -438,15 +438,12 @@ def build_D_derivation(maxdeg: int) -> NCDerivation:
     degree maxdeg (see :func:`annihilates`).
     """
     val_a: dict[str, Fraction] = {}
-    val_b: dict[str, Fraction] = {}
     for k in range(max(1, (maxdeg + 1) // 2)):
         coeff = eps_tilde_scale(2 * k)
         if k:
             coeff *= bernoulli(2 * k) / (4 * k)
-        eps = eps_nc(2 * k)
-        accumulate(val_a, ((w, q * coeff) for w, q in eps.val_a.items()))
-        accumulate(val_b, ((w, q * coeff) for w, q in eps.val_b.items()))
-    return NCDerivation(val_a, val_b)
+        accumulate(val_a, ((w, q * coeff) for w, q in ad_expansion(2 * k).items()))
+    return NCDerivation(val_a)
 
 
 def annihilates(der: NCDerivation, s: NCSeries) -> bool:

@@ -1,15 +1,16 @@
 """Exact dense linear algebra over Q.
 
-Entries are Fractions; forward elimination is fraction-free (rows are
-cleared to integers, then eliminated Bareiss-style) so coefficient growth
-stays polynomial, and the reduced form is normalized at the end.
+Entries are Fractions, or ints where a caller's rows are integral;
+forward elimination is fraction-free (rows are cleared to integers, then
+eliminated Bareiss-style) so coefficient growth stays polynomial, and the
+reduced form is normalized at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import DimensionMismatch
@@ -19,7 +20,7 @@ from .errors import DimensionMismatch
 class RatMatrix:
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]  # row-major
+    entries: tuple[Fraction | int, ...]  # row-major
 
     def __post_init__(self) -> None:
         if len(self.entries) != self.rows * self.cols:
@@ -58,12 +59,17 @@ def _int_rows(m: RatMatrix) -> list[list[int]]:
     out = []
     for i in range(m.rows):
         row = m.row(i)
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        out.append([int(x * lcm) for x in row])
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
     return out
+
+
+def _primitive_row(row: list[int]) -> tuple[int, ...]:
+    """The row divided by its gcd, signed so its first nonzero entry is positive."""
+    g = gcd(*row)
+    if next(x for x in row if x) < 0:
+        g = -g
+    return tuple(x // g for x in row)
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, list[int], int]:
@@ -117,8 +123,13 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int], int]:
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right null space; empty when the rank equals cols."""
-    red, pivots, rank = rref(m)
+    """Basis of the right null space; empty when the rank equals cols.
+
+    The kernel depends only on the row space, so the elimination sees each
+    distinct primitive row once, in sorted order; zero rows are dropped.
+    """
+    rows = sorted({_primitive_row(r) for r in _int_rows(m) if any(r)})
+    red, pivots, rank = rref(RatMatrix(len(rows), m.cols, tuple(x for r in rows for x in r)))
     free = [c for c in range(m.cols) if c not in pivots]
     basis: list[tuple[Fraction, ...]] = []
     for fc in free:

@@ -231,17 +231,11 @@ def shuffle_regularize(w: BinWord, table: MzvTable) -> CoeffElem:
 # The associator
 #
 # Coefficient convention: the word x^(i1) y^(j1) ... in the two arguments is
-# sent to the binary word with x -> _PHI_X_LETTER and y -> the other letter,
-# read right-to-left when _PHI_REVERSE (regularized integrals here put the
-# first letter nearest 0, Chen series put it nearest the endpoint), and the
-# regularized value is weighted by a sign per letter.  The binary choices
-# are pinned by the gamma anchors gamma_{2,0,0} = pi^3/72 and
-# gamma_{0,1,0,0} = -3 pi z3.
-
-_PHI_X_LETTER = "B"
-_PHI_X_SIGN = 1
-_PHI_Y_SIGN = -1
-_PHI_REVERSE = True
+# sent to the binary word with x -> B and y -> A, read right-to-left
+# (regularized integrals here put the first letter nearest 0, Chen series
+# put it nearest the endpoint), and the regularized value is weighted by
+# (-1)^(number of y's).  These choices are pinned by the gamma anchors
+# gamma_{2,0,0} = pi^3/72 and gamma_{0,1,0,0} = -3 pi z3.
 
 
 def build_phi(x: NCSeries, y: NCSeries, maxdeg: int, table: MzvTable) -> NCSeries:
@@ -271,7 +265,6 @@ def build_phi(x: NCSeries, y: NCSeries, maxdeg: int, table: MzvTable) -> NCSerie
 
     arg = {0: _slices(x), 1: _slices(y)}
     mindeg = {0: mx, 1: my}
-    letter = {0: _PHI_X_LETTER, 1: "A" if _PHI_X_LETTER == "B" else "B"}
     # The walk carries each node's word product as integer slices and
     # collects (regularized value, word product) pairs; Phi is their linear
     # combination, its coefficients built once at the end.
@@ -280,16 +273,9 @@ def build_phi(x: NCSeries, y: NCSeries, maxdeg: int, table: MzvTable) -> NCSerie
 
     def visit(word: tuple[int, ...], node: Slices, degree_floor: int) -> None:
         if word:
-            n_y = sum(word)
-            n_x = len(word) - n_y
-            bin_word = "".join(letter[l] for l in word)
-            if _PHI_REVERSE:
-                bin_word = bin_word[::-1]
-            c = shuffle_regularize(bin_word, table)
+            c = shuffle_regularize("".join("BA"[l] for l in reversed(word)), table)
             if not c.is_zero():
-                if (_PHI_X_SIGN == -1 and n_x % 2) != (_PHI_Y_SIGN == -1 and n_y % 2):
-                    c = -c
-                terms.append((c, node))
+                terms.append((-c if sum(word) % 2 else c, node))
         for l in (0, 1):
             nd = degree_floor + mindeg[l]
             if nd > D:

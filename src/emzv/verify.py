@@ -42,7 +42,7 @@ from .derlie import (
 )
 from .eisalg import EPoly, eisenstein_qexp, epoly_mul, epoly_to_qexp, iei_qexp, shuffle_words
 from .errors import EmzvError
-from .linalg import RatMatrix, rref
+from .linalg import RatMatrix, kernel_basis, rref
 from .ncalg import (
     NCSeries,
     build_Ainf,
@@ -315,16 +315,8 @@ def criterion_09_image_constraints(ctx: VerifyContext) -> CheckResult:
         if not fourier_membership(poly, ctx.q_order):
             return False, f"Fourier membership fails at {idx}"
     basis = [(10, 4), (4, 10), (8, 6), (6, 8)]
-    rels = relation_tensor_elements(14, 2)
-    rows = []
-    for rel in rels:
-        row = [rel.get(w, F(0)) for w in basis]
-        if any(row):
-            rows.append(row)
-    kernel_mat = RatMatrix.from_rows(rows)
-    from .linalg import kernel_basis
-
-    kern = kernel_basis(kernel_mat)
+    rows = [[rel.get(w, F(0)) for w in basis] for rel in relation_tensor_elements(14, 2)]
+    kern = kernel_basis(RatMatrix.from_rows(rows))
     if len(kern) != 3:
         return False, f"W-subspace dimension is {len(kern)}, not 3"
     want = [

@@ -13,6 +13,8 @@ from emzv.coeffring import (
 from emzv.decomp import (
     Decomposition,
     DiffTerm,
+    _eps_word_images,
+    _gseries_component,
     decompose,
     diffeq_expand,
     diffeq_rhs_qexp,
@@ -291,6 +293,19 @@ def test_gseries_matches_per_degree_walk(table, max_len, max_wt):
     assert got.keys() == want.keys()
     for idx, poly in want.items():
         assert got[idx].coeffs == poly.coeffs, idx
+
+
+def test_gseries_component_matches_the_validating_constructors(table):
+    d = 7
+    images = _eps_word_images(build_Ainf(d, table), [d])[d]
+    want = {}
+    for eword, mono, factor, v in images:
+        for w, n in v.items():
+            want.setdefault(w, {}).setdefault(eword, {})[mono] = factor * n
+    got = _gseries_component(list(images))
+    assert want and got.keys() == want.keys()
+    for w, per in want.items():
+        assert got[w].coeffs == EPoly({e: CoeffElem(t) for e, t in per.items()}).coeffs, w
 
 
 def test_gseries_rejects_component_outside_span():

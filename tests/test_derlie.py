@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from emzv.coeffring import CoeffElem, bernoulli, integer_slices, shipped_table
 from emzv.derlie import (
-    _candidate_derivation,
+    LieDerivation,
     _candidate_x_value,
     _eps_lyndon_candidates,
-    _primitive_row,
     annihilates,
     assoc_bracket,
     build_D_derivation,
@@ -444,14 +443,14 @@ def _frac_candidate(word):
 )
 def test_integer_engine_matches_fraction_engine(weight, depth, candidates):
     # find_lie_relations builds its rows from the values on x only; the
-    # reference here is the kernel of the full matrix of both values
+    # reference here is the kernel of the full matrix of both values, and
+    # each candidate's value on y is recovered from its value on x
     cand = [tuple(c) for c in candidates or _eps_lyndon_candidates(weight, depth)]
     rows = {}
     for j, c in enumerate(cand):
-        got = _candidate_derivation(c)
+        got = LieDerivation(_candidate_x_value(c))
         want = _frac_candidate(c)
         assert got.val_x == want.val_x and got.val_y == want.val_y, c
-        assert _candidate_x_value(c) == got.val_x, c
         for g, side in ((0, got.val_x), (1, got.val_y)):
             assert all(type(q) is int for q in side.values()), c
             for w, q in side.items():
@@ -527,16 +526,10 @@ def test_nc_apply_matches_reference_loop():
             assert der.apply(vec) == _reference_nc_apply(der, vec)
 
 
-def test_primitive_rows():
-    assert _primitive_row([0, -4, 6, 0]) == (0, 2, -3, 0)
-    assert _primitive_row([6, -4]) == (3, -2) == _primitive_row([-3, 2])
-    assert _primitive_row([-7]) == (1,)
-
-
 def test_lie_relations_with_only_zero_rows():
     # [eps0, [eps0, eps2]] vanishes: no coordinate row at all
-    der = _candidate_derivation((0, 0, 2))
-    assert der.val_x == {} and der.val_y == {}
+    assert _candidate_x_value((0, 0, 2)) == {}
+    assert LieDerivation({}).val_y == {}
     assert find_lie_relations(2, 3).vectors == ((F(1),),)
 
 
@@ -549,6 +542,41 @@ def test_eps_generator_values_are_integers():
         assert eps_nc(k2).val_a == {
             w.replace("x", "a").replace("y", "b"): q for w, q in d.val_x.items()
         }
+
+
+def _ab(val):
+    return {w.replace("x", "a").replace("y", "b"): q for w, q in val.items()}
+
+
+def test_second_values_match_the_closed_form():
+    # eps_{2k}(y) = sum_{0 <= j < k} (-1)^j [ad^j(x)(y), ad^{2k-1-j}(x)(y)]
+    for k2 in range(0, 19, 2):
+        assert eps_derivation(k2).val_y == _frac_eps(k2).val_y, k2
+        assert eps_nc(k2).val_b == _ab(_frac_eps(k2).val_y), k2
+    want = {}
+    for k2 in range(0, 8, 2):
+        coeff = eps_tilde_scale(k2) * (bernoulli(k2) / (2 * k2) if k2 else 1)
+        _frac_add(want, _ab(_frac_eps(k2).val_y), coeff)
+    assert build_D_derivation(8).val_b == want
+
+
+def test_eps_index_must_be_even_and_nonnegative():
+    for k2 in (-2, 3):
+        with pytest.raises(ValueError, match="even and nonnegative"):
+            eps_nc(k2)
+        with pytest.raises(ValueError, match="even and nonnegative"):
+            eps_derivation(k2)
+        with pytest.raises(ValueError, match="even and nonnegative"):
+            find_lie_relations(k2 + 4, 2, candidates=[(4, k2)])
+
+
+def test_lie_relation_counts():
+    # regression data for the Lie kernel: the number of relations among the
+    # Lyndon candidates of each (weight, depth)
+    depth3 = [len(find_lie_relations(w, 3).vectors) for w in range(8, 25, 2)]
+    assert depth3 == [3, 4, 5, 7, 8, 10, 12, 14, 16]
+    depth4 = [len(find_lie_relations(w, 4).vectors) for w in range(8, 19, 2)]
+    assert depth4 == [6, 10, 14, 21, 27, 38]
 
 
 @pytest.mark.parametrize("weight,depth", [(16, 3), (14, 4), (12, 5)])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emzv.errors import DimensionMismatch
-from emzv.linalg import RatMatrix, kernel_basis, rref, solve
+from emzv.linalg import RatMatrix, _primitive_row, kernel_basis, rref, solve
 
 F = Fraction
 
@@ -33,6 +33,13 @@ def test_rref_swap():
 
 
 def test_kernel_examples():
+    # no rows, or only zero rows: every column is free
+    units = [(F(1), F(0)), (F(0), F(1))]
+    assert kernel_basis(RatMatrix(0, 2, ())) == units
+    assert kernel_basis(RatMatrix.from_rows([[0, 0], [0, 0]])) == units
+    # repeated and scaled rows span the row space of one
+    rows = [[2, -4], [F(-1, 3), F(2, 3)], [1, -2]]
+    assert kernel_basis(RatMatrix.from_rows(rows)) == [(F(2), F(1))]
     k = kernel_basis(RatMatrix.from_rows([[1, 1]]))
     assert len(k) == 1
     a, b = k[0]
@@ -121,3 +128,9 @@ def test_rref_agrees_with_plain_gauss(m):
     red, pivots, rank = rref(m)
     assert pivots == piv
     assert red.to_rows() == rows
+
+
+def test_primitive_rows():
+    assert _primitive_row([0, -4, 6, 0]) == (0, 2, -3, 0)
+    assert _primitive_row([6, -4]) == (3, -2) == _primitive_row([-3, 2])
+    assert _primitive_row([-7]) == (1,)

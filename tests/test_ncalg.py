@@ -357,10 +357,12 @@ def reference_nc_mul(x, y, table=None):
 
 
 def reference_build_phi(x, y, D, table):
-    """The associator that added subst.scale(c) into a full series per node."""
-    from emzv import ncalg
+    """The associator that added subst.scale(c) into a full series per node.
 
-    letter = {0: ncalg._PHI_X_LETTER, 1: "A" if ncalg._PHI_X_LETTER == "B" else "B"}
+    Its own copy of the convention: x -> B, y -> A, the binary word read
+    right-to-left, and the sign (-1)^(number of y's).
+    """
+    letter = {0: "B", 1: "A"}
     big = D + 1
     mindeg = {0: x.min_degree() or big, 1: y.min_degree() or big}
     arg = {0: x.truncate(D), 1: y.truncate(D)}
@@ -370,15 +372,10 @@ def reference_build_phi(x, y, D, table):
         nonlocal acc
         if word:
             n_y = sum(word)
-            n_x = len(word) - n_y
-            bin_word = "".join(letter[l] for l in word)
-            if ncalg._PHI_REVERSE:
-                bin_word = bin_word[::-1]
+            bin_word = "".join(letter[l] for l in word)[::-1]
             c = shuffle_regularize(bin_word, table)
             if not c.is_zero():
-                flip_x = ncalg._PHI_X_SIGN == -1 and n_x % 2
-                flip_y = ncalg._PHI_Y_SIGN == -1 and n_y % 2
-                if flip_x != flip_y:
+                if n_y % 2:
                     c = -c
                 acc = acc + subst.scale(c, table)
         for l in (0, 1):
