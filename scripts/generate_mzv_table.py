@@ -22,7 +22,9 @@ Solving the system expresses every value in the polynomial basis
 pi (= 2*pi*i, with zeta(2) = -pi^2/24 seeded), z3, z5, z7 and the weight-8
 double generator z35 = zeta(3, 5).  The expected free generator at each
 weight is asserted, even zetas are cross-checked against their Bernoulli
-closed form, and the result is written as src/emzv/data/mzv_table_w8.txt.
+closed form, and the result is written in table format 2 (the symbols and
+the value of every admissible word) as src/emzv/data/mzv_table_w8.txt.
+The output is deterministic: the shipped file is its byte-for-byte copy.
 
 Usage: python3 scripts/generate_mzv_table.py [--max-weight 8] [--out PATH]
 """
@@ -38,7 +40,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from emzv.coeffring import (
     CoeffElem,
-    MzvMonomial,
     MzvTable,
     admissible_words,
     coeff_mul,
@@ -222,13 +223,7 @@ def generate(max_weight: int) -> MzvTable:
     symbols: dict[str, int] = {}
     red: dict[str, CoeffElem] = {"AB": reduce_even_zeta(2)}
     # Working table with a roomy cap so intermediate products never trip it.
-    work_table = MzvTable(
-        max_weight=2 * max_weight,
-        symbols=symbols,
-        products={},
-        single_zeta={},
-        convergent_words={},
-    )
+    work_table = MzvTable(max_weight=2 * max_weight, symbols=symbols, convergent_words={})
     for k in range(3, max_weight + 1):
         solve_weight(k, red, symbols, work_table)
         print(f"weight {k}: {len(admissible_words(k))} words reduced")
@@ -255,24 +250,7 @@ def generate(max_weight: int) -> MzvTable:
                 raise SystemExit(f"sum formula fails at weight {w} depth {d}")
     print("sum formula holds at every weight and depth")
 
-    single_zeta = {
-        s: red[comp_to_word((s,))] for s in range(2, max_weight + 1)
-    }
-    products = {}
-    names = sorted(symbols)
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            if symbols[a] + symbols[b] <= max_weight:
-                mono = MzvMonomial(0, tuple(sorted((a, b))))
-                products[(a, b)] = CoeffElem({mono: Fraction(1)})
-
-    return MzvTable(
-        max_weight=max_weight,
-        symbols=dict(symbols),
-        products=products,
-        single_zeta=single_zeta,
-        convergent_words=dict(red),
-    )
+    return MzvTable(max_weight=max_weight, symbols=dict(symbols), convergent_words=dict(red))
 
 
 def main() -> int:

@@ -7,10 +7,14 @@ verification suite.  Exit codes: 0 on success (and when every requested
 check passes), 1 on computational errors or failed checks (the error name
 goes to stderr), 2 on usage errors.
 
-The zeta table ships with the package; ``--mzv-table`` or the environment
-variable ``EMZV_MZV_TABLE`` select another file.  Indices are written as
-comma-separated entries without spaces (``0,1,0,0``; the empty string is
-the empty index).  An index needs a table of weight at least
+Each subcommand accepts only the shared flags its handler reads
+(``_SUBCOMMANDS``): ``--mzv-table`` wherever a table is read, ``--order``
+where a q-expansion is truncated, ``--degree`` where the limit series is,
+and ``--format`` wherever there is structured output; any other flag is a
+usage error.  The zeta table ships with the package; ``--mzv-table`` or the
+environment variable ``EMZV_MZV_TABLE`` select another file.  Indices are
+written as comma-separated entries without spaces (``0,1,0,0``; the empty
+string is the empty index).  An index needs a table of weight at least
 weight + length - 1, so the table's cap bounds the indices the CLI accepts;
 the verification suite exercises the closed-form layers beyond it.
 """
@@ -21,7 +25,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .coeffring import (
@@ -53,103 +56,85 @@ from .verify import VerifyContext, run_checks
 
 ENV_TABLE = "EMZV_MZV_TABLE"
 
+_FLAGS: dict[str, dict] = {
+    "--mzv-table": dict(type=Path, default=None, metavar="PATH"),
+    "--order": dict(type=int, default=20, metavar="N"),
+    "--degree": dict(type=int, default=8, metavar="D"),
+    "--format": dict(choices=("text", "json"), default="text"),
+}
 
-@dataclass
-class RunConfig:
-    mzv_table_path: Path | None = None
-    q_order: int = 20
-    nc_degree: int = 8
-    fmt: str = "text"
-
-    def __post_init__(self) -> None:
-        for flag, what, value, least in (
-            ("--order", "order", self.q_order, 1),
-            ("--degree", "degree", self.nc_degree, 1),
-        ):
-            if value < least:
-                raise ValueError(f"bad {flag} {value}: the {what} must be ≥ {least}")
-
-    def load_table(self) -> MzvTable:
-        path, source = self.mzv_table_path, "--mzv-table"
-        if path is None:
-            env = os.environ.get(ENV_TABLE)
-            if env:
-                path, source = Path(env), ENV_TABLE
-        if path is None:
-            return shipped_table()
-        try:
-            with open(path, "rb") as fh:
-                return load_mzv_table(fh)
-        except OSError as exc:
-            raise ValueError(f"cannot read {source} {str(path)!r}: {exc.strerror}") from None
-        except (ParseError, ConsistencyError, UnicodeDecodeError) as exc:
-            raise ValueError(f"bad {source} {str(path)!r}: {exc}") from None
-
-
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mzv-table", type=Path, default=None, metavar="PATH")
-    common.add_argument("--order", type=int, default=20, metavar="N")
-    common.add_argument("--degree", type=int, default=8, metavar="D")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    return common
+# subcommand -> (help, the shared flags its handler reads); no other is accepted
+_SUBCOMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "decompose": ("decomposition of an index", ("--mzv-table", "--format")),
+    "qexp": ("Fourier expansion of an index", ("--mzv-table", "--order", "--format")),
+    "gamma": ("constant term of an index", ("--mzv-table", "--format")),
+    "relations": ("linear relations among indices", ("--mzv-table", "--format")),
+    "derlie-relations": ("relations among the derivations", ("--format",)),
+    "fourier-check": (
+        "Fourier-subspace check of an index or e-word sum",
+        ("--mzv-table", "--order", "--format"),
+    ),
+    "membership": (
+        "dual-ideal membership of an index or e-word sum",
+        ("--mzv-table", "--format"),
+    ),
+    "dump-ainf": ("print the limit series", ("--mzv-table", "--degree", "--format")),
+    "verify": ("run the verification suite", ("--mzv-table", "--order", "--degree")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
     ap = argparse.ArgumentParser(
         prog="emzv", description="exact decomposition into Eisenstein-integral words"
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    p = {}
+    for name, (about, flags) in _SUBCOMMANDS.items():
+        p[name] = sub.add_parser(name, help=about)
+        for flag in flags:
+            p[name].add_argument(flag, **_FLAGS[flag])
 
-    p = sub.add_parser("decompose", parents=[common], help="decomposition of an index")
-    p.add_argument("--index", required=True)
-
-    p = sub.add_parser("qexp", parents=[common], help="Fourier expansion of an index")
-    p.add_argument("--index", required=True)
-
-    p = sub.add_parser("gamma", parents=[common], help="constant term of an index")
-    p.add_argument("--index", required=True)
-
-    p = sub.add_parser(
-        "relations", parents=[common], help="linear relations among indices"
-    )
-    p.add_argument("--length", type=int, required=True, metavar="L")
-    p.add_argument("--weight", type=int, required=True, metavar="W")
-
-    p = sub.add_parser(
-        "derlie-relations", parents=[common], help="relations among the derivations"
-    )
-    p.add_argument("--weight", type=int, required=True, metavar="W")
-    p.add_argument("--depth", type=int, required=True, metavar="P")
-
-    for name, about in (
-        ("fourier-check", "Fourier-subspace check of an index or e-word sum"),
-        ("membership", "dual-ideal membership of an index or e-word sum"),
-    ):
-        p = sub.add_parser(name, parents=[common], help=about)
-        p.add_argument("--index")
-        p.add_argument("--epoly", metavar="JSON")
-
-    p = sub.add_parser("dump-ainf", parents=[common], help="print the limit series")
-
-    p = sub.add_parser("verify", parents=[common], help="run the verification suite")
-    p.add_argument("--only", default=None, metavar="SUBSTR")
-
+    for name in ("decompose", "qexp", "gamma"):
+        p[name].add_argument("--index", required=True)
+    for name in ("fourier-check", "membership"):
+        p[name].add_argument("--index")
+        p[name].add_argument("--epoly", metavar="JSON")
+    p["relations"].add_argument("--length", type=int, required=True, metavar="L")
+    p["relations"].add_argument("--weight", type=int, required=True, metavar="W")
+    p["derlie-relations"].add_argument("--weight", type=int, required=True, metavar="W")
+    p["derlie-relations"].add_argument("--depth", type=int, required=True, metavar="P")
+    p["verify"].add_argument("--only", default=None, metavar="SUBSTR")
     return ap
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        mzv_table_path=ns.mzv_table,
-        q_order=ns.order,
-        nc_degree=ns.degree,
-        fmt=ns.format,
-    )
+def _positive(ns: argparse.Namespace, what: str) -> int:
+    """The value of --order or --degree, which must be >= 1."""
+    value = getattr(ns, what)
+    if value < 1:
+        raise ValueError(f"bad --{what} {value}: the {what} must be ≥ 1")
+    return value
 
 
-def _emit(cfg: RunConfig, doc: dict, text: str) -> None:
-    print(json.dumps(doc, indent=2) if cfg.fmt == "json" else text)
+def _load_table(ns: argparse.Namespace) -> MzvTable:
+    """The table named by --mzv-table or EMZV_MZV_TABLE, else the shipped one."""
+    path, source = ns.mzv_table, "--mzv-table"
+    if path is None:
+        env = os.environ.get(ENV_TABLE)
+        if env:
+            path, source = Path(env), ENV_TABLE
+    if path is None:
+        return shipped_table()
+    try:
+        with open(path, "rb") as fh:
+            return load_mzv_table(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {source} {str(path)!r}: {exc.strerror}") from None
+    except (ParseError, ConsistencyError, UnicodeDecodeError) as exc:
+        raise ValueError(f"bad {source} {str(path)!r}: {exc}") from None
+
+
+def _emit(ns: argparse.Namespace, doc: dict, text: str) -> None:
+    print(json.dumps(doc, indent=2) if ns.format == "json" else text)
 
 
 def _require_table_weight(what: str, need: int, table: MzvTable) -> None:
@@ -198,30 +183,28 @@ def _epoly_argument(ns: argparse.Namespace, table: MzvTable) -> EPoly:
 
 
 def _cmd_decompose(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    table = cfg.load_table()
+    table = _load_table(ns)
     dec = decompose(_guarded_index(ns, table), table)
     text = f"gamma = {render_coeff(dec.gamma)}\npsi = {dec.epoly}"
-    _emit(cfg, dec.to_doc(), text)
+    _emit(ns, dec.to_doc(), text)
     return 0
 
 
 def _cmd_qexp(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    table = cfg.load_table()
-    series = emzv_qexp(_guarded_index(ns, table), cfg.q_order, table)
+    order = _positive(ns, "order")
+    table = _load_table(ns)
+    series = emzv_qexp(_guarded_index(ns, table), order, table)
     doc = {
         "schema": "emzv.qtseries/1",
         "order": series.order,
         "terms": [[m, j, render_coeff(c)] for m, j, c in series.terms()],
     }
-    _emit(cfg, doc, str(series))
+    _emit(ns, doc, str(series))
     return 0
 
 
 def _cmd_gamma(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    table = cfg.load_table()
+    table = _load_table(ns)
     idx = _guarded_index(ns, table)
     dec = decompose(idx, table)
     doc = {
@@ -229,17 +212,16 @@ def _cmd_gamma(ns: argparse.Namespace) -> int:
         "index": list(idx),
         "gamma": render_coeff(dec.gamma),
     }
-    _emit(cfg, doc, render_coeff(dec.gamma))
+    _emit(ns, doc, render_coeff(dec.gamma))
     return 0
 
 
 def _cmd_relations(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
     if ns.length < 0:
         raise ValueError(f"bad --length {ns.length}: the length must be ≥ 0")
     if ns.weight < 0:
         raise ValueError(f"bad --weight {ns.weight}: the weight must be ≥ 0")
-    table = cfg.load_table()
+    table = _load_table(ns)
     if ns.length:
         # every index of this length and weight needs the same table weight
         _require_table_weight(
@@ -258,12 +240,11 @@ def _cmd_relations(ns: argparse.Namespace) -> int:
     lines += ["relation: " + " ".join(str(q) for q in v) for v in vectors]
     if not vectors:
         lines.append("no relations")
-    _emit(cfg, doc, "\n".join(lines))
+    _emit(ns, doc, "\n".join(lines))
     return 0
 
 
 def _cmd_derlie_relations(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
     if ns.weight < 0 or ns.weight % 2:
         raise ValueError(f"bad --weight {ns.weight}: the weight must be even and ≥ 0")
     if ns.depth < 1:
@@ -273,16 +254,16 @@ def _cmd_derlie_relations(ns: argparse.Namespace) -> int:
     lines += ["relation: " + " ".join(str(q) for q in v) for v in rel.vectors]
     if not rel.vectors:
         lines.append("no relations")
-    _emit(cfg, rel.to_doc(), "\n".join(lines))
+    _emit(ns, rel.to_doc(), "\n".join(lines))
     return 0
 
 
 def _cmd_fourier_check(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    table = cfg.load_table()
+    order = _positive(ns, "order")
+    table = _load_table(ns)
     poly = _epoly_argument(ns, table)
     comb, residual = to_E0_basis(poly)
-    by_qexp = fourier_membership(poly, cfg.q_order)
+    by_qexp = fourier_membership(poly, order)
     ok = residual.is_zero() and by_qexp
     doc = {
         "schema": "emzv.fourier-check/1",
@@ -291,7 +272,7 @@ def _cmd_fourier_check(ns: argparse.Namespace) -> int:
         "member": ok,
     }
     _emit(
-        cfg,
+        ns,
         doc,
         f"residual: {residual}\nqexp T-free: {by_qexp}\nmember: {ok}",
     )
@@ -299,8 +280,7 @@ def _cmd_fourier_check(ns: argparse.Namespace) -> int:
 
 
 def _cmd_membership(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    table = cfg.load_table()
+    table = _load_table(ns)
     poly = _epoly_argument(ns, table)
     per_comp = uu_dual_membership(poly)
     ok = all(per_comp.values())
@@ -316,19 +296,19 @@ def _cmd_membership(ns: argparse.Namespace) -> int:
         [f"component length={l} letters={s}: {m}" for (l, s), m in sorted(per_comp.items())]
         + [f"member: {ok}"]
     )
-    _emit(cfg, doc, text)
+    _emit(ns, doc, text)
     return 0 if ok else 1
 
 
 def _cmd_dump_ainf(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    table = cfg.load_table()
+    degree = _positive(ns, "degree")
+    table = _load_table(ns)
     _require_table_weight(
-        f"the limit series at degree {cfg.nc_degree}",
-        required_table_weight((0,) * cfg.nc_degree),  # same for every index at this degree
+        f"the limit series at degree {degree}",
+        required_table_weight((0,) * degree),  # same for every index at this degree
         table,
     )
-    ainf = build_Ainf(cfg.nc_degree, table)
+    ainf = build_Ainf(degree, table)
     doc = {
         "schema": "emzv.ncseries/1",
         "maxdeg": ainf.maxdeg,
@@ -337,17 +317,13 @@ def _cmd_dump_ainf(ns: argparse.Namespace) -> int:
             for w, c in sorted(ainf.items(), key=lambda t: (len(t[0]), t[0]))
         ],
     }
-    _emit(cfg, doc, str(ainf))
+    _emit(ns, doc, str(ainf))
     return 0
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    ctx = VerifyContext(
-        table=cfg.load_table(),
-        q_order=cfg.q_order,
-        nc_degree=cfg.nc_degree,
-    )
+    order, degree = _positive(ns, "order"), _positive(ns, "degree")
+    ctx = VerifyContext(table=_load_table(ns), q_order=order, nc_degree=degree)
     results = run_checks(ctx, only=ns.only)
     for name, ok, detail, seconds in results:
         print(f"{'ok  ' if ok else 'FAIL'} {name} - {detail} ({seconds:.2f} s)")

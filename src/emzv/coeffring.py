@@ -9,7 +9,7 @@ table.  Throughout the package ``pi`` denotes 2*pi*i, so that for even s
 and even single zetas never appear as generators: they are eliminated in
 favor of powers of ``pi``.  Odd zeta values and irreducible higher-depth
 zetas are opaque symbols (``z3``, ``z5``, ``z7``, ``z35``, ...) whose
-products are free; the table certifies this basis up to its weight cap and
+products are free; the table names this basis up to its weight cap and
 records the reduction of every convergent iterated-integral word into it.
 
 A :class:`CoeffElem` is a finite Q-linear combination of monomials
@@ -17,8 +17,8 @@ A :class:`CoeffElem` is a finite Q-linear combination of monomials
 through :func:`coeff_mul`, which enforces the weight cap of the table
 whenever two symbol-bearing monomials meet.
 
-Table documents are versioned structured text; see :func:`load_mzv_table`
-for the grammar.
+Table documents are versioned structured text; the grammar is the comment
+above ``FORMAT_NAME``.
 """
 
 from __future__ import annotations
@@ -269,19 +269,16 @@ def reduce_even_zeta(s: int) -> CoeffElem:
 class MzvTable:
     """Certified zeta data up to a weight cap.
 
-    ``products`` declares closure of the basis under multiplication; format
-    version 1 requires every entry to equal the free product of its pair, so
-    the basis is a polynomial basis.  ``convergent_words`` maps every
-    admissible word over the letters A, B (first letter integrated first,
-    A carrying dt/(1-t), B carrying dt/t, admissible = starts with A and
-    ends with B) to its value in the basis.  ``pi`` denotes 2*pi*i, hence
-    single_zeta[2] = -1/24 * pi^2.
+    ``symbols`` maps each generator of the free polynomial basis to its
+    weight.  ``convergent_words`` maps every admissible word over the
+    letters A, B (first letter integrated first, A carrying dt/(1-t), B
+    carrying dt/t, admissible = starts with A and ends with B) to its value
+    in the basis; the depth-one word A B^(s-1) is zeta(s), and ``pi``
+    denotes 2*pi*i, hence AB = -1/24 * pi^2.
     """
 
     max_weight: int
     symbols: dict[str, int]
-    products: dict[tuple[str, str], CoeffElem]
-    single_zeta: dict[int, CoeffElem]
     convergent_words: dict[str, CoeffElem]
     caches: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -640,17 +637,26 @@ def parse_coeff(text: str, known_symbols: Iterable[str]) -> CoeffElem:
 # ---------------------------------------------------------------------------
 # Table documents
 #
-# Line-based, '#' comments, blank lines ignored:
+# Line-based, '#' comments, blank lines ignored.  Format 2 has four
+# directives:
 #
-#   format emzv-mzv-table 1
+#   format emzv-mzv-table 2
 #   max_weight 8
-#   symbol z3 3
-#   single_zeta 2 = -1/24 * pi^2
-#   product z3 z5 = 1 * z3 z5
-#   convergent AB = -1/24 * pi^2
+#   symbol z3 3                      (a generator and its weight)
+#   convergent AB = -1/24 * pi^2     (the value of an admissible word)
+#
+# Format 1 also has the directives
+#
+#   single_zeta 3 = 1 * z3           (zeta(s) for s = 2..max_weight)
+#   product z3 z5 = 1 * z3 z5        (every pair of symbols within the cap)
+#
+# which carry nothing the others do not: zeta(s) is the value of the word
+# A B^(s-1), and a product must be the free one.  The loader still reads
+# format 1, checks both, and then drops them; in format 2 either is a
+# ParseError.
 
 FORMAT_NAME = "emzv-mzv-table"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def admissible_words(weight: int) -> list[str]:
@@ -678,17 +684,18 @@ def load_mzv_table(source: IO[str] | IO[bytes]) -> MzvTable:
 
 
 def loads_mzv_table(text: str) -> MzvTable:
-    """Parse and validate a table document.
+    """Parse and validate a table document of format 1 or 2.
 
     A malformed line raises ParseError naming the line; a document that
     parses but breaks a structural invariant raises ConsistencyError.
     """
+    version: int | None = None
     max_weight: int | None = None
     symbols: dict[str, int] = {}
-    products: dict[tuple[str, str], CoeffElem] = {}
-    single_zeta: dict[int, CoeffElem] = {}
     convergent: dict[str, CoeffElem] = {}
-    saw_format = False
+    single_zeta: dict[int, CoeffElem] = {}  # format 1 only
+    products: dict[tuple[str, str], CoeffElem] = {}  # format 1 only
+    first_v1_line: str | None = None
 
     def split_entry(rest: str) -> tuple[str, str]:
         if "=" not in rest:
@@ -710,14 +717,14 @@ def loads_mzv_table(text: str) -> MzvTable:
         rest = rest.strip()
         try:
             if head == "format":
-                if saw_format:
+                if version is not None:
                     raise ParseError("duplicate format line")
                 parts = rest.split()
                 if len(parts) != 2 or parts[0] != FORMAT_NAME:
                     raise ParseError("unrecognized format line")
-                if integer(parts[1], "format version") != FORMAT_VERSION:
+                version = integer(parts[1], "format version")
+                if version not in (1, FORMAT_VERSION):
                     raise ParseError(f"unsupported version {parts[1]}")
-                saw_format = True
             elif head == "max_weight":
                 if max_weight is not None:
                     raise ParseError("duplicate max_weight line")
@@ -731,12 +738,14 @@ def loads_mzv_table(text: str) -> MzvTable:
                     raise ParseError(f"bad or duplicate symbol {name!r}")
                 symbols[name] = w
             elif head == "single_zeta":
+                first_v1_line = first_v1_line or f"line {lineno}: {head}"
                 lhs, rhs = split_entry(rest)
                 s = integer(lhs, "single_zeta index")
                 if s in single_zeta:
                     raise ParseError(f"duplicate single_zeta {s}")
                 single_zeta[s] = parse_coeff(rhs, symbols)
             elif head == "product":
+                first_v1_line = first_v1_line or f"line {lineno}: {head}"
                 lhs, rhs = split_entry(rest)
                 pair = tuple(sorted(lhs.split()))
                 if len(pair) != 2:
@@ -756,19 +765,17 @@ def loads_mzv_table(text: str) -> MzvTable:
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
 
-    if not saw_format:
+    if version is None:
         raise ParseError("missing format line")
+    if version != 1 and first_v1_line:
+        raise ParseError(f"{first_v1_line} lines belong to format 1 only")
     if max_weight is None:
         raise ParseError("missing max_weight")
 
-    table = MzvTable(
-        max_weight=max_weight,
-        symbols=symbols,
-        products=products,  # type: ignore[arg-type]
-        single_zeta=single_zeta,
-        convergent_words=convergent,
-    )
+    table = MzvTable(max_weight=max_weight, symbols=symbols, convergent_words=convergent)
     _validate_table(table)
+    if version == 1:
+        _validate_v1_entries(table, single_zeta, products)
     return table
 
 
@@ -777,49 +784,52 @@ def _validate_table(t: MzvTable) -> None:
         if not 1 <= w <= t.max_weight:
             raise ConsistencyError(f"symbol {name} has weight {w} outside 1..cap")
 
-    def check_homogeneous(c: CoeffElem, w: int, what: str) -> None:
-        ws = c.weights(t.symbols)
-        if ws and ws != {w}:
-            raise ConsistencyError(f"{what}: weight {ws} != {w}")
-
-    for s in range(2, t.max_weight + 1):
-        if s not in t.single_zeta:
-            raise ConsistencyError(f"missing single_zeta({s})")
-    for s, c in t.single_zeta.items():
-        check_homogeneous(c, s, f"single_zeta({s})")
-        if s % 2 == 0 and c != reduce_even_zeta(s):
-            raise ConsistencyError(
-                f"single_zeta({s}) must equal the Bernoulli value "
-                f"{render_coeff(reduce_even_zeta(s))}"
-            )
-
-    names = sorted(t.symbols)
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            if t.symbols[a] + t.symbols[b] <= t.max_weight:
-                if (a, b) not in t.products:
-                    raise ConsistencyError(f"missing product entry for ({a}, {b})")
-    for (a, b), c in t.products.items():
-        if a not in t.symbols or b not in t.symbols:
-            raise ConsistencyError(f"product over unknown symbols ({a}, {b})")
-        w = t.symbols[a] + t.symbols[b]
-        check_homogeneous(c, w, f"product ({a}, {b})")
-        free = CoeffElem({MzvMonomial(0, tuple(sorted((a, b)))): Fraction(1)})
-        if c != free:
-            raise ConsistencyError(
-                f"format v1 requires free products; ({a}, {b}) is reduced"
-            )
-
     for w, c in t.convergent_words.items():
         if not (w.startswith("A") and w.endswith("B")):
             raise ConsistencyError(f"word {w!r} is not admissible")
         if len(w) > t.max_weight:
             raise ConsistencyError(f"word {w!r} exceeds the weight cap")
-        check_homogeneous(c, len(w), f"convergent {w}")
+        ws = c.weights(t.symbols)
+        if ws and ws != {len(w)}:
+            raise ConsistencyError(f"convergent {w}: weight {ws} != {len(w)}")
     for weight in range(2, t.max_weight + 1):
         for w in admissible_words(weight):
             if w not in t.convergent_words:
                 raise ConsistencyError(f"missing convergent word {w}")
+
+    for s in range(2, t.max_weight + 1, 2):
+        word = "A" + "B" * (s - 1)
+        if t.convergent_words[word] != reduce_even_zeta(s):
+            raise ConsistencyError(
+                f"convergent {word} = zeta({s}) must equal the Bernoulli value "
+                f"{render_coeff(reduce_even_zeta(s))}"
+            )
+
+
+def _validate_v1_entries(
+    t: MzvTable,
+    single_zeta: dict[int, CoeffElem],
+    products: dict[tuple[str, str], CoeffElem],
+) -> None:
+    """The format 1 sections: zeta(s) is its depth-one word, products are free."""
+    for s in range(2, t.max_weight + 1):
+        if s not in single_zeta:
+            raise ConsistencyError(f"missing single_zeta({s})")
+    for s, c in single_zeta.items():
+        word = "A" + "B" * (s - 1)
+        if c != t.convergent_words.get(word):
+            raise ConsistencyError(f"single_zeta({s}) must equal convergent {word}")
+
+    names = sorted(t.symbols)
+    for i, a in enumerate(names):
+        for b in names[i:]:
+            if t.symbols[a] + t.symbols[b] <= t.max_weight and (a, b) not in products:
+                raise ConsistencyError(f"missing product entry for ({a}, {b})")
+    for (a, b), c in products.items():
+        if a not in t.symbols or b not in t.symbols:
+            raise ConsistencyError(f"product over unknown symbols ({a}, {b})")
+        if c != CoeffElem({MzvMonomial(0, (a, b)): Fraction(1)}):
+            raise ConsistencyError(f"format v1 requires free products; ({a}, {b}) is reduced")
 
 
 def dump_mzv_table(t: MzvTable) -> str:
@@ -830,10 +840,6 @@ def dump_mzv_table(t: MzvTable) -> str:
     ]
     for name in sorted(t.symbols, key=lambda n: (t.symbols[n], n)):
         lines.append(f"symbol {name} {t.symbols[name]}")
-    for s in sorted(t.single_zeta):
-        lines.append(f"single_zeta {s} = {render_coeff(t.single_zeta[s])}")
-    for a, b in sorted(t.products):
-        lines.append(f"product {a} {b} = {render_coeff(t.products[(a, b)])}")
     for w in sorted(t.convergent_words, key=lambda w: (len(w), w)):
         lines.append(f"convergent {w} = {render_coeff(t.convergent_words[w])}")
     return "\n".join(lines) + "\n"

@@ -78,17 +78,18 @@ def assoc_bracket(x: Mapping[_Word, Number], y: Mapping[_Word, Number]) -> dict[
     return accumulate(assoc_concat(x, y), ((w, -q) for w, q in assoc_concat(y, x).items()))
 
 
-_expand_cache: dict[str, Assoc] = {}
+_expand_cache: dict = {}
 
 
-def expand_lyndon(w: str) -> Assoc:
+def expand_lyndon(w: _Word) -> dict[_Word, int]:
     """Word expansion of the standard bracketing of a Lyndon word.
 
-    Triangular: the expansion is the word itself plus lexicographically
-    larger rearrangements; asserted here at build time.
+    The word is a string in x, y or a tuple of e-letters.  Triangular: the
+    expansion is the word itself plus lexicographically larger
+    rearrangements; asserted here at build time.
     """
 
-    def compute() -> Assoc:
+    def compute() -> dict[_Word, int]:
         if len(w) == 1:
             return {w: 1}
         u, v = standard_factorization(w)
@@ -202,24 +203,8 @@ class RelationSet:
 
 def _eps_lyndon_candidates(weight: int, depth: int) -> list[tuple[int, ...]]:
     """Lyndon words over the even alphabet with given length and letter sum."""
-    letters = list(range(0, weight + 1, 2))
-
-    def is_lyndon(w: tuple[int, ...]) -> bool:
-        return all(w < w[i:] + w[:i] for i in range(1, len(w)))
-
-    out = []
-
-    def rec(prefix: tuple[int, ...], remaining: int) -> None:
-        if len(prefix) == depth:
-            if remaining == 0 and is_lyndon(prefix):
-                out.append(prefix)
-            return
-        for l in letters:
-            if l <= remaining:
-                rec(prefix + (l,), remaining - l)
-
-    rec((), weight)
-    return out
+    words = even_words(depth, weight)
+    return [w for w in words if all(w < w[i:] + w[:i] for i in range(1, len(w)))]
 
 
 def _candidate_x_value(word: tuple[int, ...]) -> Assoc:
@@ -304,18 +289,10 @@ def relation_tensor_elements(weight: int, depth: int) -> list[dict[EWord, Fracti
     out = []
     for vec in find_lie_relations(weight, depth).vectors:
         terms = (
-            (w, q * n) for c, q in zip(cand, vec) if q for w, n in _bracket_expansion(c).items()
+            (w, q * n) for c, q in zip(cand, vec) if q for w, n in expand_lyndon(c).items()
         )
         out.append(accumulate({}, terms))
     return out
-
-
-def _bracket_expansion(word: EWord) -> dict[EWord, int]:
-    """Tensor-algebra expansion of the standard bracketing of a Lyndon e-word."""
-    if len(word) == 1:
-        return {word: 1}
-    left, right = standard_factorization(word)
-    return assoc_bracket(_bracket_expansion(left), _bracket_expansion(right))
 
 
 def even_words(length: int, total: int) -> Iterator[EWord]:

@@ -435,21 +435,6 @@ def check_qexp_examples(ctx: VerifyContext) -> CheckResult:
     return ok, "weight-3 expansion and the vanishing pair"
 
 
-def _apply_eps_word(word: tuple[int, ...], elem: dict) -> dict:
-    """eps_{w_1} ... eps_{w_n} applied to elem (the last letter acts first)."""
-    for k2 in reversed(word):
-        elem = eps_derivation(k2).apply(elem)
-    return elem
-
-
-def check_eps_word_composition(ctx: VerifyContext) -> CheckResult:
-    t = {"xy": F(1), "yx": F(-1)}
-    ok1 = not _apply_eps_word((2,), t)
-    ok2 = not _apply_eps_word((0, 0), {"x": F(1)})
-    ok3 = _apply_eps_word((), t) == t
-    return ok1 and ok2 and ok3, "composed derivations on small elements"
-
-
 def check_membership_examples(ctx: VerifyContext) -> CheckResult:
     bad = EPoly.word((2, 4)) - EPoly.word((4, 2))
     good = shuffle_words((2,), (4,))
@@ -488,7 +473,6 @@ CHECKS: list[tuple[str, Check]] = [
     ("diffeq-examples", check_diffeq_examples),
     ("gamma-anchors", check_gamma_anchors),
     ("qexp-examples", check_qexp_examples),
-    ("word-operator", check_eps_word_composition),
     ("membership-examples", check_membership_examples),
     ("fourier-examples", check_fourier_examples),
     ("gseries-examples", check_gseries_examples),

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from emzv.cli import _DISPATCH, RunConfig, run
+from emzv.cli import _DISPATCH, run
 from emzv.coeffring import dump_mzv_table, shipped_table
 from emzv.decomp import Decomposition, decompose
 
@@ -143,7 +143,7 @@ def test_usage_error_exit_code(capsys, tmp_path):
         (["relations", "--length", "-1", "--weight", "3"], "bad --length -1: the length must be ≥ 0"),
         (["relations", "--length", "2", "--weight", "-1"], "bad --weight -1: the weight must be ≥ 0"),
         (["dump-ainf", "--degree", "-3"], "bad --degree -3: the degree must be ≥ 1"),
-        (["gamma", "--index", "1", "--order", "0"], "bad --order 0: the order must be ≥ 1"),
+        (["qexp", "--index", "1", "--order", "0"], "bad --order 0: the order must be ≥ 1"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -292,11 +292,53 @@ def test_table_from_environment(tmp_path, capsys, monkeypatch):
     assert out.strip() == "1/24 * pi^2"
 
 
-def test_runconfig_validation():
-    with pytest.raises(ValueError, match="bad --order 0: the order must be ≥ 1"):
-        RunConfig(q_order=0)
-    with pytest.raises(ValueError, match="bad --degree -3: the degree must be ≥ 1"):
-        RunConfig(nc_degree=-3)
+SHARED_FLAGS = ("--mzv-table", "--order", "--degree", "--format")
+
+# subcommand -> (arguments of a passing run, the shared flags it reads)
+SUBCOMMAND_FLAGS = {
+    "decompose": (["--index", "2,0"], ("--mzv-table", "--format")),
+    "qexp": (["--index", "3,0"], ("--mzv-table", "--order", "--format")),
+    "gamma": (["--index", "2,0,0"], ("--mzv-table", "--format")),
+    "relations": (["--length", "1", "--weight", "1"], ("--mzv-table", "--format")),
+    "derlie-relations": (["--weight", "14", "--depth", "2"], ("--format",)),
+    "fourier-check": (["--index", "2,0,0"], ("--mzv-table", "--order", "--format")),
+    "membership": (["--index", "2,0,0"], ("--mzv-table", "--format")),
+    "dump-ainf": (["--degree", "3"], ("--mzv-table", "--degree", "--format")),
+    "verify": (["--only", "bernoulli"], ("--mzv-table", "--order", "--degree")),
+}
+
+
+def test_subcommand_flags_cover_every_subcommand():
+    assert sorted(SUBCOMMAND_FLAGS) == sorted(_DISPATCH)
+    assert sum(len(reads) for _, reads in SUBCOMMAND_FLAGS.values()) == 21
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+def test_subcommand_flags(capsys, tmp_path, command):
+    base, reads = SUBCOMMAND_FLAGS[command]
+    table = tmp_path / "table.txt"
+    table.write_text(dump_mzv_table(shipped_table()), encoding="utf-8")
+    good = {"--mzv-table": str(table), "--order": "6", "--degree": "3", "--format": "json"}
+    for flag in SHARED_FLAGS:
+        code, out, err = run_cli(capsys, command, *base, flag, good[flag])
+        if flag not in reads:  # a flag the handler would not read is refused
+            assert code == 2 and not out and "unrecognized arguments" in err, flag
+            continue
+        assert code == 0, (flag, err)
+        if flag == "--format":
+            json.loads(out)
+    # each flag it reads is read: a bad value is a one-line usage error
+    for flag, value, need in (
+        ("--mzv-table", "/nonexistent", "cannot read --mzv-table '/nonexistent'"),
+        ("--order", "0", "bad --order 0: the order must be ≥ 1"),
+        ("--degree", "-3", "bad --degree -3: the degree must be ≥ 1"),
+        ("--format", "xml", "invalid choice: 'xml'"),
+    ):
+        if flag in reads:
+            code, out, err = run_cli(capsys, command, *base, flag, value)
+            assert code == 2 and not out and need in err, (flag, err)
+            if flag != "--format":  # argparse adds its usage lines
+                assert err.count("\n") == 1, err
 
 
 def test_relation_survey_script_runs():

@@ -120,6 +120,13 @@ def test_reduce_even_zeta():
 
 
 def test_coeff_mul_examples():
+    # zeta(s) is the word A B^(s-1): each single_zeta line must equal it
+    depth_one = {
+        "ABBB": "1/1440 * pi^4",
+        "ABBBB": "1 * z5",
+        "ABBBBB": "-1/60480 * pi^6",
+        "ABBBBBBB": "1/2419200 * pi^8",
+    }
     table = loads_mzv_table(MINIMAL_TABLE.replace("max_weight 3", "max_weight 8")
                             + "\n".join(
         [
@@ -133,7 +140,7 @@ def test_coeff_mul_examples():
             "product z3 z5 = 1 * z3 z5",
         ]
         + [
-            f"convergent {w} = 0"
+            f"convergent {w} = {depth_one.get(w, '0')}"
             for w in _admissible_range(4, 8)
             if w not in ("AB", "ABB", "AAB")
         ]
@@ -181,14 +188,7 @@ def small_table():
     # Direct construction: a roomy cap so random products stay in bounds.
     from emzv.coeffring import MzvTable
 
-    free = CoeffElem({MzvMonomial(0, ("z3", "z3")): F(1)})
-    return MzvTable(
-        max_weight=18,
-        symbols={"z3": 3},
-        products={("z3", "z3"): free},
-        single_zeta={},
-        convergent_words={},
-    )
+    return MzvTable(max_weight=18, symbols={"z3": 3}, convergent_words={})
 
 
 @settings(max_examples=60, deadline=None)
@@ -408,11 +408,10 @@ def test_load_minimal_table():
     t = loads_mzv_table(MINIMAL_TABLE)
     assert t.max_weight == 3
     assert t.symbols == {"z3": 3}
-    assert t.single_zeta[2] == reduce_even_zeta(2)
+    assert t.convergent_words["AB"] == reduce_even_zeta(2)
     # round trip through the writer
     again = loads_mzv_table(dump_mzv_table(t))
     assert again.convergent_words == t.convergent_words
-    assert again.single_zeta == t.single_zeta
 
 
 def test_load_empty_table():
@@ -478,4 +477,70 @@ def test_parse_errors():
     for repeated in lines[:2]:
         text = "\n".join(lines[:3] + [repeated] + lines[3:])
         with pytest.raises(ParseError, match="^line 4: duplicate (format|max_weight) line$"):
+            loads_mzv_table(text)
+
+
+def _v1_document(table):
+    """The table as a format 1 document: its v2 lines plus a single_zeta
+    line per weight (the depth-one word) and a free product per pair."""
+    lines = dump_mzv_table(table).replace("emzv-mzv-table 2", "emzv-mzv-table 1").splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("convergent"))
+    extra = [
+        f"single_zeta {s} = {render_coeff(table.convergent_words['A' + 'B' * (s - 1)])}"
+        for s in range(2, table.max_weight + 1)
+    ]
+    names = sorted(table.symbols)
+    extra += [
+        f"product {a} {b} = {render_coeff(CoeffElem({MzvMonomial(0, (a, b)): F(1)}))}"
+        for i, a in enumerate(names)
+        for b in names[i:]
+        if table.symbols[a] + table.symbols[b] <= table.max_weight
+    ]
+    return "\n".join(lines[:first] + extra + lines[first:]) + "\n"
+
+
+def test_v1_document_loads_as_its_v2_dump():
+    from importlib.resources import files
+
+    shipped_text = files("emzv.data").joinpath("mzv_table_w8.txt").read_text("utf-8")
+    assert shipped_text.splitlines()[1] == "format emzv-mzv-table 2"
+    assert "single_zeta" not in shipped_text and "product" not in shipped_text
+    v1 = _v1_document(shipped_table())
+    assert "single_zeta 7 = 1 * z7" in v1 and "product z3 z5 = 1 * z3 z5" in v1
+    t = loads_mzv_table(v1)
+    assert t == shipped_table()
+    assert dump_mzv_table(t) == shipped_text
+    minimal = loads_mzv_table(MINIMAL_TABLE)
+    assert loads_mzv_table(dump_mzv_table(minimal)) == minimal
+
+
+@pytest.mark.parametrize(
+    "old,new,need",
+    [
+        ("single_zeta 3 = 1 * z3", "single_zeta 3 = 2 * z3", r"\(3\) must equal convergent ABB$"),
+        ("single_zeta 7 = 1 * z7", "single_zeta 7 = 0", r"\(7\) must equal convergent ABBBBBB$"),
+        ("single_zeta 8 = ", "single_zeta 9 = 0\nsingle_zeta 8 = ", r"single_zeta\(9\) must equal"),
+        ("single_zeta 2 = -1/24 * pi^2\n", "", r"missing single_zeta\(2\)"),
+        ("product z3 z5 = 1 * z3 z5", "product z3 z5 = 0", r"free products; \(z3, z5\) is reduced"),
+        ("product z3 z5 = 1 * z3 z5\n", "", r"missing product entry for \(z3, z5\)"),
+    ],
+)
+def test_v1_sections_are_checked(old, new, need):
+    # each single_zeta must be its depth-one word, odd ones and ones beyond
+    # the cap included, and the products must be free and complete
+    v1 = _v1_document(shipped_table())
+    assert old in v1
+    with pytest.raises(ConsistencyError, match=need):
+        loads_mzv_table(v1.replace(old, new))
+
+
+@pytest.mark.parametrize("extra", ["single_zeta 3 = 1 * z3", "product z3 z3 = 1 * z3^2"])
+def test_v2_rejects_format_1_sections(extra):
+    lines = dump_mzv_table(loads_mzv_table(MINIMAL_TABLE)).splitlines()
+    assert lines[1] == "format emzv-mzv-table 2"
+    for at in (4, len(lines)):  # after the symbol line, and last
+        text = "\n".join(lines[:at] + [extra] + lines[at:])
+        head = extra.split()[0]
+        need = f"^line {at + 1}: {head} lines belong to format 1 only$"
+        with pytest.raises(ParseError, match=need):
             loads_mzv_table(text)

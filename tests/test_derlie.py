@@ -30,9 +30,15 @@ from emzv.derlie import (
 from emzv.eisalg import EPoly, epoly_mul, shuffle_words
 from emzv.linalg import RatMatrix, kernel_basis
 from emzv.ncalg import NCSeries, build_Ainf, build_ytilde, nc_bracket
-from emzv.verify import _apply_eps_word
 
 F = Fraction
+
+
+def _apply_eps_word(word, elem):
+    """eps_{w_1} ... eps_{w_n} applied to elem (the last letter acts first)."""
+    for k2 in reversed(word):
+        elem = eps_derivation(k2).apply(elem)
+    return elem
 
 
 def test_lyndon_words_small():
@@ -584,6 +590,46 @@ def test_tuple_factorisation_matches_letter_coding(weight, depth):
     for c in _eps_lyndon_candidates(weight, depth):
         left, right = standard_factorization(c)
         assert left + right == c and len(left) == _coded_cut(c)
+
+
+def _recursive_lyndon_candidates(weight, depth):
+    """Lyndon words of even letters by their own recursion, in lexicographic order."""
+    out = []
+
+    def rec(prefix, remaining):
+        if len(prefix) == depth:
+            if remaining == 0 and all(prefix < prefix[i:] + prefix[:i] for i in range(1, depth)):
+                out.append(prefix)
+            return
+        for letter in range(0, remaining + 1, 2):
+            rec(prefix + (letter,), remaining - letter)
+
+    rec((), weight)
+    return out
+
+
+def _recursive_bracket_expansion(word):
+    if len(word) == 1:
+        return {word: 1}
+    cut = _coded_cut(word)
+    return assoc_bracket(
+        _recursive_bracket_expansion(word[:cut]), _recursive_bracket_expansion(word[cut:])
+    )
+
+
+def test_lyndon_candidates_and_expansions_match_the_recursions():
+    # the candidates are the Lyndon filter of even_words, in the same order,
+    # and the memoized expand_lyndon expands tuples as a bracket recursion
+    # on the letter coding does
+    count = 0
+    for weight in range(0, 31, 2):
+        for depth in range(1, 6):
+            cand = _eps_lyndon_candidates(weight, depth)
+            assert cand == _recursive_lyndon_candidates(weight, depth), (weight, depth)
+            for c in cand if weight <= 16 else cand[:: max(1, len(cand) // 8)]:
+                assert expand_lyndon(c) == _recursive_bracket_expansion(c), c
+            count += len(cand)
+    assert count == 4410
 
 
 def _period_action(poly, n, a, b, c, d):
