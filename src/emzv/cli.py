@@ -83,8 +83,26 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one line, ``<prog>: error: <message>``, and exit 2.
+
+    The subcommands' parsers are of this class too and refuse the arguments
+    they do not know themselves, so the line names the subcommand whose
+    argument is wrong.
+    """
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return ns, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="emzv", description="exact decomposition into Eisenstein-integral words"
     )
     sub = ap.add_subparsers(dest="command", required=True)

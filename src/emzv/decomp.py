@@ -105,12 +105,11 @@ class DiffTerm:
     coeff: Fraction
 
 
-def _alpha(n: int) -> Fraction:
-    if n == 0:
-        return Fraction(-1)
-    if n == 1:
-        return Fraction(0)
-    return Fraction(2, math.factorial(n - 2))
+def _alpha_scaled(weight: int) -> tuple[int, list[int]]:
+    """The common denominator L = (weight - 1)! of the alpha_m an index of
+    the weight meets (m <= weight + 1), and the integers L * alpha_m."""
+    L = math.factorial(max(weight - 1, 0))
+    return L, [-L, 0] + [2 * L // math.factorial(j) for j in range(weight)]
 
 
 def _binom(n: int, k: int) -> int:
@@ -132,24 +131,26 @@ def diffeq_expand(idx: Iterable[int]) -> list[DiffTerm]:
     n = len(k)
     if n < 1:
         raise ValueError("the recursion needs length >= 1")
+    # every alpha is an integer over L; each coefficient is built once
+    L, alpha = _alpha_scaled(sum(k))
 
-    def terms() -> Iterator[tuple[tuple[int, EmzvIndex], Fraction]]:
-        yield (k[0] + 1, k[1:]), _alpha(k[0] + 1)
-        yield (k[-1] + 1, k[:-1]), -_alpha(k[-1] + 1)
+    def terms() -> Iterator[tuple[tuple[int, EmzvIndex], int]]:
+        yield (k[0] + 1, k[1:]), alpha[k[0] + 1]
+        yield (k[-1] + 1, k[:-1]), -alpha[k[-1] + 1]
         for i in range(2, n + 1):  # position of k_i, 1-based as in the recursion
             prev, cur = k[i - 2], k[i - 1]
             head, tail = k[: i - 2], k[i:]
-            yield (prev + cur + 1, head + (0,) + tail), (-1) ** cur * _alpha(prev + cur + 1)
+            yield (prev + cur + 1, head + (0,) + tail), (-1) ** cur * alpha[prev + cur + 1]
             for m in range(prev + 2):
-                q = _binom(cur + m - 1, m) * _alpha(prev - m + 1)
+                q = _binom(cur + m - 1, m) * alpha[prev - m + 1]
                 yield (prev - m + 1, head + (m + cur,) + tail), -q
             for m in range(cur + 2):
-                q = _binom(prev + m - 1, m) * _alpha(cur - m + 1)
+                q = _binom(prev + m - 1, m) * alpha[cur - m + 1]
                 yield (cur - m + 1, head + (m + prev,) + tail), q
 
     acc = accumulate({}, terms())
     return [
-        DiffTerm(eis, sub, q)
+        DiffTerm(eis, sub, Fraction(q, L))
         for (eis, sub), q in sorted(acc.items())
         if eis % 2 == 0
     ]

@@ -1,9 +1,11 @@
 """Exact dense linear algebra over Q.
 
-Entries are Fractions, or ints where a caller's rows are integral;
-forward elimination is fraction-free (rows are cleared to integers, then
-eliminated Bareiss-style) so coefficient growth stays polynomial, and the
-reduced form is normalized at the end.
+Entries are Fractions, or ints where a caller's rows are integral.  rref
+works in integers throughout: each row is cleared to integers, forward
+elimination is fraction-free (Bareiss), and the back-substitution runs on
+the integer echelon rows, each divided by its gcd after every step so that
+coefficient growth stays polynomial.  Fractions appear only in the result,
+one per nonzero entry (every zero entry is one shared Fraction(0)).
 """
 
 from __future__ import annotations
@@ -102,24 +104,24 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int], int]:
             break
     rank = len(pivots)
 
-    # Back-substitution with exact rationals on the echelon rows.
-    frac_rows: list[list[Fraction]] = [
-        [Fraction(x) for x in rows[i]] for i in range(rank)
-    ]
+    # Back-substitution on the integer echelon rows, each kept primitive;
+    # a row is divided by its pivot only when the Fractions are built.
+    echelon = [_primitive_row(rows[i]) for i in range(rank)]
     for i in range(rank - 1, -1, -1):
         c = pivots[i]
-        pivval = frac_rows[i][c]
-        frac_rows[i] = [x / pivval for x in frac_rows[i]]
+        below = echelon[i]
+        pv = below[c]
         for k in range(i):
-            f = frac_rows[k][c]
+            f = echelon[k][c]
             if f:
-                frac_rows[k] = [
-                    a - f * b for a, b in zip(frac_rows[k], frac_rows[i])
-                ]
-    zero_row = [Fraction(0)] * nc
-    full = frac_rows + [list(zero_row) for _ in range(nr - rank)]
-    flat = tuple(x for row in full for x in row)
-    return RatMatrix(nr, nc, flat), pivots, rank
+                echelon[k] = _primitive_row([pv * a - f * b for a, b in zip(echelon[k], below)])
+    zero = Fraction(0)
+    flat: list[Fraction] = []
+    for row, c in zip(echelon, pivots):
+        pv = row[c]
+        flat.extend(Fraction(x, pv) if x else zero for x in row)
+    flat.extend([zero] * (nc * (nr - rank)))
+    return RatMatrix(nr, nc, tuple(flat)), pivots, rank
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:

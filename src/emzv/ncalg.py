@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -31,15 +32,18 @@ from .coeffring import (
     MONOMIAL_ONE,
     CoeffElem,
     CoeffMap,
+    MzvMonomial,
     MzvTable,
     Slices,
     accumulate,
     assoc_concat,
     bernoulli,
     build_cells,
+    build_coeffs,
     coeff_mul,
     convolve,
     graded_slices,
+    integer_slices,
     lincomb,
     memoized,
     normalise,
@@ -365,25 +369,52 @@ def pure_word(idx: EmzvIndexTuple) -> NCWord:
     return "".join("a" * k + "b" for k in reversed(idx))
 
 
+# The elimination plan of one degree: each composition in solve order with
+# its pure word and the other terms of its index monomial, negated.
+_Plan = tuple[tuple[EmzvIndexTuple, NCWord, tuple[tuple[NCWord, int], ...]], ...]
+
+_plan_cache: dict[int, _Plan] = {}
+
+
+def _solve_plan(degree: int) -> _Plan:
+    """The compositions of the degree in decreasing reversed-lexicographic
+    order, against which the index monomials are unitriangular: each has
+    coefficient 1 on its own pure word.  Table-free, built once per degree."""
+
+    def build() -> _Plan:
+        comps = sorted(compositions_of(degree), key=lambda j: tuple(reversed(j)), reverse=True)
+        words: dict[NCWord, NCWord] = {}  # one string per word of the degree
+        plan = []
+        for j in comps:
+            pure = pure_word(j)
+            rest = tuple(
+                (words.setdefault(w, w), -q) for w, q in index_monomial(j).items() if w != pure
+            )
+            plan.append((j, words.setdefault(pure, pure), rest))
+        return tuple(plan)
+
+    return memoized(_plan_cache, degree, build)
+
+
 def triangular_index_solve(component: Mapping[NCWord, object], degree: int):
     """Solve component = sum_j x_j * monomial(j) over all compositions j.
 
-    The monomials are triangular against their pure words when compositions
-    are processed in decreasing reversed-lexicographic order; the final
-    residual must vanish, otherwise the component does not lie in their span
-    and ExtractionInconsistent is raised.  Values may be any type with
-    + and scale(int) whose zero is falsy.
+    Back-substitutes along the degree's elimination plan; the final
+    residual must vanish, otherwise the component does not lie in the span
+    of the monomials and ExtractionInconsistent is raised.  Values may be
+    numbers, or any type with + and scale(int) whose zero is falsy
+    (CoeffElem, EPoly); the monomials are integral, so an integer vector
+    solves in integers.  Only the nonzero x_j are returned.
     """
     work = dict(component)
     out: dict[EmzvIndexTuple, object] = {}
-    comps = sorted(compositions_of(degree), key=lambda j: tuple(reversed(j)), reverse=True)
-    for j in comps:
-        x = work.get(pure_word(j))
-        out[j] = x
+    for j, pure, rest in _solve_plan(degree):
+        x = work.pop(pure, None)
         if not x:
             continue
-        terms = index_monomial(j).items()
-        accumulate(work, ((w, x.scale(-q)) for w, q in terms))  # type: ignore[attr-defined]
+        out[j] = x
+        times = getattr(type(x), "scale", operator.mul)  # numbers multiply
+        accumulate(work, ((w, times(x, q)) for w, q in rest))
     leftovers = [w for w, v in work.items() if v]
     if leftovers:
         raise ExtractionInconsistent(
@@ -398,7 +429,10 @@ def extract_gamma(idx: Iterable[int], table: MzvTable) -> CoeffElem:
 
     Each degree d is solved once per table, from the degree-d component of
     build_Ainf(d, table); that component does not depend on the degree the
-    series was built at, so one solve serves every build.
+    series was built at, so one solve serves every build.  The component is
+    split by coefficient monomial into integer word vectors over one
+    denominator (coeffring.integer_slices), each solved in integers, and
+    each constant is built once from its numerators.
     """
     index = tuple(int(k) for k in idx)
     if any(k < 0 for k in index):
@@ -407,7 +441,11 @@ def extract_gamma(idx: Iterable[int], table: MzvTable) -> CoeffElem:
 
     def solve() -> dict[EmzvIndexTuple, CoeffElem]:
         component = build_Ainf(max(d, 1), table).component(d)
-        return triangular_index_solve(component, d)
+        cells: dict[EmzvIndexTuple, dict[MzvMonomial, Fraction]] = {}
+        for mono, (den, terms) in integer_slices(component.items()).items():
+            for j, n in triangular_index_solve(dict(terms), d).items():
+                cells.setdefault(j, {})[mono] = Fraction(n, den)
+        return build_coeffs(cells)
 
     x = memoized(table.caches.setdefault("solve", {}), d, solve).get(index)
     if not x:

@@ -322,7 +322,8 @@ def test_subcommand_flags(capsys, tmp_path, command):
     for flag in SHARED_FLAGS:
         code, out, err = run_cli(capsys, command, *base, flag, good[flag])
         if flag not in reads:  # a flag the handler would not read is refused
-            assert code == 2 and not out and "unrecognized arguments" in err, flag
+            assert code == 2 and not out, flag
+            assert err == f"emzv {command}: error: unrecognized arguments: {flag} {good[flag]}\n"
             continue
         assert code == 0, (flag, err)
         if flag == "--format":
@@ -337,8 +338,30 @@ def test_subcommand_flags(capsys, tmp_path, command):
         if flag in reads:
             code, out, err = run_cli(capsys, command, *base, flag, value)
             assert code == 2 and not out and need in err, (flag, err)
-            if flag != "--format":  # argparse adds its usage lines
-                assert err.count("\n") == 1, err
+            assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["decompose", "--index", "2,0", "--degree", "0"],
+            "emzv decompose: error: unrecognized arguments: --degree 0",
+        ),
+        (
+            ["gamma", "--index", "2,0,0", "--format", "xml"],
+            "emzv gamma: error: argument --format: invalid choice: 'xml'",
+        ),
+        (["decompose"], "emzv decompose: error: the following arguments are required: --index"),
+        (["--bogus", "decompose", "--index", "2,0"], "emzv: error: unrecognized arguments: --bogus"),
+        ([], "emzv: error: the following arguments are required: command"),
+    ],
+)
+def test_argparse_usage_errors_are_one_line(capsys, argv, line):
+    # README "Exit codes": a usage error is one line on stderr, exit 2
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(line) and err.count("\n") == 1 and err.endswith("\n"), err
 
 
 def test_relation_survey_script_runs():

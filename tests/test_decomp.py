@@ -86,6 +86,58 @@ def test_diffeq_expand_length_one_cancels():
         assert diffeq_expand((k,)) == []
 
 
+def _reference_alpha(n):
+    if n == 0:
+        return F(-1)
+    if n == 1:
+        return F(0)
+    return F(2, math.factorial(n - 2))
+
+
+def _reference_binom(n, k):
+    if k < 0:
+        return 0
+    if n >= 0:
+        return math.comb(n, k)
+    return (-1) ** k * math.comb(k - n - 1, k)
+
+
+def reference_diffeq_expand(k):
+    # the recursion on Fraction coefficients, as it was before the integer form
+    n = len(k)
+    acc = {}
+
+    def add(key, q):
+        acc[key] = acc.get(key, 0) + q
+
+    add((k[0] + 1, k[1:]), _reference_alpha(k[0] + 1))
+    add((k[-1] + 1, k[:-1]), -_reference_alpha(k[-1] + 1))
+    for i in range(2, n + 1):
+        prev, cur = k[i - 2], k[i - 1]
+        head, tail = k[: i - 2], k[i:]
+        add((prev + cur + 1, head + (0,) + tail), (-1) ** cur * _reference_alpha(prev + cur + 1))
+        for m in range(prev + 2):
+            q = _reference_binom(cur + m - 1, m) * _reference_alpha(prev - m + 1)
+            add((prev - m + 1, head + (m + cur,) + tail), -q)
+        for m in range(cur + 2):
+            q = _reference_binom(prev + m - 1, m) * _reference_alpha(cur - m + 1)
+            add((cur - m + 1, head + (m + prev,) + tail), q)
+    return [
+        DiffTerm(eis, sub, F(q))
+        for (eis, sub), q in sorted(acc.items())
+        if q and eis % 2 == 0
+    ]
+
+
+def test_diffeq_expand_matches_fraction_reference():
+    indices = [idx for idx in indices_upto(6, 9) if idx]
+    assert len(indices) == 8007
+    for idx in indices:
+        got = diffeq_expand(idx)
+        assert got == reference_diffeq_expand(idx), idx
+        assert all(type(t.coeff) is Fraction for t in got), idx
+
+
 def test_decompose_length_one(table):
     for k in range(13):
         dec = decompose((k,), table)

@@ -676,3 +676,26 @@ def test_pollack_relations_count_cusp_forms():
             assert _is_zero_poly(poly, s) and _is_zero_poly(poly, u, uu), w
     # the Delta relation [eps4, eps10] = 3 [eps6, eps8]
     assert find_lie_relations(14, 2, candidates=[(4, 10), (6, 8)]).vectors == ((F(-1, 3), F(1)),)
+
+
+# Closed-form Lie relations, built from the derivations and their brackets
+# directly (no relation kernel): a derivation that kills [x, y] is zero iff
+# its value on x is.
+
+
+@pytest.mark.parametrize("k", range(2, 12))
+def test_eps2_is_central(k):
+    # eps_2 = -ad([x, y]) is inner and every eps_{2k} kills [x, y]
+    assert eps_derivation(2).bracket_x(eps_derivation(2 * k)) == {}
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_eps0_lowest_weight_relation(k):
+    # ad(eps_0)^(2k-1)(eps_{2k}) = 0 and ad(eps_0)^(2k-2)(eps_{2k}) != 0:
+    # eps_{2k} spans a (2k-1)-dimensional sl_2 module (Pollack; Hain-Matsumoto)
+    e0 = eps_derivation(0)
+    d = eps_derivation(2 * k)
+    for _ in range(2 * k - 2):
+        d = LieDerivation(e0.bracket_x(d))
+    assert d.val_x
+    assert e0.bracket_x(d) == {}

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emzv.errors import DimensionMismatch
-from emzv.linalg import RatMatrix, _primitive_row, kernel_basis, rref, solve
+from emzv.linalg import RatMatrix, _int_rows, _primitive_row, kernel_basis, rref, solve
 
 F = Fraction
 
@@ -134,3 +134,89 @@ def test_primitive_rows():
     assert _primitive_row([0, -4, 6, 0]) == (0, 2, -3, 0)
     assert _primitive_row([6, -4]) == (3, -2) == _primitive_row([-3, 2])
     assert _primitive_row([-7]) == (1,)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the integer back-substitution of rref against the
+# Fraction back-substitution it replaced.
+
+
+def reference_rref(m):
+    rows = _int_rows(m)
+    nr, nc = m.rows, m.cols
+    pivots = []
+    prev_pivot = 1
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][c]
+        for i in range(r + 1, nr):
+            xi = rows[i][c]
+            rows[i] = [(pv * rows[i][j] - xi * rows[r][j]) // prev_pivot for j in range(nc)]
+        prev_pivot = pv
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    rank = len(pivots)
+    frac_rows = [[Fraction(x) for x in rows[i]] for i in range(rank)]
+    for i in range(rank - 1, -1, -1):
+        c = pivots[i]
+        pivval = frac_rows[i][c]
+        frac_rows[i] = [x / pivval for x in frac_rows[i]]
+        for k in range(i):
+            f = frac_rows[k][c]
+            if f:
+                frac_rows[k] = [a - f * b for a, b in zip(frac_rows[k], frac_rows[i])]
+    full = frac_rows + [[Fraction(0)] * nc for _ in range(nr - rank)]
+    return RatMatrix(nr, nc, tuple(x for row in full for x in row)), pivots, rank
+
+
+def reference_kernel_basis(m):
+    rows = sorted({_primitive_row(r) for r in _int_rows(m) if any(r)})
+    red, pivots, _ = reference_rref(RatMatrix(len(rows), m.cols, tuple(x for r in rows for x in r)))
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -red.at(i, fc)
+        basis.append(tuple(v))
+    return basis
+
+
+@st.composite
+def structured_matrices(draw):
+    """Integer (kept as ints) or rational matrices of any shape up to 8 x 8,
+    wide or tall, whose rows are new, zero, duplicates of earlier rows or
+    combinations of two earlier rows (so often rank-deficient)."""
+    nr = draw(st.integers(1, 8))
+    nc = draw(st.integers(1, 8))
+    integral = draw(st.booleans())
+    entry = st.integers(-12, 12) if integral else small_fracs
+    rows = []
+    for _ in range(nr):
+        kind = draw(st.sampled_from(("new", "zero", "duplicate", "combination")))
+        if kind == "zero":
+            rows.append([0] * nc)
+        elif kind == "new" or not rows:
+            rows.append(draw(st.lists(entry, min_size=nc, max_size=nc)))
+        elif kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            p, q = draw(entry), draw(entry)
+            rows.append([p * a + q * b for a, b in zip(u, v)])
+    return RatMatrix(nr, nc, tuple(x for row in rows for x in row))
+
+
+@settings(max_examples=300, deadline=None)
+@given(structured_matrices())
+def test_rref_and_kernel_match_fraction_back_substitution(m):
+    red, pivots, rank = rref(m)
+    assert (red, pivots, rank) == reference_rref(m)
+    assert all(type(x) is Fraction for x in red.entries)
+    assert kernel_basis(m) == reference_kernel_basis(m)

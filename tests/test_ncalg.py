@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from emzv.coeffring import (
     CoeffElem,
     MzvMonomial,
+    accumulate,
     coeff_mul,
     dump_mzv_table,
     loads_mzv_table,
     shipped_table,
 )
+from emzv.eisalg import EPoly
 from emzv.errors import (
     DegreeMismatch,
     ExtractionInconsistent,
@@ -283,35 +285,31 @@ def test_extract_gamma_agrees_across_build_degrees():
 
 def test_triangular_solve_recovers_random_combinations():
     # Build random combinations of the index monomials and check exact
-    # recovery of every coefficient (the spec for the back-substitution).
+    # recovery of every coefficient (the spec for the back-substitution),
+    # on integer vectors and on e-word polynomials with zeta coefficients.
     import random
 
-    from emzv.ncalg import index_monomial, triangular_index_solve
-
     rng = random.Random(404)
-    for degree in (1, 2, 3, 4, 5, 6):
+
+    def combination(want, times):
+        return accumulate(
+            {},
+            ((w, times(x, q)) for j, x in want.items() for w, q in index_monomial(j).items()),
+        )
+
+    for degree in range(1, 10):
         comps = compositions_of(degree)
-        for _ in range(6):
-            want = {
-                j: F(rng.randint(-9, 9), rng.randint(1, 4)) for j in comps
-            }
-            component: dict[str, CoeffElem] = {}
-            for j, q in want.items():
-                if not q:
-                    continue
-                for w, qq in index_monomial(j).items():
-                    c = component.get(w, CoeffElem.zero()) + CoeffElem.from_rational(
-                        q * qq
-                    )
-                    if c.is_zero():
-                        component.pop(w, None)
-                    else:
-                        component[w] = c
-            solved = triangular_index_solve(component, degree)
-            for j, q in want.items():
-                got = solved.get(j)
-                got_q = got.rational_part() if got is not None else F(0)
-                assert got_q == q, (degree, j)
+        for _ in range(4):
+            want = {j: rng.randint(-9, 9) for j in comps}
+            want = {j: x for j, x in want.items() if x}
+            solved = triangular_index_solve(combination(want, int.__mul__), degree)
+            assert solved == want, degree
+        want = {}
+        for j in rng.sample(comps, min(len(comps), 12)):
+            coeff = CoeffElem.symbol("z3", F(rng.randint(1, 9), rng.randint(1, 4)))
+            want[j] = EPoly({(rng.choice((0, 2, 4)),): coeff.mul_pi(rng.randint(0, 2))})
+        solved = triangular_index_solve(combination(want, EPoly.scale), degree)
+        assert solved == want, degree
 
 
 def test_compositions_and_pure_words():
@@ -328,6 +326,50 @@ def test_required_table_weight():
     assert required_table_weight((3, 4)) == 8
     assert required_table_weight((8,)) == 8
     assert required_table_weight(()) == -1
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the integer constant-term solve against the per-term
+# solve on CoeffElem values that it replaced.
+
+
+def reference_triangular_index_solve(component, degree):
+    work = dict(component)
+    out = {}
+    comps = sorted(compositions_of(degree), key=lambda j: tuple(reversed(j)), reverse=True)
+    for j in comps:
+        x = work.get(pure_word(j))
+        out[j] = x
+        if not x:
+            continue
+        terms = index_monomial(j).items()
+        accumulate(work, ((w, x.scale(-q)) for w, q in terms))
+    leftovers = [w for w, v in work.items() if v]
+    if leftovers:
+        raise ExtractionInconsistent(f"residual on {sorted(leftovers)[:4]}")
+    return out
+
+
+def test_extract_gamma_matches_reference_solve():
+    t = fresh_table()
+    ainf = build_Ainf(9, t)
+    for d in range(1, 10):
+        want = reference_triangular_index_solve(ainf.component(d), d)
+        assert set(want) == set(compositions_of(d))
+        for idx, x in want.items():
+            x = x or CoeffElem.zero()
+            assert extract_gamma(idx, t) == (x if len(idx) % 2 == 0 else -x), idx
+
+
+def test_extract_gamma_rejects_symbol_term_outside_span():
+    # every word of an index monomial has a b, so z3 on aaaaa is outside
+    # their span; the residual check of the z3 slice must see it
+    t = fresh_table()
+    ainf = build_Ainf(5, t)
+    t.caches["ainf"] = ainf + NCSeries(5, {"aaaaa": CoeffElem.symbol("z3")})
+    with pytest.raises(ExtractionInconsistent):
+        extract_gamma((0, 1, 0, 0), t)
+    assert extract_gamma((0, 1, 0), t) == extract_gamma((0, 1, 0), fresh_table())
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@ method moved into a base class, or a renamed function, fails here rather
 than when a traced benchmark run installs the tracer.  A few requests of
 each workload are served through ``perfbench/workloads.py`` and checked
 against the recorded digests, so a changed call shape or output fails here
-rather than in a benchmark run.
+rather than in a benchmark run.  One traced pass of each workload runs in
+a worker process, so a layer the tracer requires but no request calls any
+more fails here too.
 """
 
 import importlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -105,3 +108,21 @@ def test_requests_match_reference_digests(workloads, workload, rid):
     )
     out = request.run(workloads.fresh_table())
     assert workloads.digest(request.render(out)) == reference["workloads"][workload][rid]
+
+
+@pytest.mark.parametrize("workload", ("cusp", "crosscheck", "image"))
+def test_traced_pass_calls_every_expected_layer(workload):
+    # the worker exits non-zero when a layer in tracer.EXPECTED records no call
+    proc = subprocess.run(
+        [
+            sys.executable, str(PERFBENCH / "worker.py"), "--mode", "pass",
+            "--workload", workload, "--seed", "1", "--pass-index", "0", "--trace",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    assert dict(doc["results"]) == reference["workloads"][workload]
