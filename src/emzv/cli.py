@@ -25,7 +25,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .coeffring import (
     CoeffElem,
@@ -52,12 +51,11 @@ from .derlie import (
 from .eisalg import EPoly
 from .errors import ConsistencyError, EmzvError, ParseError, TableOverflow
 from .ncalg import build_Ainf, required_table_weight
-from .verify import VerifyContext, run_checks
 
 ENV_TABLE = "EMZV_MZV_TABLE"
 
 _FLAGS: dict[str, dict] = {
-    "--mzv-table": dict(type=Path, default=None, metavar="PATH"),
+    "--mzv-table": dict(default=None, metavar="PATH"),
     "--order": dict(type=int, default=20, metavar="N"),
     "--degree": dict(type=int, default=8, metavar="D"),
     "--format": dict(choices=("text", "json"), default="text"),
@@ -139,16 +137,16 @@ def _load_table(ns: argparse.Namespace) -> MzvTable:
     if path is None:
         env = os.environ.get(ENV_TABLE)
         if env:
-            path, source = Path(env), ENV_TABLE
+            path, source = env, ENV_TABLE
     if path is None:
         return shipped_table()
     try:
         with open(path, "rb") as fh:
             return load_mzv_table(fh)
     except OSError as exc:
-        raise ValueError(f"cannot read {source} {str(path)!r}: {exc.strerror}") from None
+        raise ValueError(f"cannot read {source} {path!r}: {exc.strerror}") from None
     except (ParseError, ConsistencyError, UnicodeDecodeError) as exc:
-        raise ValueError(f"bad {source} {str(path)!r}: {exc}") from None
+        raise ValueError(f"bad {source} {path!r}: {exc}") from None
 
 
 def _emit(ns: argparse.Namespace, doc: dict, text: str) -> None:
@@ -340,6 +338,8 @@ def _cmd_dump_ainf(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
+    from .verify import VerifyContext, run_checks  # only this subcommand needs it
+
     order, degree = _positive(ns, "order"), _positive(ns, "degree")
     ctx = VerifyContext(table=_load_table(ns), q_order=order, nc_degree=degree)
     results = run_checks(ctx, only=ns.only)

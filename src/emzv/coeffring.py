@@ -24,11 +24,10 @@ above ``FORMAT_NAME``.
 from __future__ import annotations
 
 import math
-import re
+import os
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import IO, Any, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .errors import ConsistencyError, DegreeMismatch, ParseError, TableOverflow
 
@@ -195,15 +194,6 @@ class CoeffElem:
     def weights(self, symbol_weights: Mapping[str, int]) -> set[int]:
         return {m.weight(symbol_weights) for m in self._terms}
 
-    def weight_split(
-        self, symbol_weights: Mapping[str, int]
-    ) -> dict[int, "CoeffElem"]:
-        """Split into weight-homogeneous pieces (pi counts weight one)."""
-        out: dict[int, dict[MzvMonomial, Fraction]] = {}
-        for mono, q in self._terms.items():
-            out.setdefault(mono.weight(symbol_weights), {})[mono] = q
-        return {w: CoeffElem(d) for w, d in out.items()}
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "CoeffElem") -> "CoeffElem":
@@ -265,7 +255,6 @@ def reduce_even_zeta(s: int) -> CoeffElem:
 # The reduction table
 
 
-@dataclass
 class MzvTable:
     """Certified zeta data up to a weight cap.
 
@@ -275,12 +264,27 @@ class MzvTable:
     carrying dt/t, admissible = starts with A and ends with B) to its value
     in the basis; the depth-one word A B^(s-1) is zeta(s), and ``pi``
     denotes 2*pi*i, hence AB = -1/24 * pi^2.
+
+    ``caches`` holds the memos computed from this table; each table has its
+    own, and equality ignores them.
     """
 
-    max_weight: int
-    symbols: dict[str, int]
-    convergent_words: dict[str, CoeffElem]
-    caches: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("max_weight", "symbols", "convergent_words", "caches")
+
+    def __init__(
+        self, max_weight: int, symbols: dict[str, int], convergent_words: dict[str, CoeffElem]
+    ):
+        self.max_weight = max_weight
+        self.symbols = symbols
+        self.convergent_words = convergent_words
+        self.caches: dict = {}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not MzvTable:
+            return NotImplemented
+        return (self.max_weight, self.symbols, self.convergent_words) == (
+            other.max_weight, other.symbols, other.convergent_words
+        )
 
 
 def coeff_mul(x: CoeffElem, y: CoeffElem, table: MzvTable | None) -> CoeffElem:
@@ -570,6 +574,9 @@ def build_cells(cells: Cells) -> dict[Any, CoeffElem]:
 # monomial  := "1" | factor (" " factor)*
 # factor    := name | name "^" posint          (name is "pi" or a symbol)
 # rational  := ["-"] int ["/" posint]
+#
+# int is a run of ASCII digits and posint one whose value is at least 1; the
+# parser accepts nothing else (no decimal point, exponent or "_").
 
 
 def render_monomial(mono: MzvMonomial) -> str:
@@ -596,42 +603,71 @@ def render_coeff(c: CoeffElem) -> str:
     return " + ".join(f"{q} * {render_monomial(m)}" for m, q in terms)
 
 
-_FACTOR_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(\d+))?$")
+def _is_int(text: str) -> bool:
+    """True if text is a nonempty run of ASCII digits."""
+    return text.isdigit() and text.isascii()
 
 
-def parse_coeff(text: str, known_symbols: Iterable[str]) -> CoeffElem:
-    """Inverse of render_coeff over the given symbol alphabet."""
-    known = set(known_symbols)
+def _parse_rational(text: str) -> Fraction:
+    """rational := ["-"] int ["/" posint], read by an integer split."""
+    num, slash, den = text.partition("/")
+    if _is_int(num[1:] if num.startswith("-") else num):
+        if not slash:
+            return Fraction(int(num))
+        if _is_int(den) and int(den):
+            return Fraction(int(num), int(den))
+    raise ParseError(f"bad rational {text!r}")
+
+
+def _parse_monomial(text: str, known: Collection[str]) -> MzvMonomial:
+    if text == "1":
+        return MONOMIAL_ONE
+    pi_power = 0
+    syms: list[str] = []
+    for factor in text.split():
+        # name: an ASCII letter, then ASCII letters or digits
+        name, caret, digits = factor.partition("^")
+        exp = (int(digits) if _is_int(digits) else 0) if caret else 1
+        if not (exp and name[:1].isalpha() and name.isalnum() and name.isascii()):
+            raise ParseError(f"bad monomial factor {factor!r}")
+        if name == PI_SYMBOL:
+            pi_power += exp
+        elif name in known:
+            syms.extend([name] * exp)
+        else:
+            raise ParseError(f"unknown symbol {name!r}")
+    return MzvMonomial(pi_power, tuple(sorted(syms)))
+
+
+def parse_coeff(text: str, known_symbols: Collection[str]) -> CoeffElem:
+    """Inverse of render_coeff over the given symbol alphabet, by the
+    grammar above; anything else raises ParseError."""
+    return _parse_coeff(text, known_symbols, {})
+
+
+def _parse_coeff(
+    text: str, known: Collection[str], monomials: dict[str, MzvMonomial]
+) -> CoeffElem:
+    """parse_coeff in one pass: each rational is read by an integer split, and
+    the coefficient is built once, like monomials summed.  ``monomials``
+    memoizes monomial text -> MzvMonomial over the calls of one table load;
+    only successful parses are stored, and the alphabet only grows."""
     text = text.strip()
     if text == "0":
         return CoeffElem.zero()
-    acc = CoeffElem.zero()
+    terms: dict[MzvMonomial, Fraction] = {}
     for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if "*" not in chunk:
-            raise ParseError(f"term without '*': {chunk!r}")
-        qs, ms = chunk.split("*", 1)
-        try:
-            q = Fraction(qs.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational {qs.strip()!r}") from exc
+        qs, star, ms = chunk.partition("*")
+        if not star:
+            raise ParseError(f"term without '*': {chunk.strip()!r}")
+        q = _parse_rational(qs.strip())
         ms = ms.strip()
-        pi_power = 0
-        syms: list[str] = []
-        if ms != "1":
-            for factor in ms.split():
-                m = _FACTOR_RE.match(factor)
-                if not m:
-                    raise ParseError(f"bad monomial factor {factor!r}")
-                name, exp = m.group(1), int(m.group(2) or 1)
-                if name == PI_SYMBOL:
-                    pi_power += exp
-                elif name in known:
-                    syms.extend([name] * exp)
-                else:
-                    raise ParseError(f"unknown symbol {name!r}")
-        acc = acc + CoeffElem({MzvMonomial(pi_power, tuple(sorted(syms))): q})
-    return acc
+        mono = monomials.get(ms)
+        if mono is None:
+            mono = monomials[ms] = _parse_monomial(ms, known)
+        cur = terms.get(mono)
+        terms[mono] = q if cur is None else cur + q
+    return CoeffElem._from_clean({m: q for m, q in terms.items() if q})
 
 
 # ---------------------------------------------------------------------------
@@ -645,15 +681,10 @@ def parse_coeff(text: str, known_symbols: Iterable[str]) -> CoeffElem:
 #   symbol z3 3                      (a generator and its weight)
 #   convergent AB = -1/24 * pi^2     (the value of an admissible word)
 #
-# Format 1 also has the directives
-#
-#   single_zeta 3 = 1 * z3           (zeta(s) for s = 2..max_weight)
-#   product z3 z5 = 1 * z3 z5        (every pair of symbols within the cap)
-#
-# which carry nothing the others do not: zeta(s) is the value of the word
-# A B^(s-1), and a product must be the free one.  The loader still reads
-# format 1, checks both, and then drops them; in format 2 either is a
-# ParseError.
+# Format 1 also had ``single_zeta`` and ``product`` lines, which carried
+# nothing the others do not (zeta(s) is the value of the word A B^(s-1), and
+# a product must be the free one).  It is no longer read: its format line is
+# the ParseError "unsupported version 1".
 
 FORMAT_NAME = "emzv-mzv-table"
 FORMAT_VERSION = 2
@@ -684,24 +715,17 @@ def load_mzv_table(source: IO[str] | IO[bytes]) -> MzvTable:
 
 
 def loads_mzv_table(text: str) -> MzvTable:
-    """Parse and validate a table document of format 1 or 2.
+    """Parse and validate a table document of format 2.
 
     A malformed line raises ParseError naming the line; a document that
-    parses but breaks a structural invariant raises ConsistencyError.
+    parses but breaks a structural invariant raises ConsistencyError.  Each
+    coefficient is built once, as its line is read.
     """
     version: int | None = None
     max_weight: int | None = None
     symbols: dict[str, int] = {}
     convergent: dict[str, CoeffElem] = {}
-    single_zeta: dict[int, CoeffElem] = {}  # format 1 only
-    products: dict[tuple[str, str], CoeffElem] = {}  # format 1 only
-    first_v1_line: str | None = None
-
-    def split_entry(rest: str) -> tuple[str, str]:
-        if "=" not in rest:
-            raise ParseError("missing '='")
-        lhs, rhs = rest.split("=", 1)
-        return lhs.strip(), rhs.strip()
+    monomials: dict[str, MzvMonomial] = {}
 
     def integer(text: str, what: str) -> int:
         try:
@@ -723,7 +747,7 @@ def loads_mzv_table(text: str) -> MzvTable:
                 if len(parts) != 2 or parts[0] != FORMAT_NAME:
                     raise ParseError("unrecognized format line")
                 version = integer(parts[1], "format version")
-                if version not in (1, FORMAT_VERSION):
+                if version != FORMAT_VERSION:
                     raise ParseError(f"unsupported version {parts[1]}")
             elif head == "max_weight":
                 if max_weight is not None:
@@ -737,29 +761,16 @@ def loads_mzv_table(text: str) -> MzvTable:
                 if name == PI_SYMBOL or name in symbols:
                     raise ParseError(f"bad or duplicate symbol {name!r}")
                 symbols[name] = w
-            elif head == "single_zeta":
-                first_v1_line = first_v1_line or f"line {lineno}: {head}"
-                lhs, rhs = split_entry(rest)
-                s = integer(lhs, "single_zeta index")
-                if s in single_zeta:
-                    raise ParseError(f"duplicate single_zeta {s}")
-                single_zeta[s] = parse_coeff(rhs, symbols)
-            elif head == "product":
-                first_v1_line = first_v1_line or f"line {lineno}: {head}"
-                lhs, rhs = split_entry(rest)
-                pair = tuple(sorted(lhs.split()))
-                if len(pair) != 2:
-                    raise ParseError("expected 'product S T = ...'")
-                if pair in products:
-                    raise ParseError(f"duplicate product {pair}")
-                products[pair] = parse_coeff(rhs, symbols)  # type: ignore[index]
             elif head == "convergent":
-                lhs, rhs = split_entry(rest)
+                lhs, eq, rhs = rest.partition("=")
+                if not eq:
+                    raise ParseError("missing '='")
+                lhs = lhs.strip()
                 if not lhs or set(lhs) - {"A", "B"}:
                     raise ParseError(f"bad word {lhs!r}")
                 if lhs in convergent:
                     raise ParseError(f"duplicate word {lhs!r}")
-                convergent[lhs] = parse_coeff(rhs, symbols)
+                convergent[lhs] = _parse_coeff(rhs, symbols, monomials)
             else:
                 raise ParseError(f"unknown directive {head!r}")
         except ParseError as exc:
@@ -767,15 +778,11 @@ def loads_mzv_table(text: str) -> MzvTable:
 
     if version is None:
         raise ParseError("missing format line")
-    if version != 1 and first_v1_line:
-        raise ParseError(f"{first_v1_line} lines belong to format 1 only")
     if max_weight is None:
         raise ParseError("missing max_weight")
 
     table = MzvTable(max_weight=max_weight, symbols=symbols, convergent_words=convergent)
     _validate_table(table)
-    if version == 1:
-        _validate_v1_entries(table, single_zeta, products)
     return table
 
 
@@ -806,32 +813,6 @@ def _validate_table(t: MzvTable) -> None:
             )
 
 
-def _validate_v1_entries(
-    t: MzvTable,
-    single_zeta: dict[int, CoeffElem],
-    products: dict[tuple[str, str], CoeffElem],
-) -> None:
-    """The format 1 sections: zeta(s) is its depth-one word, products are free."""
-    for s in range(2, t.max_weight + 1):
-        if s not in single_zeta:
-            raise ConsistencyError(f"missing single_zeta({s})")
-    for s, c in single_zeta.items():
-        word = "A" + "B" * (s - 1)
-        if c != t.convergent_words.get(word):
-            raise ConsistencyError(f"single_zeta({s}) must equal convergent {word}")
-
-    names = sorted(t.symbols)
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            if t.symbols[a] + t.symbols[b] <= t.max_weight and (a, b) not in products:
-                raise ConsistencyError(f"missing product entry for ({a}, {b})")
-    for (a, b), c in products.items():
-        if a not in t.symbols or b not in t.symbols:
-            raise ConsistencyError(f"product over unknown symbols ({a}, {b})")
-        if c != CoeffElem({MzvMonomial(0, (a, b)): Fraction(1)}):
-            raise ConsistencyError(f"format v1 requires free products; ({a}, {b}) is reduced")
-
-
 def dump_mzv_table(t: MzvTable) -> str:
     lines = [
         "# zeta reduction table; pi denotes 2*pi*i",
@@ -854,10 +835,10 @@ def shipped_table() -> MzvTable:
     """The table packaged with the distribution (weight cap 8)."""
 
     def load() -> MzvTable:
-        from importlib.resources import files
-
-        return loads_mzv_table(
-            files("emzv.data").joinpath(SHIPPED_TABLE_RESOURCE).read_text("utf-8")
-        )
+        # The package's own loader reads the file, from a directory or a zip
+        # archive alike, without importing importlib.resources (which pulls
+        # in zipfile, tempfile and pathlib).
+        path = os.path.join(os.path.dirname(__file__), "data", SHIPPED_TABLE_RESOURCE)
+        return loads_mzv_table(__spec__.loader.get_data(path).decode("utf-8"))
 
     return memoized(_shipped, SHIPPED_TABLE_RESOURCE, load)

@@ -24,9 +24,8 @@ pushing each through the integer derivations once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .coeffring import (
     CoeffElem,
@@ -98,8 +97,7 @@ def indices_exact(length: int, weight: int) -> list[EmzvIndex]:
 # The differential recursion
 
 
-@dataclass(frozen=True)
-class DiffTerm:
+class DiffTerm(NamedTuple):
     eis_weight: int
     sub_index: EmzvIndex
     coeff: Fraction
@@ -160,8 +158,7 @@ def diffeq_expand(idx: Iterable[int]) -> list[DiffTerm]:
 # Decomposition
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Image of an index under the decomposition map."""
 
     index: EmzvIndex

@@ -26,9 +26,8 @@ constant-term data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence, TypeVar
+from typing import Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .coeffring import CoeffElem, accumulate, assoc_concat, bernoulli, integer_slices, memoized
 from .eisalg import EPoly, EWord, epoly_to_qexp
@@ -183,8 +182,7 @@ def eps_derivation(k2: int) -> LieDerivation:
 # Relations between bracket words of the derivations
 
 
-@dataclass(frozen=True)
-class RelationSet:
+class RelationSet(NamedTuple):
     weight: int
     depth: int
     candidates: tuple[str, ...]

@@ -209,5 +209,10 @@ def epoly_to_qexp(x: EPoly, order: int) -> QTSeries:
 
 
 def deconcat(x: EPoly) -> dict[tuple[EWord, EWord], CoeffElem]:
-    """Deconcatenation coproduct: all splits of each word, coefficients kept."""
+    """Deconcatenation coproduct: all splits of each word, coefficients kept.
+
+    Public API: the coproduct that makes the e-words under the shuffle
+    product a Hopf algebra, for library callers working with the coaction
+    on the image; the package's own pipelines do not call it.
+    """
     return accumulate({}, ((split, c) for w, c in x.items() for split in deconcatenations(w)))

@@ -10,7 +10,6 @@ one per nonzero entry (every zero entry is one shared Fraction(0)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -18,17 +17,29 @@ from typing import Sequence
 from .errors import DimensionMismatch
 
 
-@dataclass(frozen=True)
 class RatMatrix:
-    rows: int
-    cols: int
-    entries: tuple[Fraction | int, ...]  # row-major
+    """A rows x cols matrix, its entries a row-major tuple.  A value: equal
+    matrices hash alike, and nothing mutates one after construction."""
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries"
-            )
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: tuple[Fraction | int, ...]):
+        if len(entries) != rows * cols:
+            raise DimensionMismatch(f"{rows}x{cols} matrix needs {rows * cols} entries")
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not RatMatrix:
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self) -> str:
+        return f"RatMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Fraction | int]]) -> "RatMatrix":
@@ -52,9 +63,6 @@ class RatMatrix:
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
 
 def _int_rows(m: RatMatrix) -> list[list[int]]:
@@ -146,7 +154,10 @@ def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
 def solve(m: RatMatrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...] | None:
     """One exact solution of m x = rhs, free variables set to zero.
 
-    Returns None when the system is inconsistent.
+    Returns None when the system is inconsistent.  Public API for library
+    callers that express one vector through others, such as one index's
+    decomposition through a family of them; the package's own pipelines
+    need only kernels (:func:`kernel_basis`).
     """
     if len(rhs) != m.rows:
         raise DimensionMismatch(f"rhs length {len(rhs)} != rows {m.rows}")

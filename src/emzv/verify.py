@@ -13,7 +13,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -60,11 +59,15 @@ F = Fraction
 PI = CoeffElem.pi_pow
 
 
-@dataclass
 class VerifyContext:
-    table: MzvTable
-    q_order: int = 20
-    nc_degree: int = 8
+    """The table and the truncations every check of one run shares."""
+
+    __slots__ = ("table", "q_order", "nc_degree")
+
+    def __init__(self, table: MzvTable, q_order: int = 20, nc_degree: int = 8):
+        self.table = table
+        self.q_order = q_order
+        self.nc_degree = nc_degree
 
 
 CheckResult = tuple[bool, str]

@@ -35,11 +35,9 @@ F = Fraction
 
 
 MINIMAL_TABLE = """
-format emzv-mzv-table 1
+format emzv-mzv-table 2
 max_weight 3
 symbol z3 3
-single_zeta 2 = -1/24 * pi^2
-single_zeta 3 = 1 * z3
 convergent AB = -1/24 * pi^2
 convergent ABB = 1 * z3
 convergent AAB = 1 * z3
@@ -120,7 +118,7 @@ def test_reduce_even_zeta():
 
 
 def test_coeff_mul_examples():
-    # zeta(s) is the word A B^(s-1): each single_zeta line must equal it
+    # zeta(s) is the word A B^(s-1)
     depth_one = {
         "ABBB": "1/1440 * pi^4",
         "ABBBB": "1 * z5",
@@ -131,13 +129,6 @@ def test_coeff_mul_examples():
                             + "\n".join(
         [
             "symbol z5 5",
-            "single_zeta 4 = 1/1440 * pi^4",
-            "single_zeta 5 = 1 * z5",
-            "single_zeta 6 = -1/60480 * pi^6",
-            "single_zeta 7 = 0",
-            "single_zeta 8 = 1/2419200 * pi^8",
-            "product z3 z3 = 1 * z3^2",
-            "product z3 z5 = 1 * z3 z5",
         ]
         + [
             f"convergent {w} = {depth_one.get(w, '0')}"
@@ -200,13 +191,21 @@ def test_ring_laws(small_table, x, y, z):
     assert coeff_mul(x, y + z, t) == coeff_mul(x, y, t) + coeff_mul(x, z, t)
 
 
+def _weight_split(c, symbol_weights):
+    """c as its weight-homogeneous pieces (pi counts weight one)."""
+    out = {}
+    for mono, q in c.items():
+        out.setdefault(mono.weight(symbol_weights), {})[mono] = q
+    return {w: CoeffElem(d) for w, d in out.items()}
+
+
 @settings(max_examples=40, deadline=None)
 @given(x=_random_coeffs(), y=_random_coeffs())
 def test_weight_grading(small_table, x, y):
     t = small_table
     p = coeff_mul(x, y, t)
-    split_x = x.weight_split(t.symbols)
-    split_y = y.weight_split(t.symbols)
+    split_x = _weight_split(x, t.symbols)
+    split_y = _weight_split(y, t.symbols)
     recompose = CoeffElem.zero()
     by_weight = {}
     for wx, cx in split_x.items():
@@ -415,7 +414,7 @@ def test_load_minimal_table():
 
 
 def test_load_empty_table():
-    t = loads_mzv_table("format emzv-mzv-table 1\nmax_weight 0\n")
+    t = loads_mzv_table("format emzv-mzv-table 2\nmax_weight 0\n")
     assert t.max_weight == 0
     assert not t.symbols
     # the ring still contains 1
@@ -423,15 +422,15 @@ def test_load_empty_table():
 
 
 def test_missing_zeta2_rejected():
-    text = "format emzv-mzv-table 1\nmax_weight 2\n"
+    text = "format emzv-mzv-table 2\nmax_weight 2\n"
     with pytest.raises(ConsistencyError):
         loads_mzv_table(text)
 
 
 def test_wrong_zeta2_rejected():
     text = (
-        "format emzv-mzv-table 1\nmax_weight 2\n"
-        "single_zeta 2 = 1/6 * pi^2\nconvergent AB = 1/6 * pi^2\n"
+        "format emzv-mzv-table 2\nmax_weight 2\n"
+        "convergent AB = 1/6 * pi^2\n"
     )
     with pytest.raises(ConsistencyError):
         loads_mzv_table(text)
@@ -458,7 +457,7 @@ def test_parse_errors():
         loads_mzv_table("format emzv-mzv-table 99\nmax_weight 0\n")
     with pytest.raises(ParseError):
         loads_mzv_table(
-            "format emzv-mzv-table 1\nmax_weight 0\nfrobnicate 1\n"
+            "format emzv-mzv-table 2\nmax_weight 0\nfrobnicate 1\n"
         )
     # every malformed line is a ParseError that names the line
     lines = MINIMAL_TABLE.strip().splitlines()
@@ -466,9 +465,9 @@ def test_parse_errors():
         (1, "format emzv-mzv-table x", "bad format version 'x'"),
         (2, "max_weight x", "bad max_weight 'x'"),
         (3, "symbol z3 x", "bad symbol weight 'x'"),
-        (4, "single_zeta x = -1/24 * pi^2", "bad single_zeta index 'x'"),
-        (5, "single_zeta 3 = 1/0 * z3", "bad rational '1/0'"),
-        (6, "convergent AB = -1/24 * pi^x", "bad monomial factor 'pi^x'"),
+        (4, "convergent AB -1/24 * pi^2", "missing '='"),
+        (5, "convergent ABB = 1/0 * z3", "bad rational '1/0'"),
+        (6, "convergent AAB = -1/24 * pi^x", "bad monomial factor 'pi^x'"),
     ):
         text = "\n".join(lines[: lineno - 1] + [bad] + lines[lineno:])
         with pytest.raises(ParseError, match=f"^line {lineno}: {re.escape(need)}$"):
@@ -480,58 +479,20 @@ def test_parse_errors():
             loads_mzv_table(text)
 
 
-def _v1_document(table):
-    """The table as a format 1 document: its v2 lines plus a single_zeta
-    line per weight (the depth-one word) and a free product per pair."""
-    lines = dump_mzv_table(table).replace("emzv-mzv-table 2", "emzv-mzv-table 1").splitlines()
-    first = next(i for i, line in enumerate(lines) if line.startswith("convergent"))
-    extra = [
-        f"single_zeta {s} = {render_coeff(table.convergent_words['A' + 'B' * (s - 1)])}"
-        for s in range(2, table.max_weight + 1)
-    ]
-    names = sorted(table.symbols)
-    extra += [
-        f"product {a} {b} = {render_coeff(CoeffElem({MzvMonomial(0, (a, b)): F(1)}))}"
-        for i, a in enumerate(names)
-        for b in names[i:]
-        if table.symbols[a] + table.symbols[b] <= table.max_weight
-    ]
-    return "\n".join(lines[:first] + extra + lines[first:]) + "\n"
+def test_v1_document_is_rejected(capsys, tmp_path):
+    # format 1 is no longer read: its format line is a one-line ParseError,
+    # exit 2 from the CLI, whatever the rest of the document holds
+    from emzv.cli import run
 
-
-def test_v1_document_loads_as_its_v2_dump():
-    from importlib.resources import files
-
-    shipped_text = files("emzv.data").joinpath("mzv_table_w8.txt").read_text("utf-8")
-    assert shipped_text.splitlines()[1] == "format emzv-mzv-table 2"
-    assert "single_zeta" not in shipped_text and "product" not in shipped_text
-    v1 = _v1_document(shipped_table())
-    assert "single_zeta 7 = 1 * z7" in v1 and "product z3 z5 = 1 * z3 z5" in v1
-    t = loads_mzv_table(v1)
-    assert t == shipped_table()
-    assert dump_mzv_table(t) == shipped_text
-    minimal = loads_mzv_table(MINIMAL_TABLE)
-    assert loads_mzv_table(dump_mzv_table(minimal)) == minimal
-
-
-@pytest.mark.parametrize(
-    "old,new,need",
-    [
-        ("single_zeta 3 = 1 * z3", "single_zeta 3 = 2 * z3", r"\(3\) must equal convergent ABB$"),
-        ("single_zeta 7 = 1 * z7", "single_zeta 7 = 0", r"\(7\) must equal convergent ABBBBBB$"),
-        ("single_zeta 8 = ", "single_zeta 9 = 0\nsingle_zeta 8 = ", r"single_zeta\(9\) must equal"),
-        ("single_zeta 2 = -1/24 * pi^2\n", "", r"missing single_zeta\(2\)"),
-        ("product z3 z5 = 1 * z3 z5", "product z3 z5 = 0", r"free products; \(z3, z5\) is reduced"),
-        ("product z3 z5 = 1 * z3 z5\n", "", r"missing product entry for \(z3, z5\)"),
-    ],
-)
-def test_v1_sections_are_checked(old, new, need):
-    # each single_zeta must be its depth-one word, odd ones and ones beyond
-    # the cap included, and the products must be free and complete
-    v1 = _v1_document(shipped_table())
-    assert old in v1
-    with pytest.raises(ConsistencyError, match=need):
-        loads_mzv_table(v1.replace(old, new))
+    v1 = MINIMAL_TABLE.replace("emzv-mzv-table 2", "emzv-mzv-table 1") + "single_zeta 2 = -1/24 * pi^2\n"
+    with pytest.raises(ParseError, match="^line 2: unsupported version 1$"):
+        loads_mzv_table(v1)
+    path = tmp_path / "v1.txt"
+    path.write_text(v1, encoding="utf-8")
+    assert run(["gamma", "--index", "2,0,0", "--mzv-table", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and captured.err.count("\n") == 1
+    assert "line 2: unsupported version 1" in captured.err
 
 
 @pytest.mark.parametrize("extra", ["single_zeta 3 = 1 * z3", "product z3 z3 = 1 * z3^2"])
@@ -541,6 +502,6 @@ def test_v2_rejects_format_1_sections(extra):
     for at in (4, len(lines)):  # after the symbol line, and last
         text = "\n".join(lines[:at] + [extra] + lines[at:])
         head = extra.split()[0]
-        need = f"^line {at + 1}: {head} lines belong to format 1 only$"
+        need = f"^line {at + 1}: unknown directive '{head}'$"
         with pytest.raises(ParseError, match=need):
             loads_mzv_table(text)

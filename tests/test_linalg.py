@@ -21,7 +21,7 @@ def test_rref_identity():
 def test_rref_rank_one():
     m = RatMatrix.from_rows([[1, 2], [2, 4]])
     red, pivots, rank = rref(m)
-    assert red.to_rows() == [[1, 2], [0, 0]]
+    assert red == RatMatrix.from_rows([[1, 2], [0, 0]])
     assert rank == 1
 
 
@@ -127,7 +127,7 @@ def test_rref_agrees_with_plain_gauss(m):
             break
     red, pivots, rank = rref(m)
     assert pivots == piv
-    assert red.to_rows() == rows
+    assert red == RatMatrix.from_rows(rows)
 
 
 def test_primitive_rows():
