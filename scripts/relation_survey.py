@@ -19,7 +19,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from emzv.coeffring import shipped_table
-from emzv.decomp import find_emzv_relations, format_index, indices_exact
+from emzv.decomp import find_emzv_relations, format_index
+from emzv.words import graded_words
 
 
 def main() -> int:
@@ -33,7 +34,7 @@ def main() -> int:
     print(f"{'len':>3} {'wt':>3} {'#idx':>5} {'#rel':>5} {'dim':>4}")
     for length in range(1, args.max_length + 1):
         for weight in range(0, args.max_weight + 1):
-            idxs = indices_exact(length, weight)
+            idxs = graded_words(length, weight)
             if not idxs:
                 continue
             vectors = find_emzv_relations(idxs, table)

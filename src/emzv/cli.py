@@ -22,9 +22,9 @@ the verification suite exercises the closed-form layers beyond it.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from typing import Callable
 
 from .coeffring import (
     CoeffElem,
@@ -39,7 +39,6 @@ from .decomp import (
     emzv_qexp,
     find_emzv_relations,
     format_index,
-    indices_exact,
     parse_index,
 )
 from .derlie import (
@@ -51,6 +50,7 @@ from .derlie import (
 from .eisalg import EPoly
 from .errors import ConsistencyError, EmzvError, ParseError, TableOverflow
 from .ncalg import build_Ainf, required_table_weight
+from .words import graded_words
 
 ENV_TABLE = "EMZV_MZV_TABLE"
 
@@ -61,24 +61,17 @@ _FLAGS: dict[str, dict] = {
     "--format": dict(choices=("text", "json"), default="text"),
 }
 
-# subcommand -> (help, the shared flags its handler reads); no other is accepted
-_SUBCOMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
-    "decompose": ("decomposition of an index", ("--mzv-table", "--format")),
-    "qexp": ("Fourier expansion of an index", ("--mzv-table", "--order", "--format")),
-    "gamma": ("constant term of an index", ("--mzv-table", "--format")),
-    "relations": ("linear relations among indices", ("--mzv-table", "--format")),
-    "derlie-relations": ("relations among the derivations", ("--format",)),
-    "fourier-check": (
-        "Fourier-subspace check of an index or e-word sum",
-        ("--mzv-table", "--order", "--format"),
-    ),
-    "membership": (
-        "dual-ideal membership of an index or e-word sum",
-        ("--mzv-table", "--format"),
-    ),
-    "dump-ainf": ("print the limit series", ("--mzv-table", "--degree", "--format")),
-    "verify": ("run the verification suite", ("--mzv-table", "--order", "--degree")),
-}
+# subcommand -> (help, the shared flags its handler reads, handler), filled by
+# @_subcommand in the order of the handlers below; no other flag is accepted
+_SUBCOMMANDS: dict[str, tuple[str, tuple[str, ...], Callable[[argparse.Namespace], int]]] = {}
+
+
+def _subcommand(name: str, about: str, *flags: str):
+    def register(handler: Callable[[argparse.Namespace], int]):
+        _SUBCOMMANDS[name] = (about, flags, handler)
+        return handler
+
+    return register
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
     p = {}
-    for name, (about, flags) in _SUBCOMMANDS.items():
+    for name, (about, flags, _) in _SUBCOMMANDS.items():
         p[name] = sub.add_parser(name, help=about)
         for flag in flags:
             p[name].add_argument(flag, **_FLAGS[flag])
@@ -150,7 +143,11 @@ def _load_table(ns: argparse.Namespace) -> MzvTable:
 
 
 def _emit(ns: argparse.Namespace, doc: dict, text: str) -> None:
-    print(json.dumps(doc, indent=2) if ns.format == "json" else text)
+    if ns.format == "json":
+        import json  # only structured output and --epoly read it
+
+        text = json.dumps(doc, indent=2)
+    print(text)
 
 
 def _require_table_weight(what: str, need: int, table: MzvTable) -> None:
@@ -179,6 +176,8 @@ def _epoly_argument(ns: argparse.Namespace, table: MzvTable) -> EPoly:
     if ns.index is not None:
         idx = _guarded_index(ns, table)
         return decompose(idx, table).epoly.without_constant()
+    import json
+
     coeffs: dict[tuple[int, ...], CoeffElem] = {}
     try:
         pairs = json.loads(ns.epoly)
@@ -198,6 +197,7 @@ def _epoly_argument(ns: argparse.Namespace, table: MzvTable) -> EPoly:
     return EPoly(coeffs)
 
 
+@_subcommand("decompose", "decomposition of an index", "--mzv-table", "--format")
 def _cmd_decompose(ns: argparse.Namespace) -> int:
     table = _load_table(ns)
     dec = decompose(_guarded_index(ns, table), table)
@@ -206,6 +206,7 @@ def _cmd_decompose(ns: argparse.Namespace) -> int:
     return 0
 
 
+@_subcommand("qexp", "Fourier expansion of an index", "--mzv-table", "--order", "--format")
 def _cmd_qexp(ns: argparse.Namespace) -> int:
     order = _positive(ns, "order")
     table = _load_table(ns)
@@ -219,6 +220,7 @@ def _cmd_qexp(ns: argparse.Namespace) -> int:
     return 0
 
 
+@_subcommand("gamma", "constant term of an index", "--mzv-table", "--format")
 def _cmd_gamma(ns: argparse.Namespace) -> int:
     table = _load_table(ns)
     idx = _guarded_index(ns, table)
@@ -232,6 +234,7 @@ def _cmd_gamma(ns: argparse.Namespace) -> int:
     return 0
 
 
+@_subcommand("relations", "linear relations among indices", "--mzv-table", "--format")
 def _cmd_relations(ns: argparse.Namespace) -> int:
     if ns.length < 0:
         raise ValueError(f"bad --length {ns.length}: the length must be ≥ 0")
@@ -245,7 +248,7 @@ def _cmd_relations(ns: argparse.Namespace) -> int:
             required_table_weight((ns.weight,) + (0,) * (ns.length - 1)),
             table,
         )
-    indices = indices_exact(ns.length, ns.weight)
+    indices = graded_words(ns.length, ns.weight)
     vectors = find_emzv_relations(indices, table)
     doc = {
         "schema": "emzv.relations/1",
@@ -260,6 +263,7 @@ def _cmd_relations(ns: argparse.Namespace) -> int:
     return 0
 
 
+@_subcommand("derlie-relations", "relations among the derivations", "--format")
 def _cmd_derlie_relations(ns: argparse.Namespace) -> int:
     if ns.weight < 0 or ns.weight % 2:
         raise ValueError(f"bad --weight {ns.weight}: the weight must be even and ≥ 0")
@@ -274,6 +278,13 @@ def _cmd_derlie_relations(ns: argparse.Namespace) -> int:
     return 0
 
 
+@_subcommand(
+    "fourier-check",
+    "Fourier-subspace check of an index or e-word sum",
+    "--mzv-table",
+    "--order",
+    "--format",
+)
 def _cmd_fourier_check(ns: argparse.Namespace) -> int:
     order = _positive(ns, "order")
     table = _load_table(ns)
@@ -295,6 +306,9 @@ def _cmd_fourier_check(ns: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@_subcommand(
+    "membership", "dual-ideal membership of an index or e-word sum", "--mzv-table", "--format"
+)
 def _cmd_membership(ns: argparse.Namespace) -> int:
     table = _load_table(ns)
     poly = _epoly_argument(ns, table)
@@ -316,6 +330,7 @@ def _cmd_membership(ns: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@_subcommand("dump-ainf", "print the limit series", "--mzv-table", "--degree", "--format")
 def _cmd_dump_ainf(ns: argparse.Namespace) -> int:
     degree = _positive(ns, "degree")
     table = _load_table(ns)
@@ -337,6 +352,7 @@ def _cmd_dump_ainf(ns: argparse.Namespace) -> int:
     return 0
 
 
+@_subcommand("verify", "run the verification suite", "--mzv-table", "--order", "--degree")
 def _cmd_verify(ns: argparse.Namespace) -> int:
     from .verify import VerifyContext, run_checks  # only this subcommand needs it
 
@@ -351,19 +367,6 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     return 0 if all(ok for _, ok, _, _ in results) else 1
 
 
-_DISPATCH = {
-    "decompose": _cmd_decompose,
-    "qexp": _cmd_qexp,
-    "gamma": _cmd_gamma,
-    "relations": _cmd_relations,
-    "derlie-relations": _cmd_derlie_relations,
-    "fourier-check": _cmd_fourier_check,
-    "membership": _cmd_membership,
-    "dump-ainf": _cmd_dump_ainf,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -371,7 +374,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _DISPATCH[ns.command](ns)
+        return _SUBCOMMANDS[ns.command][2](ns)
     except EmzvError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -44,15 +44,9 @@ from .errors import ParseError
 from .linalg import RatMatrix, kernel_basis
 from .ncalg import NCSeries, build_Ainf, extract_gamma, triangular_index_solve
 from .qseries import QTSeries, qt_lincomb, qt_mul
+from .words import graded_words, make_word
 
 EmzvIndex = tuple[int, ...]
-
-
-def make_index(entries: Iterable[int]) -> EmzvIndex:
-    idx = tuple(int(k) for k in entries)
-    if any(k < 0 for k in idx):
-        raise ValueError("index entries must be nonnegative")
-    return idx
 
 
 def index_weight(idx: EmzvIndex) -> int:
@@ -64,7 +58,7 @@ def parse_index(text: str) -> EmzvIndex:
     if not text:
         return ()
     try:
-        return make_index(int(part) for part in text.split(","))
+        return make_word(text.split(","))
     except ValueError as exc:
         raise ParseError(f"bad index {text!r}") from exc
 
@@ -75,22 +69,12 @@ def format_index(idx: EmzvIndex) -> str:
 
 def indices_upto(max_len: int, max_wt: int) -> list[EmzvIndex]:
     """All indices with length <= max_len and weight <= max_wt."""
-    out: list[EmzvIndex] = [()]
-    frontier: list[EmzvIndex] = [()]
-    for _ in range(max_len):
-        frontier = [
-            idx + (k,) for idx in frontier for k in range(max_wt - sum(idx) + 1)
-        ]
-        out.extend(frontier)
-    return out
-
-
-def indices_exact(length: int, weight: int) -> list[EmzvIndex]:
-    """All indices of exactly the given length and weight."""
-    out: list[EmzvIndex] = [()]
-    for _ in range(length):
-        out = [idx + (k,) for idx in out for k in range(weight - sum(idx) + 1)]
-    return [idx for idx in out if sum(idx) == weight]
+    return [
+        idx
+        for length in range(max_len + 1)
+        for weight in range(max_wt + 1)
+        for idx in graded_words(length, weight)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +109,7 @@ def diffeq_expand(idx: Iterable[int]) -> list[DiffTerm]:
     dropped; weight-0 factors are kept as explicit bookkeeping (the weight-0
     series is the constant -1).
     """
-    k = make_index(idx)
+    k = make_word(idx)
     n = len(k)
     if n < 1:
         raise ValueError("the recursion needs length >= 1")
@@ -186,7 +170,7 @@ class Decomposition(NamedTuple):
             parse_index(w): parse_coeff(c, table.symbols) for w, c in doc["terms"]
         }
         return Decomposition(
-            index=make_index(doc["index"]),
+            index=make_word(doc["index"]),
             epoly=EPoly(coeffs),
             gamma=parse_coeff(doc["gamma"], table.symbols),
             nc_degree=int(doc.get("params", {}).get("nc_degree", 0)),
@@ -200,7 +184,7 @@ def decompose(idx: Iterable[int], table: MzvTable) -> Decomposition:
     differential recursion, the constant of integration coming from the
     limit series at word degree weight + length.
     """
-    index = make_index(idx)
+    index = make_word(idx)
     return memoized(
         table.caches.setdefault("decomp", {}), index, lambda: _decompose(index, table)
     )

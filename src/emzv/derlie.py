@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Mapping, NamedTuple, Sequence, TypeVar
 
 from .coeffring import CoeffElem, accumulate, assoc_concat, bernoulli, integer_slices, memoized
 from .eisalg import EPoly, EWord, epoly_to_qexp
 from .linalg import RatMatrix, kernel_basis
 from .ncalg import NCSeries, ad_expansion
+from .words import graded_words
 
 Number = int | Fraction
 Assoc = dict[str, Number]  # sparse free-associative element
@@ -201,7 +202,7 @@ class RelationSet(NamedTuple):
 
 def _eps_lyndon_candidates(weight: int, depth: int) -> list[tuple[int, ...]]:
     """Lyndon words over the even alphabet with given length and letter sum."""
-    words = even_words(depth, weight)
+    words = graded_words(depth, weight, step=2)
     return [w for w in words if all(w < w[i:] + w[:i] for i in range(1, len(w)))]
 
 
@@ -293,17 +294,6 @@ def relation_tensor_elements(weight: int, depth: int) -> list[dict[EWord, Fracti
     return out
 
 
-def even_words(length: int, total: int) -> Iterator[EWord]:
-    """All words over the even letters with given length and letter sum."""
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(0, total + 1, 2):
-        for rest in even_words(length - 1, total - first):
-            yield (first,) + rest
-
-
 def uu_dual_membership(x: EPoly) -> dict[tuple[int, int], bool]:
     """Per homogeneous component: does the functional kill the relation ideal?
 
@@ -320,26 +310,34 @@ def uu_dual_membership(x: EPoly) -> dict[tuple[int, int], bool]:
 def _kills_relation_ideal(
     comp: Mapping[EWord, CoeffElem], length: int, letter_sum: int
 ) -> bool:
-    """True iff comp vanishes on every u . rel . v of its (length, letter sum)."""
-    for depth in range(2, length + 1):
-        for w_rel in range(0, letter_sum + 1, 2):
-            rels = relation_tensor_elements(w_rel, depth)
-            if not rels:
-                continue
-            rest_len = length - depth
-            rest_sum = letter_sum - w_rel
-            for len_u in range(rest_len + 1):
-                for sum_u in range(0, rest_sum + 1, 2):
-                    for u in even_words(len_u, sum_u):
-                        for v in even_words(rest_len - len_u, rest_sum - sum_u):
-                            for rel in rels:
-                                acc = CoeffElem.zero()
-                                for wr, q in rel.items():
-                                    c = comp.get(u + wr + v)
-                                    if c is not None:
-                                        acc = acc + c.scale(q)
-                                if not acc.is_zero():
-                                    return False
+    """True iff comp vanishes on every u . rel . v of its (length, letter sum).
+
+    Those products span I(r, s) = R(r, s) + sum_a e_a I(r-1, s-a) +
+    sum_a I(r-1, s-a) e_a, with R(r, s) the relations of depth r and letter
+    sum s, and I = 0 below length 2.  So comp kills I(r, s) iff each of its
+    one-letter contractions (its words that start, or end, with the letter a,
+    with that letter stripped) kills I(r-1, s-a), and comp kills R(r, s).
+    The shorter spans are checked first, and only the letters that occur.
+    """
+    if length < 2:
+        return True
+    contractions: dict[tuple[bool, int], dict[EWord, CoeffElem]] = {}
+    for w, c in comp.items():
+        contractions.setdefault((True, w[0]), {})[w[1:]] = c
+        contractions.setdefault((False, w[-1]), {})[w[:-1]] = c
+    if not all(
+        _kills_relation_ideal(sub, length - 1, letter_sum - a)
+        for (_, a), sub in contractions.items()
+    ):
+        return False
+    for rel in relation_tensor_elements(letter_sum, length):
+        acc = CoeffElem.zero()
+        for w, q in rel.items():
+            c = comp.get(w)
+            if c is not None:
+                acc = acc + c.scale(q)
+        if not acc.is_zero():
+            return False
     return True
 
 

@@ -34,16 +34,9 @@ from .coeffring import (
     memoized,
 )
 from .qseries import QTSeries, qt_antider, qt_from_cells, qt_lincomb, qt_slices
-from .words import deconcatenations, shuffle_multiset
+from .words import deconcatenations, make_word, shuffle_multiset
 
 EWord = tuple[int, ...]
-
-
-def make_eword(letters: Iterable[int]) -> EWord:
-    w = tuple(int(k) for k in letters)
-    if any(k < 0 for k in w):
-        raise ValueError("e-word letters must be nonnegative")
-    return w
 
 
 def has_odd_letter(w: EWord) -> bool:
@@ -107,7 +100,7 @@ def iei_qexp(w: Iterable[int], order: int) -> QTSeries:
     Memoized on (word, order) together with its integer slices; the
     coefficients are rational.
     """
-    return _iei_entry(make_eword(w), order).series
+    return _iei_entry(make_word(w), order).series
 
 
 class EPoly(CoeffMap):
@@ -121,7 +114,7 @@ class EPoly(CoeffMap):
     def _keep(self, coeffs: Mapping[EWord, CoeffElem]) -> dict[EWord, CoeffElem]:
         d: dict[EWord, CoeffElem] = {}
         for w, c in coeffs.items():
-            word = make_eword(w)
+            word = make_word(w)
             if c and not has_odd_letter(word):
                 d[word] = c
         return d
@@ -132,7 +125,7 @@ class EPoly(CoeffMap):
     def word(w: Iterable[int], coeff: CoeffElem | Fraction | int = 1) -> "EPoly":
         if not isinstance(coeff, CoeffElem):
             coeff = CoeffElem.from_rational(coeff)
-        return EPoly({make_eword(w): coeff})
+        return EPoly({make_word(w): coeff})
 
     @staticmethod
     def constant(c: CoeffElem | Fraction | int) -> "EPoly":
@@ -141,7 +134,7 @@ class EPoly(CoeffMap):
     # -- queries ----------------------------------------------------------
 
     def coefficient(self, w: Iterable[int]) -> CoeffElem:
-        return self.coeffs.get(make_eword(w), CoeffElem.zero())
+        return self.coeffs.get(make_word(w), CoeffElem.zero())
 
     def constant_term(self) -> CoeffElem:
         return self.coefficient(())
@@ -174,7 +167,7 @@ class EPoly(CoeffMap):
         The letter is checked once (a negative one raises ValueError); an
         odd letter gives zero, and an even one keeps the key rule.
         """
-        head = make_eword((letter,))
+        head = make_word((letter,))
         if head[0] % 2:
             return EPoly.zero()
         return EPoly._from_clean(None, {head + w: c for w, c in self.coeffs.items()})
@@ -182,7 +175,7 @@ class EPoly(CoeffMap):
 
 def shuffle_words(u: Iterable[int], v: Iterable[int]) -> EPoly:
     """Shuffle product of two words, unit coefficients with multiplicity."""
-    wu, wv = make_eword(u), make_eword(v)
+    wu, wv = make_word(u), make_word(v)
     out: dict[EWord, CoeffElem] = {}
     for w, mult in shuffle_multiset(wu, wv).items():
         out[w] = CoeffElem.from_rational(mult)

@@ -54,7 +54,7 @@ from .errors import (
     PreconditionViolated,
     TableOverflow,
 )
-from .words import shuffle_multiset
+from .words import graded_words, make_word, shuffle_multiset
 
 NCWord = str  # over the alphabet {"a", "b"}
 BinWord = str  # over the alphabet {"A", "B"}
@@ -344,19 +344,7 @@ EmzvIndexTuple = tuple[int, ...]
 
 def compositions_of(d: int) -> list[EmzvIndexTuple]:
     """All (k_1, ..., k_n) with sum (k_i + 1) = d; empty only for d = 0."""
-    if d == 0:
-        return [()]
-    out: list[EmzvIndexTuple] = []
-
-    def rec(remaining: int, acc: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(acc)
-            return
-        for part in range(1, remaining + 1):
-            rec(remaining - part, acc + (part - 1,))
-
-    rec(d, ())
-    return out
+    return [idx for n in range(d + 1) for idx in graded_words(n, d - n)]
 
 
 def index_monomial(idx: EmzvIndexTuple) -> dict[NCWord, int]:
@@ -434,9 +422,7 @@ def extract_gamma(idx: Iterable[int], table: MzvTable) -> CoeffElem:
     denominator (coeffring.integer_slices), each solved in integers, and
     each constant is built once from its numerators.
     """
-    index = tuple(int(k) for k in idx)
-    if any(k < 0 for k in index):
-        raise ValueError("index entries must be nonnegative")
+    index = make_word(idx)
     d = sum(k + 1 for k in index)
 
     def solve() -> dict[EmzvIndexTuple, CoeffElem]:

@@ -29,7 +29,6 @@ from .derlie import (
     annihilates,
     build_D_derivation,
     eps_derivation,
-    even_words,
     expand_lyndon,
     assoc_bracket,
     find_lie_relations,
@@ -53,7 +52,7 @@ from .ncalg import (
     required_table_weight,
 )
 from .qseries import qt_ddT, qt_mul
-from .words import shuffle_multiset
+from .words import graded_words, shuffle_multiset
 
 F = Fraction
 PI = CoeffElem.pi_pow
@@ -221,7 +220,7 @@ def criterion_06_fourier(ctx: VerifyContext) -> CheckResult:
             w
             for l in (0, 1, 2, 3)
             for s in (0, 2, 4)
-            for w in even_words(l, s)
+            for w in graded_words(l, s, step=2)
         ]
         picks = rng.sample(words, rng.randint(1, 4))
         x = EPoly.zero()

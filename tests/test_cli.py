@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from emzv.cli import _DISPATCH, run
+from emzv.cli import _SUBCOMMANDS, run
 from emzv.coeffring import dump_mzv_table, shipped_table
 from emzv.decomp import Decomposition, decompose
 
@@ -59,7 +59,7 @@ def test_help_lists_every_subcommand(capsys):
     # each command gets its own line with a help string, not only a place in
     # the {a,b,...} choice list
     described = re.findall(r"^ {4}(\S+)\s+\S", out, re.MULTILINE)
-    assert sorted(described) == sorted(_DISPATCH)
+    assert sorted(described) == sorted(_SUBCOMMANDS)
 
 
 def test_overflow_exit_code(capsys):
@@ -309,7 +309,7 @@ SUBCOMMAND_FLAGS = {
 
 
 def test_subcommand_flags_cover_every_subcommand():
-    assert sorted(SUBCOMMAND_FLAGS) == sorted(_DISPATCH)
+    assert sorted(SUBCOMMAND_FLAGS) == sorted(_SUBCOMMANDS)
     assert sum(len(reads) for _, reads in SUBCOMMAND_FLAGS.values()) == 21
 
 

@@ -45,19 +45,23 @@ SHIPPED_TEXT = (SRC / "emzv" / "data" / "mzv_table_w8.txt").read_text("utf-8")
 
 def test_cold_import_loads_no_dataclasses():
     # -S: no site-packages hooks, so sys.modules holds the interpreter's own
-    # start-up modules and what the program imports
+    # start-up modules and what the program imports.  A text-format call
+    # loads no json either; a JSON one does.
     probe = (
-        "import json, sys\n"
+        "import sys\n"
         "import emzv, emzv.cli\n"
         "emzv.shipped_table()\n"
-        "print(json.dumps(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)))\n"
+        "emzv.cli.run(['gamma', '--index', '2,0,0'])\n"
+        "cold = sorted(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules)\n"
+        "emzv.cli.run(['gamma', '--index', '2,0,0', '--format', 'json'])\n"
+        "print(cold, 'json' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == []
+    assert out.stdout.splitlines()[-1] == "[] True"
 
 
 # ---------------------------------------------------------------------------

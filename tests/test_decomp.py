@@ -22,7 +22,6 @@ from emzv.decomp import (
     find_emzv_relations,
     format_index,
     gseries_decompose,
-    indices_exact,
     indices_upto,
     parse_index,
 )
@@ -31,6 +30,7 @@ from emzv.eisalg import EPoly, eisenstein_qexp, epoly_mul, shuffle_words
 from emzv.errors import ExtractionInconsistent, ParseError, TableOverflow
 from emzv.ncalg import NCSeries, build_Ainf, triangular_index_solve
 from emzv.qseries import QTSeries, qt_ddT, qt_mul
+from emzv.words import graded_words
 
 F = Fraction
 PI = CoeffElem.pi_pow
@@ -62,13 +62,14 @@ def test_indices_upto():
 
 @pytest.mark.parametrize("length", range(5))
 def test_indices_exact_is_filtered_indices_upto(length):
+    # the indices of exactly one length and weight are graded_words
     for weight in range(-1, 6):
         want = [
             i
             for i in indices_upto(length, max(weight, 0))
             if len(i) == length and sum(i) == weight
         ]
-        got = indices_exact(length, weight)
+        got = graded_words(length, weight)
         assert sorted(got) == sorted(want) and len(set(got)) == len(got)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,7 +18,6 @@ from emzv.derlie import (
     eps_derivation,
     eps_nc,
     eps_tilde_scale,
-    even_words,
     expand_lyndon,
     find_lie_relations,
     fourier_membership,
@@ -28,8 +28,10 @@ from emzv.derlie import (
     uu_dual_membership,
 )
 from emzv.eisalg import EPoly, epoly_mul, shuffle_words
-from emzv.linalg import RatMatrix, kernel_basis
+from emzv.decomp import decompose, indices_upto
+from emzv.linalg import RatMatrix, kernel_basis, rref
 from emzv.ncalg import NCSeries, build_Ainf, build_ytilde, nc_bracket
+from emzv.words import graded_words
 
 F = Fraction
 
@@ -294,8 +296,8 @@ def test_fourier_membership_examples():
 
 
 def _random_epoly(rng):
-    words = list(even_words(0, 0)) + list(even_words(1, 0)) + [
-        w for l in (1, 2, 3) for s in (0, 2, 4) for w in even_words(l, s)
+    words = graded_words(0, 0) + graded_words(1, 0) + [
+        w for l in (1, 2, 3) for s in (0, 2, 4) for w in graded_words(l, s, step=2)
     ]
     picks = rng.sample(words, rng.randint(1, 4))
     return sum(
@@ -618,7 +620,7 @@ def _recursive_bracket_expansion(word):
 
 
 def test_lyndon_candidates_and_expansions_match_the_recursions():
-    # the candidates are the Lyndon filter of even_words, in the same order,
+    # the candidates are the Lyndon filter of graded_words, in the same order,
     # and the memoized expand_lyndon expands tuples as a bracket recursion
     # on the letter coding does
     count = 0
@@ -699,3 +701,170 @@ def test_eps0_lowest_weight_relation(k):
         d = LieDerivation(e0.bracket_x(d))
     assert d.val_x
     assert e0.bracket_x(d) == {}
+
+
+def test_all_depth2_candidates_count_cusp_forms():
+    # the kernel over every default Lyndon depth-2 candidate, eps0 and eps2
+    # included: the cusp-form relations, the eps2-centrality ones ([eps2,
+    # eps_{w-2}] = 0 for w >= 6) and [eps0, eps2] = 0 at w = 2
+    for w in range(0, 31, 2):
+        k = w - 2
+        dim_cusp = max(k // 12 - (k % 12 == 2), 0)
+        assert len(find_lie_relations(w, 2).vectors) == dim_cusp + (w >= 6) + (w == 2), w
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the dual-ideal membership by the ideal's own recursion
+# against the seven nested loops it replaced, kept here as the reference.
+
+
+def reference_kills_relation_ideal(comp, length, letter_sum):
+    for depth in range(2, length + 1):
+        for w_rel in range(0, letter_sum + 1, 2):
+            rels = relation_tensor_elements(w_rel, depth)
+            if not rels:
+                continue
+            rest_len = length - depth
+            rest_sum = letter_sum - w_rel
+            for len_u in range(rest_len + 1):
+                for sum_u in range(0, rest_sum + 1, 2):
+                    for u in graded_words(len_u, sum_u, step=2):
+                        for v in graded_words(rest_len - len_u, rest_sum - sum_u, step=2):
+                            for rel in rels:
+                                acc = CoeffElem.zero()
+                                for wr, q in rel.items():
+                                    c = comp.get(u + wr + v)
+                                    if c is not None:
+                                        acc = acc + c.scale(q)
+                                if not acc.is_zero():
+                                    return False
+    return True
+
+
+def reference_uu_dual_membership(x):
+    comps = {}
+    for w, c in x.items():
+        comps.setdefault((len(w), sum(w)), {})[w] = c
+    return {key: reference_kills_relation_ideal(comp, *key) for key, comp in comps.items()}
+
+
+def _same_membership(x):
+    got = uu_dual_membership(x)
+    assert got == reference_uu_dual_membership(x), x
+    return list(got.values())
+
+
+def _ideal_rows(length, letter_sum, depths):
+    """The products u . rel . v at (length, letter sum), rel of the given depths."""
+    rows = []
+    for depth in depths:
+        for w_rel in range(0, letter_sum + 1, 2):
+            rest = letter_sum - w_rel
+            for rel in relation_tensor_elements(w_rel, depth):
+                for len_u in range(length - depth + 1):
+                    len_v = length - depth - len_u
+                    for sum_u in range(0, rest + 1, 2):
+                        us = graded_words(len_u, sum_u, 2)
+                        vs = graded_words(len_v, rest - sum_u, 2)
+                        for u, v in itertools.product(us, vs):
+                            rows.append({u + w + v: q for w, q in rel.items()})
+    return rows
+
+
+def _annihilator(rows, words):
+    """A basis of the functionals on the words that vanish on every row."""
+    matrix = RatMatrix.from_rows([[row.get(w, 0) for w in words] for row in rows])
+    return kernel_basis(matrix)
+
+
+def _pairs(vec, row, words):
+    return sum(q * row.get(w, 0) for q, w in zip(vec, words))
+
+
+_ZETAS = [
+    CoeffElem.one(),
+    CoeffElem.pi_pow(2),
+    CoeffElem.symbol("z3"),
+    CoeffElem.symbol("z5").mul_pi(2),
+    CoeffElem.symbol("z3", 2) + CoeffElem.pi_pow(4, F(-1, 7)),
+]
+
+
+def _with_zetas(rng, vectors, words):
+    """A random combination of the functionals, each times a zeta value."""
+    cells = {}
+    for vec in vectors:
+        zeta = rng.choice(_ZETAS).scale(F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+        for w, q in zip(words, vec):
+            if q:
+                cells[w] = cells.get(w, CoeffElem.zero()) + zeta.scale(q)
+    return EPoly(cells)
+
+
+def test_dual_membership_matches_the_seven_loops():
+    table = shipped_table()
+    outcomes = []
+    # criterion 9's decompositions
+    for idx in indices_upto(4, 5):
+        outcomes += _same_membership(decompose(idx, table).epoly.without_constant())
+    assert all(outcomes) and len(outcomes) > 300
+    # seeded random e-polys with zeta coefficients, one or two components
+    rng = random.Random(17)
+    for _ in range(600):
+        x = EPoly.zero()
+        for _ in range(rng.randint(1, 2)):
+            length = rng.randint(2, 4)
+            words = graded_words(length, 2 * rng.randint(0, 8 if length < 4 else 5), step=2)
+            for w in rng.sample(words, min(len(words), rng.randint(1, 4))):
+                x = x + EPoly.word(w, rng.choice(_ZETAS).scale(rng.randint(1, 5)))
+        outcomes += _same_membership(x)
+    # shuffle products
+    short = [w for n in (1, 2, 3) for s in range(0, 13, 2) for w in graded_words(n, s, 2)]
+    for u in short:
+        for v in short:
+            if len(u) + len(v) <= 4 and sum(u) + sum(v) <= 14 and u <= v:
+                outcomes += _same_membership(shuffle_words(u, v))
+    # the W-subspace at (2, 14), and a word outside it
+    basis = [(10, 4), (4, 10), (8, 6), (6, 8)]
+    for vec in _annihilator(relation_tensor_elements(14, 2), basis):
+        x = EPoly({w: CoeffElem.from_rational(q) for w, q in zip(basis, vec)})
+        outcomes += _same_membership(x)
+    outcomes += _same_membership(EPoly.word((10, 4)))
+    # random members of the annihilator of the full span, and one word off
+    for length, letter_sum in [(2, 24), (3, 10), (3, 16), (4, 8)]:
+        words = graded_words(length, letter_sum, step=2)
+        rows = _ideal_rows(length, letter_sum, range(2, length + 1))
+        kernel = _annihilator(rows, words)
+        for _ in range(4):
+            x = _with_zetas(rng, rng.sample(kernel, min(3, len(kernel))), words)
+            assert _same_membership(x) == [True]
+            w = rng.choice(sorted(rng.choice([r for r in rows if r])))
+            assert _same_membership(x + EPoly.word(w, rng.choice(_ZETAS))) == [False]
+    assert outcomes.count(True) > 300 and outcomes.count(False) > 300, outcomes.count(True)
+
+
+def test_dual_membership_reaches_the_depth3_relations():
+    # At (3, 16) the one-letter extensions of the depth-2 ideal have rank 15
+    # of 45 words, and the depth-3 relations raise the span to rank 16; a
+    # functional killing the extensions but not the span is a non-member
+    # that only the depth-3 branch shows.
+    words = graded_words(3, 16, step=2)
+    extensions = _ideal_rows(3, 16, [2])
+    depth3 = relation_tensor_elements(16, 3)
+    full = RatMatrix.from_rows([[r.get(w, 0) for w in words] for r in extensions + depth3])
+    assert len(words) == 45
+    assert len(words) - len(_annihilator(extensions, words)) == 15
+    assert rref(full)[2] == 16
+    vec = next(
+        v
+        for v in _annihilator(extensions, words)
+        if any(_pairs(v, rel, words) for rel in depth3)
+    )
+    zeta = CoeffElem.symbol("z3").mul_pi(2)
+    x = EPoly({w: zeta.scale(q) for w, q in zip(words, vec) if q})
+    assert _same_membership(x) == [False]
+    # every one-letter contraction is a member at length 2
+    for a in sorted({w[0] for w in x.coeffs} | {w[-1] for w in x.coeffs}):
+        left = EPoly({w[1:]: c for w, c in x.items() if w[0] == a})
+        right = EPoly({w[:-1]: c for w, c in x.items() if w[-1] == a})
+        assert all(_same_membership(left) + _same_membership(right)), a
