@@ -335,16 +335,25 @@ class CoeffMap:
     which filters a whole dict of terms at once; the results of ``+``,
     ``-`` and ``scale`` obey the rule by construction and are adopted as
     they are.
+
+    A truncated product algebra also states its slicing rule as ``_slice``;
+    :meth:`slices` computes a value's slices on first use and keeps them
+    (values are never mutated), and equality ignores them.
     """
 
-    __slots__ = ("shape", "coeffs")
+    __slots__ = ("shape", "coeffs", "_sliced")
 
     def __init__(self, shape: int | None, coeffs: Mapping | None = None):
         self.shape = shape
         self.coeffs = self._keep(coeffs) if coeffs else {}
+        self._sliced = None
 
     def _keep(self, coeffs: Mapping) -> dict:
         """The terms of coeffs that obey the key rule, zero coefficients dropped."""
+        raise NotImplementedError
+
+    def _slice(self) -> Slices:
+        """The value's graded integer slices (:func:`graded_slices`)."""
         raise NotImplementedError
 
     @classmethod
@@ -353,6 +362,7 @@ class CoeffMap:
         out = object.__new__(cls)
         out.shape = shape
         out.coeffs = coeffs
+        out._sliced = None
         return out
 
     @classmethod
@@ -372,6 +382,12 @@ class CoeffMap:
 
     def coefficient(self, key) -> CoeffElem:
         return self.coeffs.get(key, CoeffElem.zero())
+
+    def slices(self) -> Slices:
+        """The value's graded integer slices, computed once."""
+        if self._sliced is None:
+            self._sliced = self._slice()
+        return self._sliced
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

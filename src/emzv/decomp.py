@@ -33,13 +33,12 @@ from .coeffring import (
     MzvTable,
     accumulate,
     bernoulli,
-    graded_slices,
     memoized,
     parse_coeff,
     render_coeff,
 )
 from .derlie import eps_nc, eps_tilde_scale
-from .eisalg import EPoly, EWord, eisenstein_qexp, epoly_to_qexp
+from .eisalg import EPoly, EWord, eisenstein_qexp, epoly_to_qexp, has_odd_letter
 from .errors import ParseError
 from .linalg import RatMatrix, kernel_basis
 from .ncalg import NCSeries, build_Ainf, extract_gamma, triangular_index_solve
@@ -164,17 +163,30 @@ class Decomposition(NamedTuple):
 
     @staticmethod
     def from_doc(doc: Mapping, table: MzvTable) -> "Decomposition":
+        """The decomposition a document records; ParseError names the field
+        of an inconsistent one (a repeated or odd word in ``terms``, a
+        ``gamma`` that is not their constant term, a ``params.nc_degree``
+        other than the index's)."""
         if doc.get("schema") != "emzv.decomposition/1":
             raise ParseError(f"unsupported schema {doc.get('schema')!r}")
-        coeffs = {
-            parse_index(w): parse_coeff(c, table.symbols) for w, c in doc["terms"]
-        }
-        return Decomposition(
-            index=make_word(doc["index"]),
-            epoly=EPoly(coeffs),
-            gamma=parse_coeff(doc["gamma"], table.symbols),
-            nc_degree=int(doc.get("params", {}).get("nc_degree", 0)),
-        )
+        index = make_word(doc["index"])
+        coeffs: dict[EWord, CoeffElem] = {}
+        for w, c in doc["terms"]:
+            word = parse_index(w)
+            if word in coeffs:
+                raise ParseError(f"terms: word {w!r} given twice")
+            if has_odd_letter(word):
+                raise ParseError(f"terms: word {w!r} has an odd letter")
+            coeffs[word] = parse_coeff(c, table.symbols)
+        epoly = EPoly(coeffs)
+        gamma = parse_coeff(doc["gamma"], table.symbols)
+        if gamma != epoly.constant_term():
+            raise ParseError("gamma: not the constant term of terms")
+        nc_degree = int(doc.get("params", {}).get("nc_degree", 0))
+        want = index_weight(index) + len(index) if len(index) >= 2 else 0
+        if nc_degree != want:
+            raise ParseError(f"params.nc_degree: {nc_degree}, index {list(index)} needs {want}")
+        return Decomposition(index, epoly, gamma, nc_degree)
 
 
 def decompose(idx: Iterable[int], table: MzvTable) -> Decomposition:
@@ -271,7 +283,7 @@ def _eps_word_images(ainf: NCSeries, degrees: Sequence[int]) -> dict[int, list[_
     """Every nonzero eps~_w applied to the pieces of the limit series.
 
     A piece is one degree bucket m of the series' integer slices on a
-    coefficient monomial mu (:func:`coeffring.graded_slices`).  Its integer
+    coefficient monomial mu (``NCSeries.slices``).  Its integer
     vector is pushed once through the integer derivations eps_{2k}; each
     raises the degree by exactly 2k, so the image under eps_w lands at
     degree m + |w| and serves every requested degree.  The eps~
@@ -281,7 +293,7 @@ def _eps_word_images(ainf: NCSeries, degrees: Sequence[int]) -> dict[int, list[_
     top = max(degrees)
     ops = [(k2, eps_nc(k2), eps_tilde_scale(k2)) for k2 in range(0, top, 2)]
     images: dict[int, list[_EpsImage]] = {d: [] for d in degrees}
-    for mono, (den, buckets) in graded_slices(ainf.coeffs.items(), len).items():
+    for mono, (den, buckets) in ainf.slices().items():
         for m, terms in buckets:
             if not 1 <= m <= top:
                 continue

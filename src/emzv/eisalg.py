@@ -20,20 +20,19 @@ odd letter represent the zero function and are dropped at the boundary.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .coeffring import (
     CoeffElem,
     CoeffMap,
     MzvTable,
-    Slices,
     accumulate,
     bernoulli,
     coeff_mul,
     convolve,
     memoized,
 )
-from .qseries import QTSeries, qt_antider, qt_from_cells, qt_lincomb, qt_slices
+from .qseries import QTSeries, qt_antider, qt_from_cells, qt_lincomb
 from .words import deconcatenations, make_word, shuffle_multiset
 
 EWord = tuple[int, ...]
@@ -64,43 +63,30 @@ def eisenstein_qexp(k: int, order: int) -> QTSeries:
     return QTSeries(order, coeffs)
 
 
-class _Integral(NamedTuple):
-    """A cached iterated integral and its integer slices below its order."""
-
-    series: QTSeries
-    slices: Slices
-
-
-_iei_cache: dict[tuple[EWord, int], _Integral] = {}
-
-
-def _iei_entry(word: EWord, order: int) -> _Integral:
-    """The cached integral of an e-word, built and sliced once on a miss
-    from the cached slices of its tail."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-
-    def compute() -> _Integral:
-        if not word:
-            series = QTSeries.constant(1, order)
-        elif has_odd_letter(word):
-            series = QTSeries.zero(order)
-        else:
-            minus_e = qt_slices(-eisenstein_qexp(word[0], order))
-            tail = _iei_entry(word[1:], order).slices
-            series = qt_antider(qt_from_cells(convolve(minus_e, tail, order - 1, None), order))
-        return _Integral(series, qt_slices(series))
-
-    return memoized(_iei_cache, (word, order), compute)
+_iei_cache: dict[tuple[EWord, int], QTSeries] = {}
 
 
 def iei_qexp(w: Iterable[int], order: int) -> QTSeries:
     """Iterated Eisenstein integral of the word, as a QTSeries.
 
-    Memoized on (word, order) together with its integer slices; the
-    coefficients are rational.
+    Memoized on (word, order); a miss convolves -E_k with the tail's
+    integral, whose series keeps its slices.  The coefficients are rational.
     """
-    return _iei_entry(make_word(w), order).series
+    word = make_word(w)
+    if order < 1:
+        raise ValueError("order must be >= 1")
+
+    def compute() -> QTSeries:
+        if not word:
+            return QTSeries.constant(1, order)
+        if has_odd_letter(word):
+            return QTSeries.zero(order)
+        minus_e = -eisenstein_qexp(word[0], order)
+        tail = iei_qexp(word[1:], order)
+        cells = convolve(minus_e.slices(), tail.slices(), order - 1, None)
+        return qt_antider(qt_from_cells(cells, order))
+
+    return memoized(_iei_cache, (word, order), compute)
 
 
 class EPoly(CoeffMap):
@@ -195,10 +181,10 @@ def epoly_mul(x: EPoly, y: EPoly, table: MzvTable | None = None) -> EPoly:
 def epoly_to_qexp(x: EPoly, order: int) -> QTSeries:
     """Realize the word combination as a q-expansion to the given order.
 
-    Sums the cached integer slices of the integrals, so no integral is
+    Sums the cached integrals on the slices they keep, so no integral is
     sliced again.
     """
-    return qt_lincomb(((c, _iei_entry(w, order).slices) for w, c in x.items()), order)
+    return qt_lincomb(((c, iei_qexp(w, order)) for w, c in x.items()), order)
 
 
 def deconcat(x: EPoly) -> dict[tuple[EWord, EWord], CoeffElem]:

@@ -70,6 +70,9 @@ class NCSeries(CoeffMap):
         D = self.maxdeg
         return {w: c for w, c in coeffs.items() if len(w) <= D and c}
 
+    def _slice(self) -> Slices:
+        return graded_slices(self.coeffs.items(), len)  # graded by word degree
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod
@@ -110,12 +113,8 @@ def nc_mul(x: NCSeries, y: NCSeries, table: MzvTable | None = None) -> NCSeries:
     TableOverflow rule of :func:`coeffring.convolve`."""
     if x.maxdeg != y.maxdeg:
         raise DegreeMismatch(f"maxdeg {x.maxdeg} != {y.maxdeg}")
-    cells = convolve(_slices(x), _slices(y), x.maxdeg, table)
+    cells = convolve(x.slices(), y.slices(), x.maxdeg, table)
     return NCSeries._from_clean(x.maxdeg, build_cells(cells))
-
-
-def _slices(s: NCSeries) -> Slices:
-    return graded_slices(s.coeffs.items(), len)
 
 
 def nc_bracket(x: NCSeries, y: NCSeries, table: MzvTable | None = None) -> NCSeries:
@@ -267,7 +266,7 @@ def build_phi(x: NCSeries, y: NCSeries, maxdeg: int, table: MzvTable) -> NCSerie
             f"{needed}, table cap is {table.max_weight}"
         )
 
-    arg = {0: _slices(x), 1: _slices(y)}
+    arg = {0: x.slices(), 1: y.slices()}
     mindeg = {0: mx, 1: my}
     # The walk carries each node's word product as integer slices and
     # collects (regularized value, word product) pairs; Phi is their linear

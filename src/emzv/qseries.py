@@ -48,6 +48,10 @@ class QTSeries(CoeffMap):
         order = self.order
         return {k: c for k, c in coeffs.items() if k[0] < order and c}
 
+    def _slice(self) -> Slices:
+        # graded by the q power, on the coded keys below
+        return graded_slices(((m << _SHIFT | j, c) for (m, j), c in self.coeffs.items()), _q_power)
+
     @staticmethod
     def constant(c: CoeffElem | Fraction | int, order: int) -> "QTSeries":
         if not isinstance(c, CoeffElem):
@@ -94,11 +98,6 @@ def _q_power(key: int) -> int:
     return key >> _SHIFT
 
 
-def qt_slices(f: QTSeries) -> Slices:
-    """Integer slices of f, graded by the q power, with coded keys."""
-    return graded_slices(((m << _SHIFT | j, c) for (m, j), c in f.coeffs.items()), _q_power)
-
-
 def qt_from_cells(cells: Cells, order: int) -> QTSeries:
     """The series of coded cells, each coefficient built once."""
     coeffs = build_cells(cells)
@@ -110,18 +109,15 @@ def qt_mul(f: QTSeries, g: QTSeries, table: MzvTable | None = None) -> QTSeries:
     convolution of the operands' slices below the order, with the
     TableOverflow rule of :func:`coeffring.convolve`."""
     order = min(f.order, g.order)
-    return qt_from_cells(convolve(qt_slices(f), qt_slices(g), order - 1, table), order)
+    return qt_from_cells(convolve(f.slices(), g.slices(), order - 1, table), order)
 
 
 def qt_lincomb(
-    pairs: Iterable[tuple[CoeffElem, QTSeries | Slices]],
-    order: int,
-    table: MzvTable | None = None,
+    pairs: Iterable[tuple[CoeffElem, QTSeries]], order: int, table: MzvTable | None = None
 ) -> QTSeries:
-    """The linear combination sum c_i * f_i, truncated at the order; each
-    f_i a series or its :func:`qt_slices`.  TableOverflow is raised as by
-    :func:`coeffring.lincomb`."""
-    sliced = ((c, qt_slices(f) if isinstance(f, QTSeries) else f) for c, f in pairs)
+    """The linear combination sum c_i * f_i, truncated at the order, on the
+    series' slices.  TableOverflow is raised as by :func:`coeffring.lincomb`."""
+    sliced = ((c, f.slices()) for c, f in pairs)
     return qt_from_cells(lincomb(sliced, order - 1, table), order)
 
 
@@ -146,7 +142,7 @@ def qt_antider(f: QTSeries) -> QTSeries:
     coefficient is built once.
     """
     out: dict[tuple[int, int], dict[MzvMonomial, Fraction]] = {}
-    for mu, (den, buckets) in qt_slices(f).items():
+    for mu, (den, buckets) in f.slices().items():
         for m, terms in buckets:
             prof = {k & _T_MASK: n for k, n in terms}
             if m == 0:

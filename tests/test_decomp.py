@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -437,3 +438,53 @@ def test_doc_roundtrip(table):
     assert again.gamma == dec.gamma
     assert again.index == dec.index
     assert again.to_doc() == doc
+
+
+def test_doc_round_trips_every_index_to_degree_9(table):
+    indices = [i for i in indices_upto(9, 9) if sum(i) + len(i) <= 9]
+    assert len(indices) == 512  # 2^9, the empty index included
+    for idx in indices:
+        d = decompose(idx, table)
+        assert Decomposition.from_doc(d.to_doc(), table) == d, idx
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda doc: doc.update(gamma="5 * z3"), "gamma"),
+        (lambda doc: doc["terms"].pop(0), "gamma"),
+        (lambda doc: doc["params"].update(nc_degree=99), "params.nc_degree"),
+        (lambda doc: doc.pop("params"), "params.nc_degree"),
+        (lambda doc: doc.update(index=[7]), "params.nc_degree"),
+        (lambda doc: doc.update(index=[0, 1, 0, 1]), "params.nc_degree"),
+        (lambda doc: doc["terms"].append(["0,0,4", "1 * pi"]), "terms"),
+        (lambda doc: doc["terms"].append(["0,1,0", "1 * pi"]), "terms"),
+    ],
+    ids=[
+        "gamma-not-constant-term",
+        "constant-term-missing",
+        "nc-degree-99",
+        "nc-degree-missing",
+        "index-of-length-one",
+        "index-of-other-weight",
+        "word-twice",
+        "odd-letter",
+    ],
+)
+def test_inconsistent_doc_is_rejected(table, edit, field):
+    doc = decompose((0, 1, 0, 0), table).to_doc()
+    edit(doc)
+    with pytest.raises(ParseError, match=f"^{re.escape(field)}: "):
+        Decomposition.from_doc(doc, table)
+
+
+def test_base_case_docs_load(table):
+    # lengths 0 and 1 record nc_degree 0, and an odd single letter has gamma 0
+    for idx in [(), (0,), (3,), (4,)]:
+        doc = decompose(idx, table).to_doc()
+        assert doc["params"]["nc_degree"] == 0
+        assert Decomposition.from_doc(doc, table).to_doc() == doc
+    doc = decompose((0, 0), table).to_doc()
+    doc["params"]["nc_degree"] = 0
+    with pytest.raises(ParseError, match="nc_degree: 0, index"):
+        Decomposition.from_doc(doc, table)

@@ -868,3 +868,39 @@ def test_dual_membership_reaches_the_depth3_relations():
         left = EPoly({w[1:]: c for w, c in x.items() if w[0] == a})
         right = EPoly({w[:-1]: c for w, c in x.items() if w[-1] == a})
         assert all(_same_membership(left) + _same_membership(right)), a
+
+
+def _remainder(rows, words):
+    """Reduction of a vector modulo the row span: zero iff adding the vector
+    to the rows leaves their rank unchanged."""
+    red, pivots, _ = rref(RatMatrix.from_rows([[r.get(w, 0) for w in words] for r in rows]))
+    basis = [(c, red.row(i)) for i, c in enumerate(pivots)]
+
+    def reduce(vec):
+        v = [vec.get(w, 0) for w in words]
+        for c, row in basis:
+            if v[c]:
+                v = [x - v[c] * y for x, y in zip(v, row)]
+        return [x for x in v if x]
+
+    return reduce
+
+
+def test_relations_form_a_lie_ideal():
+    # The precondition of the one-sided contraction in _kills_relation_ideal:
+    # the relations are the whole kernel of a Lie map, so [e_a, k] of a
+    # depth-r relation k of letter sum s lies in the span of the depth-(r+1)
+    # relations of letter sum s + a.  The plain product e_a k is no Lie
+    # element and falls outside that span, so the rank test can fail.
+    brackets = products_outside = 0
+    for r in (2, 3):
+        for s in range(0, 17, 2):
+            for a in range(0, 17 - s, 2):
+                words = graded_words(r + 1, s + a, step=2)
+                remainder = _remainder(relation_tensor_elements(s + a, r + 1) or [{}], words)
+                for k in relation_tensor_elements(s, r):
+                    assert not remainder(assoc_bracket({(a,): 1}, k)), (r, s, a)
+                    products_outside += bool(remainder({(a,) + w: q for w, q in k.items()}))
+                    brackets += 1
+    assert brackets == 126
+    assert products_outside == brackets

@@ -16,7 +16,7 @@ from emzv.eisalg import (
     iei_qexp,
     shuffle_words,
 )
-from emzv.qseries import QTSeries, qt_ddT, qt_mul, qt_slices
+from emzv.qseries import QTSeries, qt_ddT, qt_mul
 
 F = Fraction
 
@@ -276,7 +276,7 @@ def test_iei_matches_uncached_recursion():
     for w, want in ref.items():
         got = iei_qexp(w, order)
         assert got == want, w
-        assert _iei_cache[(w, order)].slices == qt_slices(want)
+        assert _iei_cache[(w, order)].slices() == want.slices()
     assert len(ref) == 156
 
 
