@@ -336,9 +336,13 @@ class CoeffMap:
     ``-`` and ``scale`` obey the rule by construction and are adopted as
     they are.
 
-    A truncated product algebra also states its slicing rule as ``_slice``;
-    :meth:`slices` computes a value's slices on first use and keeps them
-    (values are never mutated), and equality ignores them.
+    A truncated product algebra also computes on integer slices (below):
+    it states its slicing rule as ``_slice`` and the inverse as ``_build``.
+    A value holds its coefficients, its slices, or both.  One built from
+    coefficients computes its slices on first use (:meth:`slices`); one
+    built from slices (:meth:`_from_slices`) leaves the ``coeffs`` slot
+    unset, and its first read builds the coefficients (``__getattr__``).
+    Either form is kept once computed, since values are never mutated.
     """
 
     __slots__ = ("shape", "coeffs", "_sliced")
@@ -356,6 +360,10 @@ class CoeffMap:
         """The value's graded integer slices (:func:`graded_slices`)."""
         raise NotImplementedError
 
+    def _build(self) -> dict:
+        """The coefficients of the kept slices, the inverse of ``_slice``."""
+        raise NotImplementedError
+
     @classmethod
     def _from_clean(cls, shape: int | None, coeffs: dict):
         """Adopt a dict that obeys the key rule and holds no zero coefficient."""
@@ -366,16 +374,35 @@ class CoeffMap:
         return out
 
     @classmethod
+    def _from_slices(cls, shape: int | None, slices: Slices):
+        """Adopt slices that obey the key rule and hold no zero numerator and
+        no empty monomial; the coefficients are built when first read."""
+        out = object.__new__(cls)
+        out.shape = shape
+        out._sliced = slices
+        return out
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails: for ``coeffs``, the unset
+        # slot of a value built from slices.
+        if name != "coeffs":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.coeffs = self._build()
+        return self.coeffs
+
+    @classmethod
     def zero(cls, shape: int | None = None):
         return cls._from_clean(shape, {})
 
     # -- queries ------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        sliced = self._sliced
+        return bool(self.coeffs if sliced is None else sliced)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        sliced = self._sliced
+        return not (self.coeffs if sliced is None else sliced)
 
     def items(self) -> Iterator[tuple]:
         return iter(self.coeffs.items())
@@ -390,9 +417,15 @@ class CoeffMap:
         return self._sliced
 
     def __eq__(self, other: object) -> bool:
+        """Equal shapes and terms: on canonical slices when both values hold
+        slices, on coefficients otherwise."""
         if type(other) is not type(self):
             return NotImplemented
-        return self.shape == other.shape and self.coeffs == other.coeffs
+        if self.shape != other.shape:
+            return False
+        if self._sliced is not None and other._sliced is not None:
+            return canonical_slices(self._sliced) == canonical_slices(other._sliced)
+        return self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
         shape = "" if self.shape is None else f"{self.shape}, "
@@ -433,9 +466,8 @@ def build_coeffs(cells: Mapping[K, dict[MzvMonomial, Fraction]]) -> dict[K, Coef
     """Key -> monomial -> nonzero rational cells, each nonempty, as coefficients.
 
     The one place the integer kernels build their output coefficients, each
-    once: :func:`build_cells` for the slice engine's products and linear
-    combinations, and ``qt_antider`` directly.  The cells are adopted as
-    they are.
+    once: :func:`build_slices` for the values of the slice engine, and
+    ``extract_gamma`` directly.  The cells are adopted as they are.
     """
     return {key: CoeffElem._from_clean(cell) for key, cell in cells.items()}
 
@@ -469,7 +501,9 @@ def integer_slices(
 # (words concatenate; q/T terms travel as an additive integer code, see
 # qseries) and grades add.  Products and linear combinations add integer
 # numerators into cells, which are brought over one denominator per
-# monomial at the end, into slices again or into coefficients.
+# monomial at the end, into slices again (:func:`normalise`).  A product's
+# value keeps those slices, and its coefficients are built
+# (:func:`build_slices`) only if something reads them.
 
 Slices = dict[MzvMonomial, tuple[int, list[tuple[int, list[tuple[Any, int]]]]]]
 
@@ -563,23 +597,42 @@ def _over_common(cells: Cells) -> Iterator[tuple[MzvMonomial, int, dict]]:
 
 
 def normalise(cells: Cells, grade: Callable[[Any], int]) -> Slices:
-    """Cells as slices, bucketed by grade(key); zero numerators dropped."""
+    """Cells as slices, bucketed by grade(key); zero numerators dropped, and
+    each monomial's numerators and denominator reduced by their gcd, so the
+    slices of a value are those :func:`graded_slices` gives its coefficients
+    (up to the order of the terms in a bucket)."""
     out: Slices = {}
     for rho, den, sums in _over_common(cells):
+        g = math.gcd(den, *sums.values())
+        if g > 1:
+            den //= g
+            sums = {k: n // g for k, n in sums.items()}
         buckets = _graded(sums.items(), grade)
         if buckets:
             out[rho] = (den, buckets)
     return out
 
 
-def build_cells(cells: Cells) -> dict[Any, CoeffElem]:
-    """Cells as key -> coefficient, each coefficient built once."""
+def build_slices(slices: Slices) -> dict[Any, CoeffElem]:
+    """Slices as key -> coefficient, each coefficient built once."""
     out: dict[Any, dict[MzvMonomial, Fraction]] = {}
-    for rho, den, sums in _over_common(cells):
-        for k, n in sums.items():
-            if n:
+    for rho, (den, buckets) in slices.items():
+        for _, terms in buckets:
+            for k, n in terms:
                 out.setdefault(k, {})[rho] = Fraction(n, den)
     return build_coeffs(out)
+
+
+def canonical_slices(slices: Slices) -> dict[MzvMonomial, tuple[int, dict[Any, int]]]:
+    """The form in which two slices are equal exactly when their values are:
+    each monomial's numerators and denominator reduced by their gcd, and its
+    terms as one key -> numerator map."""
+    out = {}
+    for mono, (den, buckets) in slices.items():
+        terms = {k: n for _, t in buckets for k, n in t}
+        g = math.gcd(den, *terms.values())
+        out[mono] = (den // g, {k: n // g for k, n in terms.items()}) if g > 1 else (den, terms)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -164,25 +164,44 @@ class Decomposition(NamedTuple):
     @staticmethod
     def from_doc(doc: Mapping, table: MzvTable) -> "Decomposition":
         """The decomposition a document records; ParseError names the field
-        of an inconsistent one (a repeated or odd word in ``terms``, a
-        ``gamma`` that is not their constant term, a ``params.nc_degree``
-        other than the index's)."""
+        of a missing, malformed or inconsistent one (a repeated or odd word
+        in ``terms``, a ``gamma`` that is not their constant term, a
+        ``params.nc_degree`` other than the index's)."""
         if doc.get("schema") != "emzv.decomposition/1":
             raise ParseError(f"unsupported schema {doc.get('schema')!r}")
-        index = make_word(doc["index"])
-        coeffs: dict[EWord, CoeffElem] = {}
-        for w, c in doc["terms"]:
-            word = parse_index(w)
-            if word in coeffs:
-                raise ParseError(f"terms: word {w!r} given twice")
-            if has_odd_letter(word):
-                raise ParseError(f"terms: word {w!r} has an odd letter")
-            coeffs[word] = parse_coeff(c, table.symbols)
-        epoly = EPoly(coeffs)
-        gamma = parse_coeff(doc["gamma"], table.symbols)
+
+        def parse_terms(terms) -> EPoly:
+            coeffs: dict[EWord, CoeffElem] = {}
+            for pair in terms:
+                if len(pair) != 2:
+                    raise ParseError(f"{pair!r} is not a [word, coefficient] pair")
+                w, c = pair
+                word = parse_index(w)
+                if word in coeffs:
+                    raise ParseError(f"word {w!r} given twice")
+                if has_odd_letter(word):
+                    raise ParseError(f"word {w!r} has an odd letter")
+                coeffs[word] = parse_coeff(c, table.symbols)
+            return EPoly(coeffs)
+
+        def field(name: str, parse, value):
+            try:
+                return parse(value)
+            except (ParseError, TypeError, ValueError, AttributeError) as exc:
+                raise ParseError(f"{name}: {exc}") from None
+
+        def required(key: str):
+            if key not in doc:
+                raise ParseError(f"{key}: missing")
+            return doc[key]
+
+        index = field("index", make_word, required("index"))
+        epoly = field("terms", parse_terms, required("terms"))
+        gamma = field("gamma", lambda text: parse_coeff(text, table.symbols), required("gamma"))
         if gamma != epoly.constant_term():
             raise ParseError("gamma: not the constant term of terms")
-        nc_degree = int(doc.get("params", {}).get("nc_degree", 0))
+        params = doc.get("params", {})
+        nc_degree = field("params.nc_degree", lambda p: int(p.get("nc_degree", 0)), params)
         want = index_weight(index) + len(index) if len(index) >= 2 else 0
         if nc_degree != want:
             raise ParseError(f"params.nc_degree: {nc_degree}, index {list(index)} needs {want}")

@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence, TypeVar
 
-from .coeffring import CoeffElem, accumulate, assoc_concat, bernoulli, integer_slices, memoized
+from .coeffring import CoeffElem, accumulate, assoc_concat, bernoulli, memoized
 from .eisalg import EPoly, EWord, epoly_to_qexp
 from .linalg import RatMatrix, kernel_basis
 from .ncalg import NCSeries, ad_expansion
@@ -282,16 +282,24 @@ def _lie_kernel(weight: int, depth: int, cand: tuple[tuple[int, ...], ...]) -> R
     )
 
 
-def relation_tensor_elements(weight: int, depth: int) -> list[dict[EWord, Fraction]]:
-    """Relations expanded in the tensor algebra on the e-letters."""
-    cand = _default_candidates(weight, depth)
-    out = []
-    for vec in find_lie_relations(weight, depth).vectors:
-        terms = (
-            (w, q * n) for c, q in zip(cand, vec) if q for w, n in expand_lyndon(c).items()
-        )
-        out.append(accumulate({}, terms))
-    return out
+_tensor_cache: dict[tuple[int, int], tuple[dict[EWord, Fraction], ...]] = {}
+
+
+def relation_tensor_elements(weight: int, depth: int) -> tuple[dict[EWord, Fraction], ...]:
+    """Relations expanded in the tensor algebra on the e-letters, expanded
+    once per (weight, depth); the dicts are shared and must not be mutated."""
+
+    def expand() -> tuple[dict[EWord, Fraction], ...]:
+        cand = _default_candidates(weight, depth)
+        out = []
+        for vec in find_lie_relations(weight, depth).vectors:
+            terms = (
+                (w, q * n) for c, q in zip(cand, vec) if q for w, n in expand_lyndon(c).items()
+            )
+            out.append(accumulate({}, terms))
+        return tuple(out)
+
+    return memoized(_tensor_cache, (weight, depth), expand)
 
 
 def uu_dual_membership(x: EPoly) -> dict[tuple[int, int], bool]:
@@ -430,6 +438,6 @@ def annihilates(der: NCDerivation, s: NCSeries) -> bool:
     integer word vector of every coefficient monomial's slice.
     """
     return all(
-        all(len(w) > s.maxdeg for w in der.apply(dict(terms)))
-        for _, terms in integer_slices(s.coeffs.items()).values()
+        all(len(w) > s.maxdeg for w in der.apply({k: n for _, t in buckets for k, n in t}))
+        for _, buckets in s.slices().values()
     )

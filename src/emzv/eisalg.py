@@ -29,10 +29,9 @@ from .coeffring import (
     accumulate,
     bernoulli,
     coeff_mul,
-    convolve,
     memoized,
 )
-from .qseries import QTSeries, qt_antider, qt_from_cells, qt_lincomb
+from .qseries import QTSeries, qt_antider, qt_lincomb, qt_mul
 from .words import deconcatenations, make_word, shuffle_multiset
 
 EWord = tuple[int, ...]
@@ -69,8 +68,9 @@ _iei_cache: dict[tuple[EWord, int], QTSeries] = {}
 def iei_qexp(w: Iterable[int], order: int) -> QTSeries:
     """Iterated Eisenstein integral of the word, as a QTSeries.
 
-    Memoized on (word, order); a miss convolves -E_k with the tail's
-    integral, whose series keeps its slices.  The coefficients are rational.
+    Memoized on (word, order); a miss is the primitive of -E_k times the
+    tail's integral, kept as slices, like the tail.  The coefficients are
+    rational.
     """
     word = make_word(w)
     if order < 1:
@@ -82,9 +82,7 @@ def iei_qexp(w: Iterable[int], order: int) -> QTSeries:
         if has_odd_letter(word):
             return QTSeries.zero(order)
         minus_e = -eisenstein_qexp(word[0], order)
-        tail = iei_qexp(word[1:], order)
-        cells = convolve(minus_e.slices(), tail.slices(), order - 1, None)
-        return qt_antider(qt_from_cells(cells, order))
+        return qt_antider(qt_mul(minus_e, iei_qexp(word[1:], order)))
 
     return memoized(_iei_cache, (word, order), compute)
 

@@ -25,7 +25,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .coeffring import (
     MEMO_LOCK,
@@ -38,12 +38,11 @@ from .coeffring import (
     accumulate,
     assoc_concat,
     bernoulli,
-    build_cells,
     build_coeffs,
+    build_slices,
     coeff_mul,
     convolve,
     graded_slices,
-    integer_slices,
     lincomb,
     memoized,
     normalise,
@@ -73,6 +72,9 @@ class NCSeries(CoeffMap):
     def _slice(self) -> Slices:
         return graded_slices(self.coeffs.items(), len)  # graded by word degree
 
+    def _build(self) -> dict[NCWord, CoeffElem]:
+        return build_slices(self._sliced)
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod
@@ -95,8 +97,13 @@ class NCSeries(CoeffMap):
         return {w: c for w, c in self.coeffs.items() if len(w) == d}
 
     def truncate(self, maxdeg: int) -> "NCSeries":
-        d = {w: c for w, c in self.coeffs.items() if len(w) <= maxdeg}
-        return NCSeries._from_clean(maxdeg, d)
+        """The words up to maxdeg: the buckets of the value's slices up to it."""
+        out = {}
+        for mono, (den, buckets) in self.slices().items():
+            kept = [b for b in buckets if b[0] <= maxdeg]
+            if kept:
+                out[mono] = (den, kept)
+        return NCSeries._from_slices(maxdeg, out)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -107,6 +114,14 @@ class NCSeries(CoeffMap):
         return " + ".join(parts)
 
 
+# The series 1 as slices: the empty word on the monomial 1.
+_ONE: Slices = {MONOMIAL_ONE: (1, [(0, [("", 1)])])}
+
+
+def _has_constant(slices: Slices) -> bool:
+    return any(buckets[0][0] == 0 for _, buckets in slices.values())
+
+
 def nc_mul(x: NCSeries, y: NCSeries, table: MzvTable | None = None) -> NCSeries:
     """Concatenation product truncated at the common maxdeg: the
     convolution of the operands' slices graded by word degree, with the
@@ -114,40 +129,44 @@ def nc_mul(x: NCSeries, y: NCSeries, table: MzvTable | None = None) -> NCSeries:
     if x.maxdeg != y.maxdeg:
         raise DegreeMismatch(f"maxdeg {x.maxdeg} != {y.maxdeg}")
     cells = convolve(x.slices(), y.slices(), x.maxdeg, table)
-    return NCSeries._from_clean(x.maxdeg, build_cells(cells))
+    return NCSeries._from_slices(x.maxdeg, normalise(cells, len))
 
 
 def nc_bracket(x: NCSeries, y: NCSeries, table: MzvTable | None = None) -> NCSeries:
     return nc_mul(x, y, table) - nc_mul(y, x, table)
 
 
-def nc_exp(x: NCSeries, table: MzvTable | None = None) -> NCSeries:
-    """exp of a series with zero constant term."""
-    if not x.constant_term().is_zero():
-        raise PreconditionViolated("nc_exp needs zero constant term")
-    acc = NCSeries.one(x.maxdeg)
-    power = NCSeries.one(x.maxdeg)
-    for n in range(1, x.maxdeg + 1):
-        power = nc_mul(power, x, table).scale(Fraction(1, n))
+def _power_sum(u: NCSeries, weight: Callable[[int], Fraction], table: MzvTable | None) -> NCSeries:
+    """sum weight(n) * u^n over n = 0..maxdeg, for u of zero constant term
+    and weight(0) = 1.  The powers are nc_mul products, born sliced, and
+    the sum is one linear combination of their slices."""
+    D = u.maxdeg
+    terms = [(CoeffElem.one(), _ONE)]
+    power = u
+    for n in range(1, D + 1):
+        if n > 1:
+            power = nc_mul(power, u, table)
         if power.is_zero():
             break
-        acc = acc + power
-    return acc
+        terms.append((CoeffElem.from_rational(weight(n)), power.slices()))
+    return NCSeries._from_slices(D, normalise(lincomb(terms, D, table), len))
+
+
+def nc_exp(x: NCSeries, table: MzvTable | None = None) -> NCSeries:
+    """exp of a series with zero constant term: sum x^n / n!."""
+    if _has_constant(x.slices()):
+        raise PreconditionViolated("nc_exp needs zero constant term")
+    return _power_sum(x, lambda n: Fraction(1, math.factorial(n)), table)
 
 
 def nc_inv(x: NCSeries, table: MzvTable | None = None) -> NCSeries:
-    """Inverse of a series with constant term 1."""
-    if x.constant_term() != CoeffElem.one():
+    """Inverse of a series with constant term 1: sum (1 - x)^n."""
+    D = x.maxdeg
+    one = CoeffElem.one()
+    u = normalise(lincomb([(one, _ONE), (-one, x.slices())], D, table), len)
+    if _has_constant(u):  # 1 - x has zero constant term iff x has constant term 1
         raise PreconditionViolated("nc_inv needs constant term 1")
-    u = NCSeries.one(x.maxdeg) - x  # min degree >= 1
-    acc = NCSeries.one(x.maxdeg)
-    power = NCSeries.one(x.maxdeg)
-    for _ in range(x.maxdeg):
-        power = nc_mul(power, u, table)
-        if power.is_zero():
-            break
-        acc = acc + power
-    return acc
+    return _power_sum(NCSeries._from_slices(D, u), lambda n: Fraction(1), table)
 
 
 def ad_expansion(k: int, x: str = "a", y: str = "b") -> dict[str, int]:
@@ -270,9 +289,8 @@ def build_phi(x: NCSeries, y: NCSeries, maxdeg: int, table: MzvTable) -> NCSerie
     mindeg = {0: mx, 1: my}
     # The walk carries each node's word product as integer slices and
     # collects (regularized value, word product) pairs; Phi is their linear
-    # combination, its coefficients built once at the end.
-    root: Slices = {MONOMIAL_ONE: (1, [(0, [("", 1)])])}
-    terms = [(CoeffElem.one(), root)]
+    # combination, kept as slices.
+    terms = [(CoeffElem.one(), _ONE)]
 
     def visit(word: tuple[int, ...], node: Slices, degree_floor: int) -> None:
         if word:
@@ -287,8 +305,8 @@ def build_phi(x: NCSeries, y: NCSeries, maxdeg: int, table: MzvTable) -> NCSerie
             if nxt:
                 visit(word + (l,), nxt, nd)
 
-    visit((), root, 0)
-    return NCSeries._from_clean(D, build_cells(lincomb(terms, D, table)))
+    visit((), _ONE, 0)
+    return NCSeries._from_slices(D, normalise(lincomb(terms, D, table), len))
 
 
 def required_table_weight(idx: Iterable[int]) -> int:
@@ -417,19 +435,20 @@ def extract_gamma(idx: Iterable[int], table: MzvTable) -> CoeffElem:
     Each degree d is solved once per table, from the degree-d component of
     build_Ainf(d, table); that component does not depend on the degree the
     series was built at, so one solve serves every build.  The component is
-    split by coefficient monomial into integer word vectors over one
-    denominator (coeffring.integer_slices), each solved in integers, and
-    each constant is built once from its numerators.
+    the degree-d bucket of each coefficient monomial's slice, an integer
+    word vector over one denominator; each is solved in integers, and each
+    constant is built once from its numerators.
     """
     index = make_word(idx)
     d = sum(k + 1 for k in index)
 
     def solve() -> dict[EmzvIndexTuple, CoeffElem]:
-        component = build_Ainf(max(d, 1), table).component(d)
         cells: dict[EmzvIndexTuple, dict[MzvMonomial, Fraction]] = {}
-        for mono, (den, terms) in integer_slices(component.items()).items():
-            for j, n in triangular_index_solve(dict(terms), d).items():
-                cells.setdefault(j, {})[mono] = Fraction(n, den)
+        for mono, (den, buckets) in build_Ainf(max(d, 1), table).slices().items():
+            for g, terms in buckets:
+                if g == d:
+                    for j, n in triangular_index_solve(dict(terms), d).items():
+                        cells.setdefault(j, {})[mono] = Fraction(n, den)
         return build_coeffs(cells)
 
     x = memoized(table.caches.setdefault("solve", {}), d, solve).get(index)

@@ -23,15 +23,14 @@ from .coeffring import (
     Cells,
     CoeffElem,
     CoeffMap,
-    MzvMonomial,
     MzvTable,
     Slices,
     accumulate,
-    build_cells,
-    build_coeffs,
+    build_slices,
     convolve,
     graded_slices,
     lincomb,
+    normalise,
 )
 from .errors import FourierViolation
 
@@ -51,6 +50,9 @@ class QTSeries(CoeffMap):
     def _slice(self) -> Slices:
         # graded by the q power, on the coded keys below
         return graded_slices(((m << _SHIFT | j, c) for (m, j), c in self.coeffs.items()), _q_power)
+
+    def _build(self) -> dict[tuple[int, int], CoeffElem]:
+        return {(k >> _SHIFT, k & _T_MASK): c for k, c in build_slices(self._sliced).items()}
 
     @staticmethod
     def constant(c: CoeffElem | Fraction | int, order: int) -> "QTSeries":
@@ -98,18 +100,13 @@ def _q_power(key: int) -> int:
     return key >> _SHIFT
 
 
-def qt_from_cells(cells: Cells, order: int) -> QTSeries:
-    """The series of coded cells, each coefficient built once."""
-    coeffs = build_cells(cells)
-    return QTSeries._from_clean(order, {(k >> _SHIFT, k & _T_MASK): c for k, c in coeffs.items()})
-
-
 def qt_mul(f: QTSeries, g: QTSeries, table: MzvTable | None = None) -> QTSeries:
     """Product truncated at the smaller order; T degrees add.  The
     convolution of the operands' slices below the order, with the
     TableOverflow rule of :func:`coeffring.convolve`."""
     order = min(f.order, g.order)
-    return qt_from_cells(convolve(f.slices(), g.slices(), order - 1, table), order)
+    cells = convolve(f.slices(), g.slices(), order - 1, table)
+    return QTSeries._from_slices(order, normalise(cells, _q_power))
 
 
 def qt_lincomb(
@@ -117,8 +114,8 @@ def qt_lincomb(
 ) -> QTSeries:
     """The linear combination sum c_i * f_i, truncated at the order, on the
     series' slices.  TableOverflow is raised as by :func:`coeffring.lincomb`."""
-    sliced = ((c, f.slices()) for c, f in pairs)
-    return qt_from_cells(lincomb(sliced, order - 1, table), order)
+    cells = lincomb(((c, f.slices()) for c, f in pairs), order - 1, table)
+    return QTSeries._from_slices(order, normalise(cells, _q_power))
 
 
 def qt_ddT(f: QTSeries) -> QTSeries:
@@ -138,22 +135,24 @@ def qt_antider(f: QTSeries) -> QTSeries:
 
         P_j = n_j * m^(top-j) - (j+1) * P_{j+1}
 
-    is an integer and p_j = P_j / (den * m^(top-j+1)).  Each output
-    coefficient is built once.
+    is an integer and p_j = P_j / (den * m^(top-j+1)).  Each numerator goes
+    into a cell under its own denominator, and the primitive is the cells'
+    slices.
     """
-    out: dict[tuple[int, int], dict[MzvMonomial, Fraction]] = {}
+    cells: Cells = {}
     for mu, (den, buckets) in f.slices().items():
+        by_den = cells.setdefault(mu, {})
         for m, terms in buckets:
             prof = {k & _T_MASK: n for k, n in terms}
             if m == 0:
                 for j, n in prof.items():
-                    out.setdefault((0, j + 1), {})[mu] = Fraction(n, den * (j + 1))
+                    by_den.setdefault(den * (j + 1), {})[j + 1] = n  # the key of q^0 T^(j+1)
                 continue
             big = 0  # P_{j+1} during the descent
             power = 1  # m^(top-j)
             for j in range(max(prof), -1, -1):
                 big = prof.get(j, 0) * power - (j + 1) * big
                 if big:
-                    out.setdefault((m, j), {})[mu] = Fraction(big, den * power * m)
+                    by_den.setdefault(den * power * m, {})[m << _SHIFT | j] = big
                 power *= m
-    return QTSeries._from_clean(f.order, build_coeffs(out))
+    return QTSeries._from_slices(f.order, normalise(cells, _q_power))

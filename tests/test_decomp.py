@@ -478,6 +478,32 @@ def test_inconsistent_doc_is_rejected(table, edit, field):
         Decomposition.from_doc(doc, table)
 
 
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda doc: doc.update(index=[-1, 0]), "index"),
+        (lambda doc: doc.pop("index"), "index"),
+        (lambda doc: doc["terms"].append(["0,0,2"]), "terms"),
+        (lambda doc: doc.pop("terms"), "terms"),
+        (lambda doc: doc.pop("gamma"), "gamma"),
+        (lambda doc: doc["params"].update(nc_degree="x"), "params.nc_degree"),
+    ],
+    ids=[
+        "negative-letter",
+        "index-missing",
+        "one-element-term",
+        "terms-missing",
+        "gamma-missing",
+        "nc-degree-not-an-integer",
+    ],
+)
+def test_malformed_doc_raises_parse_error_naming_the_field(table, edit, field):
+    doc = decompose((0, 1, 0, 0), table).to_doc()
+    edit(doc)
+    with pytest.raises(ParseError, match=f"^{re.escape(field)}: "):
+        Decomposition.from_doc(doc, table)
+
+
 def test_base_case_docs_load(table):
     # lengths 0 and 1 record nc_degree 0, and an odd single letter has gamma 0
     for idx in [(), (0,), (3,), (4,)]:

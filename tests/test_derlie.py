@@ -504,6 +504,25 @@ def test_warm_relation_tensor_elements_enumerate_no_candidates(monkeypatch):
     assert runs == []
 
 
+def test_warm_relation_tensor_elements_expand_nothing(monkeypatch):
+    # the expansion is memoized per (weight, depth): a warm call expands no
+    # Lyndon word and returns the stored tuple
+    from emzv import derlie
+
+    monkeypatch.setattr(derlie, "_tensor_cache", {})
+    expanded = []
+    real = derlie.expand_lyndon
+    monkeypatch.setattr(derlie, "expand_lyndon", lambda w: expanded.append(w) or real(w))
+    first = relation_tensor_elements(16, 3)
+    assert isinstance(first, tuple) and first and expanded
+    expanded.clear()
+    assert relation_tensor_elements(16, 3) is first
+    assert expanded == []
+    # the warm value is the one a cold expansion gives
+    monkeypatch.setattr(derlie, "_tensor_cache", {})
+    assert relation_tensor_elements(16, 3) == first and expanded
+
+
 def _reference_nc_apply(der, vec):
     """NCDerivation.apply as a loop of its own that drops zeros as it adds."""
     out = {}
@@ -851,7 +870,7 @@ def test_dual_membership_reaches_the_depth3_relations():
     words = graded_words(3, 16, step=2)
     extensions = _ideal_rows(3, 16, [2])
     depth3 = relation_tensor_elements(16, 3)
-    full = RatMatrix.from_rows([[r.get(w, 0) for w in words] for r in extensions + depth3])
+    full = RatMatrix.from_rows([[r.get(w, 0) for w in words] for r in extensions + list(depth3)])
     assert len(words) == 45
     assert len(words) - len(_annihilator(extensions, words)) == 15
     assert rref(full)[2] == 16

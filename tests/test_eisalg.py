@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emzv.coeffring import CoeffElem, MzvMonomial, coeff_mul, shipped_table
+from emzv.coeffring import CoeffElem, MzvMonomial, canonical_slices, coeff_mul, shipped_table
 from emzv.eisalg import (
     EPoly,
     _iei_cache,
@@ -276,7 +276,7 @@ def test_iei_matches_uncached_recursion():
     for w, want in ref.items():
         got = iei_qexp(w, order)
         assert got == want, w
-        assert _iei_cache[(w, order)].slices() == want.slices()
+        assert canonical_slices(_iei_cache[(w, order)].slices()) == canonical_slices(want.slices())
     assert len(ref) == 156
 
 

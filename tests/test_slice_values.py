@@ -1,0 +1,404 @@
+"""Values that live on their integer slices.
+
+The truncated product algebras return values that keep only their slices
+and build coefficients when first read.  The producers are compared with
+the code they replaced, which built every coefficient at once; equality on
+slices is compared with equality on coefficients.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from emzv.coeffring import (
+    CoeffElem,
+    CoeffMap,
+    MzvMonomial,
+    _graded,
+    _over_common,
+    build_coeffs,
+    canonical_slices,
+    convolve,
+    dump_mzv_table,
+    graded_slices,
+    lincomb,
+    loads_mzv_table,
+    memoized,
+    shipped_table,
+)
+from emzv.eisalg import eisenstein_qexp, has_odd_letter, iei_qexp
+from emzv.errors import DegreeMismatch, PreconditionViolated, TableOverflow
+from emzv.ncalg import NCSeries, build_Ainf, build_phi, nc_exp, nc_inv, nc_mul, shuffle_regularize
+from emzv.qseries import QTSeries, qt_antider, qt_lincomb, qt_mul
+
+F = Fraction
+_SHIFT = 32
+_T_MASK = (1 << _SHIFT) - 1
+
+
+# ---------------------------------------------------------------------------
+# The coefficient-built producers the slice-native ones replaced, kept as
+# references.  Each slices its operands from their coefficients and builds
+# every output coefficient at once.
+
+
+def _nc_rule(s):
+    return graded_slices(s.coeffs.items(), len)
+
+
+def _qt_rule(s):
+    return graded_slices(((m << _SHIFT | j, c) for (m, j), c in s.coeffs.items()), lambda k: k >> _SHIFT)
+
+
+def reference_normalise(cells, grade):
+    out = {}
+    for rho, den, sums in _over_common(cells):
+        buckets = _graded(sums.items(), grade)
+        if buckets:
+            out[rho] = (den, buckets)
+    return out
+
+
+def reference_build_cells(cells):
+    out = {}
+    for rho, den, sums in _over_common(cells):
+        for k, n in sums.items():
+            if n:
+                out.setdefault(k, {})[rho] = F(n, den)
+    return build_coeffs(out)
+
+
+def reference_nc_mul(x, y, table=None):
+    if x.maxdeg != y.maxdeg:
+        raise DegreeMismatch(f"maxdeg {x.maxdeg} != {y.maxdeg}")
+    cells = convolve(_nc_rule(x), _nc_rule(y), x.maxdeg, table)
+    return NCSeries._from_clean(x.maxdeg, reference_build_cells(cells))
+
+
+def reference_nc_exp(x, table=None):
+    if not x.constant_term().is_zero():
+        raise PreconditionViolated("nc_exp needs zero constant term")
+    acc = NCSeries.one(x.maxdeg)
+    power = NCSeries.one(x.maxdeg)
+    for n in range(1, x.maxdeg + 1):
+        power = reference_nc_mul(power, x, table).scale(F(1, n))
+        if power.is_zero():
+            break
+        acc = acc + power
+    return acc
+
+
+def reference_nc_inv(x, table=None):
+    if x.constant_term() != CoeffElem.one():
+        raise PreconditionViolated("nc_inv needs constant term 1")
+    u = NCSeries.one(x.maxdeg) - x
+    acc = NCSeries.one(x.maxdeg)
+    power = NCSeries.one(x.maxdeg)
+    for _ in range(x.maxdeg):
+        power = reference_nc_mul(power, u, table)
+        if power.is_zero():
+            break
+        acc = acc + power
+    return acc
+
+
+def reference_build_phi(x, y, D, table):
+    """The same walk, with Phi's coefficients built at the end."""
+    big = D + 1
+    mindeg = {0: x.min_degree() or big, 1: y.min_degree() or big}
+    arg = {0: _nc_rule(x), 1: _nc_rule(y)}
+    root = {MzvMonomial(0, ()): (1, [(0, [("", 1)])])}
+    terms = [(CoeffElem.one(), root)]
+
+    def visit(word, node, degree_floor):
+        if word:
+            c = shuffle_regularize("".join("BA"[l] for l in reversed(word)), table)
+            if not c.is_zero():
+                terms.append((-c if sum(word) % 2 else c, node))
+        for l in (0, 1):
+            nd = degree_floor + mindeg[l]
+            if nd <= D:
+                nxt = reference_normalise(convolve(node, arg[l], D, table), len)
+                if nxt:
+                    visit(word + (l,), nxt, nd)
+
+    visit((), root, 0)
+    return NCSeries._from_clean(D, reference_build_cells(lincomb(terms, D, table)))
+
+
+def reference_qt_from_cells(cells, order):
+    coeffs = reference_build_cells(cells)
+    return QTSeries._from_clean(order, {(k >> _SHIFT, k & _T_MASK): c for k, c in coeffs.items()})
+
+
+def reference_qt_mul(f, g, table=None):
+    order = min(f.order, g.order)
+    return reference_qt_from_cells(convolve(_qt_rule(f), _qt_rule(g), order - 1, table), order)
+
+
+def reference_qt_lincomb(pairs, order, table=None):
+    sliced = ((c, _qt_rule(f)) for c, f in pairs)
+    return reference_qt_from_cells(lincomb(sliced, order - 1, table), order)
+
+
+def reference_qt_antider(f):
+    out = {}
+    for mu, (den, buckets) in _qt_rule(f).items():
+        for m, terms in buckets:
+            prof = {k & _T_MASK: n for k, n in terms}
+            if m == 0:
+                for j, n in prof.items():
+                    out.setdefault((0, j + 1), {})[mu] = F(n, den * (j + 1))
+                continue
+            big, power = 0, 1
+            for j in range(max(prof), -1, -1):
+                big = prof.get(j, 0) * power - (j + 1) * big
+                if big:
+                    out.setdefault((m, j), {})[mu] = F(big, den * power * m)
+                power *= m
+    return QTSeries._from_clean(f.order, build_coeffs(out))
+
+
+def reference_iei_qexp(word, order, cache):
+    def compute():
+        if not word:
+            return QTSeries.constant(1, order)
+        if has_odd_letter(word):
+            return QTSeries.zero(order)
+        minus_e = -eisenstein_qexp(word[0], order)
+        tail = reference_iei_qexp(word[1:], order, cache)
+        cells = convolve(_qt_rule(minus_e), _qt_rule(tail), order - 1, None)
+        return reference_qt_antider(reference_qt_from_cells(cells, order))
+
+    return memoized(cache, word, compute)
+
+
+# ---------------------------------------------------------------------------
+# Strategies and comparison
+
+
+_MONOMIALS = (
+    MzvMonomial(0, ()),
+    MzvMonomial(2, ()),
+    MzvMonomial(0, ("z3",)),
+    MzvMonomial(1, ("z3",)),
+    MzvMonomial(0, ("z5",)),
+    MzvMonomial(0, ("z7",)),
+)
+_RATIONAL = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+def _coeffs(monomials=_MONOMIALS):
+    return st.dictionaries(st.sampled_from(monomials), _RATIONAL, min_size=1, max_size=3).map(
+        CoeffElem
+    )
+
+
+_NC_WORDS = ["a", "b", "ab", "ba", "bb", "aab", "bab", "abba"]
+
+
+def _nc_series(maxdeg, monomials=_MONOMIALS, constant=False):
+    words = _NC_WORDS + ([""] if constant else [])
+    return st.dictionaries(st.sampled_from(words), _coeffs(monomials), max_size=6).map(
+        lambda d: NCSeries(maxdeg, d)
+    )
+
+
+def _qt_series(order, monomials=_MONOMIALS):
+    keys = st.tuples(st.integers(0, order + 1), st.integers(0, 3))
+    return st.dictionaries(keys, _coeffs(monomials), max_size=6).map(lambda d: QTSeries(order, d))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (TableOverflow, PreconditionViolated) as exc:
+        return type(exc)
+
+
+def _holds_coeffs(value):
+    """True if the value's coefficients are built (read without building them)."""
+    try:
+        CoeffMap.coeffs.__get__(value, type(value))
+    except AttributeError:
+        return False
+    return True
+
+
+def _is_reduced(slices):
+    return all(
+        math.gcd(den, *(n for _, t in buckets for _, n in t)) == 1
+        for den, buckets in slices.values()
+    )
+
+
+def assert_same_value(got, want):
+    """got is born sliced; its coefficients are want's, and its slices are
+    the gcd-reduced slices of want's coefficients."""
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert not _holds_coeffs(got)
+    rule = _nc_rule if isinstance(want, NCSeries) else _qt_rule
+    assert _is_reduced(got.slices())
+    assert canonical_slices(got.slices()) == canonical_slices(rule(want))
+    assert got == want
+    assert got.shape == want.shape and got.coeffs == want.coeffs
+
+
+# ---------------------------------------------------------------------------
+# Producers against their references
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(lambda D: st.tuples(_nc_series(D, constant=True), _nc_series(D))),
+    st.booleans(),
+)
+def test_nc_mul_matches_reference(pair, with_table):
+    x, y = pair
+    table = shipped_table() if with_table else None
+    assert_same_value(_outcome(nc_mul, x, y, table), _outcome(reference_nc_mul, x, y, table))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5).flatmap(_nc_series), st.booleans())
+def test_nc_exp_matches_reference(x, with_table):
+    table = shipped_table() if with_table else None
+    assert_same_value(_outcome(nc_exp, x, table), _outcome(reference_nc_exp, x, table))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5).flatmap(_nc_series), st.booleans())
+def test_nc_inv_matches_reference(u, with_table):
+    table = shipped_table() if with_table else None
+    x = NCSeries.one(u.maxdeg) + u
+    assert_same_value(_outcome(nc_inv, x, table), _outcome(reference_nc_inv, x, table))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5]).flatmap(lambda D: st.tuples(_nc_series(D), _nc_series(D))))
+def test_build_phi_matches_reference(pair):
+    x, y = pair
+    D = x.maxdeg
+    table = shipped_table()
+    assert_same_value(
+        _outcome(build_phi, x, y, D, table), _outcome(reference_build_phi, x, y, D, table)
+    )
+
+
+def test_precondition_violations_match_reference():
+    x = NCSeries(3, {"": CoeffElem.from_rational(2), "a": CoeffElem.one()})
+    for ours, ref in ((nc_exp, reference_nc_exp), (nc_inv, reference_nc_inv)):
+        assert _outcome(ours, x) is _outcome(ref, x) is PreconditionViolated
+
+
+@settings(max_examples=60, deadline=None)
+@given(_qt_series(7), _qt_series(5), st.booleans())
+def test_qt_mul_matches_reference(f, g, with_table):
+    table = shipped_table() if with_table else None
+    assert_same_value(_outcome(qt_mul, f, g, table), _outcome(reference_qt_mul, f, g, table))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_coeffs(), _qt_series(6)), max_size=4), st.booleans())
+def test_qt_lincomb_matches_reference(pairs, with_table):
+    table = shipped_table() if with_table else None
+    assert_same_value(
+        _outcome(qt_lincomb, pairs, 6, table), _outcome(reference_qt_lincomb, pairs, 6, table)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_qt_series(8))
+def test_qt_antider_matches_reference(f):
+    assert_same_value(qt_antider(f), reference_qt_antider(f))
+
+
+@pytest.mark.parametrize("order", [6, 13])
+def test_iei_qexp_matches_reference(order):
+    cache = {}
+    words = [(), (0,), (4,), (3, 2), (2, 0), (0, 4, 0), (6, 2, 4), (2, 2, 0, 4), (8, 0, 0, 0)]
+    for w in words:
+        got, want = iei_qexp(w, order), reference_iei_qexp(w, order, cache)
+        assert got == want, w
+        assert canonical_slices(got.slices()) == canonical_slices(_qt_rule(want)), w
+
+
+# ---------------------------------------------------------------------------
+# Equality on slices
+
+
+def _sliced_copy(s):
+    rule = _nc_rule if isinstance(s, NCSeries) else _qt_rule
+    return type(s)._from_slices(s.shape, rule(s))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(_nc_series(4, constant=True), _nc_series(4, constant=True)),
+        st.tuples(_qt_series(5), _qt_series(5)),
+    ),
+    st.integers(2, 6),
+)
+def test_slice_equality_agrees_with_coefficient_equality(pair, k):
+    x, y = pair
+    x_apart = type(x)(x.shape, dict(reversed(list(x.coeffs.items()))))  # its terms in another order
+    for a, b in ((x, y), (x, x_apart), (y, y)):
+        want = a.coeffs == b.coeffs
+        sa, sb = _sliced_copy(a), _sliced_copy(b)
+        assert (sa == sb) is want and (sb == sa) is want
+        assert not _holds_coeffs(sa) and not _holds_coeffs(sb)  # compared on slices
+        assert (sa == b) is want and (a == sb) is want  # mixed forms: on coefficients
+    sx = _sliced_copy(x)
+    # a non-reduced denominator: every numerator and the denominator times k
+    scaled = type(x)._from_slices(
+        x.shape,
+        {
+            mono: (den * k, [(g, [(key, n * k) for key, n in t]) for g, t in buckets])
+            for mono, (den, buckets) in sx.slices().items()
+        },
+    )
+    assert scaled == sx and sx == scaled
+    assert not _holds_coeffs(scaled) and not _holds_coeffs(sx)
+    assert scaled.coeffs == x.coeffs
+    # negative control: one numerator changed
+    if x:
+        (mono, (den, buckets)), *rest = sx.slices().items()
+        (g, ((key, n), *others)), *higher = buckets
+        changed = {mono: (den, [(g, [(key, 2 * n), *others]), *higher]), **dict(rest)}
+        other = type(x)._from_slices(x.shape, changed)
+        assert other != sx and sx != other
+        assert other.coeffs != x.coeffs
+
+
+def test_slice_equality_needs_equal_shapes():
+    x = NCSeries(3, {"a": CoeffElem.one()})
+    assert _sliced_copy(x) != _sliced_copy(NCSeries(4, x.coeffs))
+    assert not _sliced_copy(NCSeries.zero(3))
+    assert _sliced_copy(x) and not _sliced_copy(x).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Truncation of a value built from slices
+
+
+def test_truncation_keeps_the_buckets_up_to_the_degree():
+    # the cached limit series serves a smaller degree from its own buckets,
+    # building no coefficient, and equals a build at that degree
+    source = dump_mzv_table(shipped_table())
+    table = loads_mzv_table(source)
+    full = build_Ainf(8, table)
+    small = build_Ainf(6, table)
+    assert not _holds_coeffs(full) and not _holds_coeffs(small)
+    for mono, (den, buckets) in small.slices().items():
+        full_den, full_buckets = full.slices()[mono]
+        assert den == full_den
+        assert all(a is b for a, b in zip(buckets, full_buckets))
+        assert max(g for g, _ in buckets) <= 6
+    assert small == build_Ainf(6, loads_mzv_table(source))
+    assert small.coeffs == full.truncate(6).coeffs
