@@ -13,9 +13,9 @@ products are free; the table names this basis up to its weight cap and
 records the reduction of every convergent iterated-integral word into it.
 
 A :class:`CoeffElem` is a finite Q-linear combination of monomials
-``pi**a * z3**b * ...``.  Addition is table-free; multiplication goes
-through :func:`coeff_mul`, which enforces the weight cap of the table
-whenever two symbol-bearing monomials meet.
+``pi**a * z3**b * ...``.  Addition is table-free; every product of
+monomials goes through :func:`monomial_mul`, which enforces the weight cap
+of the table whenever two symbol-bearing monomials meet.
 
 Table documents are versioned structured text; the grammar is the comment
 above ``FORMAT_NAME``.
@@ -287,42 +287,31 @@ class MzvTable:
         )
 
 
-def coeff_mul(x: CoeffElem, y: CoeffElem, table: MzvTable | None) -> CoeffElem:
-    """Bilinear product; pi powers add, symbol products go through the table.
-
-    Raises TableOverflow when two symbol-bearing monomials meet whose symbol
-    weights sum beyond the table's cap (or when there is no table at all):
-    beyond the cap the data cannot certify that the basis stays free.
-    """
-
-    def product(mx: MzvMonomial, my: MzvMonomial) -> MzvMonomial:
-        if mx.symbols and my.symbols:
-            if table is None:
-                raise TableOverflow(
-                    "symbol product requires a table: "
-                    f"{mx.symbols} * {my.symbols}"
-                )
-            sw = mx.symbol_weight(table.symbols) + my.symbol_weight(table.symbols)
-            if sw > table.max_weight:
-                raise TableOverflow(
-                    f"symbol product of weight {sw} exceeds table cap "
-                    f"{table.max_weight}"
-                )
-        return MzvMonomial(
-            mx.pi_power + my.pi_power, tuple(sorted(mx.symbols + my.symbols))
-        )
-
-    terms = ((product(mx, my), qx * qy) for mx, qx in x.items() for my, qy in y.items())
-    return CoeffElem._from_clean(accumulate({}, terms))
-
-
 def monomial_mul(mu: MzvMonomial, nu: MzvMonomial, table: MzvTable | None) -> MzvMonomial:
-    """Product of two unit monomials; a symbol pair goes through :func:`coeff_mul`,
-    so its weight cap raises TableOverflow exactly as for the full product."""
+    """Product of two unit monomials; pi powers add, symbols multiply freely.
+
+    Raises TableOverflow when both carry symbols and their symbol weights
+    sum beyond the table's cap (or when there is no table at all): beyond
+    the cap the data cannot certify that the basis stays free.
+    """
     if mu.symbols and nu.symbols:
-        [(rho, _)] = coeff_mul(CoeffElem({mu: 1}), CoeffElem({nu: 1}), table).items()
-        return rho
+        if table is None:
+            raise TableOverflow(f"symbol product requires a table: {mu.symbols} * {nu.symbols}")
+        sw = mu.symbol_weight(table.symbols) + nu.symbol_weight(table.symbols)
+        if sw > table.max_weight:
+            raise TableOverflow(
+                f"symbol product of weight {sw} exceeds table cap {table.max_weight}"
+            )
+        return MzvMonomial(mu.pi_power + nu.pi_power, tuple(sorted(mu.symbols + nu.symbols)))
     return MzvMonomial(mu.pi_power + nu.pi_power, mu.symbols or nu.symbols)
+
+
+def coeff_mul(x: CoeffElem, y: CoeffElem, table: MzvTable | None) -> CoeffElem:
+    """Bilinear product: :func:`monomial_mul` on each pair of monomials."""
+    terms = (
+        (monomial_mul(mx, my, table), qx * qy) for mx, qx in x.items() for my, qy in y.items()
+    )
+    return CoeffElem._from_clean(accumulate({}, terms))
 
 
 class CoeffMap:

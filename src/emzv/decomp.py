@@ -41,15 +41,11 @@ from .derlie import eps_nc, eps_tilde_scale
 from .eisalg import EPoly, EWord, eisenstein_qexp, epoly_to_qexp, has_odd_letter
 from .errors import ParseError
 from .linalg import RatMatrix, kernel_basis
-from .ncalg import NCSeries, build_Ainf, extract_gamma, triangular_index_solve
+from .ncalg import NCSeries, build_Ainf, extract_gamma, index_degree, triangular_index_solve
 from .qseries import QTSeries, qt_lincomb, qt_mul
 from .words import graded_words, make_word
 
 EmzvIndex = tuple[int, ...]
-
-
-def index_weight(idx: EmzvIndex) -> int:
-    return sum(idx)
 
 
 def parse_index(text: str) -> EmzvIndex:
@@ -202,7 +198,7 @@ class Decomposition(NamedTuple):
             raise ParseError("gamma: not the constant term of terms")
         params = doc.get("params", {})
         nc_degree = field("params.nc_degree", lambda p: int(p.get("nc_degree", 0)), params)
-        want = index_weight(index) + len(index) if len(index) >= 2 else 0
+        want = index_degree(index) if len(index) >= 2 else 0
         if nc_degree != want:
             raise ParseError(f"params.nc_degree: {nc_degree}, index {list(index)} needs {want}")
         return Decomposition(index, epoly, gamma, nc_degree)
@@ -237,7 +233,7 @@ def _decompose(index: EmzvIndex, table: MzvTable) -> Decomposition:
     for term in diffeq_expand(index):
         sub = decompose(term.sub_index, table)
         acc = acc + sub.epoly.prepend(term.eis_weight).scale(-term.coeff)
-    return Decomposition(index, acc, gamma, nc_degree=index_weight(index) + n)
+    return Decomposition(index, acc, gamma, nc_degree=index_degree(index))
 
 
 def emzv_qexp(idx: Iterable[int], order: int, table: MzvTable) -> QTSeries:
@@ -277,19 +273,20 @@ def gseries_decompose(
     per-index constant extraction, so it serves as a cross-check of the
     length recursion.
     """
-    indices = indices_upto(max_len, max_wt)
-    degrees = sorted({index_weight(i) + len(i) for i in indices if i})
+    by_degree: dict[int, list[EmzvIndex]] = {}
+    for idx in indices_upto(max_len, max_wt):
+        if idx:
+            by_degree.setdefault(index_degree(idx), []).append(idx)
     out: dict[EmzvIndex, EPoly] = {(): EPoly.constant(1)}
-    if not degrees:
+    if not by_degree:
         return out
-    images = _eps_word_images(build_Ainf(max(degrees), table), degrees)
-    wanted = set(indices)
+    degrees = sorted(by_degree)
+    images = _eps_word_images(build_Ainf(degrees[-1], table), degrees)
     for d in degrees:
         solved = triangular_index_solve(_gseries_component(images.pop(d)), d)
-        for idx in wanted:
-            if idx and index_weight(idx) + len(idx) == d:
-                val = solved.get(idx) or EPoly.zero()
-                out[idx] = val if len(idx) % 2 == 0 else -val
+        for idx in by_degree[d]:
+            val = solved.get(idx) or EPoly.zero()
+            out[idx] = val if len(idx) % 2 == 0 else -val
     return out
 
 

@@ -46,16 +46,15 @@ Assoc = dict[str, Number]  # sparse free-associative element
 def lyndon_words(max_len: int) -> list[str]:
     """All Lyndon words in x, y of length <= max_len (Duval's generation)."""
     out: list[str] = []
-    w = [0]
-    while True:
+    w = [0] if max_len >= 1 else []
+    while w:
         out.append("".join("xy"[i] for i in w))
         m = len(w)
         w = [w[i % m] for i in range(max_len)]
         while w and w[-1] == 1:
             w.pop()
-        if not w:
-            break
-        w[-1] += 1
+        if w:
+            w[-1] += 1
     out.sort(key=lambda s: (len(s), s))
     return out
 

@@ -97,7 +97,15 @@ class NCSeries(CoeffMap):
         return {w: c for w, c in self.coeffs.items() if len(w) == d}
 
     def truncate(self, maxdeg: int) -> "NCSeries":
-        """The words up to maxdeg: the buckets of the value's slices up to it."""
+        """The words up to maxdeg: the buckets of the value's slices up to it.
+
+        Raises DegreeMismatch for a maxdeg above the series' own, whose
+        terms of the degrees in between are unknown.
+        """
+        if maxdeg > self.maxdeg:
+            raise DegreeMismatch(
+                f"cannot truncate a degree-{self.maxdeg} series to degree {maxdeg}"
+            )
         out = {}
         for mono, (den, buckets) in self.slices().items():
             kept = [b for b in buckets if b[0] <= maxdeg]
@@ -261,32 +269,18 @@ def shuffle_regularize(w: BinWord, table: MzvTable) -> CoeffElem:
 
 
 def build_phi(x: NCSeries, y: NCSeries, maxdeg: int, table: MzvTable) -> NCSeries:
-    """Associator series evaluated at (x, y), truncated at maxdeg."""
+    """Associator series evaluated at (x, y), truncated at maxdeg.
+
+    A word that survives the truncation but lies beyond the table's cap
+    raises TableOverflow where its value is read, in
+    :func:`shuffle_regularize`, naming the word's weight.
+    """
     if not x.constant_term().is_zero() or not y.constant_term().is_zero():
         raise PreconditionViolated("associator arguments need zero constant term")
 
     D = maxdeg
-    big = D + 1
-    mx = x.min_degree() or big
-    my = y.min_degree() or big
-    # Mixed words are the only ones with nonzero regularized coefficient;
-    # the longest one that survives truncation fixes the table weight needed.
-    needed = 0
-    for j in range(1, D // my + 1 if my <= D else 0):
-        if mx <= D:
-            i = (D - j * my) // mx
-        else:
-            i = 0
-        if i >= 1:
-            needed = max(needed, i + j)
-    if needed > table.max_weight:
-        raise TableOverflow(
-            f"associator at degree {D} needs regularized values to weight "
-            f"{needed}, table cap is {table.max_weight}"
-        )
-
     arg = {0: x.slices(), 1: y.slices()}
-    mindeg = {0: mx, 1: my}
+    mindeg = {0: x.min_degree() or D + 1, 1: y.min_degree() or D + 1}
     # The walk carries each node's word product as integer slices and
     # collects (regularized value, word product) pairs; Phi is their linear
     # combination, kept as slices.
@@ -309,13 +303,18 @@ def build_phi(x: NCSeries, y: NCSeries, maxdeg: int, table: MzvTable) -> NCSerie
     return NCSeries._from_slices(D, normalise(lincomb(terms, D, table), len))
 
 
+def index_degree(idx: Iterable[int]) -> int:
+    """Word degree of an index's monomial in the limit series: weight + length."""
+    return sum(k + 1 for k in idx)
+
+
 def required_table_weight(idx: Iterable[int]) -> int:
     """Table weight cap the constant of an index needs: weight + length - 1.
 
     The constant sits in the limit series at degree weight + length, whose
     coefficients are regularized values of weight up to one less.
     """
-    return sum(k + 1 for k in idx) - 1
+    return index_degree(idx) - 1
 
 
 def build_Ainf(maxdeg: int, table: MzvTable) -> NCSeries:
@@ -440,7 +439,7 @@ def extract_gamma(idx: Iterable[int], table: MzvTable) -> CoeffElem:
     constant is built once from its numerators.
     """
     index = make_word(idx)
-    d = sum(k + 1 for k in index)
+    d = index_degree(index)
 
     def solve() -> dict[EmzvIndexTuple, CoeffElem]:
         cells: dict[EmzvIndexTuple, dict[MzvMonomial, Fraction]] = {}

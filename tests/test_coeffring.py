@@ -144,9 +144,11 @@ def test_coeff_mul_examples():
     assert coeff_mul(z3, z5, table) == CoeffElem(
         {MzvMonomial(0, ("z3", "z5")): F(1)}
     )
-    with pytest.raises(TableOverflow):
+    with pytest.raises(TableOverflow, match=r"^symbol product of weight 10 exceeds table cap 8$"):
         coeff_mul(z5, z5, table)
-    with pytest.raises(TableOverflow):
+    with pytest.raises(
+        TableOverflow, match=re.escape("symbol product requires a table: ('z3',) * ('z3',)")
+    ):
         coeff_mul(z3, z3, None)
     # pi powers never overflow
     assert coeff_mul(CoeffElem.pi_pow(6), CoeffElem.pi_pow(6), table) == (
@@ -437,6 +439,62 @@ def test_monomial_mul_overflow(small_table):
     for t in (table, None):  # weight 6 > cap 3, and no table at all
         with pytest.raises(TableOverflow):
             monomial_mul(z3, z3, t)
+
+
+def _closure_coeff_mul(x, y, table):
+    """The product as coeff_mul computed it with its own inner cap check."""
+
+    def product(mx, my):
+        if mx.symbols and my.symbols:
+            if table is None:
+                raise TableOverflow(
+                    "symbol product requires a table: "
+                    f"{mx.symbols} * {my.symbols}"
+                )
+            sw = mx.symbol_weight(table.symbols) + my.symbol_weight(table.symbols)
+            if sw > table.max_weight:
+                raise TableOverflow(
+                    f"symbol product of weight {sw} exceeds table cap "
+                    f"{table.max_weight}"
+                )
+        return MzvMonomial(
+            mx.pi_power + my.pi_power, tuple(sorted(mx.symbols + my.symbols))
+        )
+
+    terms = ((product(mx, my), qx * qy) for mx, qx in x.items() for my, qy in y.items())
+    return CoeffElem(accumulate({}, terms))
+
+
+def _product_outcome(product, x, y, table):
+    try:
+        return product(x, y, table)
+    except TableOverflow as exc:
+        return "TableOverflow", str(exc)
+
+
+_SHIPPED_SYMBOL_COEFFS = st.dictionaries(
+    st.builds(
+        MzvMonomial,
+        st.integers(min_value=0, max_value=4),
+        st.lists(st.sampled_from(["z3", "z5", "z7", "z35"]), max_size=2).map(
+            lambda s: tuple(sorted(s))
+        ),
+    ),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    max_size=4,
+).map(CoeffElem)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=_SHIPPED_SYMBOL_COEFFS, y=_SHIPPED_SYMBOL_COEFFS)
+def test_coeff_mul_matches_closure_product(x, y):
+    # the same product, or TableOverflow with the same message: within the
+    # w8 cap, beyond it (z5 * z5, z3^2 * z3, ...) and with no table at all
+    table = shipped_table()
+    assert set(table.symbols) == {"z3", "z5", "z7", "z35"}
+    for t in (table, None):
+        got = _product_outcome(coeff_mul, x, y, t)
+        assert got == _product_outcome(_closure_coeff_mul, x, y, t)
 
 
 _Z3 = CoeffElem.symbol("z3")

@@ -52,6 +52,13 @@ def test_lyndon_words_small():
     assert standard_factorization("xyxyy") == ("xy", "xyy")
 
 
+def test_lyndon_words_count_the_necklaces():
+    assert lyndon_words(0) == []
+    words = lyndon_words(10)
+    counts = [sum(len(w) == n for w in words) for n in range(1, 11)]
+    assert counts == [2, 1, 2, 3, 6, 9, 18, 30, 56, 99]
+
+
 def test_free_lie_dimensions():
     words = lyndon_words(8)
     assert [sum(len(w) == d for w in words) for d in range(1, 9)] == [2, 1, 2, 3, 6, 9, 18, 30]

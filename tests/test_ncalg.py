@@ -28,6 +28,7 @@ from emzv.ncalg import (
     build_ytilde,
     compositions_of,
     extract_gamma,
+    index_degree,
     index_monomial,
     is_grouplike,
     nc_bracket,
@@ -319,6 +320,14 @@ def test_compositions_and_pure_words():
     assert index_monomial((0, 1, 0, 0)) == {"bbabb": F(1), "bbbab": F(-1)}
 
 
+def test_index_degree_is_weight_plus_length():
+    indices = [j for d in range(10) for j in compositions_of(d)]
+    assert len(indices) == 2**9  # every index of degree <= 9
+    for j in indices:
+        assert index_degree(j) == sum(j) + len(j)
+    assert index_degree(()) == 0
+
+
 def test_required_table_weight():
     from emzv.ncalg import required_table_weight
 
@@ -595,3 +604,26 @@ def test_unvalidated_results_match_validating_constructor(x, y, q, c):
     long = "ab" * D + "b"
     assert NCSeries(D, {long: c}).is_zero()
     assert x.coefficient(long) == (x + y).coefficient(long) == CoeffElem.zero()
+
+
+def test_truncate_refuses_a_higher_degree():
+    x = nc(2, a=1, aa=1)
+    assert x.truncate(2) == x
+    assert x.truncate(1) == nc(1, a=1)
+    with pytest.raises(DegreeMismatch, match="degree-2 series to degree 5"):
+        x.truncate(5)
+
+
+@pytest.mark.parametrize("D, weight", ((10, 9), (11, 10)))
+def test_phi_beyond_the_table_raises_at_the_read(table, D, weight):
+    # the longest mixed word surviving degree D has weight D - 1
+    t = -nc_bracket(NCSeries.letter("a", D), NCSeries.letter("b", D))
+    with pytest.raises(TableOverflow, match=f"weight {weight} exceeds cap 8"):
+        build_phi(build_ytilde(D), t, D, table)
+
+
+def test_phi_at_the_table_cap(table):
+    D = 9
+    t = -nc_bracket(NCSeries.letter("a", D), NCSeries.letter("b", D))
+    phi = build_phi(build_ytilde(D), t, D, table)
+    assert max(len(w) for w in phi.coeffs) == D
