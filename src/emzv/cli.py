@@ -166,7 +166,8 @@ def _guarded_index(ns: argparse.Namespace, table: MzvTable) -> tuple[int, ...]:
             f"bad --index {ns.index!r}: pass nonnegative integers separated "
             "by commas, e.g. --index 0,1,0,0"
         ) from None
-    _require_table_weight(f"index {format_index(idx)}", required_table_weight(idx), table)
+    if len(idx) >= 2:  # lengths 0 and 1 have closed-form constants and read no table
+        _require_table_weight(f"index {format_index(idx)}", required_table_weight(idx), table)
     return idx
 
 

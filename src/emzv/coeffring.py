@@ -325,13 +325,15 @@ class CoeffMap:
     ``-`` and ``scale`` obey the rule by construction and are adopted as
     they are.
 
-    A truncated product algebra also computes on integer slices (below):
-    it states its slicing rule as ``_slice`` and the inverse as ``_build``.
-    A value holds its coefficients, its slices, or both.  One built from
-    coefficients computes its slices on first use (:meth:`slices`); one
-    built from slices (:meth:`_from_slices`) leaves the ``coeffs`` slot
-    unset, and its first read builds the coefficients (``__getattr__``).
-    Either form is kept once computed, since values are never mutated.
+    All three containers also compute on integer slices (below): each
+    states its slicing rule as ``_slice`` and the inverse as ``_build``.
+    One keep rule holds for all of them.  A value built from coefficients
+    keeps them, and computes its slices on first use (:meth:`slices`),
+    keeping those too.  A value built from slices (:meth:`_from_slices`)
+    keeps only its slices: the ``coeffs`` slot stays unset, and each read
+    of ``coeffs`` builds the coefficients anew (``__getattr__``) without
+    storing them, so a reader that needs them more than once reads them
+    once into a local.
     """
 
     __slots__ = ("shape", "coeffs", "_sliced")
@@ -373,11 +375,10 @@ class CoeffMap:
 
     def __getattr__(self, name: str):
         # Reached only when normal lookup fails: for ``coeffs``, the unset
-        # slot of a value built from slices.
+        # slot of a value built from slices, which stays unset.
         if name != "coeffs":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.coeffs = self._build()
-        return self.coeffs
+        return self._build()
 
     @classmethod
     def zero(cls, shape: int | None = None):
@@ -483,16 +484,17 @@ def integer_slices(
 # ---------------------------------------------------------------------------
 # The integer slice engine
 #
-# The truncated product algebras (two-letter series, q/T expansions) compute
-# on graded integer slices: coefficient monomial -> (common denominator,
-# buckets), the buckets [(grade, [(key, n)])] in increasing grade with
-# integer n, standing for sum n / denominator * key.  Keys multiply by +
-# (words concatenate; q/T terms travel as an additive integer code, see
-# qseries) and grades add.  Products and linear combinations add integer
-# numerators into cells, which are brought over one denominator per
-# monomial at the end, into slices again (:func:`normalise`).  A product's
-# value keeps those slices, and its coefficients are built
-# (:func:`build_slices`) only if something reads them.
+# The containers (two-letter series, q/T expansions, e-word polynomials)
+# compute on graded integer slices: coefficient monomial -> (common
+# denominator, buckets), the buckets [(grade, [(key, n)])] in increasing
+# grade with integer n, standing for sum n / denominator * key.  In the
+# truncated product algebras keys multiply by + (words concatenate; q/T
+# terms travel as an additive integer code, see qseries) and grades add.
+# Products and linear combinations add integer numerators into cells,
+# which are brought over one denominator per monomial at the end, into
+# slices again (:func:`normalise`).  A value computed this way keeps those
+# slices, and its coefficients are built (:func:`build_slices`) each time
+# something reads them.
 
 Slices = dict[MzvMonomial, tuple[int, list[tuple[int, list[tuple[Any, int]]]]]]
 
@@ -567,6 +569,78 @@ def lincomb(pairs: Iterable[tuple[CoeffElem, Slices]], bound: int, table: MzvTab
                     for k, n in terms:
                         cell[k] = get(k, 0) + a * n
     return cells
+
+
+def rational_lincomb(pairs: Iterable[tuple[Fraction | int, Slices]]) -> Cells:
+    """The linear combination sum q_i * f_i of slices with rational q_i,
+    untruncated.  A scalar a / b puts a * n into the cell of denominator
+    den * b, on the slice's own monomial, so no table is involved."""
+    cells: Cells = {}
+    for q, slices in pairs:
+        a, b = q.as_integer_ratio()
+        for mono, (den, buckets) in slices.items():
+            cell = cells.setdefault(mono, {}).setdefault(den * b, {})
+            get = cell.get
+            for _, terms in buckets:
+                for k, n in terms:
+                    cell[k] = get(k, 0) + a * n
+    return cells
+
+
+def add_slices(x: Slices, y: Slices) -> Slices:
+    """x + y, both slices of one grading.
+
+    A monomial of one operand only keeps its slice as it is.  One of both
+    is brought over the lcm of the two denominators, its buckets merged by
+    grade, zero numerators dropped, and reduced by the gcd.
+    """
+    out = dict(x)
+    for mono, (den_y, buckets_y) in y.items():
+        mine = out.get(mono)
+        if mine is None:
+            out[mono] = (den_y, buckets_y)
+            continue
+        den_x, buckets_x = mine
+        den = math.lcm(den_x, den_y)
+        by_grade: dict[int, dict[Any, int]] = {}
+        for lift, buckets in ((den // den_x, buckets_x), (den // den_y, buckets_y)):
+            for g, terms in buckets:
+                sums = by_grade.setdefault(g, {})
+                get = sums.get
+                for k, n in terms:
+                    sums[k] = get(k, 0) + n * lift
+        merged = []
+        for g in sorted(by_grade):
+            terms = [(k, n) for k, n in by_grade[g].items() if n]
+            if terms:
+                merged.append((g, terms))
+        if not merged:
+            del out[mono]
+            continue
+        common = math.gcd(den, *(n for _, terms in merged for _, n in terms))
+        if common > 1:
+            den //= common
+            merged = [(g, [(k, n // common) for k, n in terms]) for g, terms in merged]
+        out[mono] = (den, merged)
+    return out
+
+
+def scale_slices(slices: Slices, q: Fraction | int) -> Slices:
+    """The slices times a nonzero rational q = a / b: numerators times a,
+    denominators times b.  Slices reduced by their gcd stay reduced: only a
+    and the denominator, or b and the numerators, can share a factor."""
+    a, b = q.as_integer_ratio()
+    out: Slices = {}
+    for mono, (den, buckets) in slices.items():
+        g = math.gcd(a, den)
+        h = math.gcd(b, *(n for _, terms in buckets for _, n in terms)) if b > 1 else 1
+        num, den = a // g, den // g * (b // h)
+        if h > 1:
+            buckets = [(d, [(k, n // h * num) for k, n in terms]) for d, terms in buckets]
+        else:
+            buckets = [(d, [(k, n * num) for k, n in terms]) for d, terms in buckets]
+        out[mono] = (den, buckets)
+    return out
 
 
 def _over_common(cells: Cells) -> Iterator[tuple[MzvMonomial, int, dict]]:

@@ -28,13 +28,16 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .coeffring import (
+    Cells,
     CoeffElem,
     MzvMonomial,
     MzvTable,
     accumulate,
     bernoulli,
     memoized,
+    normalise,
     parse_coeff,
+    rational_lincomb,
     render_coeff,
 )
 from .derlie import eps_nc, eps_tilde_scale
@@ -228,12 +231,16 @@ def _decompose(index: EmzvIndex, table: MzvTable) -> Decomposition:
         else:
             gamma = CoeffElem.pi_pow(1, bernoulli(k) / math.factorial(k))
         return Decomposition(index, EPoly.constant(gamma), gamma)
+    # psi(I) = gamma_I + the integrated recursion: each term's sub-index
+    # image with the Eisenstein letter prepended, times -alpha, summed as one
+    # integer combination of slices
     gamma = extract_gamma(index, table)
-    acc = EPoly.constant(gamma)
-    for term in diffeq_expand(index):
-        sub = decompose(term.sub_index, table)
-        acc = acc + sub.epoly.prepend(term.eis_weight).scale(-term.coeff)
-    return Decomposition(index, acc, gamma, nc_degree=index_degree(index))
+    cells = rational_lincomb(
+        (-term.coeff, decompose(term.sub_index, table).epoly.prepend(term.eis_weight).slices())
+        for term in diffeq_expand(index)
+    )
+    psi = EPoly.constant(gamma) + EPoly._from_slices(None, normalise(cells, len))
+    return Decomposition(index, psi, gamma, nc_degree=index_degree(index))
 
 
 def emzv_qexp(idx: Iterable[int], order: int, table: MzvTable) -> QTSeries:
@@ -329,31 +336,21 @@ def _eps_word_images(ainf: NCSeries, degrees: Sequence[int]) -> dict[int, list[_
 
 
 def _gseries_component(images: list[_EpsImage]) -> dict[str, EPoly]:
-    """Word -> e-word polynomial of one degree, each coefficient built once.
+    """Word -> e-word polynomial of one degree, each born sliced.
 
-    Consumes the images and then the integer table built from them, so the
-    raw data is freed while the polynomials are built.  The factors and
-    integers are nonzero and the e-words even, so coefficients and
-    polynomials are adopted as they are.
+    The piece factor * v of an image puts, for each word w of v, the
+    numerator a * v[w] on (e-word, monomial) over the denominator b of
+    factor = a / b; each word's cells become its polynomial's slices, so no
+    coefficient is built.  Consumes the images, so the raw data is freed
+    while the polynomials are built.
     """
-    factors: dict[tuple[EWord, MzvMonomial], Fraction] = {}
-    ints: dict[str, dict[EWord, dict[MzvMonomial, int]]] = {}
+    cells: dict[str, Cells] = {}
     while images:
         eword, mono, factor, v = images.pop()
-        factors[eword, mono] = factor
+        a, b = factor.as_integer_ratio()
         for w, n in v.items():
-            ints.setdefault(w, {}).setdefault(eword, {})[mono] = n
-    component: dict[str, EPoly] = {}
-    while ints:
-        w, per = ints.popitem()
-        coeffs = {
-            eword: CoeffElem._from_clean(
-                {mono: factors[eword, mono] * n for mono, n in terms.items()}
-            )
-            for eword, terms in per.items()
-        }
-        component[w] = EPoly._from_clean(None, coeffs)
-    return component
+            cells.setdefault(w, {}).setdefault(mono, {}).setdefault(b, {})[eword] = a * n
+    return {w: EPoly._from_slices(None, normalise(c, len)) for w, c in cells.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +364,10 @@ def find_emzv_relations(
     polys = [decompose(i, table).epoly for i in indices]
     rows: dict[tuple[EWord, MzvMonomial], list[Fraction | int]] = {}
     for j, p in enumerate(polys):
-        for w, c in p.items():
-            for mono, q in c.items():
-                rows.setdefault((w, mono), [0] * len(polys))[j] = q
+        # the entries are read from the slices, so no coefficient is built
+        for mono, (den, buckets) in p.slices().items():
+            for _, terms in buckets:
+                for w, n in terms:
+                    rows.setdefault((w, mono), [0] * len(polys))[j] = Fraction(n, den)
     mat = RatMatrix(len(rows), len(polys), tuple(q for row in rows.values() for q in row))
     return kernel_basis(mat)

@@ -364,13 +364,14 @@ def to_E0_basis(x: EPoly) -> tuple[dict[EWord, CoeffElem], EPoly]:
     word to the constant.  The residual collects what remains on words
     ending in the letter 0.
     """
-    combination = {w: c for w, c in x.items() if not w or w[-1] != 0}
+    coeffs = x.coeffs  # read once: a sliced x builds them on each read
+    combination = {w: c for w, c in coeffs.items() if not w or w[-1] != 0}
     corrections = (
         (w[:-1] + (0,), c.scale(bernoulli(w[-1]) / (2 * w[-1])))
         for w, c in combination.items()
         if w
     )
-    residual = accumulate({w: c for w, c in x.items() if w and w[-1] == 0}, corrections)
+    residual = accumulate({w: c for w, c in coeffs.items() if w and w[-1] == 0}, corrections)
     return combination, EPoly(residual)
 
 

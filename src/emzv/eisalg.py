@@ -12,7 +12,8 @@ primitive of -E_{k_1} times the tail integral, so that
 
 and the empty word gives 1.  Words in the letters e_0, e_2, e_4, ... form a
 shuffle algebra; :class:`EPoly` carries finite combinations of such words
-with exact coefficients, and ``epoly_to_qexp`` realizes a word combination
+with exact coefficients, computing on their integer slices (see
+``coeffring``), and ``epoly_to_qexp`` realizes a word combination
 as the corresponding combination of iterated integrals.  Words containing an
 odd letter represent the zero function and are dropped at the boundary.
 """
@@ -26,10 +27,17 @@ from .coeffring import (
     CoeffElem,
     CoeffMap,
     MzvTable,
+    Slices,
     accumulate,
+    add_slices,
     bernoulli,
+    build_slices,
     coeff_mul,
+    graded_slices,
+    lincomb,
     memoized,
+    normalise,
+    scale_slices,
 )
 from .qseries import QTSeries, qt_antider, qt_lincomb, qt_mul
 from .words import deconcatenations, make_word, shuffle_multiset
@@ -88,7 +96,12 @@ def iei_qexp(w: Iterable[int], order: int) -> QTSeries:
 
 
 class EPoly(CoeffMap):
-    """Finite CoeffElem-linear combination of even e-words (no truncation)."""
+    """Finite CoeffElem-linear combination of even e-words (no truncation).
+
+    Computes on integer slices graded by e-word length, like the truncated
+    series: ``+``, ``-``, ``scale`` and :meth:`prepend` return values that
+    keep only their slices, under the keep rule of :class:`CoeffMap`.
+    """
 
     __slots__ = ()
 
@@ -102,6 +115,12 @@ class EPoly(CoeffMap):
             if c and not has_odd_letter(word):
                 d[word] = c
         return d
+
+    def _slice(self) -> Slices:
+        return graded_slices(self.coeffs.items(), len)  # graded by e-word length
+
+    def _build(self) -> dict[EWord, CoeffElem]:
+        return build_slices(self._sliced)
 
     # -- constructors ---------------------------------------------------
 
@@ -133,20 +152,48 @@ class EPoly(CoeffMap):
         return sorted(self.coeffs, key=lambda w: (len(w), w))
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for w in self.words():
+        for w in sorted(coeffs, key=lambda w: (len(w), w)):
             name = "1" if not w else "".join(f"e{k}" for k in w)
-            parts.append(f"({self.coeffs[w]}) {name}")
+            parts.append(f"({coeffs[w]}) {name}")
         return " + ".join(parts)
 
-    # an entry of EPoly's own: perfbench's tracer wraps EPoly.__add__ through
-    # the class's __dict__, without touching the other containers' additions
-    __add__ = CoeffMap.__add__
+    # -- linear structure on slices -------------------------------------
+    #
+    # __add__ is an entry of EPoly's own: perfbench's tracer wraps
+    # EPoly.__add__ through the class's __dict__, without touching the
+    # other containers' additions.
+
+    def __add__(self, other: "EPoly") -> "EPoly":
+        return EPoly._from_slices(None, add_slices(self.slices(), other.slices()))
+
+    def __neg__(self) -> "EPoly":
+        return EPoly._from_slices(None, scale_slices(self.slices(), -1))
+
+    def scale(self, c: CoeffElem | Fraction | int, table: MzvTable | None = None) -> "EPoly":
+        """Every coefficient times c.
+
+        A rational c (a number, or a CoeffElem whose only monomial is 1)
+        scales the slices' numerators and denominators; any other CoeffElem
+        multiplies through :func:`coeffring.lincomb`, so each pair of
+        monomials meets once in :func:`monomial_mul`, with the table.
+        """
+        if isinstance(c, CoeffElem):
+            if not c.is_rational():
+                sliced = self.slices()
+                top = max((buckets[-1][0] for _, buckets in sliced.values()), default=0)
+                return EPoly._from_slices(None, normalise(lincomb([(c, sliced)], top, table), len))
+            c = c.rational_part()
+        if not c:
+            return EPoly.zero()
+        return EPoly._from_slices(None, scale_slices(self.slices(), c))
 
     def prepend(self, letter: int) -> "EPoly":
-        """Left-concatenate one letter onto every word.
+        """Left-concatenate one letter onto every word: the slices' keys
+        mapped and each bucket moved up one grade.
 
         The letter is checked once (a negative one raises ValueError); an
         odd letter gives zero, and an even one keeps the key rule.
@@ -154,7 +201,11 @@ class EPoly(CoeffMap):
         head = make_word((letter,))
         if head[0] % 2:
             return EPoly.zero()
-        return EPoly._from_clean(None, {head + w: c for w, c in self.coeffs.items()})
+        out: Slices = {
+            mono: (den, [(g + 1, [(head + w, n) for w, n in terms]) for g, terms in buckets])
+            for mono, (den, buckets) in self.slices().items()
+        }
+        return EPoly._from_slices(None, out)
 
 
 def shuffle_words(u: Iterable[int], v: Iterable[int]) -> EPoly:
@@ -169,8 +220,9 @@ def shuffle_words(u: Iterable[int], v: Iterable[int]) -> EPoly:
 def epoly_mul(x: EPoly, y: EPoly, table: MzvTable | None = None) -> EPoly:
     """Bilinear extension of the shuffle product."""
     acc = EPoly.zero()
+    y_terms = list(y.items())  # read once: a sliced y builds them on each read
     for wx, cx in x.items():
-        for wy, cy in y.items():
+        for wy, cy in y_terms:
             c = coeff_mul(cx, cy, table)
             acc = acc + shuffle_words(wx, wy).scale(c)
     return acc

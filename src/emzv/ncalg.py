@@ -114,11 +114,12 @@ class NCSeries(CoeffMap):
         return NCSeries._from_slices(maxdeg, out)
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for w in sorted(self.coeffs, key=lambda w: (len(w), w)):
-            parts.append(f"({self.coeffs[w]}) {w or '1'}")
+        for w in sorted(coeffs, key=lambda w: (len(w), w)):
+            parts.append(f"({coeffs[w]}) {w or '1'}")
         return " + ".join(parts)
 
 
@@ -408,7 +409,8 @@ def triangular_index_solve(component: Mapping[NCWord, object], degree: int):
     of the monomials and ExtractionInconsistent is raised.  Values may be
     numbers, or any type with + and scale(int) whose zero is falsy
     (CoeffElem, EPoly); the monomials are integral, so an integer vector
-    solves in integers.  Only the nonzero x_j are returned.
+    solves in integers, and so do sliced EPoly values.  Only the nonzero
+    x_j are returned.
     """
     work = dict(component)
     out: dict[EmzvIndexTuple, object] = {}
@@ -474,12 +476,13 @@ def nc_coproduct(s: NCSeries) -> dict[tuple[NCWord, NCWord], CoeffElem]:
 
 def is_grouplike(s: NCSeries, table: MzvTable | None = None) -> bool:
     """Delta(s) == s (x) s up to the truncation degree."""
+    terms = list(s.items())  # read once: a sliced s builds them on each read
     rhs = accumulate(
         {},
         (
             ((w1, w2), coeff_mul(c1, c2, table))
-            for w1, c1 in s.items()
-            for w2, c2 in s.items()
+            for w1, c1 in terms
+            for w2, c2 in terms
             if len(w1) + len(w2) <= s.maxdeg
         ),
     )

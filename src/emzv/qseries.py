@@ -69,13 +69,15 @@ class QTSeries(CoeffMap):
         return all(j == 0 for (_, j) in self.coeffs)
 
     def terms(self) -> Iterator[tuple[int, int, CoeffElem]]:
-        for (m, j) in sorted(self.coeffs):
-            yield m, j, self.coeffs[(m, j)]
+        coeffs = self.coeffs  # read once: a sliced value builds them on each read
+        for (m, j) in sorted(coeffs):
+            yield m, j, coeffs[(m, j)]
 
     def require_t_free(self) -> "QTSeries":
-        if not self.is_t_free():
-            bad = sorted(k for k in self.coeffs if k[1] > 0)[0]
-            raise FourierViolation(f"T term survives at q^{bad[0]} T^{bad[1]}")
+        bad = [k for k in self.coeffs if k[1] > 0]
+        if bad:
+            m, j = min(bad)
+            raise FourierViolation(f"T term survives at q^{m} T^{j}")
         return self
 
     def __str__(self) -> str:

@@ -63,7 +63,8 @@ def test_help_lists_every_subcommand(capsys):
 
 
 def test_overflow_exit_code(capsys):
-    code, out, err = run_cli(capsys, "decompose", "--index", "9999")
+    # length 2: its constant needs a table of weight 10000
+    code, out, err = run_cli(capsys, "decompose", "--index", "9999,0")
     assert code == 1
     assert "TableOverflow" in err
 
@@ -168,6 +169,10 @@ def test_table_guard_is_exact(capsys):
     code, out, _ = run_cli(capsys, "gamma", "--index", "3,4")  # needs exactly 8
     assert code == 0
     assert out.strip() == "0"
+    # length 1: a closed-form constant that reads no table, at any weight
+    code, out, err = run_cli(capsys, "gamma", "--index", "10")
+    assert code == 0 and err == ""
+    assert out.strip() == "1/47900160 * pi"
 
 
 def test_derlie_relations(capsys):

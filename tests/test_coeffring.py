@@ -348,7 +348,7 @@ def test_warm_integral_products_slice_nothing(monkeypatch):
     # the cached integrals keep their slices, so a warm shuffle identity (both
     # sides, as the image workload asks it) grades no coefficient again; the
     # comparison runs on slices and builds no coefficient, and only reading a
-    # side builds it
+    # side builds it, on each read, keeping nothing
     from emzv import coeffring, ncalg, qseries
     from emzv.eisalg import epoly_to_qexp, iei_qexp, shuffle_words
 
@@ -363,8 +363,10 @@ def test_warm_integral_products_slice_nothing(monkeypatch):
     assert again == lhs == rhs
     assert epoly_to_qexp(shuffle_words(u, v), order) == rhs
     assert calls == [] and built == []
-    assert again.coeffs and again.coeffs is again.coeffs
-    assert len(built) == 1 and built[0] is again
+    first, second = again.coeffs, again.coeffs
+    assert first and first == second and first is not second
+    assert built == [again, again]  # each read builds, and nothing is kept
+    assert again == lhs == rhs
 
 
 @pytest.mark.parametrize("op", ["nc_inv", "nc_exp"])

@@ -313,18 +313,23 @@ def _reference_apply(vals, s):
 
 def _reference_solve_degree(ainf, d):
     ops = {k2: _reference_eps_tilde(k2) for k2 in range(0, max(d, 1), 2)}
-    accum = {}
+    by_eword = {}
     stack = [((), ainf.truncate(d))]
     while stack:
         eword, series = stack.pop()
         for ncw, c in series.component(d).items():
-            accum.setdefault(ncw, {})[eword] = c
+            by_eword.setdefault(eword, {})[ncw] = c
         for k2, op in ops.items():
             image = _reference_apply(op, series)
             if not image.is_zero():
                 stack.append(((k2,) + eword, image))
-    component = {ncw: EPoly(coeffs) for ncw, coeffs in accum.items()}
-    return triangular_index_solve(component, d)
+    # solved e-word by e-word on CoeffElem values, so that no EPoly
+    # arithmetic enters the reference
+    solved = {}
+    for eword, component in by_eword.items():
+        for j, c in triangular_index_solve(component, d).items():
+            solved.setdefault(j, {})[eword] = c
+    return {j: EPoly(coeffs) for j, coeffs in solved.items()}
 
 
 def _reference_gseries(max_len, max_wt, table):

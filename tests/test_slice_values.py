@@ -1,9 +1,10 @@
 """Values that live on their integer slices.
 
-The truncated product algebras return values that keep only their slices
-and build coefficients when first read.  The producers are compared with
-the code they replaced, which built every coefficient at once; equality on
-slices is compared with equality on coefficients.
+The truncated product algebras and the e-word polynomials return values
+that keep only their slices and build coefficients on each read.  The
+producers are compared with the code they replaced, which built every
+coefficient at once; equality on slices is compared with equality on
+coefficients.
 """
 
 import math
@@ -29,10 +30,22 @@ from emzv.coeffring import (
     memoized,
     shipped_table,
 )
-from emzv.eisalg import eisenstein_qexp, has_odd_letter, iei_qexp
+from emzv.decomp import decompose, diffeq_expand, find_emzv_relations
+from emzv.eisalg import EPoly, eisenstein_qexp, has_odd_letter, iei_qexp
 from emzv.errors import DegreeMismatch, PreconditionViolated, TableOverflow
-from emzv.ncalg import NCSeries, build_Ainf, build_phi, nc_exp, nc_inv, nc_mul, shuffle_regularize
+from emzv.linalg import RatMatrix, kernel_basis
+from emzv.ncalg import (
+    NCSeries,
+    build_Ainf,
+    build_phi,
+    extract_gamma,
+    nc_exp,
+    nc_inv,
+    nc_mul,
+    shuffle_regularize,
+)
 from emzv.qseries import QTSeries, qt_antider, qt_lincomb, qt_mul
+from emzv.words import graded_words
 
 F = Fraction
 _SHIFT = 32
@@ -402,3 +415,181 @@ def test_truncation_keeps_the_buckets_up_to_the_degree():
         assert max(g for g, _ in buckets) <= 6
     assert small == build_Ainf(6, loads_mzv_table(source))
     assert small.coeffs == full.truncate(6).coeffs
+
+
+# ---------------------------------------------------------------------------
+# E-word polynomials on slices
+#
+# EPoly's +, -, scale and prepend compute on slices graded by e-word length;
+# the references are the coefficient versions they replaced: the base
+# class's linear structure, and prepend as a key map on coefficients.
+
+_EWORDS = [(), (0,), (2,), (3,), (0, 4), (4, 0), (2, 2), (1, 2), (0, 0, 4), (6, 2, 0)]
+
+
+def _epoly(monomials=_MONOMIALS):
+    return st.dictionaries(st.sampled_from(_EWORDS), _coeffs(monomials), max_size=6).map(EPoly)
+
+
+def reference_prepend(x, letter):
+    if letter < 0:
+        raise ValueError("negative letter")
+    if letter % 2:
+        return EPoly.zero()
+    return EPoly._from_clean(None, {(letter,) + w: c for w, c in x.coeffs.items()})
+
+
+def assert_same_epoly(got, want):
+    """got is born sliced (or is zero), with reduced slices, and its
+    coefficients are want's."""
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert isinstance(got, EPoly) and not (got and _holds_coeffs(got))
+    assert _is_reduced(got.slices())
+    assert canonical_slices(got.slices()) == canonical_slices(graded_slices(want.coeffs.items(), len))
+    assert got == want and got.coeffs == want.coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_epoly(), _epoly())
+def test_epoly_linear_structure_matches_coefficients(x, y):
+    assert_same_epoly(x + y, CoeffMap.__add__(x, y))
+    assert_same_epoly(x - y, CoeffMap.__add__(x, CoeffMap.__neg__(y)))
+    assert_same_epoly(-x, CoeffMap.__neg__(x))
+    # sliced operands: the results of the sliced operations themselves
+    sx, sy = x + EPoly.zero(), -y
+    assert_same_epoly(sx + sy, CoeffMap.__add__(x, CoeffMap.__neg__(y)))
+    assert_same_epoly(sx - sx, EPoly.zero())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_epoly(), st.one_of(_RATIONAL, st.integers(-7, 7)), st.booleans())
+def test_epoly_rational_scale_matches_coefficients(x, q, as_coeff):
+    c = CoeffElem.from_rational(q) if as_coeff else q
+    want = CoeffMap.scale(x, c)
+    assert_same_epoly(x.scale(c), want)
+    assert_same_epoly((x + x).scale(c), CoeffMap.scale(CoeffMap.__add__(x, x), c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_epoly(), _coeffs(), st.booleans())
+def test_epoly_symbol_scale_matches_coefficients(x, c, with_table):
+    # a symbol-bearing scalar multiplies through the table's monomial product
+    # and raises TableOverflow exactly when the coefficient version does
+    table = shipped_table() if with_table else None
+    assert_same_epoly(_outcome(EPoly.scale, x, c, table), _outcome(CoeffMap.scale, x, c, table))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_epoly(), st.integers(-2, 9))
+def test_epoly_prepend_matches_coefficients(x, letter):
+    if letter < 0:
+        for fn in (x.prepend, lambda k: reference_prepend(x, k)):
+            with pytest.raises(ValueError):
+                fn(letter)
+        return
+    got, want = x.prepend(letter), reference_prepend(x, letter)
+    assert_same_epoly(got, want)
+    assert_same_epoly(got.prepend(0), reference_prepend(want, 0))
+
+
+# ---------------------------------------------------------------------------
+# The length recursion and the relation kernel on slices
+
+
+def reference_decompose(index, table, memo):
+    """The per-term assembly the sliced recursion replaced, on coefficients:
+    psi(I) = gamma_I + sum over the recursion's terms of -alpha times the
+    sub-index's image with the letter prepended."""
+    if index not in memo:
+        if len(index) < 2:
+            memo[index] = decompose(index, table).epoly.coeffs
+        else:
+            acc = EPoly.constant(extract_gamma(index, table))
+            for term in diffeq_expand(index):
+                sub = EPoly(reference_decompose(term.sub_index, table, memo))
+                part = CoeffMap.scale(reference_prepend(sub, term.eis_weight), -term.coeff)
+                acc = CoeffMap.__add__(acc, part)
+            memo[index] = acc.coeffs
+    return memo[index]
+
+
+def test_sliced_recursion_matches_per_term_assembly():
+    table = loads_mzv_table(dump_mzv_table(shipped_table()))
+    memo = {}
+    indices = [idx for d in range(10) for n in range(d + 1) for idx in graded_words(n, d - n)]
+    assert len(indices) == 512
+    for idx in indices:
+        got = decompose(idx, table).epoly
+        assert got.coeffs == reference_decompose(idx, table, memo), idx
+        if len(idx) >= 2:
+            assert not _holds_coeffs(got) and _is_reduced(got.slices()), idx
+
+
+def reference_find_emzv_relations(indices, table):
+    polys = [decompose(i, table).epoly for i in indices]
+    rows = {}
+    for j, p in enumerate(polys):
+        for w, c in p.items():
+            for mono, q in c.items():
+                rows.setdefault((w, mono), [0] * len(polys))[j] = q
+    mat = RatMatrix(len(rows), len(polys), tuple(q for row in rows.values() for q in row))
+    return kernel_basis(mat)
+
+
+@pytest.mark.parametrize("length, weight", [(2, 4), (3, 3), (3, 5), (4, 4), (2, 7)])
+def test_relation_rows_are_read_from_slices(monkeypatch, length, weight):
+    table = shipped_table()
+    family = graded_words(length, weight)
+    want = reference_find_emzv_relations(family, table)
+    built = []
+    real_build = EPoly._build
+    monkeypatch.setattr(EPoly, "_build", lambda s: built.append(s) or real_build(s))
+    assert find_emzv_relations(family, table) == want
+    assert built == []
+
+
+# ---------------------------------------------------------------------------
+# The keep rule: a value built from slices keeps only its slices
+
+
+def _count_builds(monkeypatch):
+    built = []
+    for cls in (EPoly, NCSeries, QTSeries):
+        real = cls._build
+        monkeypatch.setattr(cls, "_build", lambda s, real=real: built.append(s) or real(s))
+    return built
+
+
+def test_readers_build_the_coefficients_once(monkeypatch):
+    table = shipped_table()
+    epoly = decompose((2, 0, 0), table).epoly
+    series = build_Ainf(4, table)
+    qexp = iei_qexp((4, 0), 8)
+    t_free = qt_mul(eisenstein_qexp(4, 8), eisenstein_qexp(6, 8))
+    built = _count_builds(monkeypatch)
+    for value, read in (
+        (epoly, str),
+        (series, str),
+        (qexp, lambda q: list(q.terms())),
+        (qexp, str),
+        (t_free, QTSeries.require_t_free),
+    ):
+        del built[:]
+        read(value)
+        assert built == [value], read
+        assert not _holds_coeffs(value)
+
+
+def test_rendered_series_holds_no_coefficients():
+    # rendering reads the coefficients once and leaves the value as it was:
+    # its slices only
+    qexp = qt_mul(iei_qexp((2, 0), 10), iei_qexp((4,), 10))
+    before = canonical_slices(qexp.slices())
+    text = str(qexp)
+    rendered = [(m, j, str(c)) for m, j, c in qexp.terms()]
+    assert text and rendered
+    assert not _holds_coeffs(qexp)
+    assert canonical_slices(qexp.slices()) == before
+    assert str(qexp) == text
