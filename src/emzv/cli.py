@@ -14,9 +14,13 @@ and ``--format`` wherever there is structured output; any other flag is a
 usage error.  The zeta table ships with the package; ``--mzv-table`` or the
 environment variable ``EMZV_MZV_TABLE`` select another file.  Indices are
 written as comma-separated entries without spaces (``0,1,0,0``; the empty
-string is the empty index).  An index needs a table of weight at least
-weight + length - 1, so the table's cap bounds the indices the CLI accepts;
-the verification suite exercises the closed-form layers beyond it.
+string is the empty index).  An index of length >= 2 needs a table of
+weight at least weight + length - 1, so the table's cap bounds the indices
+the CLI accepts; the verification suite exercises the closed-form layers
+beyond it.  A length-1 index reads no table, but its constant needs the
+Bernoulli number of its entry, whose recurrence costs about the cube of
+the entry: an even entry above ``LENGTH1_BUDGET`` is refused unless
+``--no-cost-guard`` is given.
 """
 
 from __future__ import annotations
@@ -53,6 +57,10 @@ from .ncalg import build_Ainf, required_table_weight
 from .words import graded_words
 
 ENV_TABLE = "EMZV_MZV_TABLE"
+
+# The largest even entry of a length-1 index computed without
+# --no-cost-guard: B_400 takes about 0.7 s, B_800 about 6 s.
+LENGTH1_BUDGET = 400
 
 _FLAGS: dict[str, dict] = {
     "--mzv-table": dict(default=None, metavar="PATH"),
@@ -108,6 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("fourier-check", "membership"):
         p[name].add_argument("--index")
         p[name].add_argument("--epoly", metavar="JSON")
+    for name in ("decompose", "qexp", "gamma", "fourier-check", "membership"):
+        p[name].add_argument(
+            "--no-cost-guard",
+            action="store_true",
+            help=f"compute a length-1 index's constant beyond entry {LENGTH1_BUDGET}",
+        )
     p["relations"].add_argument("--length", type=int, required=True, metavar="L")
     p["relations"].add_argument("--weight", type=int, required=True, metavar="W")
     p["derlie-relations"].add_argument("--weight", type=int, required=True, metavar="W")
@@ -168,6 +182,12 @@ def _guarded_index(ns: argparse.Namespace, table: MzvTable) -> tuple[int, ...]:
         ) from None
     if len(idx) >= 2:  # lengths 0 and 1 have closed-form constants and read no table
         _require_table_weight(f"index {format_index(idx)}", required_table_weight(idx), table)
+    elif idx and idx[0] % 2 == 0 and idx[0] > LENGTH1_BUDGET and not ns.no_cost_guard:
+        # pi * B_k / k!: only an even k reads a Bernoulli number
+        raise ValueError(
+            f"index {idx[0]} needs B_{idx[0]}, beyond the budget of even entries "
+            f"≤ {LENGTH1_BUDGET} for a length-1 index; pass `--no-cost-guard` to compute it"
+        )
     return idx
 
 

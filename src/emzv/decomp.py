@@ -37,10 +37,9 @@ from .coeffring import (
     memoized,
     normalise,
     parse_coeff,
-    rational_lincomb,
     render_coeff,
 )
-from .derlie import eps_nc, eps_tilde_scale
+from .derlie import eps_apply, eps_tilde_scale
 from .eisalg import EPoly, EWord, eisenstein_qexp, epoly_to_qexp, has_odd_letter
 from .errors import ParseError
 from .linalg import RatMatrix, kernel_basis
@@ -235,11 +234,11 @@ def _decompose(index: EmzvIndex, table: MzvTable) -> Decomposition:
     # image with the Eisenstein letter prepended, times -alpha, summed as one
     # integer combination of slices
     gamma = extract_gamma(index, table)
-    cells = rational_lincomb(
-        (-term.coeff, decompose(term.sub_index, table).epoly.prepend(term.eis_weight).slices())
+    recursion = EPoly.combination(
+        (-term.coeff, decompose(term.sub_index, table).epoly.prepend(term.eis_weight))
         for term in diffeq_expand(index)
     )
-    psi = EPoly.constant(gamma) + EPoly._from_slices(None, normalise(cells, len))
+    psi = EPoly.constant(gamma) + recursion
     return Decomposition(index, psi, gamma, nc_degree=index_degree(index))
 
 
@@ -307,14 +306,15 @@ def _eps_word_images(ainf: NCSeries, degrees: Sequence[int]) -> dict[int, list[_
 
     A piece is one degree bucket m of the series' integer slices on a
     coefficient monomial mu (``NCSeries.slices``).  Its integer
-    vector is pushed once through the integer derivations eps_{2k}; each
-    raises the degree by exactly 2k, so the image under eps_w lands at
-    degree m + |w| and serves every requested degree.  The eps~
-    normalisation and the slice's denominator are carried as one rational
-    factor per (e-word, monomial).
+    vector is pushed once through the integer derivations eps_{2k}, each
+    image a sum of the memoized images of single words
+    (:func:`derlie.eps_apply`); each raises the degree by exactly 2k, so
+    the image under eps_w lands at degree m + |w| and serves every
+    requested degree.  The eps~ normalisation and the slice's denominator
+    are carried as one rational factor per (e-word, monomial).
     """
     top = max(degrees)
-    ops = [(k2, eps_nc(k2), eps_tilde_scale(k2)) for k2 in range(0, top, 2)]
+    ops = [(k2, eps_tilde_scale(k2)) for k2 in range(0, top, 2)]
     images: dict[int, list[_EpsImage]] = {d: [] for d in degrees}
     for mono, (den, buckets) in ainf.slices().items():
         for m, terms in buckets:
@@ -325,10 +325,10 @@ def _eps_word_images(ainf: NCSeries, degrees: Sequence[int]) -> dict[int, list[_
                 deg, eword, factor, v = stack.pop()
                 if deg in images:
                     images[deg].append((eword, mono, factor, v))
-                for k2, op, norm in ops:
+                for k2, norm in ops:
                     if deg + k2 > top:
                         break
-                    image = op.apply(v)
+                    image = eps_apply(k2, v)
                     if image:
                         # the newest application is outermost: it leads the word
                         stack.append((deg + k2, (k2,) + eword, factor * norm, image))

@@ -411,9 +411,41 @@ def eps_tilde_scale(k2: int) -> Fraction:
     return Fraction(2, math.factorial(k2 - 2))
 
 
+_eps_nc_cache: dict[int, NCDerivation] = {}
+_eps_word_cache: dict[tuple[int, str], tuple[tuple[str, int], ...]] = {}
+
+
 def eps_nc(k2: int) -> NCDerivation:
-    """eps_{2k} on a, b words, with integer generator values."""
-    return NCDerivation(_eps_value(k2, "a", "b"))
+    """eps_{2k} on a, b words, with integer generator values; built once per
+    2k and shared, so it must not be mutated."""
+    return memoized(_eps_nc_cache, k2, lambda: NCDerivation(_eps_value(k2, "a", "b")))
+
+
+def eps_word_image(k2: int, word: str) -> tuple[tuple[str, int], ...]:
+    """eps_{2k} of one a, b word, as (word, integer) pairs.
+
+    Table-free, so memoized per (2k, word) for the whole process; a miss is
+    one :meth:`NCDerivation.apply` of the memoized derivation.
+    """
+    return memoized(
+        _eps_word_cache, (k2, word), lambda: tuple(eps_nc(k2).apply({word: 1}).items())
+    )
+
+
+def eps_apply(k2: int, vec: Mapping[str, int]) -> dict[str, int]:
+    """eps_{2k} of an integer word vector: the sum of the memoized images of
+    its words, zero entries dropped.  Equal to ``eps_nc(k2).apply(vec)``.
+
+    Most words are hits, so a hit is read from the memo dict directly,
+    without the two calls through :func:`eps_word_image`.
+    """
+    out: dict[str, int] = {}
+    get, rows = out.get, _eps_word_cache
+    for w, n in vec.items():
+        row = rows.get((k2, w))
+        for u, m in eps_word_image(k2, w) if row is None else row:
+            out[u] = get(u, 0) + n * m
+    return {u: n for u, n in out.items() if n}
 
 
 def build_D_derivation(maxdeg: int) -> NCDerivation:

@@ -37,6 +37,7 @@ from .coeffring import (
     lincomb,
     memoized,
     normalise,
+    rational_lincomb,
     scale_slices,
 )
 from .qseries import QTSeries, qt_antider, qt_lincomb, qt_mul
@@ -133,6 +134,13 @@ class EPoly(CoeffMap):
     @staticmethod
     def constant(c: CoeffElem | Fraction | int) -> "EPoly":
         return EPoly.word((), c)
+
+    @staticmethod
+    def combination(pairs: Iterable[tuple[Fraction | int, "EPoly"]]) -> "EPoly":
+        """sum q * p over rational q: one :func:`coeffring.rational_lincomb`
+        of the slices, normalised once however many terms there are."""
+        cells = rational_lincomb((q, p.slices()) for q, p in pairs)
+        return EPoly._from_slices(None, normalise(cells, len))
 
     # -- queries ----------------------------------------------------------
 

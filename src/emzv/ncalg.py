@@ -406,12 +406,18 @@ def triangular_index_solve(component: Mapping[NCWord, object], degree: int):
 
     Back-substitutes along the degree's elimination plan; the final
     residual must vanish, otherwise the component does not lie in the span
-    of the monomials and ExtractionInconsistent is raised.  Values may be
-    numbers, or any type with + and scale(int) whose zero is falsy
-    (CoeffElem, EPoly); the monomials are integral, so an integer vector
-    solves in integers, and so do sliced EPoly values.  Only the nonzero
-    x_j are returned.
+    of the monomials and ExtractionInconsistent is raised.  The monomials
+    are integral, so an integer vector solves in integers.  Only the
+    nonzero x_j are returned.
+
+    Scalar values, all numbers or all CoeffElem, are pushed into the later
+    words term by term.  Container values (EPoly) are solved by
+    :func:`_combining_solve` through their class's ``combination``.
     """
+    first = next(iter(component.values()), None)
+    if isinstance(first, CoeffMap):
+        return _combining_solve(component, degree, type(first).combination)
+    times = getattr(type(first), "scale", operator.mul)  # numbers multiply
     work = dict(component)
     out: dict[EmzvIndexTuple, object] = {}
     for j, pure, rest in _solve_plan(degree):
@@ -419,15 +425,46 @@ def triangular_index_solve(component: Mapping[NCWord, object], degree: int):
         if not x:
             continue
         out[j] = x
-        times = getattr(type(x), "scale", operator.mul)  # numbers multiply
         accumulate(work, ((w, times(x, q)) for w, q in rest))
-    leftovers = [w for w, v in work.items() if v]
+    _check_residual([w for w, v in work.items() if v], degree)
+    return out
+
+
+def _combining_solve(component: Mapping[NCWord, object], degree: int, combine):
+    """The solve without pushing: each word collects its (q, x_j)
+    contributions and combines them once, in ``combine`` (such as
+    :meth:`EPoly.combination`), when the walk reaches it; its own component
+    is added to that with +.  A push would re-merge the whole of a
+    container's value each time.  Words that are no pivot are combined the
+    same way at the end, and a nonzero one is a residual."""
+    work = dict(component)
+    pending: dict[NCWord, list] = {}  # word -> its (q, x_j) contributions
+
+    def settle(w: NCWord):
+        x, terms = work.pop(w, None), pending.pop(w, None)
+        if terms:
+            s = combine(terms)
+            x = s if x is None else x + s
+        return x
+
+    out: dict[EmzvIndexTuple, object] = {}
+    for j, pure, rest in _solve_plan(degree):
+        x = settle(pure)
+        if not x:
+            continue
+        out[j] = x
+        for w, q in rest:
+            pending.setdefault(w, []).append((q, x))
+    _check_residual([w for w in set(work) | set(pending) if settle(w)], degree)
+    return out
+
+
+def _check_residual(leftovers: list[NCWord], degree: int) -> None:
     if leftovers:
         raise ExtractionInconsistent(
             f"degree-{degree} residual outside the index-monomial span on "
             f"words {sorted(leftovers)[:4]}"
         )
-    return out
 
 
 def extract_gamma(idx: Iterable[int], table: MzvTable) -> CoeffElem:

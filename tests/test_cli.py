@@ -1,12 +1,15 @@
 import json
+import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from emzv.cli import _SUBCOMMANDS, run
+from emzv import cli
+from emzv.cli import _SUBCOMMANDS, LENGTH1_BUDGET, run
 from emzv.coeffring import dump_mzv_table, shipped_table
 from emzv.decomp import Decomposition, decompose
 
@@ -173,6 +176,35 @@ def test_table_guard_is_exact(capsys):
     code, out, err = run_cli(capsys, "gamma", "--index", "10")
     assert code == 0 and err == ""
     assert out.strip() == "1/47900160 * pi"
+
+
+def test_length1_cost_guard_refuses_at_once():
+    # B_10000 would take hours: the guard refuses before any Bernoulli work
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "emzv", "gamma", "--index", "10000"]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert f"≤ {LENGTH1_BUDGET}" in proc.stderr and "--no-cost-guard" in proc.stderr
+
+
+def test_length1_cost_guard_override(capsys, monkeypatch):
+    # a lowered budget, so that the override runs a cheap index
+    monkeypatch.setattr(cli, "LENGTH1_BUDGET", 8)
+    for command in ("gamma", "decompose", "qexp", "fourier-check", "membership"):
+        code, out, err = run_cli(capsys, command, "--index", "10")
+        assert (code, out) == (2, ""), command
+        assert "≤ 8" in err and "--no-cost-guard" in err and err.count("\n") == 1, err
+    code, out, err = run_cli(capsys, "gamma", "--index", "10", "--no-cost-guard")
+    assert code == 0 and err == ""
+    assert out.strip() == "1/47900160 * pi"
+    # within the budget, and odd entries (constant 0, no Bernoulli number)
+    for idx, want in (("8", "-1/1209600 * pi"), ("9", "0"), ("10001", "0")):
+        code, out, err = run_cli(capsys, "gamma", "--index", idx)
+        assert (code, out.strip(), err) == (0, want, ""), idx
 
 
 def test_derlie_relations(capsys):

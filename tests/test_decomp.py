@@ -435,6 +435,50 @@ def test_concurrent_decompose(table):
         assert dec.epoly == decompose(idx, table).epoly, idx
 
 
+def test_concurrent_gseries_on_cold_word_memos(monkeypatch):
+    # two threads on fresh tables fill the process-wide derivation memos
+    # at once; the first writer of each entry wins, and both agree with a
+    # single-threaded run
+    import sys
+    import threading
+
+    from emzv import derlie
+
+    def fresh():
+        return loads_mzv_table(dump_mzv_table(shipped_table()))
+
+    want = gseries_decompose(4, 5, fresh())
+    monkeypatch.setattr(derlie, "_eps_word_cache", {})
+    monkeypatch.setattr(derlie, "_eps_nc_cache", {})
+    results, errors = [None, None], []
+    start = threading.Barrier(2)
+
+    def worker(i):
+        try:
+            table = fresh()
+            start.wait(timeout=60)
+            results[i] = gseries_decompose(4, 5, table)
+        except BaseException as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads' memo reads and stores finely
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert derlie._eps_word_cache
+    for got in results:
+        assert got.keys() == want.keys()
+        for idx, poly in want.items():
+            assert got[idx] == poly, idx
+
+
 def test_doc_roundtrip(table):
     dec = decompose((0, 1, 0, 0), table)
     doc = dec.to_doc()

@@ -8,16 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emzv.coeffring import CoeffElem, bernoulli, integer_slices, shipped_table
+from emzv import derlie
 from emzv.derlie import (
     LieDerivation,
+    NCDerivation,
     _candidate_x_value,
     _eps_lyndon_candidates,
+    _eps_value,
     annihilates,
     assoc_bracket,
     build_D_derivation,
+    eps_apply,
     eps_derivation,
     eps_nc,
     eps_tilde_scale,
+    eps_word_image,
     expand_lyndon,
     find_lie_relations,
     fourier_membership,
@@ -930,3 +935,53 @@ def test_relations_form_a_lie_ideal():
                     brackets += 1
     assert brackets == 126
     assert products_outside == brackets
+
+
+# ---------------------------------------------------------------------------
+# The memoized word images of the eps_{2k} on a, b words
+
+
+def _ainf9_slice_vectors():
+    """The integer word vector of every degree bucket of every coefficient
+    monomial's slice of the limit series at degree 9."""
+    return [
+        dict(terms)
+        for _, buckets in build_Ainf(9, shipped_table()).slices().values()
+        for _, terms in buckets
+    ]
+
+
+def test_memoized_images_match_apply_on_the_limit_series():
+    vectors = _ainf9_slice_vectors()
+    assert len(vectors) == 62  # the constant term's bucket included
+    for k2 in range(0, 11, 2):
+        fresh = NCDerivation(_eps_value(k2, "a", "b"))  # not the memoized one
+        for vec in vectors:
+            assert eps_apply(k2, vec) == fresh.apply(vec), k2
+        for w in {w for vec in vectors for w in vec}:
+            assert dict(eps_word_image(k2, w)) == fresh.apply({w: 1}), (k2, w)
+
+
+def test_cold_word_memo_equals_warm(monkeypatch):
+    vectors = _ainf9_slice_vectors()
+    warm = [[eps_apply(k2, vec) for vec in vectors] for k2 in range(0, 11, 2)]
+    rows = dict(derlie._eps_word_cache)
+    assert rows and all(type(row) is tuple for row in rows.values())
+    monkeypatch.setattr(derlie, "_eps_word_cache", {})
+    monkeypatch.setattr(derlie, "_eps_nc_cache", {})
+    cold = [[eps_apply(k2, vec) for vec in vectors] for k2 in range(0, 11, 2)]
+    assert cold == warm
+    cold_rows = derlie._eps_word_cache  # the memo this test filled from empty
+    assert cold_rows and all(rows[key] == row for key, row in cold_rows.items())
+
+
+def test_bad_eps_index_stores_nothing():
+    for k2 in (-2, 3):
+        with pytest.raises(ValueError, match="even and nonnegative"):
+            eps_nc(k2)
+        with pytest.raises(ValueError, match="even and nonnegative"):
+            eps_word_image(k2, "ab")
+        with pytest.raises(ValueError, match="even and nonnegative"):
+            eps_apply(k2, {"ab": 1})
+        assert k2 not in derlie._eps_nc_cache
+        assert (k2, "ab") not in derlie._eps_word_cache

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,7 @@ from emzv.ncalg import (
     nc_mul,
     pure_word,
     shuffle_regularize,
+    _solve_plan,
     triangular_index_solve,
 )
 
@@ -357,6 +359,108 @@ def reference_triangular_index_solve(component, degree):
     if leftovers:
         raise ExtractionInconsistent(f"residual on {sorted(leftovers)[:4]}")
     return out
+
+
+def push_triangular_index_solve(component, degree):
+    """The solve as it pushed every pivot into the later words, one +
+    per (pivot, word); the reference of the once-per-word combination."""
+    work = dict(component)
+    out = {}
+    for j, pure, rest in _solve_plan(degree):
+        x = work.pop(pure, None)
+        if not x:
+            continue
+        out[j] = x
+        times = getattr(type(x), "scale", operator.mul)
+        accumulate(work, ((w, times(x, q)) for w, q in rest))
+    leftovers = [w for w, v in work.items() if v]
+    if leftovers:
+        raise ExtractionInconsistent(f"residual on {sorted(leftovers)[:4]}")
+    return out
+
+
+def _random_values(rng, comps, kind):
+    """Random nonzero solution values on a random subset of the compositions."""
+    out = {}
+    for j in rng.sample(comps, min(len(comps), rng.randint(1, 12))):
+        q = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+        if kind == "int":
+            out[j] = rng.randint(1, 9) * rng.choice((-1, 1))
+        elif kind == "coeff":
+            out[j] = CoeffElem.symbol("z3", q).mul_pi(rng.randint(0, 2)) + CoeffElem.from_rational(1)
+        else:
+            words = {
+                tuple(rng.choice((0, 2, 4)) for _ in range(rng.randint(0, 2))) for _ in range(3)
+            }
+            coeffs = {w: CoeffElem.symbol("z3", q).mul_pi(rng.randint(0, 2)) for w in words}
+            coeffs[()] = CoeffElem.from_rational(q)
+            out[j] = EPoly(coeffs)
+    return out
+
+
+def _combination(want):
+    times = {int: int.__mul__, CoeffElem: CoeffElem.scale, EPoly: EPoly.scale}
+    return accumulate(
+        {},
+        (
+            (w, times[type(x)](x, q))
+            for j, x in want.items()
+            for w, q in index_monomial(j).items()
+        ),
+    )
+
+
+@pytest.mark.parametrize("kind", ["int", "coeff", "epoly"])
+def test_triangular_solve_matches_push_loop(kind):
+    import random
+
+    rng = random.Random(2211)
+    for degree in range(1, 10):
+        comps = compositions_of(degree)
+        for _ in range(3):
+            want = _random_values(rng, comps, kind)
+            component = _combination(want)
+            got = triangular_index_solve(component, degree)
+            assert got == push_triangular_index_solve(component, degree) == want, degree
+
+
+def test_epoly_solve_adds_at_most_once_per_word(monkeypatch):
+    # the container solve settles each word once, adding its component to
+    # its combined contributions; the push loop calls + for every term of a
+    # pivot's monomial that lands on a word already holding a value
+    want = {j: EPoly.word((2 * (i % 3),), i + 1) for i, j in enumerate(compositions_of(7))}
+    component = _combination(want)
+    adds = []
+    plain_add = EPoly.__add__
+    monkeypatch.setattr(EPoly, "__add__", lambda x, y: adds.append(1) or plain_add(x, y))
+    assert triangular_index_solve(component, 7) == want
+    once = len(adds)
+    adds.clear()
+    assert push_triangular_index_solve(component, 7) == want
+    assert 0 < once <= len(component) < len(adds), (once, len(component), len(adds))
+
+
+def test_triangular_solve_rejects_one_perturbed_epoly_word():
+    # negative control: a word ending in "a" is no pure word, so the
+    # component's projection onto the pure words fixes the solution, and
+    # any change on such a word leaves a residual
+    import random
+
+    rng = random.Random(7)
+    for degree in range(3, 10):
+        want = _random_values(rng, compositions_of(degree), "epoly")
+        component = _combination(want)
+        assert triangular_index_solve(component, degree) == want
+        word = min(w for w in component if w.endswith("a"))
+        bad = dict(component)
+        bad[word] = component.get(word, EPoly.zero()) + EPoly.word((2,), F(1, 3))
+        # and with the word dropped: only the pivots' contributions reach it
+        dropped = {w: x for w, x in component.items() if w != word}
+        for perturbed in (bad, dropped):
+            with pytest.raises(ExtractionInconsistent):
+                triangular_index_solve(perturbed, degree)
+            with pytest.raises(ExtractionInconsistent):
+                push_triangular_index_solve(perturbed, degree)
 
 
 def test_extract_gamma_matches_reference_solve():
