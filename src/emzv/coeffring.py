@@ -92,18 +92,24 @@ _bernoulli_cache: list[Fraction] = [Fraction(1)]
 def bernoulli(m: int) -> Fraction:
     """Return B_m for the generating function t/(e^t - 1), so B_1 = -1/2.
 
-    Memoized as a growing prefix, extended under MEMO_LOCK.
+    Memoized as a growing prefix.  A miss extends a snapshot of the prefix
+    outside the lock, then publishes the new entries under MEMO_LOCK if the
+    stored prefix is still shorter, so the first writer wins.
     """
     if m < 0:
         raise ValueError("Bernoulli index must be nonnegative")
     if m >= len(_bernoulli_cache):
+        prefix = list(_bernoulli_cache)
+        while len(prefix) <= m:
+            n = len(prefix)
+            acc = Fraction(0)
+            for j in range(n):
+                acc += math.comb(n + 1, j) * prefix[j]
+            prefix.append(-acc / (n + 1))
         with MEMO_LOCK:
-            while len(_bernoulli_cache) <= m:
-                n = len(_bernoulli_cache)
-                acc = Fraction(0)
-                for j in range(n):
-                    acc += math.comb(n + 1, j) * _bernoulli_cache[j]
-                _bernoulli_cache.append(-acc / (n + 1))
+            have = len(_bernoulli_cache)
+            if have < len(prefix):
+                _bernoulli_cache.extend(prefix[have:])
     return _bernoulli_cache[m]
 
 
@@ -321,34 +327,31 @@ class CoeffMap:
     ``shape`` is the truncation (a word degree, a q order, or None) and is
     part of the value: ``+`` or ``-`` of two maps of different shapes
     raises DegreeMismatch.  A subclass supplies its key rule as ``_keep``,
-    which filters a whole dict of terms at once; the results of ``+``,
-    ``-`` and ``scale`` obey the rule by construction and are adopted as
-    they are.
+    which filters a whole dict of terms at once, its grading as ``_slice``
+    and the inverse as ``_build``.
 
-    All three containers also compute on integer slices (below): each
-    states its slicing rule as ``_slice`` and the inverse as ``_build``.
-    One keep rule holds for all of them.  A value built from coefficients
-    keeps them, and computes its slices on first use (:meth:`slices`),
-    keeping those too.  A value built from slices (:meth:`_from_slices`)
-    keeps only its slices: the ``coeffs`` slot stays unset, and each read
-    of ``coeffs`` builds the coefficients anew (``__getattr__``) without
-    storing them, so a reader that needs them more than once reads them
-    once into a local.
+    A value holds only its integer slices (below).  The constructor keeps
+    the terms that obey the key rule and slices them at once; a kernel's
+    result is adopted as slices (:meth:`_from_slices`).  Each read of
+    ``coeffs`` builds a fresh dict from the slices, which the value does
+    not keep, so a reader that needs them more than once reads them once
+    into a local, and writing into the dict leaves the value as it was.
+    ``+``, ``-`` and ``scale`` compute on the slices, and ``==`` compares
+    canonical slices.
     """
 
-    __slots__ = ("shape", "coeffs", "_sliced")
+    __slots__ = ("shape", "_sliced")
 
     def __init__(self, shape: int | None, coeffs: Mapping | None = None):
         self.shape = shape
-        self.coeffs = self._keep(coeffs) if coeffs else {}
-        self._sliced = None
+        self._sliced = self._slice(self._keep(coeffs)) if coeffs else {}
 
     def _keep(self, coeffs: Mapping) -> dict:
         """The terms of coeffs that obey the key rule, zero coefficients dropped."""
         raise NotImplementedError
 
-    def _slice(self) -> Slices:
-        """The value's graded integer slices (:func:`graded_slices`)."""
+    def _slice(self, coeffs: dict) -> Slices:
+        """The graded integer slices (:func:`graded_slices`) of kept terms."""
         raise NotImplementedError
 
     def _build(self) -> dict:
@@ -356,43 +359,30 @@ class CoeffMap:
         raise NotImplementedError
 
     @classmethod
-    def _from_clean(cls, shape: int | None, coeffs: dict):
-        """Adopt a dict that obeys the key rule and holds no zero coefficient."""
-        out = object.__new__(cls)
-        out.shape = shape
-        out.coeffs = coeffs
-        out._sliced = None
-        return out
-
-    @classmethod
     def _from_slices(cls, shape: int | None, slices: Slices):
         """Adopt slices that obey the key rule and hold no zero numerator and
-        no empty monomial; the coefficients are built when first read."""
+        no empty monomial."""
         out = object.__new__(cls)
         out.shape = shape
         out._sliced = slices
         return out
 
-    def __getattr__(self, name: str):
-        # Reached only when normal lookup fails: for ``coeffs``, the unset
-        # slot of a value built from slices, which stays unset.
-        if name != "coeffs":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @property
+    def coeffs(self) -> dict:
+        """The coefficients, built anew from the slices on each read."""
         return self._build()
 
     @classmethod
     def zero(cls, shape: int | None = None):
-        return cls._from_clean(shape, {})
+        return cls._from_slices(shape, {})
 
     # -- queries ------------------------------------------------------
 
     def __bool__(self) -> bool:
-        sliced = self._sliced
-        return bool(self.coeffs if sliced is None else sliced)
+        return bool(self._sliced)
 
     def is_zero(self) -> bool:
-        sliced = self._sliced
-        return not (self.coeffs if sliced is None else sliced)
+        return not self._sliced
 
     def items(self) -> Iterator[tuple]:
         return iter(self.coeffs.items())
@@ -401,35 +391,30 @@ class CoeffMap:
         return self.coeffs.get(key, CoeffElem.zero())
 
     def slices(self) -> Slices:
-        """The value's graded integer slices, computed once."""
-        if self._sliced is None:
-            self._sliced = self._slice()
+        """The value's graded integer slices."""
         return self._sliced
 
     def __eq__(self, other: object) -> bool:
-        """Equal shapes and terms: on canonical slices when both values hold
-        slices, on coefficients otherwise."""
+        """Equal shapes and canonical slices."""
         if type(other) is not type(self):
             return NotImplemented
-        if self.shape != other.shape:
-            return False
-        if self._sliced is not None and other._sliced is not None:
-            return canonical_slices(self._sliced) == canonical_slices(other._sliced)
-        return self.coeffs == other.coeffs
+        return self.shape == other.shape and (
+            canonical_slices(self._sliced) == canonical_slices(other._sliced)
+        )
 
     def __repr__(self) -> str:
         shape = "" if self.shape is None else f"{self.shape}, "
         return f"{type(self).__name__}({shape}{self})"
 
-    # -- linear structure ---------------------------------------------
+    # -- linear structure on slices -----------------------------------
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise DegreeMismatch(f"truncation {self.shape} != {other.shape}")
-        return self._from_clean(self.shape, accumulate(dict(self.coeffs), other.coeffs.items()))
+        return self._from_slices(self.shape, add_slices(self._sliced, other._sliced))
 
     def __neg__(self):
-        return self._from_clean(self.shape, {k: -c for k, c in self.coeffs.items()})
+        return self._from_slices(self.shape, scale_slices(self._sliced, -1))
 
     def __sub__(self, other):
         return self + (-other)
@@ -438,18 +423,19 @@ class CoeffMap:
         """Every coefficient times c.
 
         A rational c (a number, or a CoeffElem whose only monomial is 1)
-        scales by its Fraction; any other CoeffElem multiplies through
-        :func:`coeff_mul` with the table.  The coefficient ring has no zero
-        divisors, so a nonzero c keeps every term.
+        scales the slices' numerators and denominators; any other CoeffElem
+        multiplies each coefficient through :func:`coeff_mul` with the
+        table, and the products are sliced again.  The coefficient ring has
+        no zero divisors, so a nonzero c keeps every term.
         """
         if isinstance(c, CoeffElem):
             if not c.is_rational():
                 d = {k: coeff_mul(v, c, table) for k, v in self.coeffs.items()}
-                return self._from_clean(self.shape, d)
+                return self._from_slices(self.shape, self._slice(d))
             c = c.rational_part()
         if not c:
             return self.zero(self.shape)
-        return self._from_clean(self.shape, {k: v.scale(c) for k, v in self.coeffs.items()})
+        return self._from_slices(self.shape, scale_slices(self._sliced, c))
 
 
 def build_coeffs(cells: Mapping[K, dict[MzvMonomial, Fraction]]) -> dict[K, CoeffElem]:
@@ -640,6 +626,17 @@ def scale_slices(slices: Slices, q: Fraction | int) -> Slices:
         else:
             buckets = [(d, [(k, n * num) for k, n in terms]) for d, terms in buckets]
         out[mono] = (den, buckets)
+    return out
+
+
+def keep_grades(slices: Slices, keep: Callable[[int], bool]) -> Slices:
+    """The buckets whose grade passes keep, each kept as it is; a monomial
+    left with none is dropped (the rest need not be gcd-reduced)."""
+    out: Slices = {}
+    for mono, (den, buckets) in slices.items():
+        kept = [b for b in buckets if keep(b[0])]
+        if kept:
+            out[mono] = (den, kept)
     return out
 
 

@@ -364,7 +364,7 @@ def to_E0_basis(x: EPoly) -> tuple[dict[EWord, CoeffElem], EPoly]:
     word to the constant.  The residual collects what remains on words
     ending in the letter 0.
     """
-    coeffs = x.coeffs  # read once: a sliced x builds them on each read
+    coeffs = x.coeffs  # read once: each read builds them
     combination = {w: c for w, c in coeffs.items() if not w or w[-1] != 0}
     corrections = (
         (w[:-1] + (0,), c.scale(bernoulli(w[-1]) / (2 * w[-1])))

@@ -29,16 +29,14 @@ from .coeffring import (
     MzvTable,
     Slices,
     accumulate,
-    add_slices,
     bernoulli,
     build_slices,
     coeff_mul,
     graded_slices,
-    lincomb,
+    keep_grades,
     memoized,
     normalise,
     rational_lincomb,
-    scale_slices,
 )
 from .qseries import QTSeries, qt_antider, qt_lincomb, qt_mul
 from .words import deconcatenations, make_word, shuffle_multiset
@@ -99,9 +97,9 @@ def iei_qexp(w: Iterable[int], order: int) -> QTSeries:
 class EPoly(CoeffMap):
     """Finite CoeffElem-linear combination of even e-words (no truncation).
 
-    Computes on integer slices graded by e-word length, like the truncated
-    series: ``+``, ``-``, ``scale`` and :meth:`prepend` return values that
-    keep only their slices, under the keep rule of :class:`CoeffMap`.
+    Lives on integer slices graded by e-word length, like the truncated
+    series, with the linear structure of :class:`CoeffMap`; :meth:`prepend`
+    and :meth:`combination` compute on the slices too.
     """
 
     __slots__ = ()
@@ -117,8 +115,8 @@ class EPoly(CoeffMap):
                 d[word] = c
         return d
 
-    def _slice(self) -> Slices:
-        return graded_slices(self.coeffs.items(), len)  # graded by e-word length
+    def _slice(self, coeffs: dict[EWord, CoeffElem]) -> Slices:
+        return graded_slices(coeffs.items(), len)  # graded by e-word length
 
     def _build(self) -> dict[EWord, CoeffElem]:
         return build_slices(self._sliced)
@@ -151,7 +149,8 @@ class EPoly(CoeffMap):
         return self.coefficient(())
 
     def without_constant(self) -> "EPoly":
-        return EPoly._from_clean(None, {w: c for w, c in self.coeffs.items() if w})
+        """The words of positive length: the buckets of the slices above grade 0."""
+        return EPoly._from_slices(None, keep_grades(self._sliced, lambda g: g > 0))
 
     def __hash__(self) -> int:
         return hash(frozenset(self.coeffs.items()))
@@ -169,35 +168,10 @@ class EPoly(CoeffMap):
             parts.append(f"({coeffs[w]}) {name}")
         return " + ".join(parts)
 
-    # -- linear structure on slices -------------------------------------
-    #
-    # __add__ is an entry of EPoly's own: perfbench's tracer wraps
-    # EPoly.__add__ through the class's __dict__, without touching the
-    # other containers' additions.
-
-    def __add__(self, other: "EPoly") -> "EPoly":
-        return EPoly._from_slices(None, add_slices(self.slices(), other.slices()))
-
-    def __neg__(self) -> "EPoly":
-        return EPoly._from_slices(None, scale_slices(self.slices(), -1))
-
-    def scale(self, c: CoeffElem | Fraction | int, table: MzvTable | None = None) -> "EPoly":
-        """Every coefficient times c.
-
-        A rational c (a number, or a CoeffElem whose only monomial is 1)
-        scales the slices' numerators and denominators; any other CoeffElem
-        multiplies through :func:`coeffring.lincomb`, so each pair of
-        monomials meets once in :func:`monomial_mul`, with the table.
-        """
-        if isinstance(c, CoeffElem):
-            if not c.is_rational():
-                sliced = self.slices()
-                top = max((buckets[-1][0] for _, buckets in sliced.values()), default=0)
-                return EPoly._from_slices(None, normalise(lincomb([(c, sliced)], top, table), len))
-            c = c.rational_part()
-        if not c:
-            return EPoly.zero()
-        return EPoly._from_slices(None, scale_slices(self.slices(), c))
+    # perfbench's tracer wraps EPoly.__add__ through the class's __dict__,
+    # without touching the other containers' additions, so EPoly binds the
+    # base's slice addition as an entry of its own.
+    __add__ = CoeffMap.__add__
 
     def prepend(self, letter: int) -> "EPoly":
         """Left-concatenate one letter onto every word: the slices' keys
@@ -228,7 +202,7 @@ def shuffle_words(u: Iterable[int], v: Iterable[int]) -> EPoly:
 def epoly_mul(x: EPoly, y: EPoly, table: MzvTable | None = None) -> EPoly:
     """Bilinear extension of the shuffle product."""
     acc = EPoly.zero()
-    y_terms = list(y.items())  # read once: a sliced y builds them on each read
+    y_terms = list(y.items())  # read once: each read builds them
     for wx, cx in x.items():
         for wy, cy in y_terms:
             c = coeff_mul(cx, cy, table)

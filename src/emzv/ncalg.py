@@ -43,6 +43,7 @@ from .coeffring import (
     coeff_mul,
     convolve,
     graded_slices,
+    keep_grades,
     lincomb,
     memoized,
     normalise,
@@ -69,8 +70,8 @@ class NCSeries(CoeffMap):
         D = self.maxdeg
         return {w: c for w, c in coeffs.items() if len(w) <= D and c}
 
-    def _slice(self) -> Slices:
-        return graded_slices(self.coeffs.items(), len)  # graded by word degree
+    def _slice(self, coeffs: dict[NCWord, CoeffElem]) -> Slices:
+        return graded_slices(coeffs.items(), len)  # graded by word degree
 
     def _build(self) -> dict[NCWord, CoeffElem]:
         return build_slices(self._sliced)
@@ -91,7 +92,7 @@ class NCSeries(CoeffMap):
         return self.coefficient("")
 
     def min_degree(self) -> int | None:
-        return min((len(w) for w in self.coeffs), default=None)
+        return min((buckets[0][0] for _, buckets in self._sliced.values()), default=None)
 
     def component(self, d: int) -> dict[NCWord, CoeffElem]:
         return {w: c for w, c in self.coeffs.items() if len(w) == d}
@@ -106,12 +107,7 @@ class NCSeries(CoeffMap):
             raise DegreeMismatch(
                 f"cannot truncate a degree-{self.maxdeg} series to degree {maxdeg}"
             )
-        out = {}
-        for mono, (den, buckets) in self.slices().items():
-            kept = [b for b in buckets if b[0] <= maxdeg]
-            if kept:
-                out[mono] = (den, kept)
-        return NCSeries._from_slices(maxdeg, out)
+        return NCSeries._from_slices(maxdeg, keep_grades(self._sliced, lambda g: g <= maxdeg))
 
     def __str__(self) -> str:
         coeffs = self.coeffs
@@ -276,7 +272,7 @@ def build_phi(x: NCSeries, y: NCSeries, maxdeg: int, table: MzvTable) -> NCSerie
     raises TableOverflow where its value is read, in
     :func:`shuffle_regularize`, naming the word's weight.
     """
-    if not x.constant_term().is_zero() or not y.constant_term().is_zero():
+    if _has_constant(x.slices()) or _has_constant(y.slices()):
         raise PreconditionViolated("associator arguments need zero constant term")
 
     D = maxdeg
@@ -513,7 +509,7 @@ def nc_coproduct(s: NCSeries) -> dict[tuple[NCWord, NCWord], CoeffElem]:
 
 def is_grouplike(s: NCSeries, table: MzvTable | None = None) -> bool:
     """Delta(s) == s (x) s up to the truncation degree."""
-    terms = list(s.items())  # read once: a sliced s builds them on each read
+    terms = list(s.items())  # read once: each read builds them
     rhs = accumulate(
         {},
         (

@@ -47,9 +47,9 @@ class QTSeries(CoeffMap):
         order = self.order
         return {k: c for k, c in coeffs.items() if k[0] < order and c}
 
-    def _slice(self) -> Slices:
+    def _slice(self, coeffs: dict[tuple[int, int], CoeffElem]) -> Slices:
         # graded by the q power, on the coded keys below
-        return graded_slices(((m << _SHIFT | j, c) for (m, j), c in self.coeffs.items()), _q_power)
+        return graded_slices(((m << _SHIFT | j, c) for (m, j), c in coeffs.items()), _q_power)
 
     def _build(self) -> dict[tuple[int, int], CoeffElem]:
         return {(k >> _SHIFT, k & _T_MASK): c for k, c in build_slices(self._sliced).items()}
@@ -69,7 +69,7 @@ class QTSeries(CoeffMap):
         return all(j == 0 for (_, j) in self.coeffs)
 
     def terms(self) -> Iterator[tuple[int, int, CoeffElem]]:
-        coeffs = self.coeffs  # read once: a sliced value builds them on each read
+        coeffs = self.coeffs  # read once: each read builds them
         for (m, j) in sorted(coeffs):
             yield m, j, coeffs[(m, j)]
 
@@ -122,9 +122,10 @@ def qt_lincomb(
 
 def qt_ddT(f: QTSeries) -> QTSeries:
     """Exact derivative d/dT, same truncation order."""
-    terms = [((m, j), c.scale(m)) for (m, j), c in f.coeffs.items() if m]
-    terms += [((m, j - 1), c.scale(j)) for (m, j), c in f.coeffs.items() if j]
-    return QTSeries._from_clean(f.order, accumulate({}, terms))
+    coeffs = f.coeffs  # read once: each read builds them
+    terms = [((m, j), c.scale(m)) for (m, j), c in coeffs.items() if m]
+    terms += [((m, j - 1), c.scale(j)) for (m, j), c in coeffs.items() if j]
+    return QTSeries(f.order, accumulate({}, terms))
 
 
 def qt_antider(f: QTSeries) -> QTSeries:

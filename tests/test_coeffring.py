@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emzv.coeffring import (
+    MEMO_LOCK,
     CoeffElem,
     MzvMonomial,
     accumulate,
@@ -69,6 +70,45 @@ def test_bernoulli_thread_safety():
         vals = list(ex.map(bernoulli, [40] * 16))
     assert len(set(vals)) == 1
     assert vals[0] == bernoulli(40)
+
+
+def test_bernoulli_extends_its_memo_outside_the_lock(monkeypatch):
+    # every binomial of a cold bernoulli(30) is computed with MEMO_LOCK free
+    import emzv.coeffring as cr
+
+    monkeypatch.setattr(cr, "_bernoulli_cache", [F(1)])
+    held = []
+    comb = math.comb
+    monkeypatch.setattr(cr.math, "comb", lambda n, k: held.append(MEMO_LOCK.locked()) or comb(n, k))
+    assert bernoulli(30) == F(8615841276005, 14322)
+    assert len(held) == 465 and not any(held)
+    assert len(cr._bernoulli_cache) == 31
+
+
+def test_bernoulli_cold_prefix_from_two_threads(monkeypatch):
+    # two threads extend the same cold prefix; both read the same values,
+    # and the memo keeps one prefix, extended only while it is shorter
+    import threading
+
+    import emzv.coeffring as cr
+
+    monkeypatch.setattr(cr, "_bernoulli_cache", [F(1)])
+    start = threading.Barrier(2)
+    results = {}
+
+    def worker(name, top):
+        start.wait()
+        results[name] = [bernoulli(m) for m in range(top, -1, -1)][::-1]
+
+    threads = [threading.Thread(target=worker, args=(i, 36)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert results[0] == results[1] == cr._bernoulli_cache
+    assert results[0][:5] == [1, F(-1, 2), F(1, 6), 0, F(-1, 30)]
+    assert results[0][36] == F(-26315271553053477373, 1919190)
 
 
 def test_memoized_returns_the_stored_value():
@@ -305,29 +345,24 @@ def _qt_rule(s):
 def test_series_keep_their_slices(words, qt_terms):
     # slices() is graded_slices of the coefficients under the container's
     # grading (as canonical slices: a truncation keeps its parent's buckets),
-    # however the value was built; the second call returns the kept object,
-    # a value derived from a sliced one by its linear structure starts
-    # unsliced, and equality does not depend on which forms a value holds
+    # however the value was built; every call returns the held object, and
+    # equality does not depend on how a value was built
     nc, qt = NCSeries(4, words), QTSeries(6, qt_terms)
-    nc.slices()
-    qt.slices()
     cases = [
         (nc, _nc_rule),
-        (NCSeries._from_clean(4, dict(nc.coeffs)), _nc_rule),
+        (NCSeries._from_slices(4, _nc_rule(nc)), _nc_rule),
         (nc.truncate(2), _nc_rule),
         (-nc, _nc_rule),
         (qt, _qt_rule),
-        (QTSeries._from_clean(6, dict(qt.coeffs)), _qt_rule),
+        (QTSeries._from_slices(6, _qt_rule(qt)), _qt_rule),
         (qt.scale(F(-3, 2)), _qt_rule),
     ]
     for series, rule in cases:
         fresh = type(series)(series.shape, series.coeffs)
-        assert fresh._sliced is None
         first = series.slices()
         assert canonical_slices(first) == canonical_slices(rule(series))
         assert series.slices() is first
         assert series == fresh and fresh == series
-        assert fresh._sliced is None
 
 
 def _counting(monkeypatch, modules, name):
@@ -371,25 +406,26 @@ def test_warm_integral_products_slice_nothing(monkeypatch):
 
 @pytest.mark.parametrize("op", ["nc_inv", "nc_exp"])
 def test_power_series_slice_their_fixed_operand_once(monkeypatch, op):
-    # the operand x is sliced once; the powers are products, born sliced, so
-    # no product is sliced again and none builds its coefficients
+    # the operand x is sliced once, at construction; the powers are
+    # products, born sliced, so no product is sliced and none builds its
+    # coefficients
     from emzv import ncalg
 
     half = CoeffElem.from_rational(F(1, 2))
     x = NCSeries(5, {"a": half, "ab": CoeffElem.one(), "ba": CoeffElem.from_rational(-3)})
     if op == "nc_inv":
         x = NCSeries.one(5) + x
-    want = getattr(ncalg, op)(x)
+    want, terms = getattr(ncalg, op)(x), x.coeffs
     sliced, built = [], []
     real_slice, real_build = NCSeries._slice, NCSeries._build
-    monkeypatch.setattr(NCSeries, "_slice", lambda s: sliced.append(s) or real_slice(s))
+    monkeypatch.setattr(NCSeries, "_slice", lambda s, c: sliced.append(s) or real_slice(s, c))
     monkeypatch.setattr(NCSeries, "_build", lambda s: built.append(s) or real_build(s))
     products = _counting(monkeypatch, [ncalg], "nc_mul")
-    operand = NCSeries(5, x.coeffs)
+    operand = NCSeries(5, terms)
     got = getattr(ncalg, op)(operand)
     assert len(products) >= 3
     assert len(sliced) == 1 and sliced[0] is operand
-    assert built == []
+    assert len(built) == 0
     assert got.coeffs == want.coeffs
 
 

@@ -268,6 +268,17 @@ def fresh_table():
     return loads_mzv_table(dump_mzv_table(shipped_table()))
 
 
+def test_cold_limit_series_builds_only_the_symbol_scales(monkeypatch):
+    # build_phi and nc_exp read their preconditions from the slices, so a
+    # cold build builds coefficients only where t and ytilde are multiplied
+    # by pi/2 and pi, each coefficient through coeff_mul
+    built = []
+    real = NCSeries._build
+    monkeypatch.setattr(NCSeries, "_build", lambda s: built.append(s) or real(s))
+    build_Ainf(6, fresh_table())
+    assert len(built) == 2 and all(s.maxdeg == 6 for s in built)
+
+
 def test_ainf_components_do_not_depend_on_the_build_degree():
     # the precondition of extract_gamma's per-table solve cache
     big = build_Ainf(9, fresh_table())
@@ -692,7 +703,7 @@ def test_unvalidated_results_match_validating_constructor(x, y, q, c):
         lambda: NCSeries(D, {w: coeff_mul(v, c, table) for w, v in x.items()})
     )
     assert x.truncate(2) == NCSeries(2, x.coeffs)
-    assert NCSeries._from_clean(D, dict(x.coeffs)) == x
+    assert NCSeries(D, x.coeffs) == x
     product = _outcome(nc_mul, x, y, table)
     for s in (x + y, -x, x.scale(q), scaled, x.truncate(2), product):
         if s is not TableOverflow:

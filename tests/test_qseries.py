@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emzv.coeffring import CoeffElem, MzvMonomial, coeff_mul, shipped_table
+from emzv.coeffring import CoeffElem, MzvMonomial, coeff_mul, graded_slices, shipped_table
 from emzv.decomp import emzv_qexp
 from emzv.eisalg import eisenstein_qexp
 from emzv.errors import DegreeMismatch, FourierViolation, TableOverflow
@@ -280,10 +280,12 @@ _keys = st.tuples(st.integers(0, 7), st.integers(0, 2))
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 6), st.dictionaries(_keys, _symbol_scalars, max_size=6))
-def test_from_clean_matches_validating_constructor(order, coeffs):
+def test_linear_structure_matches_validating_constructor(order, coeffs):
+    # a value adopted from the slices of its clean terms is the constructor's
     want = QTSeries(order, coeffs)
     clean = {k: c for k, c in coeffs.items() if k[0] < order and not c.is_zero()}
-    got = QTSeries._from_clean(order, clean)
+    coded = ((m << 32 | j, c) for (m, j), c in clean.items())
+    got = QTSeries._from_slices(order, graded_slices(coded, lambda k: k >> 32))
     assert got == want and got.coeffs == want.coeffs
     assert got.order == want.order and str(got) == str(want)
     # the operations that adopt their result build what the constructor would

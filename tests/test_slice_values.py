@@ -1,10 +1,9 @@
 """Values that live on their integer slices.
 
-The truncated product algebras and the e-word polynomials return values
-that keep only their slices and build coefficients on each read.  The
-producers are compared with the code they replaced, which built every
-coefficient at once; equality on slices is compared with equality on
-coefficients.
+Every container holds only its slices and builds its coefficients on each
+read.  The producers and the linear structure are compared with the code
+they replaced, which built every coefficient at once; equality on slices is
+compared with equality on coefficients.
 """
 
 import math
@@ -20,8 +19,10 @@ from emzv.coeffring import (
     MzvMonomial,
     _graded,
     _over_common,
+    accumulate,
     build_coeffs,
     canonical_slices,
+    coeff_mul,
     convolve,
     dump_mzv_table,
     graded_slices,
@@ -58,6 +59,35 @@ _T_MASK = (1 << _SHIFT) - 1
 # every output coefficient at once.
 
 
+def reference_from_clean(cls, shape, coeffs):
+    """Adopt a dict that obeys the key rule and holds no zero coefficient,
+    unvalidated: the old constructor of computed results, which now only
+    slices the dict."""
+    return cls._from_slices(shape, cls.zero(shape)._slice(coeffs))
+
+
+def reference_add(x, y):
+    """The linear structure on coefficients that + replaced."""
+    if x.shape != y.shape:
+        raise DegreeMismatch(f"truncation {x.shape} != {y.shape}")
+    return reference_from_clean(type(x), x.shape, accumulate(dict(x.coeffs), y.coeffs.items()))
+
+
+def reference_neg(x):
+    return reference_from_clean(type(x), x.shape, {k: -c for k, c in x.coeffs.items()})
+
+
+def reference_scale(x, c, table=None):
+    if isinstance(c, CoeffElem):
+        if not c.is_rational():
+            d = {k: coeff_mul(v, c, table) for k, v in x.coeffs.items()}
+            return reference_from_clean(type(x), x.shape, d)
+        c = c.rational_part()
+    if not c:
+        return type(x).zero(x.shape)
+    return reference_from_clean(type(x), x.shape, {k: v.scale(c) for k, v in x.coeffs.items()})
+
+
 def _nc_rule(s):
     return graded_slices(s.coeffs.items(), len)
 
@@ -88,7 +118,7 @@ def reference_nc_mul(x, y, table=None):
     if x.maxdeg != y.maxdeg:
         raise DegreeMismatch(f"maxdeg {x.maxdeg} != {y.maxdeg}")
     cells = convolve(_nc_rule(x), _nc_rule(y), x.maxdeg, table)
-    return NCSeries._from_clean(x.maxdeg, reference_build_cells(cells))
+    return reference_from_clean(NCSeries, x.maxdeg, reference_build_cells(cells))
 
 
 def reference_nc_exp(x, table=None):
@@ -139,12 +169,13 @@ def reference_build_phi(x, y, D, table):
                     visit(word + (l,), nxt, nd)
 
     visit((), root, 0)
-    return NCSeries._from_clean(D, reference_build_cells(lincomb(terms, D, table)))
+    return reference_from_clean(NCSeries, D, reference_build_cells(lincomb(terms, D, table)))
 
 
 def reference_qt_from_cells(cells, order):
     coeffs = reference_build_cells(cells)
-    return QTSeries._from_clean(order, {(k >> _SHIFT, k & _T_MASK): c for k, c in coeffs.items()})
+    decoded = {(k >> _SHIFT, k & _T_MASK): c for k, c in coeffs.items()}
+    return reference_from_clean(QTSeries, order, decoded)
 
 
 def reference_qt_mul(f, g, table=None):
@@ -172,7 +203,7 @@ def reference_qt_antider(f):
                 if big:
                     out.setdefault((m, j), {})[mu] = F(big, den * power * m)
                 power *= m
-    return QTSeries._from_clean(f.order, build_coeffs(out))
+    return reference_from_clean(QTSeries, f.order, build_coeffs(out))
 
 
 def reference_iei_qexp(word, order, cache):
@@ -228,17 +259,8 @@ def _qt_series(order, monomials=_MONOMIALS):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (TableOverflow, PreconditionViolated) as exc:
+    except (TableOverflow, PreconditionViolated, DegreeMismatch) as exc:
         return type(exc)
-
-
-def _holds_coeffs(value):
-    """True if the value's coefficients are built (read without building them)."""
-    try:
-        CoeffMap.coeffs.__get__(value, type(value))
-    except AttributeError:
-        return False
-    return True
 
 
 def _is_reduced(slices):
@@ -249,13 +271,13 @@ def _is_reduced(slices):
 
 
 def assert_same_value(got, want):
-    """got is born sliced; its coefficients are want's, and its slices are
-    the gcd-reduced slices of want's coefficients."""
+    """got's coefficients are want's, and its slices are the gcd-reduced
+    slices of want's coefficients."""
     if isinstance(want, type):
         assert got is want
         return
-    assert not _holds_coeffs(got)
-    rule = _nc_rule if isinstance(want, NCSeries) else _qt_rule
+    assert type(got) is type(want)
+    rule = _qt_rule if isinstance(want, QTSeries) else _nc_rule  # words, e-words: by length
     assert _is_reduced(got.slices())
     assert canonical_slices(got.slices()) == canonical_slices(rule(want))
     assert got == want
@@ -365,8 +387,7 @@ def test_slice_equality_agrees_with_coefficient_equality(pair, k):
         want = a.coeffs == b.coeffs
         sa, sb = _sliced_copy(a), _sliced_copy(b)
         assert (sa == sb) is want and (sb == sa) is want
-        assert not _holds_coeffs(sa) and not _holds_coeffs(sb)  # compared on slices
-        assert (sa == b) is want and (a == sb) is want  # mixed forms: on coefficients
+        assert (sa == b) is want and (a == sb) is want
     sx = _sliced_copy(x)
     # a non-reduced denominator: every numerator and the denominator times k
     scaled = type(x)._from_slices(
@@ -377,7 +398,6 @@ def test_slice_equality_agrees_with_coefficient_equality(pair, k):
         },
     )
     assert scaled == sx and sx == scaled
-    assert not _holds_coeffs(scaled) and not _holds_coeffs(sx)
     assert scaled.coeffs == x.coeffs
     # negative control: one numerator changed
     if x:
@@ -401,13 +421,12 @@ def test_slice_equality_needs_equal_shapes():
 
 
 def test_truncation_keeps_the_buckets_up_to_the_degree():
-    # the cached limit series serves a smaller degree from its own buckets,
-    # building no coefficient, and equals a build at that degree
+    # the cached limit series serves a smaller degree from its own buckets
+    # and equals a build at that degree
     source = dump_mzv_table(shipped_table())
     table = loads_mzv_table(source)
     full = build_Ainf(8, table)
     small = build_Ainf(6, table)
-    assert not _holds_coeffs(full) and not _holds_coeffs(small)
     for mono, (den, buckets) in small.slices().items():
         full_den, full_buckets = full.slices()[mono]
         assert den == full_den
@@ -421,8 +440,8 @@ def test_truncation_keeps_the_buckets_up_to_the_degree():
 # E-word polynomials on slices
 #
 # EPoly's +, -, scale and prepend compute on slices graded by e-word length;
-# the references are the coefficient versions they replaced: the base
-# class's linear structure, and prepend as a key map on coefficients.
+# the references are the coefficient versions they replaced: the linear
+# structure on coefficients above, and prepend as a key map on coefficients.
 
 _EWORDS = [(), (0,), (2,), (3,), (0, 4), (4, 0), (2, 2), (1, 2), (0, 0, 4), (6, 2, 0)]
 
@@ -436,40 +455,28 @@ def reference_prepend(x, letter):
         raise ValueError("negative letter")
     if letter % 2:
         return EPoly.zero()
-    return EPoly._from_clean(None, {(letter,) + w: c for w, c in x.coeffs.items()})
-
-
-def assert_same_epoly(got, want):
-    """got is born sliced (or is zero), with reduced slices, and its
-    coefficients are want's."""
-    if isinstance(want, type):
-        assert got is want
-        return
-    assert isinstance(got, EPoly) and not (got and _holds_coeffs(got))
-    assert _is_reduced(got.slices())
-    assert canonical_slices(got.slices()) == canonical_slices(graded_slices(want.coeffs.items(), len))
-    assert got == want and got.coeffs == want.coeffs
+    return reference_from_clean(EPoly, None, {(letter,) + w: c for w, c in x.coeffs.items()})
 
 
 @settings(max_examples=80, deadline=None)
 @given(_epoly(), _epoly())
 def test_epoly_linear_structure_matches_coefficients(x, y):
-    assert_same_epoly(x + y, CoeffMap.__add__(x, y))
-    assert_same_epoly(x - y, CoeffMap.__add__(x, CoeffMap.__neg__(y)))
-    assert_same_epoly(-x, CoeffMap.__neg__(x))
-    # sliced operands: the results of the sliced operations themselves
+    assert_same_value(x + y, reference_add(x, y))
+    assert_same_value(x - y, reference_add(x, reference_neg(y)))
+    assert_same_value(-x, reference_neg(x))
+    # operands that are results of the operations themselves
     sx, sy = x + EPoly.zero(), -y
-    assert_same_epoly(sx + sy, CoeffMap.__add__(x, CoeffMap.__neg__(y)))
-    assert_same_epoly(sx - sx, EPoly.zero())
+    assert_same_value(sx + sy, reference_add(x, reference_neg(y)))
+    assert_same_value(sx - sx, EPoly.zero())
 
 
 @settings(max_examples=80, deadline=None)
 @given(_epoly(), st.one_of(_RATIONAL, st.integers(-7, 7)), st.booleans())
 def test_epoly_rational_scale_matches_coefficients(x, q, as_coeff):
     c = CoeffElem.from_rational(q) if as_coeff else q
-    want = CoeffMap.scale(x, c)
-    assert_same_epoly(x.scale(c), want)
-    assert_same_epoly((x + x).scale(c), CoeffMap.scale(CoeffMap.__add__(x, x), c))
+    want = reference_scale(x, c)
+    assert_same_value(x.scale(c), want)
+    assert_same_value((x + x).scale(c), reference_scale(reference_add(x, x), c))
 
 
 @settings(max_examples=60, deadline=None)
@@ -478,7 +485,42 @@ def test_epoly_symbol_scale_matches_coefficients(x, c, with_table):
     # a symbol-bearing scalar multiplies through the table's monomial product
     # and raises TableOverflow exactly when the coefficient version does
     table = shipped_table() if with_table else None
-    assert_same_epoly(_outcome(EPoly.scale, x, c, table), _outcome(CoeffMap.scale, x, c, table))
+    assert_same_value(_outcome(EPoly.scale, x, c, table), _outcome(reference_scale, x, c, table))
+
+
+def _container(kind):
+    """A value of the kind; the two truncated kinds draw one of two shapes."""
+    if kind is EPoly:
+        return _epoly()
+    make = _qt_series if kind is QTSeries else lambda n: _nc_series(n, constant=True)
+    return st.sampled_from([4, 5]).flatmap(make)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([NCSeries, QTSeries, EPoly]).flatmap(
+        lambda kind: st.tuples(_container(kind), _container(kind))
+    ),
+    _RATIONAL,
+    _coeffs(),
+    st.booleans(),
+)
+def test_linear_structure_matches_coefficient_references(pair, q, c, with_table):
+    # +, -, a rational scale and a symbol-bearing scale on slices, for all
+    # three containers, against the linear structure on coefficients they
+    # replaced: equal values, or the same DegreeMismatch (shapes that
+    # differ) or TableOverflow (a symbol product beyond the table's cap)
+    x, y = pair
+    table = shipped_table() if with_table else None
+    for got, want in (
+        (_outcome(lambda: x + y), _outcome(reference_add, x, y)),
+        (_outcome(lambda: x - y), _outcome(lambda: reference_add(x, reference_neg(y)))),
+        (-x, reference_neg(x)),
+        (x.scale(q), reference_scale(x, q)),
+        (x.scale(CoeffElem.from_rational(q), table), reference_scale(x, q)),
+        (_outcome(x.scale, c, table), _outcome(reference_scale, x, c, table)),
+    ):
+        assert_same_value(got, want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -490,8 +532,8 @@ def test_epoly_prepend_matches_coefficients(x, letter):
                 fn(letter)
         return
     got, want = x.prepend(letter), reference_prepend(x, letter)
-    assert_same_epoly(got, want)
-    assert_same_epoly(got.prepend(0), reference_prepend(want, 0))
+    assert_same_value(got, want)
+    assert_same_value(got.prepend(0), reference_prepend(want, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +551,8 @@ def reference_decompose(index, table, memo):
             acc = EPoly.constant(extract_gamma(index, table))
             for term in diffeq_expand(index):
                 sub = EPoly(reference_decompose(term.sub_index, table, memo))
-                part = CoeffMap.scale(reference_prepend(sub, term.eis_weight), -term.coeff)
-                acc = CoeffMap.__add__(acc, part)
+                part = reference_scale(reference_prepend(sub, term.eis_weight), -term.coeff)
+                acc = reference_add(acc, part)
             memo[index] = acc.coeffs
     return memo[index]
 
@@ -524,7 +566,7 @@ def test_sliced_recursion_matches_per_term_assembly():
         got = decompose(idx, table).epoly
         assert got.coeffs == reference_decompose(idx, table, memo), idx
         if len(idx) >= 2:
-            assert not _holds_coeffs(got) and _is_reduced(got.slices()), idx
+            assert _is_reduced(got.slices()), idx
 
 
 def reference_find_emzv_relations(indices, table):
@@ -551,7 +593,40 @@ def test_relation_rows_are_read_from_slices(monkeypatch, length, weight):
 
 
 # ---------------------------------------------------------------------------
-# The keep rule: a value built from slices keeps only its slices
+# One stored form: a value holds only its slices, and coefficients are
+# built from them on each read
+
+
+def test_values_hold_only_their_slices():
+    assert CoeffMap.__slots__ == ("shape", "_sliced")
+    for cls in (NCSeries, QTSeries, EPoly):
+        assert cls.__slots__ == ()
+    x = EPoly.word((2, 0), F(1, 3))
+    assert not hasattr(x, "__dict__")
+    assert x.coeffs == x.coeffs and x.coeffs is not x.coeffs
+
+
+@pytest.mark.parametrize(
+    "x, key",
+    [
+        (EPoly.word((2,), 1), (4,)),
+        (EPoly.word((2,), 1), (3,)),  # an odd e-word, outside the key rule
+        (EPoly.zero(), ()),
+        (NCSeries.letter("a", 3), "b"),
+        (NCSeries.letter("a", 3), "abab"),  # beyond the truncation
+        (QTSeries.constant(F(1, 2), 4), (1, 0)),
+    ],
+    ids=["epoly", "epoly-odd-word", "epoly-zero", "nc", "nc-beyond-degree", "qt"],
+)
+def test_writing_into_coeffs_leaves_the_value(x, key):
+    zero = type(x).zero(x.shape)
+    text, copy = str(x), x + zero
+    x.coeffs[key] = CoeffElem.one()
+    read = x.coeffs
+    read[key] = CoeffElem.one()
+    assert str(x) == text
+    assert x == copy and copy == x and x + zero == copy
+    assert key not in x.coeffs and bool(x) is bool(copy)
 
 
 def _count_builds(monkeypatch):
@@ -579,7 +654,6 @@ def test_readers_build_the_coefficients_once(monkeypatch):
         del built[:]
         read(value)
         assert built == [value], read
-        assert not _holds_coeffs(value)
 
 
 def test_rendered_series_holds_no_coefficients():
@@ -590,6 +664,5 @@ def test_rendered_series_holds_no_coefficients():
     text = str(qexp)
     rendered = [(m, j, str(c)) for m, j, c in qexp.terms()]
     assert text and rendered
-    assert not _holds_coeffs(qexp)
     assert canonical_slices(qexp.slices()) == before
     assert str(qexp) == text
