@@ -17,15 +17,16 @@ an :class:`~emzv.eisalg.EPoly`.
 route: it applies the normalized derivation words to the limit series and
 re-extracts index coefficients, exercising the derivation algebra and the
 associator instead of the length recursion.  It makes one pass over the
-pieces of the series homogeneous in word degree and coefficient monomial,
-pushing each through the integer derivations once.
+pieces of the series homogeneous in word degree, number of letters b and
+coefficient monomial, pushing each through the integer derivations only
+toward the (degree, length) blocks of the requested indices.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .coeffring import (
     Cells,
@@ -274,25 +275,33 @@ def gseries_decompose(
 ) -> dict[EmzvIndex, EPoly]:
     """Decompositions of all indices in range along the derivation route.
 
-    Computes sum_w e_w (x) eps~_w(limit series) and solves each degree for
-    the index coefficients; entirely independent of diffeq_expand and of the
+    Computes sum_w e_w (x) eps~_w(limit series) and solves it for the index
+    coefficients; entirely independent of diffeq_expand and of the
     per-index constant extraction, so it serves as a cross-check of the
     length recursion.
+
+    The system splits into independent blocks (index degree d, index
+    length n): every word of an index monomial of length n has n letters
+    b, and every eps_{2k} adds exactly one b.  Only the blocks of the
+    range's indices are computed and solved, each against the unchanged
+    residual check; a block no requested index reads is not built, so it
+    is not checked either (``extract_gamma`` still checks every degree of
+    the limit series whole).
     """
-    by_degree: dict[int, list[EmzvIndex]] = {}
+    by_block: dict[Block, list[EmzvIndex]] = {}
     for idx in indices_upto(max_len, max_wt):
         if idx:
-            by_degree.setdefault(index_degree(idx), []).append(idx)
+            by_block.setdefault((index_degree(idx), len(idx)), []).append(idx)
     out: dict[EmzvIndex, EPoly] = {(): EPoly.constant(1)}
-    if not by_degree:
+    if not by_block:
         return out
-    degrees = sorted(by_degree)
-    images = _eps_word_images(build_Ainf(degrees[-1], table), degrees)
-    for d in degrees:
-        solved = triangular_index_solve(_gseries_component(images.pop(d)), d)
-        for idx in by_degree[d]:
+    images = _eps_word_images(build_Ainf(max(d for d, _ in by_block), table), by_block)
+    for (d, n), indices in sorted(by_block.items()):
+        # the plan's pivots of other lengths find no word of the block
+        solved = triangular_index_solve(_gseries_component(images.pop((d, n))), d)
+        for idx in indices:
             val = solved.get(idx) or EPoly.zero()
-            out[idx] = val if len(idx) % 2 == 0 else -val
+            out[idx] = val if n % 2 == 0 else -val
     return out
 
 
@@ -300,38 +309,54 @@ def gseries_decompose(
 # piece of eps~_w(Ainf) on the monomial mu is factor * v.
 _EpsImage = tuple[EWord, MzvMonomial, Fraction, dict[str, int]]
 
+# (word degree, number of letters b): an index's (degree, length)
+Block = tuple[int, int]
 
-def _eps_word_images(ainf: NCSeries, degrees: Sequence[int]) -> dict[int, list[_EpsImage]]:
-    """Every nonzero eps~_w applied to the pieces of the limit series.
+
+def _eps_word_images(ainf: NCSeries, blocks: Collection[Block]) -> dict[Block, list[_EpsImage]]:
+    """Every eps~_w applied to the pieces of the limit series, kept where it
+    lands in a requested block.
 
     A piece is one degree bucket m of the series' integer slices on a
-    coefficient monomial mu (``NCSeries.slices``).  Its integer
-    vector is pushed once through the integer derivations eps_{2k}, each
-    image a sum of the memoized images of single words
-    (:func:`derlie.eps_apply`); each raises the degree by exactly 2k, so
-    the image under eps_w lands at degree m + |w| and serves every
-    requested degree.  The eps~ normalisation and the slice's denominator
-    are carried as one rational factor per (e-word, monomial).
+    coefficient monomial mu (``NCSeries.slices``), split by the number of
+    letters b of its words.  Its integer vector is pushed through the
+    integer derivations eps_{2k}, each image a sum of the memoized images
+    of single words (:func:`derlie.eps_apply`); each raises the degree by
+    exactly 2k and the number of b's by exactly one, so a piece or image
+    at (degree, b's) is pushed on only while some block is still reachable
+    from there, and kept only when it lands in a block.  The eps~
+    normalisation and the slice's denominator are carried as one rational
+    factor per (e-word, monomial).
     """
-    top = max(degrees)
+    top = max(d for d, _ in blocks)
     ops = [(k2, eps_tilde_scale(k2)) for k2 in range(0, top, 2)]
-    images: dict[int, list[_EpsImage]] = {d: [] for d in degrees}
+    images: dict[Block, list[_EpsImage]] = {block: [] for block in blocks}
+
+    def reaches(deg: int, nb: int) -> bool:
+        return any(
+            d >= deg and n >= nb and (d - deg) % 2 == 0 and (n > nb or d == deg)
+            for d, n in blocks
+        )
+
     for mono, (den, buckets) in ainf.slices().items():
         for m, terms in buckets:
-            if not 1 <= m <= top:
-                continue
-            stack = [(m, (), Fraction(1, den), dict(terms))]
+            if m == 0:
+                continue  # every derivation kills the constant 1
+            pieces: dict[int, dict[str, int]] = {}
+            for w, n in terms:
+                pieces.setdefault(w.count("b"), {})[w] = n
+            stack = [(m, nb, (), Fraction(1, den), v) for nb, v in pieces.items() if reaches(m, nb)]
             while stack:
-                deg, eword, factor, v = stack.pop()
-                if deg in images:
-                    images[deg].append((eword, mono, factor, v))
+                deg, nb, eword, factor, v = stack.pop()
+                if (deg, nb) in images:
+                    images[deg, nb].append((eword, mono, factor, v))
                 for k2, norm in ops:
-                    if deg + k2 > top:
-                        break
+                    if not reaches(deg + k2, nb + 1):
+                        continue
                     image = eps_apply(k2, v)
                     if image:
                         # the newest application is outermost: it leads the word
-                        stack.append((deg + k2, (k2,) + eword, factor * norm, image))
+                        stack.append((deg + k2, nb + 1, (k2,) + eword, factor * norm, image))
     return images
 
 

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .coeffring import (
+    MONOMIAL_ONE,
     CoeffElem,
     CoeffMap,
     MzvTable,
@@ -191,12 +192,15 @@ class EPoly(CoeffMap):
 
 
 def shuffle_words(u: Iterable[int], v: Iterable[int]) -> EPoly:
-    """Shuffle product of two words, unit coefficients with multiplicity."""
-    wu, wv = make_word(u), make_word(v)
-    out: dict[EWord, CoeffElem] = {}
-    for w, mult in shuffle_multiset(wu, wv).items():
-        out[w] = CoeffElem.from_rational(mult)
-    return EPoly(out)
+    """Shuffle product of two words, unit coefficients with multiplicity.
+
+    Built as slices straight from the integer multiplicities: one monomial
+    1 over denominator 1, bucketed by word length, with the key rule's
+    drop of words that have an odd letter.
+    """
+    mults = shuffle_multiset(make_word(u), make_word(v))
+    even = {w: n for w, n in mults.items() if not has_odd_letter(w)}
+    return EPoly._from_slices(None, normalise({MONOMIAL_ONE: {1: even}}, len))
 
 
 def epoly_mul(x: EPoly, y: EPoly, table: MzvTable | None = None) -> EPoly:

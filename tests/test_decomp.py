@@ -345,7 +345,9 @@ def _reference_gseries(max_len, max_wt, table):
     return out
 
 
-@pytest.mark.parametrize("max_len, max_wt", [(3, 4), (4, 3)])
+# (2, 5), (5, 2) and (1, 6) leave blocks of their degrees unrequested: the
+# route skips them, while the reference solves every block of each degree
+@pytest.mark.parametrize("max_len, max_wt", [(3, 4), (4, 3), (2, 5), (5, 2), (1, 6)])
 def test_gseries_matches_per_degree_walk(table, max_len, max_wt):
     got = gseries_decompose(max_len, max_wt, table)
     want = _reference_gseries(max_len, max_wt, table)
@@ -356,15 +358,19 @@ def test_gseries_matches_per_degree_walk(table, max_len, max_wt):
 
 def test_gseries_component_matches_the_validating_constructors(table):
     d = 7
-    images = _eps_word_images(build_Ainf(d, table), [d])[d]
-    want = {}
-    for eword, mono, factor, v in images:
-        for w, n in v.items():
-            want.setdefault(w, {}).setdefault(eword, {})[mono] = factor * n
-    got = _gseries_component(list(images))
-    assert want and got.keys() == want.keys()
-    for w, per in want.items():
-        assert got[w].coeffs == EPoly({e: CoeffElem(t) for e, t in per.items()}).coeffs, w
+    blocks = [(d, n) for n in range(1, d + 1)]
+    images = _eps_word_images(build_Ainf(d, table), blocks)
+    assert images.keys() == set(blocks)
+    for n in range(1, d + 1):
+        want = {}
+        for eword, mono, factor, v in images[d, n]:
+            for w, q in v.items():
+                assert len(w) == d and w.count("b") == n, (n, w)
+                want.setdefault(w, {}).setdefault(eword, {})[mono] = factor * q
+        got = _gseries_component(list(images[d, n]))
+        assert want and got.keys() == want.keys(), n
+        for w, per in want.items():
+            assert got[w].coeffs == EPoly({e: CoeffElem(t) for e, t in per.items()}).coeffs, w
 
 
 def test_gseries_rejects_component_outside_span():
@@ -374,6 +380,17 @@ def test_gseries_rejects_component_outside_span():
     fresh.caches["ainf"] = ainf + NCSeries(4, {"aa": CoeffElem.one()})
     with pytest.raises(ExtractionInconsistent):
         gseries_decompose(2, 2, fresh)
+
+
+def test_gseries_rejects_perturbation_inside_a_requested_block():
+    # "ab" lies in the block (degree 2, one b) that the index (1,) reads,
+    # and is not in the span of its monomial ab - ba: that block's own
+    # residual check raises
+    fresh = loads_mzv_table(dump_mzv_table(shipped_table()))
+    ainf = build_Ainf(2, fresh)
+    fresh.caches["ainf"] = ainf + NCSeries(2, {"ab": CoeffElem.one()})
+    with pytest.raises(ExtractionInconsistent, match="degree-2 residual"):
+        gseries_decompose(1, 1, fresh)
 
 
 def test_shuffle_multiplicativity_small(table):

@@ -985,3 +985,15 @@ def test_bad_eps_index_stores_nothing():
             eps_apply(k2, {"ab": 1})
         assert k2 not in derlie._eps_nc_cache
         assert (k2, "ab") not in derlie._eps_word_cache
+
+
+def test_eps_word_image_adds_one_b_and_k2_letters():
+    # eps_{2k}(a) = ad^{2k}(a)(b): each image word has one more b and 2k
+    # more letters than the word it comes from
+    for n in range(7):
+        for letters in itertools.product("ab", repeat=n):
+            w = "".join(letters)
+            for k2 in (0, 2, 4, 6):
+                for u, _ in eps_word_image(k2, w):
+                    assert u.count("b") == w.count("b") + 1, (k2, w, u)
+                    assert len(u) == len(w) + k2, (k2, w, u)

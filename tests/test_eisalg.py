@@ -17,6 +17,7 @@ from emzv.eisalg import (
     shuffle_words,
 )
 from emzv.qseries import QTSeries, qt_ddT, qt_mul
+from emzv.words import shuffle_multiset
 
 F = Fraction
 
@@ -148,6 +149,23 @@ def test_deconcat_coassociative():
 )
 def test_shuffle_commutes(u, v):
     assert shuffle_words(u, v) == shuffle_words(v, u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    u=st.lists(st.integers(0, 5), max_size=3).map(tuple),
+    v=st.lists(st.integers(0, 5), max_size=3).map(tuple),
+)
+def test_shuffle_slices_match_the_coefficient_construction(u, v):
+    # the integer multiplicities become slices directly; the key rule's
+    # constructor, fed CoeffElem multiplicities, gives the same value,
+    # including the empty word and the drop of words with an odd letter
+    got = shuffle_words(u, v)
+    mults = shuffle_multiset(u, v)
+    want = EPoly({w: CoeffElem.from_rational(m) for w, m in mults.items()})
+    assert got == want and got.coeffs == want.coeffs
+    assert canonical_slices(got.slices()) == canonical_slices(want.slices())
+    assert got.is_zero() == any(k % 2 for k in u + v)
 
 
 _coeffs = st.builds(

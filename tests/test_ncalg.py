@@ -742,3 +742,12 @@ def test_phi_at_the_table_cap(table):
     t = -nc_bracket(NCSeries.letter("a", D), NCSeries.letter("b", D))
     phi = build_phi(build_ytilde(D), t, D, table)
     assert max(len(w) for w in phi.coeffs) == D
+
+
+def test_index_monomial_words_have_one_b_per_entry():
+    # the (degree, length) blocks of the derivation route: every word of an
+    # index monomial of length n has exactly n letters b
+    for d in range(10):
+        for j in compositions_of(d):
+            words = index_monomial(j)
+            assert words and all(w.count("b") == len(j) for w in words), j
