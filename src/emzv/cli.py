@@ -172,6 +172,14 @@ def _require_table_weight(what: str, need: int, table: MzvTable) -> None:
         )
 
 
+def _require_limit_series(degree: int, table: MzvTable) -> None:
+    _require_table_weight(
+        f"the limit series at degree {degree}",
+        required_table_weight((0,) * degree),  # same for every index at this degree
+        table,
+    )
+
+
 def _guarded_index(ns: argparse.Namespace, table: MzvTable) -> tuple[int, ...]:
     try:
         idx = parse_index(ns.index)
@@ -355,11 +363,7 @@ def _cmd_membership(ns: argparse.Namespace) -> int:
 def _cmd_dump_ainf(ns: argparse.Namespace) -> int:
     degree = _positive(ns, "degree")
     table = _load_table(ns)
-    _require_table_weight(
-        f"the limit series at degree {degree}",
-        required_table_weight((0,) * degree),  # same for every index at this degree
-        table,
-    )
+    _require_limit_series(degree, table)
     ainf = build_Ainf(degree, table)
     doc = {
         "schema": "emzv.ncseries/1",
@@ -378,7 +382,9 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     from .verify import VerifyContext, run_checks  # only this subcommand needs it
 
     order, degree = _positive(ns, "order"), _positive(ns, "degree")
-    ctx = VerifyContext(table=_load_table(ns), q_order=order, nc_degree=degree)
+    table = _load_table(ns)
+    _require_limit_series(degree, table)  # before any check runs
+    ctx = VerifyContext(table=table, q_order=order, nc_degree=degree)
     results = run_checks(ctx, only=ns.only)
     for name, ok, detail, seconds in results:
         print(f"{'ok  ' if ok else 'FAIL'} {name} - {detail} ({seconds:.2f} s)")

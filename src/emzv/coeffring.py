@@ -27,7 +27,18 @@ import math
 import os
 import threading
 from fractions import Fraction
-from typing import IO, Any, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import (
+    IO,
+    Any,
+    Callable,
+    Collection,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+    TypeVar,
+)
 
 from .errors import ConsistencyError, DegreeMismatch, ParseError, TableOverflow
 
@@ -448,9 +459,12 @@ def build_coeffs(cells: Mapping[K, dict[MzvMonomial, Fraction]]) -> dict[K, Coef
     return {key: CoeffElem._from_clean(cell) for key, cell in cells.items()}
 
 
-def integer_slices(
-    terms: Iterable[tuple[K, CoeffElem]],
-) -> dict[MzvMonomial, tuple[int, list[tuple[K, int]]]]:
+# (key, coefficient) pairs split by coefficient monomial: monomial ->
+# (common denominator, [(key, n)]) with integer n.
+SplitScalars = dict[MzvMonomial, tuple[int, list[tuple[Any, int]]]]
+
+
+def integer_slices(terms: Iterable[tuple[Any, CoeffElem]]) -> SplitScalars:
     """Split (key, coefficient) pairs by coefficient monomial.
 
     Each monomial gets (common denominator, [(key, n)]) with integer n, so
@@ -533,17 +547,29 @@ def convolve(x: Slices, y: Slices, bound: int, table: MzvTable | None) -> Cells:
 
 
 def lincomb(pairs: Iterable[tuple[CoeffElem, Slices]], bound: int, table: MzvTable | None) -> Cells:
-    """The linear combination sum c_i * f_i of slices, grades within bound.
+    """The linear combination sum c_i * f_i of slices, grades within bound:
+    :func:`split_lincomb` on the scalars split by :func:`integer_slices`."""
+    pairs = list(pairs)
+    scalars = integer_slices(enumerate(c for c, _ in pairs))
+    return split_lincomb(scalars, [f for _, f in pairs], bound, table)
 
-    Each scalar is split by coefficient monomial too, and a pair of
-    monomials is multiplied once, through :func:`monomial_mul`, when the
-    slice has a term within the bound.
+
+def split_lincomb(
+    scalars: SplitScalars,
+    series: Mapping[Any, Slices] | Sequence[Slices],
+    bound: int,
+    table: MzvTable | None,
+) -> Cells:
+    """sum c_k * series[k], grades within bound, with the scalars c_k given
+    split by coefficient monomial, as :func:`integer_slices` returns them.
+
+    A pair of monomials is multiplied once, through :func:`monomial_mul`,
+    when the slice has a term within the bound.
     """
     cells: Cells = {}
-    pairs = list(pairs)
-    for mu, (den_c, scalars) in integer_slices(enumerate(c for c, _ in pairs)).items():
-        for i, a in scalars:
-            for nu, (den_f, buckets) in pairs[i][1].items():
+    for mu, (den_c, scal) in scalars.items():
+        for i, a in scal:
+            for nu, (den_f, buckets) in series[i].items():
                 if buckets[0][0] > bound:
                     continue
                 rho = monomial_mul(mu, nu, table)
@@ -557,20 +583,50 @@ def lincomb(pairs: Iterable[tuple[CoeffElem, Slices]], bound: int, table: MzvTab
     return cells
 
 
-def rational_lincomb(pairs: Iterable[tuple[Fraction | int, Slices]]) -> Cells:
+def rational_lincomb(pairs: Iterable[tuple[Fraction | int, Slices]]) -> Slices:
     """The linear combination sum q_i * f_i of slices with rational q_i,
-    untruncated.  A scalar a / b puts a * n into the cell of denominator
-    den * b, on the slice's own monomial, so no table is involved."""
-    cells: Cells = {}
-    for q, slices in pairs:
-        a, b = q.as_integer_ratio()
+    untruncated, as slices in one pass.
+
+    Each monomial's common denominator, the lcm of den * b over the pairs
+    a / b whose slice carries it, is taken up front, so every numerator is
+    lifted as it is added.  The sums stay in their input bucket's grade;
+    zeros are dropped and each monomial is reduced by its gcd once.  No
+    table is involved: a scalar keeps the slice's own monomial.
+    """
+    pairs = [(q.as_integer_ratio(), slices) for q, slices in pairs]
+    dens: dict[MzvMonomial, set[int]] = {}
+    for (_, b), slices in pairs:
+        for mono, (den, _) in slices.items():
+            dens.setdefault(mono, set()).add(den * b)
+    common = {mono: math.lcm(*ds) for mono, ds in dens.items()}
+    sums: dict[MzvMonomial, dict[int, dict[Any, int]]] = {}
+    for (a, b), slices in pairs:
         for mono, (den, buckets) in slices.items():
-            cell = cells.setdefault(mono, {}).setdefault(den * b, {})
-            get = cell.get
-            for _, terms in buckets:
+            lift = a * (common[mono] // (den * b))
+            by_grade = sums.setdefault(mono, {})
+            for g, terms in buckets:
+                cell = by_grade.setdefault(g, {})
+                get = cell.get
                 for k, n in terms:
-                    cell[k] = get(k, 0) + a * n
-    return cells
+                    cell[k] = get(k, 0) + n * lift
+    out: Slices = {}
+    for mono, by_grade in sums.items():
+        buckets = []
+        for g in sorted(by_grade):
+            terms = [(k, n) for k, n in by_grade[g].items() if n]
+            if terms:
+                buckets.append((g, terms))
+        if buckets:
+            out[mono] = _reduced(common[mono], buckets)
+    return out
+
+
+def _reduced(den: int, buckets: list) -> tuple[int, list]:
+    """Buckets of nonzero numerators over den, reduced by their gcd."""
+    g = math.gcd(den, *(n for _, terms in buckets for _, n in terms))
+    if g == 1:
+        return den, buckets
+    return den // g, [(grade, [(k, n // g) for k, n in terms]) for grade, terms in buckets]
 
 
 def add_slices(x: Slices, y: Slices) -> Slices:
@@ -600,14 +656,10 @@ def add_slices(x: Slices, y: Slices) -> Slices:
             terms = [(k, n) for k, n in by_grade[g].items() if n]
             if terms:
                 merged.append((g, terms))
-        if not merged:
+        if merged:
+            out[mono] = _reduced(den, merged)
+        else:
             del out[mono]
-            continue
-        common = math.gcd(den, *(n for _, terms in merged for _, n in terms))
-        if common > 1:
-            den //= common
-            merged = [(g, [(k, n // common) for k, n in terms]) for g, terms in merged]
-        out[mono] = (den, merged)
     return out
 
 

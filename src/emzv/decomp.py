@@ -286,7 +286,9 @@ def gseries_decompose(
     range's indices are computed and solved, each against the unchanged
     residual check; a block no requested index reads is not built, so it
     is not checked either (``extract_gamma`` still checks every degree of
-    the limit series whole).
+    the limit series whole).  The limit series is built only up to the
+    range's longest length in letters b (``build_Ainf``'s ``max_b``), and
+    each block is solved along its own elimination plan.
     """
     by_block: dict[Block, list[EmzvIndex]] = {}
     for idx in indices_upto(max_len, max_wt):
@@ -295,9 +297,11 @@ def gseries_decompose(
     out: dict[EmzvIndex, EPoly] = {(): EPoly.constant(1)}
     if not by_block:
         return out
-    images = _eps_word_images(build_Ainf(max(d for d, _ in by_block), table), by_block)
+    # a piece with more b's than the longest index reaches no block
+    ainf = build_Ainf(max(d for d, _ in by_block), table, max_b=max(n for _, n in by_block))
+    images = _eps_word_images(ainf, by_block)
     for (d, n), indices in sorted(by_block.items()):
-        # the plan's pivots of other lengths find no word of the block
+        # every word of the block has n b's: the solve walks the plan of (d, n) only
         solved = triangular_index_solve(_gseries_component(images.pop((d, n))), d)
         for idx in indices:
             val = solved.get(idx) or EPoly.zero()

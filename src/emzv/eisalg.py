@@ -39,7 +39,7 @@ from .coeffring import (
     normalise,
     rational_lincomb,
 )
-from .qseries import QTSeries, qt_antider, qt_lincomb, qt_mul
+from .qseries import QTSeries, qt_antider, qt_mul, qt_split_lincomb
 from .words import deconcatenations, make_word, shuffle_multiset
 
 EWord = tuple[int, ...]
@@ -137,9 +137,9 @@ class EPoly(CoeffMap):
     @staticmethod
     def combination(pairs: Iterable[tuple[Fraction | int, "EPoly"]]) -> "EPoly":
         """sum q * p over rational q: one :func:`coeffring.rational_lincomb`
-        of the slices, normalised once however many terms there are."""
-        cells = rational_lincomb((q, p.slices()) for q, p in pairs)
-        return EPoly._from_slices(None, normalise(cells, len))
+        of the slices, which returns the sum's slices in one pass however
+        many terms there are."""
+        return EPoly._from_slices(None, rational_lincomb((q, p.slices()) for q, p in pairs))
 
     # -- queries ----------------------------------------------------------
 
@@ -217,10 +217,16 @@ def epoly_mul(x: EPoly, y: EPoly, table: MzvTable | None = None) -> EPoly:
 def epoly_to_qexp(x: EPoly, order: int) -> QTSeries:
     """Realize the word combination as a q-expansion to the given order.
 
-    Sums the cached integrals on the slices they keep, so no integral is
-    sliced again.
+    The polynomial's own slices are the scalars of the combination, already
+    split by coefficient monomial, and the cached integrals enter on the
+    slices they keep: no coefficient is built and nothing is sliced again.
     """
-    return qt_lincomb(((c, iei_qexp(w, order)) for w, c in x.items()), order)
+    scalars = {
+        mono: (den, [t for _, terms in buckets for t in terms])
+        for mono, (den, buckets) in x.slices().items()
+    }
+    integrals = {w: iei_qexp(w, order).slices() for _, terms in scalars.values() for w, _ in terms}
+    return qt_split_lincomb(scalars, integrals, order)
 
 
 def deconcat(x: EPoly) -> dict[tuple[EWord, EWord], CoeffElem]:

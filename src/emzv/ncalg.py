@@ -265,8 +265,18 @@ def shuffle_regularize(w: BinWord, table: MzvTable) -> CoeffElem:
 # gamma_{2,0,0} = pi^3/72 and gamma_{0,1,0,0} = -3 pi z3.
 
 
-def build_phi(x: NCSeries, y: NCSeries, maxdeg: int, table: MzvTable) -> NCSeries:
+def build_phi(
+    x: NCSeries, y: NCSeries, maxdeg: int, table: MzvTable, max_b: int | None = None
+) -> NCSeries:
     """Associator series evaluated at (x, y), truncated at maxdeg.
+
+    The series is a walk over the words in the two arguments, each node
+    weighted by the regularized value of its binary word.  With max_b the
+    walk stops at words of max_b letters, so it reads no regularized value
+    of a longer binary word.  When every word of x and of y has exactly one
+    letter b (as for ytilde and t), a walk word of l letters contributes
+    words with exactly l letters b, and the result is the series' words
+    with at most max_b letters b.
 
     A word that survives the truncation but lies beyond the table's cap
     raises TableOverflow where its value is read, in
@@ -288,6 +298,8 @@ def build_phi(x: NCSeries, y: NCSeries, maxdeg: int, table: MzvTable) -> NCSerie
             c = shuffle_regularize("".join("BA"[l] for l in reversed(word)), table)
             if not c.is_zero():
                 terms.append((-c if sum(word) % 2 else c, node))
+        if len(word) == max_b:
+            return
         for l in (0, 1):
             nd = degree_floor + mindeg[l]
             if nd > D:
@@ -314,17 +326,50 @@ def required_table_weight(idx: Iterable[int]) -> int:
     return index_degree(idx) - 1
 
 
-def build_Ainf(maxdeg: int, table: MzvTable) -> NCSeries:
+def _keep_b(s: NCSeries, max_b: int | None) -> NCSeries:
+    """The words of s with at most max_b letters b (all of them for None),
+    each term kept as it is; a bucket of degree <= max_b is kept whole."""
+    if max_b is None:
+        return s
+    out: Slices = {}
+    for mono, (den, buckets) in s.slices().items():
+        kept = []
+        for g, terms in buckets:
+            if g > max_b:
+                terms = [(w, n) for w, n in terms if w.count("b") <= max_b]
+            if terms:
+                kept.append((g, terms))
+        if kept:
+            out[mono] = (den, kept)
+    return NCSeries._from_slices(s.maxdeg, out)
+
+
+def build_Ainf(maxdeg: int, table: MzvTable, max_b: int | None = None) -> NCSeries:
     """Limit of the generating series at the cusp, built from the associator.
 
-    Cached on the table in one slot holding the largest build, stored under
-    MEMO_LOCK; smaller requests are served by truncation.
+    With max_b, only the words with at most max_b letters b are built.
+    Every word of t and of ytilde has exactly one b, so a walk word of
+    Phi(ytilde, t) with l letters has exactly l b's, and products add
+    b-counts: the walk of :func:`build_phi` stops at max_b letters, and
+    the results of the unchanged ``nc_exp``, ``nc_inv`` and ``nc_mul`` are
+    cut to max_b b's (:func:`_keep_b`).  A max_b of at least maxdeg cuts
+    nothing.
+
+    The full build is cached on the table in one slot holding the largest
+    build, stored under MEMO_LOCK; smaller requests, cut ones included, are
+    served from it by truncation.  A cut build is not cached.  The table
+    guard is the full build's, whatever max_b.
     """
     if maxdeg < 1:
         raise ValueError("maxdeg must be >= 1")
+    if max_b is not None:
+        if max_b < 0:
+            raise ValueError("max_b must be >= 0")
+        if max_b >= maxdeg:  # no word of degree <= maxdeg has more b's
+            max_b = None
     cached: NCSeries | None = table.caches.get("ainf")
     if cached is not None and cached.maxdeg >= maxdeg:
-        return cached.truncate(maxdeg)
+        return _keep_b(cached.truncate(maxdeg), max_b)
 
     need = required_table_weight((0,) * maxdeg)  # same for every index at this degree
     if need > table.max_weight:
@@ -335,17 +380,20 @@ def build_Ainf(maxdeg: int, table: MzvTable) -> NCSeries:
     D = maxdeg
     t = -nc_bracket(NCSeries.letter("a", D), NCSeries.letter("b", D))
     ytilde = build_ytilde(D)
-    phi = build_phi(ytilde, t, D, table)
+    phi = build_phi(ytilde, t, D, table, max_b)
     # Phi and its inverse carry zeta symbols: their products need the table
-    phi_inv = nc_inv(phi, table)
+    phi_inv = _keep_b(nc_inv(phi, table), max_b)
     half_pi = CoeffElem.pi_pow(1, Fraction(1, 2))  # pi*i = (2*pi*i)/2
-    exp_pit = nc_exp(t.scale(half_pi), table)
-    exp_piy = nc_exp(ytilde.scale(CoeffElem.pi_pow(1)), table)
-    ainf = nc_mul(nc_mul(nc_mul(exp_pit, phi, table), exp_piy, table), phi_inv, table)
-    with MEMO_LOCK:
-        prev: NCSeries | None = table.caches.get("ainf")
-        if prev is None or prev.maxdeg < D:
-            table.caches["ainf"] = ainf
+    exp_pit = _keep_b(nc_exp(t.scale(half_pi), table), max_b)
+    exp_piy = _keep_b(nc_exp(ytilde.scale(CoeffElem.pi_pow(1)), table), max_b)
+    ainf = exp_pit
+    for factor in (phi, exp_piy, phi_inv):
+        ainf = _keep_b(nc_mul(ainf, factor, table), max_b)
+    if max_b is None:
+        with MEMO_LOCK:
+            prev: NCSeries | None = table.caches.get("ainf")
+            if prev is None or prev.maxdeg < D:
+                table.caches["ainf"] = ainf
     return ainf
 
 
@@ -370,21 +418,27 @@ def pure_word(idx: EmzvIndexTuple) -> NCWord:
     return "".join("a" * k + "b" for k in reversed(idx))
 
 
-# The elimination plan of one degree: each composition in solve order with
-# its pure word and the other terms of its index monomial, negated.
+# The elimination plan of one block (degree, length): each composition in
+# solve order with its pure word and the other terms of its index monomial,
+# negated.
 _Plan = tuple[tuple[EmzvIndexTuple, NCWord, tuple[tuple[NCWord, int], ...]], ...]
 
-_plan_cache: dict[int, _Plan] = {}
+_plan_cache: dict[tuple[int, int], _Plan] = {}
 
 
-def _solve_plan(degree: int) -> _Plan:
-    """The compositions of the degree in decreasing reversed-lexicographic
-    order, against which the index monomials are unitriangular: each has
-    coefficient 1 on its own pure word.  Table-free, built once per degree."""
+def _solve_plan(degree: int, length: int) -> _Plan:
+    """The compositions of the degree with the given length in decreasing
+    reversed-lexicographic order, against which their index monomials are
+    unitriangular: each has coefficient 1 on its own pure word.  Every word
+    of such a monomial has exactly ``length`` letters b, so the plans of the
+    lengths of a degree are independent blocks of one elimination.
+    Table-free, built once per block."""
 
     def build() -> _Plan:
-        comps = sorted(compositions_of(degree), key=lambda j: tuple(reversed(j)), reverse=True)
-        words: dict[NCWord, NCWord] = {}  # one string per word of the degree
+        comps = sorted(
+            graded_words(length, degree - length), key=lambda j: tuple(reversed(j)), reverse=True
+        )
+        words: dict[NCWord, NCWord] = {}  # one string per word of the block
         plan = []
         for j in comps:
             pure = pure_word(j)
@@ -394,46 +448,60 @@ def _solve_plan(degree: int) -> _Plan:
             plan.append((j, words.setdefault(pure, pure), rest))
         return tuple(plan)
 
-    return memoized(_plan_cache, degree, build)
+    return memoized(_plan_cache, (degree, length), build)
 
 
 def triangular_index_solve(component: Mapping[NCWord, object], degree: int):
     """Solve component = sum_j x_j * monomial(j) over all compositions j.
 
-    Back-substitutes along the degree's elimination plan; the final
-    residual must vanish, otherwise the component does not lie in the span
-    of the monomials and ExtractionInconsistent is raised.  The monomials
-    are integral, so an integer vector solves in integers.  Only the
-    nonzero x_j are returned.
+    The words are split by their number of letters b, and each part is
+    back-substituted along the plan of its block (degree, that number);
+    a number of b's no word has walks no plan.  The final residuals must
+    vanish, otherwise the component does not lie in the span of the
+    monomials and ExtractionInconsistent is raised.  The monomials are
+    integral, so an integer vector solves in integers.  Only the nonzero
+    x_j are returned.
 
     Scalar values, all numbers or all CoeffElem, are pushed into the later
-    words term by term.  Container values (EPoly) are solved by
-    :func:`_combining_solve` through their class's ``combination``.
+    words term by term (:func:`_push_solve`).  Container values (EPoly)
+    are solved by :func:`_combining_solve` through their class's
+    ``combination``.
     """
     first = next(iter(component.values()), None)
     if isinstance(first, CoeffMap):
-        return _combining_solve(component, degree, type(first).combination)
-    times = getattr(type(first), "scale", operator.mul)  # numbers multiply
-    work = dict(component)
+        solve = functools.partial(_combining_solve, combine=type(first).combination)
+    else:  # numbers multiply
+        solve = functools.partial(_push_solve, times=getattr(type(first), "scale", operator.mul))
+    blocks: dict[int, dict[NCWord, object]] = {}
+    for w, v in component.items():
+        blocks.setdefault(w.count("b"), {})[w] = v
     out: dict[EmzvIndexTuple, object] = {}
-    for j, pure, rest in _solve_plan(degree):
+    leftovers: list[NCWord] = []
+    for n, work in sorted(blocks.items()):
+        leftovers += solve(work, _solve_plan(degree, n), out)
+    _check_residual(leftovers, degree)
+    return out
+
+
+def _push_solve(work: dict, plan: _Plan, out: dict, times) -> list[NCWord]:
+    """Each pivot x_j into out, pushed into the later words of work as
+    x_j * q with ``times``; returns the words left nonzero."""
+    for j, pure, rest in plan:
         x = work.pop(pure, None)
         if not x:
             continue
         out[j] = x
         accumulate(work, ((w, times(x, q)) for w, q in rest))
-    _check_residual([w for w, v in work.items() if v], degree)
-    return out
+    return [w for w, v in work.items() if v]
 
 
-def _combining_solve(component: Mapping[NCWord, object], degree: int, combine):
+def _combining_solve(work: dict, plan: _Plan, out: dict, combine) -> list[NCWord]:
     """The solve without pushing: each word collects its (q, x_j)
     contributions and combines them once, in ``combine`` (such as
     :meth:`EPoly.combination`), when the walk reaches it; its own component
     is added to that with +.  A push would re-merge the whole of a
     container's value each time.  Words that are no pivot are combined the
-    same way at the end, and a nonzero one is a residual."""
-    work = dict(component)
+    same way at the end, and the nonzero ones are returned."""
     pending: dict[NCWord, list] = {}  # word -> its (q, x_j) contributions
 
     def settle(w: NCWord):
@@ -443,16 +511,14 @@ def _combining_solve(component: Mapping[NCWord, object], degree: int, combine):
             x = s if x is None else x + s
         return x
 
-    out: dict[EmzvIndexTuple, object] = {}
-    for j, pure, rest in _solve_plan(degree):
+    for j, pure, rest in plan:
         x = settle(pure)
         if not x:
             continue
         out[j] = x
         for w, q in rest:
             pending.setdefault(w, []).append((q, x))
-    _check_residual([w for w in set(work) | set(pending) if settle(w)], degree)
-    return out
+    return [w for w in set(work) | set(pending) if settle(w)]
 
 
 def _check_residual(leftovers: list[NCWord], degree: int) -> None:

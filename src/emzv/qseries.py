@@ -17,7 +17,7 @@ convention used everywhere in this package.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .coeffring import (
     Cells,
@@ -25,12 +25,14 @@ from .coeffring import (
     CoeffMap,
     MzvTable,
     Slices,
+    SplitScalars,
     accumulate,
     build_slices,
     convolve,
     graded_slices,
     lincomb,
     normalise,
+    split_lincomb,
 )
 from .errors import FourierViolation
 
@@ -117,6 +119,19 @@ def qt_lincomb(
     """The linear combination sum c_i * f_i, truncated at the order, on the
     series' slices.  TableOverflow is raised as by :func:`coeffring.lincomb`."""
     cells = lincomb(((c, f.slices()) for c, f in pairs), order - 1, table)
+    return QTSeries._from_slices(order, normalise(cells, _q_power))
+
+
+def qt_split_lincomb(
+    scalars: SplitScalars,
+    series: Mapping[Any, Slices],
+    order: int,
+    table: MzvTable | None = None,
+) -> QTSeries:
+    """sum c_k * series[k], truncated at the order, with the scalars split
+    by coefficient monomial and the series given as slices
+    (:func:`coeffring.split_lincomb`)."""
+    cells = split_lincomb(scalars, series, order - 1, table)
     return QTSeries._from_slices(order, normalise(cells, _q_power))
 
 

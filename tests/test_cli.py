@@ -163,6 +163,20 @@ def test_usage_error_exit_code(capsys, tmp_path):
         assert err.startswith("TableOverflow") and need in err and "--mzv-table" in err
 
 
+def test_verify_refuses_a_degree_beyond_the_table_before_any_check(capsys, monkeypatch):
+    # the limit series at degree 10 needs weight 9: the same one line as
+    # dump-ainf, naming --mzv-table, and no check runs
+    import emzv.verify
+
+    code, out, _ = run_cli(capsys, "verify", "--degree", "9", "--only", "associator")
+    assert code == 0 and out.startswith("ok")
+    monkeypatch.setattr(emzv.verify, "run_checks", lambda *a, **k: pytest.fail("a check ran"))
+    code, out, err = run_cli(capsys, "verify", "--degree", "10")
+    assert code == 1 and not out
+    assert err == run_cli(capsys, "dump-ainf", "--degree", "10")[2]
+    assert err.startswith("TableOverflow") and "--mzv-table" in err and err.count("\n") == 1
+
+
 def test_table_guard_is_exact(capsys):
     # weight 8 but length 2: the constant sits at degree 10, needing weight 9
     code, _, err = run_cli(capsys, "gamma", "--index", "4,4")

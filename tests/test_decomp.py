@@ -29,7 +29,7 @@ from emzv.decomp import (
 from emzv.derlie import eps_derivation
 from emzv.eisalg import EPoly, eisenstein_qexp, epoly_mul, shuffle_words
 from emzv.errors import ExtractionInconsistent, ParseError, TableOverflow
-from emzv.ncalg import NCSeries, build_Ainf, triangular_index_solve
+from emzv.ncalg import NCSeries, build_Ainf, index_monomial, triangular_index_solve
 from emzv.qseries import QTSeries, qt_ddT, qt_mul
 from emzv.words import graded_words
 
@@ -354,6 +354,73 @@ def test_gseries_matches_per_degree_walk(table, max_len, max_wt):
     assert got.keys() == want.keys()
     for idx, poly in want.items():
         assert got[idx].coeffs == poly.coeffs, idx
+
+
+def _whole_degree_push_solve(component, degree):
+    """The EPoly solve as one push walk over every composition of the
+    degree, on EPoly's scale and +: no per-block plan and no combination."""
+    work = dict(component)
+    out = {}
+    comps = sorted(
+        (j for n in range(degree + 1) for j in graded_words(n, degree - n)),
+        key=lambda j: tuple(reversed(j)),
+        reverse=True,
+    )
+    for j in comps:
+        pure = "".join("a" * k + "b" for k in reversed(j))
+        x = work.pop(pure, None)
+        if not x:
+            continue
+        out[j] = x
+        for w, q in index_monomial(j).items():
+            if w != pure:
+                s = work.get(w, EPoly.zero()) + x.scale(-q)
+                if s:
+                    work[w] = s
+                else:
+                    work.pop(w, None)
+    if any(work.values()):
+        raise ExtractionInconsistent(f"residual on {sorted(work)[:4]}")
+    return out
+
+
+def _full_series_gseries(max_len, max_wt, table):
+    """The route on the full limit series, each block solved by the
+    whole-degree push walk: the reference of the cut build, the per-block
+    plans and the one-pass combination."""
+    by_block = {}
+    for idx in indices_upto(max_len, max_wt):
+        if idx:
+            by_block.setdefault((sum(idx) + len(idx), len(idx)), []).append(idx)
+    out = {(): EPoly.constant(1)}
+    if not by_block:
+        return out
+    images = _eps_word_images(build_Ainf(max(d for d, _ in by_block), table), by_block)
+    for (d, n), indices in sorted(by_block.items()):
+        solved = _whole_degree_push_solve(_gseries_component(images.pop((d, n))), d)
+        for idx in indices:
+            val = solved.get(idx) or EPoly.zero()
+            out[idx] = val if n % 2 == 0 else -val
+    return out
+
+
+@pytest.mark.parametrize(
+    "max_len, max_wt",
+    [(4, 5), (3, 5), (2, 7), (3, 6), (5, 2), (1, 6), (9, 0), (1, 1), (2, 2)],
+)
+def test_gseries_matches_the_full_series_route(max_len, max_wt):
+    # each on its own fresh table, so that neither serves the other's
+    # limit series from the cache; key order included
+    fresh = loads_mzv_table(dump_mzv_table(shipped_table()))
+    got = gseries_decompose(max_len, max_wt, fresh)
+    top = max(sum(i) + len(i) for i in indices_upto(max_len, max_wt))
+    # a range shorter than its top degree reads a cut series, not cached
+    assert ("ainf" in fresh.caches) == (max_len >= top)
+    assert max(map(len, fresh.caches["reg"])) <= max_len
+    want = _full_series_gseries(max_len, max_wt, loads_mzv_table(dump_mzv_table(shipped_table())))
+    assert list(got) == list(want)
+    for idx, poly in want.items():
+        assert got[idx] == poly and got[idx].coeffs == poly.coeffs, idx
 
 
 def test_gseries_component_matches_the_validating_constructors(table):

@@ -262,6 +262,31 @@ def test_epoly_to_qexp_drops_cancelled_coefficients():
     assert epoly_to_qexp(x, 1).is_zero()
 
 
+def test_epoly_to_qexp_builds_no_coefficient(monkeypatch):
+    # the polynomial's slices are the combination's scalars as they are: no
+    # container's coefficients are built, cold integrals or warm
+    from emzv import coeffring, eisalg, ncalg, qseries
+    from emzv.decomp import decompose
+
+    calls = []
+    real = coeffring.build_slices
+    for module in (coeffring, eisalg, ncalg, qseries):
+        monkeypatch.setattr(module, "build_slices", lambda s: calls.append(1) or real(s))
+    table = shipped_table()
+    polys = [shuffle_words(u, v) for u in ((0,), (2, 4)) for v in ((4,), (0, 6))]
+    polys += [decompose(idx, table).epoly for idx in ((0, 1, 0, 0), (2, 0, 1), (3, 0))]
+    calls.clear()
+    for x in polys:
+        for order in (3, 9):
+            _iei_cache.clear()
+            cold = epoly_to_qexp(x, order)
+            assert epoly_to_qexp(x, order) == cold
+    assert calls == []
+    for x in polys:  # the per-term reference, which reads items(), builds them
+        assert epoly_to_qexp(x, 9) == reference_epoly_to_qexp(x, 9)
+    assert calls
+
+
 def _reference_antider(f):
     """The per-term back-substitution that the integer one in qseries replaced."""
     acc = {}

@@ -286,6 +286,57 @@ def test_ainf_components_do_not_depend_on_the_build_degree():
         assert build_Ainf(d, fresh_table()).coeffs == big.truncate(d).coeffs, d
 
 
+def test_cut_build_is_the_full_build_without_its_longer_b_words():
+    # every D <= 9 and 1 <= B <= D, each on a fresh table: the cut build
+    # keeps exactly the full build's words with at most B letters b, on
+    # every monomial, reads no binary word longer than B and is not cached
+    # (B = D cuts nothing: that is the full build, which is)
+    for D in range(1, 10):
+        full = build_Ainf(D, fresh_table())
+        for B in range(1, D + 1):
+            t = fresh_table()
+            cut = build_Ainf(D, t, max_b=B)
+            want = {w: c for w, c in full.coeffs.items() if w.count("b") <= B}
+            assert cut.maxdeg == D and cut.coeffs == want, (D, B)
+            assert cut == NCSeries(D, want), (D, B)
+            assert max(map(len, t.caches["reg"]), default=0) <= B, (D, B)
+            assert ("ainf" in t.caches) == (B == D), (D, B)
+
+
+def test_cut_build_reads_fewer_regularized_values(monkeypatch):
+    import emzv.ncalg as ncalg
+
+    reads = []
+    real = ncalg.shuffle_regularize
+    monkeypatch.setattr(ncalg, "shuffle_regularize", lambda w, t: reads.append(w) or real(w, t))
+    for B, want in ((4, 30), (None, 142)):
+        reads.clear()
+        build_Ainf(9, fresh_table(), max_b=B)
+        assert len(reads) == want, B
+    with pytest.raises(ValueError):
+        build_Ainf(3, fresh_table(), max_b=-1)
+
+
+def test_cached_full_build_serves_a_cut_request(monkeypatch):
+    import emzv.ncalg as ncalg
+
+    t = fresh_table()
+    full = build_Ainf(9, t)
+    for name in ("build_phi", "nc_mul", "nc_exp", "nc_inv"):
+        monkeypatch.setattr(ncalg, name, lambda *a, **k: pytest.fail("built again"))
+    for D, B in ((9, 4), (8, 3), (5, 1), (3, 7)):
+        want = {w: c for w, c in full.truncate(D).coeffs.items() if w.count("b") <= B}
+        assert build_Ainf(D, t, max_b=B).coeffs == want, (D, B)
+    assert t.caches["ainf"] is full
+
+
+def test_cut_build_keeps_the_degree_guard():
+    # the cut build reads only values of weight <= max_b, but the guard is
+    # the full build's: degree 10 needs weight 9 on the weight-8 table
+    with pytest.raises(TableOverflow, match="needs a table of weight >= 9"):
+        build_Ainf(10, fresh_table(), max_b=2)
+
+
 def test_extract_gamma_agrees_across_build_degrees():
     # one table whose limit series was first built at degree 9, against a
     # fresh table per degree that builds it at the index's own degree
@@ -372,12 +423,38 @@ def reference_triangular_index_solve(component, degree):
     return out
 
 
+def whole_degree_plan(degree):
+    """The elimination plan of a whole degree, as one walk over every
+    composition; the reference of the per-block plans."""
+    comps = sorted(compositions_of(degree), key=lambda j: tuple(reversed(j)), reverse=True)
+    plan = []
+    for j in comps:
+        pure = pure_word(j)
+        rest = tuple((w, -q) for w, q in index_monomial(j).items() if w != pure)
+        plan.append((j, pure, rest))
+    return tuple(plan)
+
+
+def test_block_plans_are_the_whole_degree_plan():
+    # each length's plan is the whole-degree plan restricted to that length,
+    # in its order, and the blocks of a degree together are the whole plan
+    for degree in range(0, 11):
+        whole = whole_degree_plan(degree)
+        blocks = {n: _solve_plan(degree, n) for n in range(degree + 2)}
+        for n, plan in blocks.items():
+            assert plan == tuple(step for step in whole if len(step[0]) == n), (degree, n)
+            for j, pure, rest in plan:
+                assert all(w.count("b") == n for w in [pure] + [w for w, _ in rest])
+        assert sum(len(p) for p in blocks.values()) == len(whole) == 2 ** max(degree - 1, 0)
+
+
 def push_triangular_index_solve(component, degree):
     """The solve as it pushed every pivot into the later words, one +
-    per (pivot, word); the reference of the once-per-word combination."""
+    per (pivot, word), along the whole-degree plan; the reference of the
+    once-per-word combination and of the per-block walk."""
     work = dict(component)
     out = {}
-    for j, pure, rest in _solve_plan(degree):
+    for j, pure, rest in whole_degree_plan(degree):
         x = work.pop(pure, None)
         if not x:
             continue

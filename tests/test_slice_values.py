@@ -29,6 +29,8 @@ from emzv.coeffring import (
     lincomb,
     loads_mzv_table,
     memoized,
+    normalise,
+    rational_lincomb,
     shipped_table,
 )
 from emzv.decomp import decompose, diffeq_expand, find_emzv_relations
@@ -534,6 +536,54 @@ def test_epoly_prepend_matches_coefficients(x, letter):
     got, want = x.prepend(letter), reference_prepend(x, letter)
     assert_same_value(got, want)
     assert_same_value(got.prepend(0), reference_prepend(want, 0))
+
+
+def reference_rational_lincomb(pairs):
+    """The two-pass combination that the one-pass rational_lincomb
+    replaced: cells per (monomial, den * b), then normalise, which lifts
+    them over their lcm and regrades every term."""
+    cells = {}
+    for q, slices in pairs:
+        a, b = q.as_integer_ratio()
+        for mono, (den, buckets) in slices.items():
+            cell = cells.setdefault(mono, {}).setdefault(den * b, {})
+            for _, terms in buckets:
+                for k, n in terms:
+                    cell[k] = cell.get(k, 0) + a * n
+    return normalise(cells, len)
+
+
+def _slice_form(slices):
+    """Slices with each bucket's terms as a dict: equal exactly when the
+    denominators, the grades and every numerator agree."""
+    return {mono: (den, [(g, dict(t)) for g, t in buckets]) for mono, (den, buckets) in slices.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.one_of(_RATIONAL, st.integers(-7, 7)), _epoly()), max_size=5),
+    st.sampled_from(["none", "all", "first"]),
+)
+def test_one_pass_rational_lincomb_matches_normalised_cells(pairs, cancel):
+    # cancellation: every pair again with -q (the sum is zero), or the first
+    # pair's value again with -q (a part of the sum cancels)
+    if cancel == "all":
+        pairs = pairs + [(-q, x) for q, x in pairs]
+    elif cancel == "first" and pairs:
+        q, x = pairs[0]
+        pairs = pairs + [(-q, x + EPoly.zero())]
+    sliced = [(q, x.slices()) for q, x in pairs]
+    got = rational_lincomb(sliced)
+    assert _slice_form(got) == _slice_form(reference_rational_lincomb(sliced))
+    assert _is_reduced(got)
+    for den, buckets in got.values():
+        assert buckets and all(t and all(len(k) == g and n for k, n in t) for g, t in buckets)
+    if cancel == "all":
+        assert got == {}
+    want = EPoly.zero()
+    for q, x in pairs:
+        want = reference_add(want, reference_scale(x, q))
+    assert_same_value(EPoly.combination(pairs), want)
 
 
 # ---------------------------------------------------------------------------
