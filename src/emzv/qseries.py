@@ -17,7 +17,7 @@ convention used everywhere in this package.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .coeffring import (
     Cells,
@@ -30,7 +30,7 @@ from .coeffring import (
     build_slices,
     convolve,
     graded_slices,
-    lincomb,
+    integer_slices,
     normalise,
     split_lincomb,
 )
@@ -117,20 +117,22 @@ def qt_lincomb(
     pairs: Iterable[tuple[CoeffElem, QTSeries]], order: int, table: MzvTable | None = None
 ) -> QTSeries:
     """The linear combination sum c_i * f_i, truncated at the order, on the
-    series' slices.  TableOverflow is raised as by :func:`coeffring.lincomb`."""
-    cells = lincomb(((c, f.slices()) for c, f in pairs), order - 1, table)
-    return QTSeries._from_slices(order, normalise(cells, _q_power))
+    series' slices: :func:`qt_split_lincomb` on the scalars split by
+    :func:`coeffring.integer_slices`."""
+    pairs = list(pairs)
+    scalars = integer_slices(enumerate(c for c, _ in pairs))
+    return qt_split_lincomb(scalars, [f.slices() for _, f in pairs], order, table)
 
 
 def qt_split_lincomb(
     scalars: SplitScalars,
-    series: Mapping[Any, Slices],
+    series: Mapping[Any, Slices] | Sequence[Slices],
     order: int,
     table: MzvTable | None = None,
 ) -> QTSeries:
     """sum c_k * series[k], truncated at the order, with the scalars split
-    by coefficient monomial and the series given as slices
-    (:func:`coeffring.split_lincomb`)."""
+    by coefficient monomial and the series given as slices.  TableOverflow
+    is raised as by :func:`coeffring.split_lincomb`."""
     cells = split_lincomb(scalars, series, order - 1, table)
     return QTSeries._from_slices(order, normalise(cells, _q_power))
 

@@ -177,6 +177,14 @@ def test_verify_refuses_a_degree_beyond_the_table_before_any_check(capsys, monke
     assert err.startswith("TableOverflow") and "--mzv-table" in err and err.count("\n") == 1
 
 
+def test_verify_checks_the_degree_only_for_the_check_that_reads_it(capsys):
+    # only criterion-10-associator builds the limit series at --degree
+    code, out, err = run_cli(capsys, "verify", "--degree", "10", "--only", "bernoulli")
+    assert code == 0 and out.split()[:2] == ["ok", "bernoulli"] and not err
+    code, out, err = run_cli(capsys, "verify", "--degree", "10", "--only", "associator")
+    assert code == 1 and not out and err.startswith("TableOverflow")
+
+
 def test_table_guard_is_exact(capsys):
     # weight 8 but length 2: the constant sits at degree 10, needing weight 9
     code, _, err = run_cli(capsys, "gamma", "--index", "4,4")
