@@ -20,7 +20,7 @@ the CLI accepts; the verification suite exercises the closed-form layers
 beyond it.  A length-1 index reads no table, but its constant needs the
 Bernoulli number of its entry, whose recurrence costs about the cube of
 the entry: an even entry above ``LENGTH1_BUDGET`` is refused unless
-``--no-cost-guard`` is given.
+``--no-cost-guard`` is given; ``relations`` applies both rules too.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("fourier-check", "membership"):
         p[name].add_argument("--index")
         p[name].add_argument("--epoly", metavar="JSON")
-    for name in ("decompose", "qexp", "gamma", "fourier-check", "membership"):
+    for name in ("decompose", "qexp", "gamma", "relations", "fourier-check", "membership"):
         p[name].add_argument(
             "--no-cost-guard",
             action="store_true",
@@ -180,6 +180,19 @@ def _require_limit_series(degree: int, table: MzvTable) -> None:
     )
 
 
+def _guard_cost(what: str, idx: tuple[int, ...], ns: argparse.Namespace, table: MzvTable) -> None:
+    """The table cap for an index of length >= 2, the Bernoulli budget for
+    length 1: lengths 0 and 1 have closed-form constants and read no table."""
+    if len(idx) >= 2:
+        _require_table_weight(what, required_table_weight(idx), table)
+    elif idx and idx[0] % 2 == 0 and idx[0] > LENGTH1_BUDGET and not ns.no_cost_guard:
+        # pi * B_k / k!: only an even k reads a Bernoulli number
+        raise ValueError(
+            f"{what} needs B_{idx[0]}, beyond the budget of even entries "
+            f"≤ {LENGTH1_BUDGET} for a length-1 index; pass `--no-cost-guard` to compute it"
+        )
+
+
 def _guarded_index(ns: argparse.Namespace, table: MzvTable) -> tuple[int, ...]:
     try:
         idx = parse_index(ns.index)
@@ -188,14 +201,7 @@ def _guarded_index(ns: argparse.Namespace, table: MzvTable) -> tuple[int, ...]:
             f"bad --index {ns.index!r}: pass nonnegative integers separated "
             "by commas, e.g. --index 0,1,0,0"
         ) from None
-    if len(idx) >= 2:  # lengths 0 and 1 have closed-form constants and read no table
-        _require_table_weight(f"index {format_index(idx)}", required_table_weight(idx), table)
-    elif idx and idx[0] % 2 == 0 and idx[0] > LENGTH1_BUDGET and not ns.no_cost_guard:
-        # pi * B_k / k!: only an even k reads a Bernoulli number
-        raise ValueError(
-            f"index {idx[0]} needs B_{idx[0]}, beyond the budget of even entries "
-            f"≤ {LENGTH1_BUDGET} for a length-1 index; pass `--no-cost-guard` to compute it"
-        )
+    _guard_cost(f"index {format_index(idx)}", idx, ns, table)
     return idx
 
 
@@ -270,13 +276,9 @@ def _cmd_relations(ns: argparse.Namespace) -> int:
     if ns.weight < 0:
         raise ValueError(f"bad --weight {ns.weight}: the weight must be ≥ 0")
     table = _load_table(ns)
-    if ns.length:
-        # every index of this length and weight needs the same table weight
-        _require_table_weight(
-            f"each index of length {ns.length} and weight {ns.weight}",
-            required_table_weight((ns.weight,) + (0,) * (ns.length - 1)),
-            table,
-        )
+    # every index of this length and weight costs what its first one does
+    first = (ns.weight,) + (0,) * (ns.length - 1) if ns.length else ()
+    _guard_cost(f"each index of length {ns.length} and weight {ns.weight}", first, ns, table)
     indices = graded_words(ns.length, ns.weight)
     vectors = find_emzv_relations(indices, table)
     doc = {

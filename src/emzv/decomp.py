@@ -17,9 +17,10 @@ an :class:`~emzv.eisalg.EPoly`.
 route: it applies the normalized derivation words to the limit series and
 re-extracts index coefficients, exercising the derivation algebra and the
 associator instead of the length recursion.  It makes one pass over the
-pieces of the series homogeneous in word degree, number of letters b and
-coefficient monomial, pushing each through the integer derivations only
-toward the (degree, length) blocks of the requested indices.
+pieces of the series, one per coefficient monomial and word degree; the
+series is homogeneous, so a piece's words have as many letters b as its
+monomial's weight.  Each piece is pushed through the integer derivations
+only toward the (degree, length) blocks of the requested indices.
 """
 
 from __future__ import annotations
@@ -282,13 +283,14 @@ def gseries_decompose(
 
     The system splits into independent blocks (index degree d, index
     length n): every word of an index monomial of length n has n letters
-    b, and every eps_{2k} adds exactly one b.  Only the blocks of the
-    range's indices are computed and solved, each against the unchanged
-    residual check; a block no requested index reads is not built, so it
-    is not checked either (``extract_gamma`` still checks every degree of
-    the limit series whole).  The limit series is built only up to the
-    range's longest length in letters b (``build_Ainf``'s ``max_b``), and
-    each block is solved along its own elimination plan.
+    b, a limit-series term has as many b's as its monomial's weight, and
+    every eps_{2k} adds exactly one b.  Only the blocks of the range's
+    indices are computed and solved, each along its own elimination plan
+    and against the unchanged residual check; a block no requested index
+    reads is not built, so it is not checked either (``extract_gamma``
+    still checks every degree of the limit series).  The limit series is
+    built only up to the range's longest length in monomial weight
+    (``build_Ainf``'s ``max_b``).
     """
     by_block: dict[Block, list[EmzvIndex]] = {}
     for idx in indices_upto(max_len, max_wt):
@@ -297,12 +299,11 @@ def gseries_decompose(
     out: dict[EmzvIndex, EPoly] = {(): EPoly.constant(1)}
     if not by_block:
         return out
-    # a piece with more b's than the longest index reaches no block
+    # a monomial heavier than the longest index reaches no block
     ainf = build_Ainf(max(d for d, _ in by_block), table, max_b=max(n for _, n in by_block))
-    images = _eps_word_images(ainf, by_block)
+    images = _eps_word_images(ainf, by_block, table)
     for (d, n), indices in sorted(by_block.items()):
-        # every word of the block has n b's: the solve walks the plan of (d, n) only
-        solved = triangular_index_solve(_gseries_component(images.pop((d, n))), d)
+        solved = triangular_index_solve(_gseries_component(images.pop((d, n))), d, n)
         for idx in indices:
             val = solved.get(idx) or EPoly.zero()
             out[idx] = val if n % 2 == 0 else -val
@@ -317,20 +318,22 @@ _EpsImage = tuple[EWord, MzvMonomial, Fraction, dict[str, int]]
 Block = tuple[int, int]
 
 
-def _eps_word_images(ainf: NCSeries, blocks: Collection[Block]) -> dict[Block, list[_EpsImage]]:
+def _eps_word_images(
+    ainf: NCSeries, blocks: Collection[Block], table: MzvTable
+) -> dict[Block, list[_EpsImage]]:
     """Every eps~_w applied to the pieces of the limit series, kept where it
     lands in a requested block.
 
     A piece is one degree bucket m of the series' integer slices on a
-    coefficient monomial mu (``NCSeries.slices``), split by the number of
-    letters b of its words.  Its integer vector is pushed through the
-    integer derivations eps_{2k}, each image a sum of the memoized images
-    of single words (:func:`derlie.eps_apply`); each raises the degree by
-    exactly 2k and the number of b's by exactly one, so a piece or image
-    at (degree, b's) is pushed on only while some block is still reachable
-    from there, and kept only when it lands in a block.  The eps~
-    normalisation and the slice's denominator are carried as one rational
-    factor per (e-word, monomial).
+    coefficient monomial mu (``NCSeries.slices``); by homogeneity its words
+    have as many letters b as mu's weight.  Its integer vector is pushed
+    through the integer derivations eps_{2k}, each image a sum of the
+    memoized images of single words (:func:`derlie.eps_apply`); each raises
+    the degree by exactly 2k and the number of b's by exactly one, so a
+    piece or image at (degree, b's) is pushed on only while some block is
+    still reachable from there, and kept only when it lands in a block.
+    The eps~ normalisation and the slice's denominator are carried as one
+    rational factor per (e-word, monomial).
     """
     top = max(d for d, _ in blocks)
     ops = [(k2, eps_tilde_scale(k2)) for k2 in range(0, top, 2)]
@@ -343,13 +346,12 @@ def _eps_word_images(ainf: NCSeries, blocks: Collection[Block]) -> dict[Block, l
         )
 
     for mono, (den, buckets) in ainf.slices().items():
+        weight = mono.weight(table.symbols)
         for m, terms in buckets:
-            if m == 0:
-                continue  # every derivation kills the constant 1
-            pieces: dict[int, dict[str, int]] = {}
-            for w, n in terms:
-                pieces.setdefault(w.count("b"), {})[w] = n
-            stack = [(m, nb, (), Fraction(1, den), v) for nb, v in pieces.items() if reaches(m, nb)]
+            # every derivation kills the constant 1
+            if m == 0 or not reaches(m, weight):
+                continue
+            stack = [(m, weight, (), Fraction(1, den), dict(terms))]
             while stack:
                 deg, nb, eword, factor, v = stack.pop()
                 if (deg, nb) in images:

@@ -326,34 +326,28 @@ def required_table_weight(idx: Iterable[int]) -> int:
     return index_degree(idx) - 1
 
 
-def _keep_b(s: NCSeries, max_b: int | None) -> NCSeries:
-    """The words of s with at most max_b letters b (all of them for None),
-    each term kept as it is; a bucket of degree <= max_b is kept whole."""
+def _keep_b(s: NCSeries, max_b: int | None, table: MzvTable) -> NCSeries:
+    """The slices of s on coefficient monomials of weight at most max_b (all
+    of them for None), kept whole: on a homogeneous series (:func:`build_Ainf`)
+    its words with at most max_b letters b."""
     if max_b is None:
         return s
-    out: Slices = {}
-    for mono, (den, buckets) in s.slices().items():
-        kept = []
-        for g, terms in buckets:
-            if g > max_b:
-                terms = [(w, n) for w, n in terms if w.count("b") <= max_b]
-            if terms:
-                kept.append((g, terms))
-        if kept:
-            out[mono] = (den, kept)
-    return NCSeries._from_slices(s.maxdeg, out)
+    return NCSeries._from_slices(
+        s.maxdeg,
+        {mono: sl for mono, sl in s.slices().items() if mono.weight(table.symbols) <= max_b},
+    )
 
 
 def build_Ainf(maxdeg: int, table: MzvTable, max_b: int | None = None) -> NCSeries:
     """Limit of the generating series at the cusp, built from the associator.
 
-    With max_b, only the words with at most max_b letters b are built.
-    Every word of t and of ytilde has exactly one b, so a walk word of
-    Phi(ytilde, t) with l letters has exactly l b's, and products add
-    b-counts: the walk of :func:`build_phi` stops at max_b letters, and
-    the results of the unchanged ``nc_exp``, ``nc_inv`` and ``nc_mul`` are
-    cut to max_b b's (:func:`_keep_b`).  A max_b of at least maxdeg cuts
-    nothing.
+    The series is homogeneous: a term's number of letters b is its
+    coefficient monomial's weight.  Each word of t and of ytilde has one b
+    (and one pi in the exponentials), a walk word of Phi(ytilde, t) with l
+    letters a value of weight l on words with l b's, and products add both.
+    With max_b, only the monomials of weight at most max_b are built: the
+    walk of :func:`build_phi` stops at max_b letters, and the unchanged
+    ``nc_exp``, ``nc_inv`` and ``nc_mul`` are cut by :func:`_keep_b`.
 
     The full build is cached on the table in one slot holding the largest
     build, stored under MEMO_LOCK; smaller requests, cut ones included, are
@@ -369,7 +363,7 @@ def build_Ainf(maxdeg: int, table: MzvTable, max_b: int | None = None) -> NCSeri
             max_b = None
     cached: NCSeries | None = table.caches.get("ainf")
     if cached is not None and cached.maxdeg >= maxdeg:
-        return _keep_b(cached.truncate(maxdeg), max_b)
+        return _keep_b(cached.truncate(maxdeg), max_b, table)
 
     need = required_table_weight((0,) * maxdeg)  # same for every index at this degree
     if need > table.max_weight:
@@ -382,13 +376,13 @@ def build_Ainf(maxdeg: int, table: MzvTable, max_b: int | None = None) -> NCSeri
     ytilde = build_ytilde(D)
     phi = build_phi(ytilde, t, D, table, max_b)
     # Phi and its inverse carry zeta symbols: their products need the table
-    phi_inv = _keep_b(nc_inv(phi, table), max_b)
+    phi_inv = _keep_b(nc_inv(phi, table), max_b, table)
     half_pi = CoeffElem.pi_pow(1, Fraction(1, 2))  # pi*i = (2*pi*i)/2
-    exp_pit = _keep_b(nc_exp(t.scale(half_pi), table), max_b)
-    exp_piy = _keep_b(nc_exp(ytilde.scale(CoeffElem.pi_pow(1)), table), max_b)
+    exp_pit = _keep_b(nc_exp(t.scale(half_pi), table), max_b, table)
+    exp_piy = _keep_b(nc_exp(ytilde.scale(CoeffElem.pi_pow(1)), table), max_b, table)
     ainf = exp_pit
     for factor in (phi, exp_piy, phi_inv):
-        ainf = _keep_b(nc_mul(ainf, factor, table), max_b)
+        ainf = _keep_b(nc_mul(ainf, factor, table), max_b, table)
     if max_b is None:
         with MEMO_LOCK:
             prev: NCSeries | None = table.caches.get("ainf")
@@ -451,16 +445,14 @@ def _solve_plan(degree: int, length: int) -> _Plan:
     return memoized(_plan_cache, (degree, length), build)
 
 
-def triangular_index_solve(component: Mapping[NCWord, object], degree: int):
-    """Solve component = sum_j x_j * monomial(j) over all compositions j.
+def triangular_index_solve(component: Mapping[NCWord, object], degree: int, length: int):
+    """Solve component = sum_j x_j * monomial(j) over the compositions j of
+    the block (degree, length).
 
-    The words are split by their number of letters b, and each part is
-    back-substituted along the plan of its block (degree, that number);
-    a number of b's no word has walks no plan.  The final residuals must
-    vanish, otherwise the component does not lie in the span of the
-    monomials and ExtractionInconsistent is raised.  The monomials are
-    integral, so an integer vector solves in integers.  Only the nonzero
-    x_j are returned.
+    The words are back-substituted along the block's plan.  The final
+    residuals, any word outside the block included, must vanish, otherwise
+    ExtractionInconsistent is raised.  The monomials are integral, so an
+    integer vector solves in integers.  Only the nonzero x_j are returned.
 
     Scalar values, all numbers or all CoeffElem, are pushed into the later
     words term by term (:func:`_push_solve`).  Container values (EPoly)
@@ -472,14 +464,13 @@ def triangular_index_solve(component: Mapping[NCWord, object], degree: int):
         solve = functools.partial(_combining_solve, combine=type(first).combination)
     else:  # numbers multiply
         solve = functools.partial(_push_solve, times=getattr(type(first), "scale", operator.mul))
-    blocks: dict[int, dict[NCWord, object]] = {}
-    for w, v in component.items():
-        blocks.setdefault(w.count("b"), {})[w] = v
     out: dict[EmzvIndexTuple, object] = {}
-    leftovers: list[NCWord] = []
-    for n, work in sorted(blocks.items()):
-        leftovers += solve(work, _solve_plan(degree, n), out)
-    _check_residual(leftovers, degree)
+    leftovers = solve(dict(component), _solve_plan(degree, length), out)
+    if leftovers:
+        raise ExtractionInconsistent(
+            f"degree-{degree} residual outside the span of the length-{length} "
+            f"index monomials on words {sorted(leftovers)[:4]}"
+        )
     return out
 
 
@@ -521,14 +512,6 @@ def _combining_solve(work: dict, plan: _Plan, out: dict, combine) -> list[NCWord
     return [w for w in set(work) | set(pending) if settle(w)]
 
 
-def _check_residual(leftovers: list[NCWord], degree: int) -> None:
-    if leftovers:
-        raise ExtractionInconsistent(
-            f"degree-{degree} residual outside the index-monomial span on "
-            f"words {sorted(leftovers)[:4]}"
-        )
-
-
 def extract_gamma(idx: Iterable[int], table: MzvTable) -> CoeffElem:
     """Constant gamma_{k_1..k_n}: coefficient extraction from the limit series.
 
@@ -536,8 +519,9 @@ def extract_gamma(idx: Iterable[int], table: MzvTable) -> CoeffElem:
     build_Ainf(d, table); that component does not depend on the degree the
     series was built at, so one solve serves every build.  The component is
     the degree-d bucket of each coefficient monomial's slice, an integer
-    word vector over one denominator; each is solved in integers, and each
-    constant is built once from its numerators.
+    word vector over one denominator; by homogeneity its words have w
+    letters b on a monomial of weight w, so it is solved in integers as the
+    block (d, w).  Each constant is built once from its numerators.
     """
     index = make_word(idx)
     d = index_degree(index)
@@ -547,7 +531,8 @@ def extract_gamma(idx: Iterable[int], table: MzvTable) -> CoeffElem:
         for mono, (den, buckets) in build_Ainf(max(d, 1), table).slices().items():
             for g, terms in buckets:
                 if g == d:
-                    for j, n in triangular_index_solve(dict(terms), d).items():
+                    block = triangular_index_solve(dict(terms), d, mono.weight(table.symbols))
+                    for j, n in block.items():
                         cells.setdefault(j, {})[mono] = Fraction(n, den)
         return build_coeffs(cells)
 

@@ -29,7 +29,7 @@ from emzv.decomp import (
 from emzv.derlie import eps_derivation
 from emzv.eisalg import EPoly, eisenstein_qexp, epoly_mul, shuffle_words
 from emzv.errors import ExtractionInconsistent, ParseError, TableOverflow
-from emzv.ncalg import NCSeries, build_Ainf, index_monomial, triangular_index_solve
+from emzv.ncalg import NCSeries, build_Ainf, compositions_of, index_monomial
 from emzv.qseries import QTSeries, qt_ddT, qt_mul
 from emzv.words import graded_words
 
@@ -323,11 +323,12 @@ def _reference_solve_degree(ainf, d):
             image = _reference_apply(op, series)
             if not image.is_zero():
                 stack.append(((k2,) + eword, image))
-    # solved e-word by e-word on CoeffElem values, so that no EPoly
-    # arithmetic enters the reference
+    # solved e-word by e-word on CoeffElem values by the whole-degree walk,
+    # so that neither EPoly arithmetic nor the production solve enters the
+    # reference
     solved = {}
     for eword, component in by_eword.items():
-        for j, c in triangular_index_solve(component, d).items():
+        for j, c in _whole_degree_push_solve(component, d).items():
             solved.setdefault(j, {})[eword] = c
     return {j: EPoly(coeffs) for j, coeffs in solved.items()}
 
@@ -357,8 +358,9 @@ def test_gseries_matches_per_degree_walk(table, max_len, max_wt):
 
 
 def _whole_degree_push_solve(component, degree):
-    """The EPoly solve as one push walk over every composition of the
-    degree, on EPoly's scale and +: no per-block plan and no combination."""
+    """The solve as one push walk over every composition of the degree, on
+    the values' own scale and + (EPoly or CoeffElem): no per-block plan and
+    no combination."""
     work = dict(component)
     out = {}
     comps = sorted(
@@ -374,7 +376,7 @@ def _whole_degree_push_solve(component, degree):
         out[j] = x
         for w, q in index_monomial(j).items():
             if w != pure:
-                s = work.get(w, EPoly.zero()) + x.scale(-q)
+                s = x.scale(-q) if w not in work else work[w] + x.scale(-q)
                 if s:
                     work[w] = s
                 else:
@@ -395,7 +397,7 @@ def _full_series_gseries(max_len, max_wt, table):
     out = {(): EPoly.constant(1)}
     if not by_block:
         return out
-    images = _eps_word_images(build_Ainf(max(d for d, _ in by_block), table), by_block)
+    images = _eps_word_images(build_Ainf(max(d for d, _ in by_block), table), by_block, table)
     for (d, n), indices in sorted(by_block.items()):
         solved = _whole_degree_push_solve(_gseries_component(images.pop((d, n))), d)
         for idx in indices:
@@ -426,7 +428,7 @@ def test_gseries_matches_the_full_series_route(max_len, max_wt):
 def test_gseries_component_matches_the_validating_constructors(table):
     d = 7
     blocks = [(d, n) for n in range(1, d + 1)]
-    images = _eps_word_images(build_Ainf(d, table), blocks)
+    images = _eps_word_images(build_Ainf(d, table), blocks, table)
     assert images.keys() == set(blocks)
     for n in range(1, d + 1):
         want = {}
@@ -485,6 +487,17 @@ def test_find_relations_reflection(table):
     assert len(vecs) == 1
     a, b = vecs[0]
     assert a == -b and a != 0
+
+
+def test_reflection_on_every_index_up_to_degree_nine(table):
+    # psi(k_1, ..., k_n) = (-1)^(k_1 + ... + k_n) psi(k_n, ..., k_1): the
+    # reversal symmetry of A-elliptic MZVs, on words and constants together
+    indices = [j for d in range(10) for j in compositions_of(d)]
+    assert len(indices) == 2**9
+    for idx in indices:
+        psi = decompose(idx, table).epoly
+        mirror = decompose(idx[::-1], table).epoly
+        assert psi == (-mirror if sum(idx) % 2 else mirror), idx
 
 
 def test_find_relations_odd_vanishing(table):

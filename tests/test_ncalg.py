@@ -41,6 +41,7 @@ from emzv.ncalg import (
     _solve_plan,
     triangular_index_solve,
 )
+from emzv.words import graded_words
 
 F = Fraction
 
@@ -259,9 +260,16 @@ def test_gamma_length_two_closed_form(table):
 
 
 def test_extraction_residual_detected():
-    # "aa" is not in the span of the degree-2 index monomials ab - ba and bb
-    with pytest.raises(ExtractionInconsistent):
-        triangular_index_solve({"aa": 1}, 2)
+    # "aa" is not in the span of the degree-2 index monomials ab - ba and bb,
+    # whichever block is asked for
+    for length in range(4):
+        with pytest.raises(ExtractionInconsistent, match="degree-2 residual"):
+            triangular_index_solve({"aa": 1}, 2, length)
+    # bb is the monomial of (0, 0), in the block (2, 2): the block (2, 1)
+    # has no pivot for it, so it stays behind as a residual
+    with pytest.raises(ExtractionInconsistent, match="length-1 index monomials on words"):
+        triangular_index_solve({"bb": 1}, 2, 1)
+    assert triangular_index_solve({"bb": 1}, 2, 2) == {(0, 0): 1}
 
 
 def fresh_table():
@@ -363,18 +371,19 @@ def test_triangular_solve_recovers_random_combinations():
         )
 
     for degree in range(1, 10):
-        comps = compositions_of(degree)
-        for _ in range(4):
-            want = {j: rng.randint(-9, 9) for j in comps}
-            want = {j: x for j, x in want.items() if x}
-            solved = triangular_index_solve(combination(want, int.__mul__), degree)
-            assert solved == want, degree
-        want = {}
-        for j in rng.sample(comps, min(len(comps), 12)):
-            coeff = CoeffElem.symbol("z3", F(rng.randint(1, 9), rng.randint(1, 4)))
-            want[j] = EPoly({(rng.choice((0, 2, 4)),): coeff.mul_pi(rng.randint(0, 2))})
-        solved = triangular_index_solve(combination(want, EPoly.scale), degree)
-        assert solved == want, degree
+        for length in range(1, degree + 1):
+            comps = graded_words(length, degree - length)
+            for _ in range(4):
+                want = {j: rng.randint(-9, 9) for j in comps}
+                want = {j: x for j, x in want.items() if x}
+                solved = triangular_index_solve(combination(want, int.__mul__), degree, length)
+                assert solved == want, (degree, length)
+            want = {}
+            for j in rng.sample(comps, min(len(comps), 12)):
+                coeff = CoeffElem.symbol("z3", F(rng.randint(1, 9), rng.randint(1, 4)))
+                want[j] = EPoly({(rng.choice((0, 2, 4)),): coeff.mul_pi(rng.randint(0, 2))})
+            solved = triangular_index_solve(combination(want, EPoly.scale), degree, length)
+            assert solved == want, (degree, length)
 
 
 def test_compositions_and_pure_words():
@@ -504,12 +513,16 @@ def test_triangular_solve_matches_push_loop(kind):
 
     rng = random.Random(2211)
     for degree in range(1, 10):
-        comps = compositions_of(degree)
-        for _ in range(3):
-            want = _random_values(rng, comps, kind)
-            component = _combination(want)
-            got = triangular_index_solve(component, degree)
-            assert got == push_triangular_index_solve(component, degree) == want, degree
+        for length in range(1, degree + 1):
+            comps = graded_words(length, degree - length)
+            for _ in range(3):
+                want = _random_values(rng, comps, kind)
+                component = _combination(want)
+                got = triangular_index_solve(component, degree, length)
+                assert got == push_triangular_index_solve(component, degree) == want, (
+                    degree,
+                    length,
+                )
 
 
 def test_epoly_solve_adds_at_most_once_per_word(monkeypatch):
@@ -518,10 +531,14 @@ def test_epoly_solve_adds_at_most_once_per_word(monkeypatch):
     # pivot's monomial that lands on a word already holding a value
     want = {j: EPoly.word((2 * (i % 3),), i + 1) for i, j in enumerate(compositions_of(7))}
     component = _combination(want)
+    # each block's component from the compositions of its length
+    blocks = {n: {j: x for j, x in want.items() if len(j) == n} for n in range(1, 8)}
+    parts = {n: _combination(block) for n, block in blocks.items()}
     adds = []
     plain_add = EPoly.__add__
     monkeypatch.setattr(EPoly, "__add__", lambda x, y: adds.append(1) or plain_add(x, y))
-    assert triangular_index_solve(component, 7) == want
+    for n, block in blocks.items():
+        assert triangular_index_solve(parts[n], 7, n) == block, n
     once = len(adds)
     adds.clear()
     assert push_triangular_index_solve(component, 7) == want
@@ -535,20 +552,27 @@ def test_triangular_solve_rejects_one_perturbed_epoly_word():
     import random
 
     rng = random.Random(7)
+    checked = 0
     for degree in range(3, 10):
-        want = _random_values(rng, compositions_of(degree), "epoly")
-        component = _combination(want)
-        assert triangular_index_solve(component, degree) == want
-        word = min(w for w in component if w.endswith("a"))
-        bad = dict(component)
-        bad[word] = component.get(word, EPoly.zero()) + EPoly.word((2,), F(1, 3))
-        # and with the word dropped: only the pivots' contributions reach it
-        dropped = {w: x for w, x in component.items() if w != word}
-        for perturbed in (bad, dropped):
-            with pytest.raises(ExtractionInconsistent):
-                triangular_index_solve(perturbed, degree)
-            with pytest.raises(ExtractionInconsistent):
-                push_triangular_index_solve(perturbed, degree)
+        for length in range(1, degree):
+            want = _random_values(rng, graded_words(length, degree - length), "epoly")
+            component = _combination(want)
+            assert triangular_index_solve(component, degree, length) == want
+            words = [w for w in component if w.endswith("a")]
+            if not words:
+                continue
+            word = min(words)
+            bad = dict(component)
+            bad[word] = component.get(word, EPoly.zero()) + EPoly.word((2,), F(1, 3))
+            # and with the word dropped: only the pivots' contributions reach it
+            dropped = {w: x for w, x in component.items() if w != word}
+            for perturbed in (bad, dropped):
+                with pytest.raises(ExtractionInconsistent):
+                    triangular_index_solve(perturbed, degree, length)
+                with pytest.raises(ExtractionInconsistent):
+                    push_triangular_index_solve(perturbed, degree)
+            checked += 1
+    assert checked >= 30, checked  # 34 of the 35 blocks have such a word
 
 
 def test_extract_gamma_matches_reference_solve():
@@ -571,6 +595,31 @@ def test_extract_gamma_rejects_symbol_term_outside_span():
     with pytest.raises(ExtractionInconsistent):
         extract_gamma((0, 1, 0, 0), t)
     assert extract_gamma((0, 1, 0), t) == extract_gamma((0, 1, 0), fresh_table())
+
+
+def test_extract_gamma_rejects_a_term_of_the_wrong_weight():
+    # bb lies in the span (it is the monomial of (0, 0)), but z3 on it is a
+    # weight-3 term on a word with two b's: the z3 slice is solved as the
+    # block (2, 3), which has no pivot for bb
+    t = fresh_table()
+    t.caches["ainf"] = build_Ainf(2, t) + NCSeries(2, {"bb": CoeffElem.symbol("z3")})
+    with pytest.raises(ExtractionInconsistent, match="length-3 index monomials on words"):
+        extract_gamma((0, 0), t)
+
+
+def test_limit_series_is_homogeneous():
+    # the grading the cut, the constant solve and the derivation route read:
+    # every word on a coefficient monomial has as many letters b as the
+    # monomial's weight, in the full build and in every cut build
+    for D in range(1, 10):
+        for B in range(D + 1):
+            t = fresh_table()
+            series = build_Ainf(D, t, max_b=B)
+            for mono, (_, buckets) in series.slices().items():
+                weight = mono.weight(t.symbols)
+                assert weight <= B, (D, B, mono)
+                for _, terms in buckets:
+                    assert all(w.count("b") == weight for w, _ in terms), (D, B, mono)
 
 
 # ---------------------------------------------------------------------------
