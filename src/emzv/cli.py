@@ -20,7 +20,8 @@ the CLI accepts; the verification suite exercises the closed-form layers
 beyond it.  A length-1 index reads no table, but its constant needs the
 Bernoulli number of its entry, whose recurrence costs about the cube of
 the entry: an even entry above ``LENGTH1_BUDGET`` is refused unless
-``--no-cost-guard`` is given; ``relations`` applies both rules too.
+``--no-cost-guard`` is given.  ``relations`` applies both rules, with no
+override: a length-1 family is one index, which ``gamma`` computes.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("fourier-check", "membership"):
         p[name].add_argument("--index")
         p[name].add_argument("--epoly", metavar="JSON")
-    for name in ("decompose", "qexp", "gamma", "relations", "fourier-check", "membership"):
+    for name in ("decompose", "qexp", "gamma", "fourier-check", "membership"):
         p[name].add_argument(
             "--no-cost-guard",
             action="store_true",
@@ -180,16 +181,19 @@ def _require_limit_series(degree: int, table: MzvTable) -> None:
     )
 
 
-def _guard_cost(what: str, idx: tuple[int, ...], ns: argparse.Namespace, table: MzvTable) -> None:
+def _guard_cost(
+    what: str, idx: tuple[int, ...], table: MzvTable, override: bool, hint: str
+) -> None:
     """The table cap for an index of length >= 2, the Bernoulli budget for
-    length 1: lengths 0 and 1 have closed-form constants and read no table."""
+    length 1 unless ``override``: lengths 0 and 1 have closed-form constants
+    and read no table.  ``hint`` says how to compute past the budget."""
     if len(idx) >= 2:
         _require_table_weight(what, required_table_weight(idx), table)
-    elif idx and idx[0] % 2 == 0 and idx[0] > LENGTH1_BUDGET and not ns.no_cost_guard:
+    elif idx and idx[0] % 2 == 0 and idx[0] > LENGTH1_BUDGET and not override:
         # pi * B_k / k!: only an even k reads a Bernoulli number
         raise ValueError(
             f"{what} needs B_{idx[0]}, beyond the budget of even entries "
-            f"≤ {LENGTH1_BUDGET} for a length-1 index; pass `--no-cost-guard` to compute it"
+            f"≤ {LENGTH1_BUDGET} for a length-1 index; {hint}"
         )
 
 
@@ -201,7 +205,8 @@ def _guarded_index(ns: argparse.Namespace, table: MzvTable) -> tuple[int, ...]:
             f"bad --index {ns.index!r}: pass nonnegative integers separated "
             "by commas, e.g. --index 0,1,0,0"
         ) from None
-    _guard_cost(f"index {format_index(idx)}", idx, ns, table)
+    hint = "pass `--no-cost-guard` to compute it"
+    _guard_cost(f"index {format_index(idx)}", idx, table, ns.no_cost_guard, hint)
     return idx
 
 
@@ -278,7 +283,9 @@ def _cmd_relations(ns: argparse.Namespace) -> int:
     table = _load_table(ns)
     # every index of this length and weight costs what its first one does
     first = (ns.weight,) + (0,) * (ns.length - 1) if ns.length else ()
-    _guard_cost(f"each index of length {ns.length} and weight {ns.weight}", first, ns, table)
+    what = f"each index of length {ns.length} and weight {ns.weight}"
+    hint = f"`gamma --index {ns.weight} --no-cost-guard` computes its constant"
+    _guard_cost(what, first, table, False, hint)
     indices = graded_words(ns.length, ns.weight)
     vectors = find_emzv_relations(indices, table)
     doc = {
