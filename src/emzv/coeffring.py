@@ -420,33 +420,36 @@ class CoeffMap:
     # -- linear structure on slices -----------------------------------
 
     def __add__(self, other):
-        if self.shape != other.shape:
-            raise DegreeMismatch(f"truncation {self.shape} != {other.shape}")
-        return self._from_slices(self.shape, add_slices(self._sliced, other._sliced))
+        return self._plus(1, other)
 
     def __neg__(self):
-        return self._from_slices(self.shape, scale_slices(self._sliced, -1))
+        return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(-1, other)
+
+    def _plus(self, q: int, other):
+        """self + q * other, one :func:`rational_lincomb` of the slices."""
+        if self.shape != other.shape:
+            raise DegreeMismatch(f"truncation {self.shape} != {other.shape}")
+        pairs = [(1, self._sliced), (q, other._sliced)]
+        return self._from_slices(self.shape, rational_lincomb(pairs))
 
     def scale(self, c: CoeffElem | Fraction | int, table: MzvTable | None = None):
         """Every coefficient times c.
 
-        A rational c (a number, or a CoeffElem whose only monomial is 1)
-        scales the slices' numerators and denominators; any other CoeffElem
-        multiplies each coefficient through :func:`coeff_mul` with the
-        table, and the products are sliced again.  The coefficient ring has
-        no zero divisors, so a nonzero c keeps every term.
+        A rational c (a number, or a CoeffElem whose only monomial is 1) is
+        a one-term :func:`rational_lincomb`; any other CoeffElem multiplies
+        each coefficient through :func:`coeff_mul` with the table, and the
+        products are sliced again.  The coefficient ring has no zero
+        divisors, so a nonzero c keeps every term.
         """
         if isinstance(c, CoeffElem):
             if not c.is_rational():
                 d = {k: coeff_mul(v, c, table) for k, v in self.coeffs.items()}
                 return self._from_slices(self.shape, self._slice(d))
             c = c.rational_part()
-        if not c:
-            return self.zero(self.shape)
-        return self._from_slices(self.shape, scale_slices(self._sliced, c))
+        return self._from_slices(self.shape, rational_lincomb([(c, self._sliced)]))
 
 
 def build_coeffs(cells: Mapping[K, dict[MzvMonomial, Fraction]]) -> dict[K, CoeffElem]:
@@ -490,9 +493,11 @@ def integer_slices(terms: Iterable[tuple[Any, CoeffElem]]) -> SplitScalars:
 # grade with integer n, standing for sum n / denominator * key.  In the
 # truncated product algebras keys multiply by + (words concatenate; q/T
 # terms travel as an additive integer code, see qseries) and grades add.
-# Products and linear combinations add integer numerators into cells,
-# which are brought over one denominator per monomial at the end, into
-# slices again (:func:`normalise`).  A value computed this way keeps those
+# Products and combinations with zeta-valued scalars add integer
+# numerators into cells, which are brought over one denominator per
+# monomial at the end, into slices again (:func:`normalise`); a combination
+# with rational scalars goes from slices to slices in one pass
+# (:func:`rational_lincomb`).  A value computed this way keeps those
 # slices, and its coefficients are built (:func:`build_slices`) each time
 # something reads them.
 
@@ -547,8 +552,10 @@ def convolve(x: Slices, y: Slices, bound: int, table: MzvTable | None) -> Cells:
 
 
 def lincomb(pairs: Iterable[tuple[CoeffElem, Slices]], bound: int, table: MzvTable | None) -> Cells:
-    """The linear combination sum c_i * f_i of slices, grades within bound:
-    :func:`split_lincomb` on the scalars split by :func:`integer_slices`."""
+    """The linear combination sum c_i * f_i of slices with scalars that may
+    carry zeta symbols (``build_phi``'s regularized values), grades within
+    bound: :func:`split_lincomb` on the scalars split by
+    :func:`integer_slices`.  Rational scalars go to :func:`rational_lincomb`."""
     pairs = list(pairs)
     scalars = integer_slices(enumerate(c for c, _ in pairs))
     return split_lincomb(scalars, [f for _, f in pairs], bound, table)
@@ -585,39 +592,44 @@ def split_lincomb(
 
 def rational_lincomb(pairs: Iterable[tuple[Fraction | int, Slices]]) -> Slices:
     """The linear combination sum q_i * f_i of slices with rational q_i,
-    untruncated, as slices in one pass.
+    untruncated, as slices in one pass: the kernel of every rational
+    combination (``+``, ``-`` and rational ``scale`` of the containers,
+    ``EPoly.combination``, the power sums of ``nc_exp`` and ``nc_inv``).
 
-    Each monomial's common denominator, the lcm of den * b over the pairs
-    a / b whose slice carries it, is taken up front, so every numerator is
-    lifted as it is added.  The sums stay in their input bucket's grade;
-    zeros are dropped and each monomial is reduced by its gcd once.  No
-    table is involved: a scalar keeps the slice's own monomial.
+    A monomial that exactly one pair carries with q = 1 keeps that pair's
+    slice as it is.  Any other monomial is brought over the lcm of den * b
+    over the pairs a / b that carry it, each numerator lifted as it is
+    added; the sums stay in their input bucket's grade, zeros are dropped
+    and the monomial is reduced by its gcd once.  No table is involved: a
+    scalar keeps the slice's own monomial.
     """
-    pairs = [(q.as_integer_ratio(), slices) for q, slices in pairs]
-    dens: dict[MzvMonomial, set[int]] = {}
-    for (_, b), slices in pairs:
-        for mono, (den, _) in slices.items():
-            dens.setdefault(mono, set()).add(den * b)
-    common = {mono: math.lcm(*ds) for mono, ds in dens.items()}
-    sums: dict[MzvMonomial, dict[int, dict[Any, int]]] = {}
-    for (a, b), slices in pairs:
-        for mono, (den, buckets) in slices.items():
-            lift = a * (common[mono] // (den * b))
-            by_grade = sums.setdefault(mono, {})
+    carried: dict[MzvMonomial, list] = {}  # monomial -> [(a, b, its slice)]
+    for q, slices in pairs:
+        a, b = q.as_integer_ratio()
+        if a:
+            for mono, sl in slices.items():
+                carried.setdefault(mono, []).append((a, b, sl))
+    out: Slices = {}
+    for mono, parts in carried.items():
+        if len(parts) == 1 and parts[0][:2] == (1, 1):
+            out[mono] = parts[0][2]
+            continue
+        common = math.lcm(*(den * b for _, b, (den, _) in parts))
+        by_grade: dict[int, dict[Any, int]] = {}
+        for a, b, (den, buckets) in parts:
+            lift = a * (common // (den * b))
             for g, terms in buckets:
                 cell = by_grade.setdefault(g, {})
                 get = cell.get
                 for k, n in terms:
                     cell[k] = get(k, 0) + n * lift
-    out: Slices = {}
-    for mono, by_grade in sums.items():
         buckets = []
         for g in sorted(by_grade):
             terms = [(k, n) for k, n in by_grade[g].items() if n]
             if terms:
                 buckets.append((g, terms))
         if buckets:
-            out[mono] = _reduced(common[mono], buckets)
+            out[mono] = _reduced(common, buckets)
     return out
 
 
@@ -627,58 +639,6 @@ def _reduced(den: int, buckets: list) -> tuple[int, list]:
     if g == 1:
         return den, buckets
     return den // g, [(grade, [(k, n // g) for k, n in terms]) for grade, terms in buckets]
-
-
-def add_slices(x: Slices, y: Slices) -> Slices:
-    """x + y, both slices of one grading.
-
-    A monomial of one operand only keeps its slice as it is.  One of both
-    is brought over the lcm of the two denominators, its buckets merged by
-    grade, zero numerators dropped, and reduced by the gcd.
-    """
-    out = dict(x)
-    for mono, (den_y, buckets_y) in y.items():
-        mine = out.get(mono)
-        if mine is None:
-            out[mono] = (den_y, buckets_y)
-            continue
-        den_x, buckets_x = mine
-        den = math.lcm(den_x, den_y)
-        by_grade: dict[int, dict[Any, int]] = {}
-        for lift, buckets in ((den // den_x, buckets_x), (den // den_y, buckets_y)):
-            for g, terms in buckets:
-                sums = by_grade.setdefault(g, {})
-                get = sums.get
-                for k, n in terms:
-                    sums[k] = get(k, 0) + n * lift
-        merged = []
-        for g in sorted(by_grade):
-            terms = [(k, n) for k, n in by_grade[g].items() if n]
-            if terms:
-                merged.append((g, terms))
-        if merged:
-            out[mono] = _reduced(den, merged)
-        else:
-            del out[mono]
-    return out
-
-
-def scale_slices(slices: Slices, q: Fraction | int) -> Slices:
-    """The slices times a nonzero rational q = a / b: numerators times a,
-    denominators times b.  Slices reduced by their gcd stay reduced: only a
-    and the denominator, or b and the numerators, can share a factor."""
-    a, b = q.as_integer_ratio()
-    out: Slices = {}
-    for mono, (den, buckets) in slices.items():
-        g = math.gcd(a, den)
-        h = math.gcd(b, *(n for _, terms in buckets for _, n in terms)) if b > 1 else 1
-        num, den = a // g, den // g * (b // h)
-        if h > 1:
-            buckets = [(d, [(k, n // h * num) for k, n in terms]) for d, terms in buckets]
-        else:
-            buckets = [(d, [(k, n * num) for k, n in terms]) for d, terms in buckets]
-        out[mono] = (den, buckets)
-    return out
 
 
 def keep_grades(slices: Slices, keep: Callable[[int], bool]) -> Slices:
@@ -992,6 +952,9 @@ def _validate_table(t: MzvTable) -> None:
                 f"convergent {word} = zeta({s}) must equal the Bernoulli value "
                 f"{render_coeff(reduce_even_zeta(s))}"
             )
+    # checked last, so a document with symbols or words fails on those first
+    if t.max_weight < 0:
+        raise ConsistencyError(f"max_weight {t.max_weight} is negative")
 
 
 def dump_mzv_table(t: MzvTable) -> str:

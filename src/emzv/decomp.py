@@ -39,6 +39,7 @@ from .coeffring import (
     memoized,
     normalise,
     parse_coeff,
+    rational_lincomb,
     render_coeff,
 )
 from .derlie import eps_apply, eps_tilde_scale
@@ -46,7 +47,7 @@ from .eisalg import EPoly, EWord, eisenstein_qexp, epoly_to_qexp, has_odd_letter
 from .errors import ParseError
 from .linalg import RatMatrix, kernel_basis
 from .ncalg import NCSeries, build_Ainf, extract_gamma, index_degree, triangular_index_solve
-from .qseries import QTSeries, qt_lincomb, qt_mul
+from .qseries import QTSeries, qt_mul
 from .words import graded_words, make_word
 
 EmzvIndex = tuple[int, ...]
@@ -147,7 +148,12 @@ class Decomposition(NamedTuple):
     index: EmzvIndex
     epoly: EPoly
     gamma: CoeffElem
-    nc_degree: int = 0  # limit-series degree consumed (0: base case)
+
+    @property
+    def nc_degree(self) -> int:
+        """The limit-series degree the constant is read at: the index's
+        degree for length >= 2, and 0 for the closed-form lengths 0 and 1."""
+        return index_degree(self.index) if len(self.index) >= 2 else 0
 
     def to_doc(self) -> dict:
         return {
@@ -200,12 +206,14 @@ class Decomposition(NamedTuple):
         gamma = field("gamma", lambda text: parse_coeff(text, table.symbols), required("gamma"))
         if gamma != epoly.constant_term():
             raise ParseError("gamma: not the constant term of terms")
+        dec = Decomposition(index, epoly, gamma)
         params = doc.get("params", {})
         nc_degree = field("params.nc_degree", lambda p: int(p.get("nc_degree", 0)), params)
-        want = index_degree(index) if len(index) >= 2 else 0
-        if nc_degree != want:
-            raise ParseError(f"params.nc_degree: {nc_degree}, index {list(index)} needs {want}")
-        return Decomposition(index, epoly, gamma, nc_degree)
+        if nc_degree != dec.nc_degree:
+            raise ParseError(
+                f"params.nc_degree: {nc_degree}, index {list(index)} needs {dec.nc_degree}"
+            )
+        return dec
 
 
 def decompose(idx: Iterable[int], table: MzvTable) -> Decomposition:
@@ -241,7 +249,7 @@ def _decompose(index: EmzvIndex, table: MzvTable) -> Decomposition:
         for term in diffeq_expand(index)
     )
     psi = EPoly.constant(gamma) + recursion
-    return Decomposition(index, psi, gamma, nc_degree=index_degree(index))
+    return Decomposition(index, psi, gamma)
 
 
 def emzv_qexp(idx: Iterable[int], order: int, table: MzvTable) -> QTSeries:
@@ -251,20 +259,18 @@ def emzv_qexp(idx: Iterable[int], order: int, table: MzvTable) -> QTSeries:
 
 
 def diffeq_rhs_qexp(idx: Iterable[int], order: int, table: MzvTable) -> QTSeries:
-    """q-expansion of the right side of the recursion, assembled termwise."""
-    return qt_lincomb(
+    """q-expansion of the right side of the recursion, assembled termwise
+    as one :func:`coeffring.rational_lincomb` of the products' slices."""
+    terms = (
         (
-            (
-                CoeffElem.from_rational(term.coeff),
-                qt_mul(
-                    eisenstein_qexp(term.eis_weight, order),
-                    emzv_qexp(term.sub_index, order, table),
-                ),
-            )
-            for term in diffeq_expand(idx)
-        ),
-        order,
+            term.coeff,
+            qt_mul(
+                eisenstein_qexp(term.eis_weight, order), emzv_qexp(term.sub_index, order, table)
+            ).slices(),
+        )
+        for term in diffeq_expand(idx)
     )
+    return QTSeries._from_slices(order, rational_lincomb(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -47,6 +46,7 @@ from .coeffring import (
     lincomb,
     memoized,
     normalise,
+    rational_lincomb,
 )
 from .errors import (
     DegreeMismatch,
@@ -143,18 +143,19 @@ def nc_bracket(x: NCSeries, y: NCSeries, table: MzvTable | None = None) -> NCSer
 
 def _power_sum(u: NCSeries, weight: Callable[[int], Fraction], table: MzvTable | None) -> NCSeries:
     """sum weight(n) * u^n over n = 0..maxdeg, for u of zero constant term
-    and weight(0) = 1.  The powers are nc_mul products, born sliced, and
-    the sum is one linear combination of their slices."""
+    and rational weights with weight(0) = 1.  The powers are nc_mul
+    products, born sliced, and the sum is one :func:`rational_lincomb` of
+    their slices."""
     D = u.maxdeg
-    terms = [(CoeffElem.one(), _ONE)]
+    terms = [(1, _ONE)]
     power = u
     for n in range(1, D + 1):
         if n > 1:
             power = nc_mul(power, u, table)
         if power.is_zero():
             break
-        terms.append((CoeffElem.from_rational(weight(n)), power.slices()))
-    return NCSeries._from_slices(D, normalise(lincomb(terms, D, table), len))
+        terms.append((weight(n), power.slices()))
+    return NCSeries._from_slices(D, rational_lincomb(terms))
 
 
 def nc_exp(x: NCSeries, table: MzvTable | None = None) -> NCSeries:
@@ -166,12 +167,10 @@ def nc_exp(x: NCSeries, table: MzvTable | None = None) -> NCSeries:
 
 def nc_inv(x: NCSeries, table: MzvTable | None = None) -> NCSeries:
     """Inverse of a series with constant term 1: sum (1 - x)^n."""
-    D = x.maxdeg
-    one = CoeffElem.one()
-    u = normalise(lincomb([(one, _ONE), (-one, x.slices())], D, table), len)
+    u = rational_lincomb([(1, _ONE), (-1, x.slices())])
     if _has_constant(u):  # 1 - x has zero constant term iff x has constant term 1
         raise PreconditionViolated("nc_inv needs constant term 1")
-    return _power_sum(NCSeries._from_slices(D, u), lambda n: Fraction(1), table)
+    return _power_sum(NCSeries._from_slices(x.maxdeg, u), lambda n: Fraction(1), table)
 
 
 def ad_expansion(k: int, x: str = "a", y: str = "b") -> dict[str, int]:
@@ -189,14 +188,15 @@ def ad_pow(k: int, maxdeg: int | None = None) -> NCSeries:
 
 
 def build_ytilde(maxdeg: int) -> NCSeries:
-    """ytilde = -(ad(a) / (e^{ad(a)} - 1))(b) = -sum B_n/n! ad^n(a)(b)."""
+    """ytilde = -(ad(a) / (e^{ad(a)} - 1))(b) = -sum B_n/n! ad^n(a)(b),
+    summed over n < maxdeg as one :func:`rational_lincomb` of the slices of
+    the ad^n(a)(b)."""
     if maxdeg < 1:
         raise ValueError("maxdeg must be >= 1")
-    acc = NCSeries.zero(maxdeg)
-    for n in range(maxdeg):
-        term = ad_pow(n, maxdeg).scale(-bernoulli(n) / math.factorial(n))
-        acc = acc + term
-    return acc
+    terms = (
+        (-bernoulli(n) / math.factorial(n), ad_pow(n, maxdeg).slices()) for n in range(maxdeg)
+    )
+    return NCSeries._from_slices(maxdeg, rational_lincomb(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -449,23 +449,19 @@ def triangular_index_solve(component: Mapping[NCWord, object], degree: int, leng
     """Solve component = sum_j x_j * monomial(j) over the compositions j of
     the block (degree, length).
 
-    The words are back-substituted along the block's plan.  The final
+    The values are of one of two kinds: integers (the numerators of
+    ``extract_gamma``) or EPoly (the components of ``gseries_decompose``).
+    The words are back-substituted along the block's plan, each word
+    combined once (:func:`_combining_solve`): integers as a plain sum of
+    products, EPoly values through :meth:`EPoly.combination`.  The final
     residuals, any word outside the block included, must vanish, otherwise
     ExtractionInconsistent is raised.  The monomials are integral, so an
     integer vector solves in integers.  Only the nonzero x_j are returned.
-
-    Scalar values, all numbers or all CoeffElem, are pushed into the later
-    words term by term (:func:`_push_solve`).  Container values (EPoly)
-    are solved by :func:`_combining_solve` through their class's
-    ``combination``.
     """
     first = next(iter(component.values()), None)
-    if isinstance(first, CoeffMap):
-        solve = functools.partial(_combining_solve, combine=type(first).combination)
-    else:  # numbers multiply
-        solve = functools.partial(_push_solve, times=getattr(type(first), "scale", operator.mul))
+    combine = type(first).combination if isinstance(first, CoeffMap) else _sum_of_products
     out: dict[EmzvIndexTuple, object] = {}
-    leftovers = solve(dict(component), _solve_plan(degree, length), out)
+    leftovers = _combining_solve(dict(component), _solve_plan(degree, length), out, combine)
     if leftovers:
         raise ExtractionInconsistent(
             f"degree-{degree} residual outside the span of the length-{length} "
@@ -474,25 +470,17 @@ def triangular_index_solve(component: Mapping[NCWord, object], degree: int, leng
     return out
 
 
-def _push_solve(work: dict, plan: _Plan, out: dict, times) -> list[NCWord]:
-    """Each pivot x_j into out, pushed into the later words of work as
-    x_j * q with ``times``; returns the words left nonzero."""
-    for j, pure, rest in plan:
-        x = work.pop(pure, None)
-        if not x:
-            continue
-        out[j] = x
-        accumulate(work, ((w, times(x, q)) for w, q in rest))
-    return [w for w, v in work.items() if v]
+def _sum_of_products(terms: Iterable[tuple[int, int]]) -> int:
+    return sum(q * x for q, x in terms)
 
 
 def _combining_solve(work: dict, plan: _Plan, out: dict, combine) -> list[NCWord]:
-    """The solve without pushing: each word collects its (q, x_j)
-    contributions and combines them once, in ``combine`` (such as
-    :meth:`EPoly.combination`), when the walk reaches it; its own component
-    is added to that with +.  A push would re-merge the whole of a
-    container's value each time.  Words that are no pivot are combined the
-    same way at the end, and the nonzero ones are returned."""
+    """Each pivot x_j into out, without pushing: each word collects its
+    (q, x_j) contributions and combines them once, in ``combine``, when the
+    walk reaches it; its own component is added to that with +.  A push
+    would re-merge the whole of a container's value each time.  Words that
+    are no pivot are combined the same way at the end, and the nonzero ones
+    are returned."""
     pending: dict[NCWord, list] = {}  # word -> its (q, x_j) contributions
 
     def settle(w: NCWord):

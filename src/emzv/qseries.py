@@ -17,7 +17,7 @@ convention used everywhere in this package.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .coeffring import (
     Cells,
@@ -30,7 +30,6 @@ from .coeffring import (
     build_slices,
     convolve,
     graded_slices,
-    integer_slices,
     normalise,
     split_lincomb,
 )
@@ -111,17 +110,6 @@ def qt_mul(f: QTSeries, g: QTSeries, table: MzvTable | None = None) -> QTSeries:
     order = min(f.order, g.order)
     cells = convolve(f.slices(), g.slices(), order - 1, table)
     return QTSeries._from_slices(order, normalise(cells, _q_power))
-
-
-def qt_lincomb(
-    pairs: Iterable[tuple[CoeffElem, QTSeries]], order: int, table: MzvTable | None = None
-) -> QTSeries:
-    """The linear combination sum c_i * f_i, truncated at the order, on the
-    series' slices: :func:`qt_split_lincomb` on the scalars split by
-    :func:`coeffring.integer_slices`."""
-    pairs = list(pairs)
-    scalars = integer_slices(enumerate(c for c, _ in pairs))
-    return qt_split_lincomb(scalars, [f.slices() for _, f in pairs], order, table)
 
 
 def qt_split_lincomb(

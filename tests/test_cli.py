@@ -72,6 +72,18 @@ def test_overflow_exit_code(capsys):
     assert "TableOverflow" in err
 
 
+def test_table_with_a_negative_cap_is_bad_input(capsys, tmp_path, monkeypatch):
+    # refused where it is loaded, as bad input, before any computation asks
+    # the cap for a weight
+    monkeypatch.delenv("EMZV_MZV_TABLE", raising=False)
+    path = tmp_path / "negative.txt"
+    path.write_text("format emzv-mzv-table 2\nmax_weight -3\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "decompose", "--index", "0,0", "--mzv-table", str(path))
+    assert code == 2
+    assert not out and err.count("\n") == 1
+    assert f"bad --mzv-table {str(path)!r}: max_weight -3 is negative" in err
+
+
 def test_usage_error_exit_code(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "decompose")  # missing --index
     assert code == 2

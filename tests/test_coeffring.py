@@ -30,7 +30,7 @@ from emzv.coeffring import (
 from emzv.eisalg import EPoly, epoly_mul
 from emzv.errors import ConsistencyError, ParseError, TableOverflow
 from emzv.ncalg import NCSeries, is_grouplike, nc_bracket, nc_exp, nc_inv, nc_mul
-from emzv.qseries import QTSeries, qt_lincomb, qt_mul
+from emzv.qseries import QTSeries, qt_mul, qt_split_lincomb
 
 F = Fraction
 
@@ -539,6 +539,7 @@ _Z3 = CoeffElem.symbol("z3")
 _Z3_SQUARED = CoeffElem({MzvMonomial(0, ("z3", "z3")): F(1)})
 _A_Z3 = NCSeries(2, {"a": _Z3})
 _Q_Z3 = QTSeries(3, {(1, 0): _Z3})
+_Z3_SPLIT = integer_slices([(0, _Z3)])  # the scalar z3 on series 0
 
 # Every product that multiplies two coefficients, on operands that both carry
 # z3: table -> the term where the two z3 meet, and that term's value.
@@ -559,7 +560,10 @@ _PRODUCTS = {
     ),
     "qt_mul": (lambda t: qt_mul(_Q_Z3, _Q_Z3, t).coefficient(2, 0), _Z3_SQUARED),
     "QTSeries.scale": (lambda t: _Q_Z3.scale(_Z3, t).coefficient(1, 0), _Z3_SQUARED),
-    "qt_lincomb": (lambda t: qt_lincomb([(_Z3, _Q_Z3)], 3, t).coefficient(1, 0), _Z3_SQUARED),
+    "qt_split_lincomb": (
+        lambda t: qt_split_lincomb(_Z3_SPLIT, [_Q_Z3.slices()], 3, t).coefficient(1, 0),
+        _Z3_SQUARED,
+    ),
     "EPoly.scale": (
         lambda t: EPoly.word((2,), _Z3).scale(_Z3, t).coefficient((2,)),
         _Z3_SQUARED,
@@ -624,6 +628,15 @@ def test_load_empty_table():
     assert not t.symbols
     # the ring still contains 1
     assert coeff_mul(CoeffElem.one(), CoeffElem.one(), t) == CoeffElem.one()
+
+
+def test_negative_weight_cap_rejected():
+    # a cap below 0 holds no word and no symbol, so only its own check sees it
+    with pytest.raises(ConsistencyError, match="^max_weight -3 is negative$"):
+        loads_mzv_table("format emzv-mzv-table 2\nmax_weight -3\n")
+    # with a symbol, the symbol's weight is refused first, as before
+    with pytest.raises(ConsistencyError, match="^symbol z3 has weight 3 outside"):
+        loads_mzv_table("format emzv-mzv-table 2\nmax_weight -1\nsymbol z3 3\n")
 
 
 def test_missing_zeta2_rejected():

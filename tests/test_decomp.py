@@ -650,6 +650,16 @@ def test_malformed_doc_raises_parse_error_naming_the_field(table, edit, field):
         Decomposition.from_doc(doc, table)
 
 
+def test_nc_degree_is_read_from_the_index(table):
+    # the record stores three fields; the degree its constant is read at
+    # follows from the index, and its document still records it
+    assert Decomposition._fields == ("index", "epoly", "gamma")
+    for idx, want in [((), 0), ((4,), 0), ((0, 0), 2), ((0, 1, 0, 0), 5), ((2, 0, 0, 1), 7)]:
+        dec = decompose(idx, table)
+        assert dec.nc_degree == want == Decomposition(*dec).nc_degree, idx
+        assert dec.to_doc()["params"] == {"nc_degree": want}
+
+
 def test_base_case_docs_load(table):
     # lengths 0 and 1 record nc_degree 0, and an odd single letter has gamma 0
     for idx in [(), (0,), (3,), (4,)]:

@@ -4,11 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emzv.coeffring import CoeffElem, MzvMonomial, coeff_mul, graded_slices, shipped_table
+from emzv.coeffring import (
+    CoeffElem,
+    MzvMonomial,
+    coeff_mul,
+    graded_slices,
+    integer_slices,
+    shipped_table,
+)
 from emzv.decomp import emzv_qexp
 from emzv.eisalg import eisenstein_qexp
 from emzv.errors import DegreeMismatch, FourierViolation, TableOverflow
-from emzv.qseries import QTSeries, qt_antider, qt_ddT, qt_lincomb, qt_mul
+from emzv.qseries import QTSeries, qt_antider, qt_ddT, qt_mul, qt_split_lincomb
 
 F = Fraction
 
@@ -225,6 +232,14 @@ def test_scale_by_rational_coeff_matches_coeff_mul():
         assert f.scale(c) == want
 
 
+def split_lincomb(pairs, order, table=None):
+    """qt_split_lincomb on scalars split by integer_slices, as epoly_to_qexp
+    passes its polynomial's slices."""
+    pairs = list(pairs)
+    scalars = integer_slices(enumerate(c for c, _ in pairs))
+    return qt_split_lincomb(scalars, [f.slices() for _, f in pairs], order, table)
+
+
 def reference_lincomb(pairs, order, table):
     """The per-term accumulation that the linear-combination kernel replaced."""
     acc = QTSeries.zero(order)
@@ -250,7 +265,7 @@ def test_lincomb_matches_reference(pairs, pass_table):
     # w8 table and with none
     pairs += [(-c, f) for c, f in pairs[:1]]  # a pair cancelled by its negative
     table = shipped_table() if pass_table else None
-    got = _outcome(qt_lincomb, pairs, 6, table)
+    got = _outcome(split_lincomb, pairs, 6, table)
     assert got == _outcome(reference_lincomb, pairs, 6, table)
     if got is not TableOverflow:
         assert got.order == 6
@@ -262,17 +277,17 @@ def test_lincomb_overflow_parity():
     z3, z5 = CoeffElem.symbol("z3"), CoeffElem.symbol("z5")
     f = QTSeries(6, {(2, 0): z5, (0, 1): CoeffElem.pi_pow(2, F(1, 3))})
     # z5 * z5 has weight 10 > 8
-    for lincomb in (qt_lincomb, reference_lincomb):
+    for lincomb in (split_lincomb, reference_lincomb):
         with pytest.raises(TableOverflow):
             lincomb([(CoeffElem.one(), f), (z5, f)], 6, table)
     # z3 * z5 has weight 8, within the cap
     within = [(z3, f), (CoeffElem.pi_pow(1, -2), f)]
-    got = qt_lincomb(within, 6, table)
+    got = split_lincomb(within, 6, table)
     assert got == reference_lincomb(within, 6, table)
     assert got.coefficient(2, 0) == CoeffElem(
         {MzvMonomial(0, ("z3", "z5")): 1, MzvMonomial(1, ("z5",)): -2}
     )
-    assert qt_lincomb([], 4, table) == QTSeries.zero(4)
+    assert split_lincomb([], 4, table) == QTSeries.zero(4)
 
 
 _keys = st.tuples(st.integers(0, 7), st.integers(0, 2))

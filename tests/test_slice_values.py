@@ -26,6 +26,7 @@ from emzv.coeffring import (
     convolve,
     dump_mzv_table,
     graded_slices,
+    integer_slices,
     lincomb,
     loads_mzv_table,
     memoized,
@@ -47,7 +48,7 @@ from emzv.ncalg import (
     nc_mul,
     shuffle_regularize,
 )
-from emzv.qseries import QTSeries, qt_antider, qt_lincomb, qt_mul
+from emzv.qseries import QTSeries, qt_antider, qt_mul, qt_split_lincomb
 from emzv.words import graded_words
 
 F = Fraction
@@ -340,12 +341,21 @@ def test_qt_mul_matches_reference(f, g, with_table):
     assert_same_value(_outcome(qt_mul, f, g, table), _outcome(reference_qt_mul, f, g, table))
 
 
+def split_qt_lincomb(pairs, order, table=None):
+    """qt_split_lincomb on scalars split by integer_slices, as epoly_to_qexp
+    passes its polynomial's slices."""
+    pairs = list(pairs)
+    scalars = integer_slices(enumerate(c for c, _ in pairs))
+    return qt_split_lincomb(scalars, [f.slices() for _, f in pairs], order, table)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(_coeffs(), _qt_series(6)), max_size=4), st.booleans())
-def test_qt_lincomb_matches_reference(pairs, with_table):
+def test_qt_split_lincomb_matches_reference(pairs, with_table):
     table = shipped_table() if with_table else None
     assert_same_value(
-        _outcome(qt_lincomb, pairs, 6, table), _outcome(reference_qt_lincomb, pairs, 6, table)
+        _outcome(split_qt_lincomb, pairs, 6, table),
+        _outcome(reference_qt_lincomb, pairs, 6, table),
     )
 
 
@@ -584,6 +594,116 @@ def test_one_pass_rational_lincomb_matches_normalised_cells(pairs, cancel):
     for q, x in pairs:
         want = reference_add(want, reference_scale(x, q))
     assert_same_value(EPoly.combination(pairs), want)
+
+
+def reference_add_slices(x, y):
+    """x + y as the linear structure computed it before rational_lincomb
+    took it over: a monomial of one operand keeps its slice, one of both is
+    brought over the lcm of the two denominators, merged by grade, zeros
+    dropped, and reduced by the gcd."""
+    out = dict(x)
+    for mono, (den_y, buckets_y) in y.items():
+        mine = out.get(mono)
+        if mine is None:
+            out[mono] = (den_y, buckets_y)
+            continue
+        den_x, buckets_x = mine
+        den = math.lcm(den_x, den_y)
+        by_grade = {}
+        for lift, buckets in ((den // den_x, buckets_x), (den // den_y, buckets_y)):
+            for g, terms in buckets:
+                sums = by_grade.setdefault(g, {})
+                for k, n in terms:
+                    sums[k] = sums.get(k, 0) + n * lift
+        merged = []
+        for g in sorted(by_grade):
+            terms = [(k, n) for k, n in by_grade[g].items() if n]
+            if terms:
+                merged.append((g, terms))
+        if merged:
+            g = math.gcd(den, *(n for _, terms in merged for _, n in terms))
+            out[mono] = (den // g, [(d, [(k, n // g) for k, n in t]) for d, t in merged])
+        else:
+            del out[mono]
+    return out
+
+
+def reference_scale_slices(slices, q):
+    """The slices times a rational q = a / b as the linear structure scaled
+    them before rational_lincomb: numerators times a, denominators times b,
+    and zero for q = 0."""
+    if not q:
+        return {}
+    a, b = q.as_integer_ratio()
+    out = {}
+    for mono, (den, buckets) in slices.items():
+        g = math.gcd(a, den)
+        h = math.gcd(b, *(n for _, terms in buckets for _, n in terms)) if b > 1 else 1
+        num, den = a // g, den // g * (b // h)
+        out[mono] = (den, [(d, [(k, n // h * num) for k, n in terms]) for d, terms in buckets])
+    return out
+
+
+def _same_shape_pair(kind):
+    if kind is EPoly:
+        return st.tuples(_epoly(), _epoly())
+    make = _qt_series if kind is QTSeries else lambda n: _nc_series(n, constant=True)
+    return st.sampled_from([4, 5]).flatmap(lambda n: st.tuples(make(n), make(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([NCSeries, QTSeries, EPoly]).flatmap(_same_shape_pair),
+    st.one_of(_RATIONAL, st.integers(-7, 7)),
+    st.integers(2, 6),
+)
+def test_linear_structure_matches_the_slice_kernels_it_replaced(pair, q, k):
+    # +, -, unary - and a rational scale, each now one rational_lincomb,
+    # give the slices of add_slices and scale_slices term for term, on
+    # gcd-reduced operands and on results of the operations
+    x, y = pair
+    for a, b in ((x, y), (x + y, x), (y, y), (x, -x)):
+        sa, sb = a.slices(), b.slices()
+        for got, want in (
+            (a + b, reference_add_slices(sa, sb)),
+            (a - b, reference_add_slices(sa, reference_scale_slices(sb, -1))),
+            (-a, reference_scale_slices(sa, -1)),
+            (a.scale(q), reference_scale_slices(sa, q)),
+        ):
+            assert _slice_form(got.slices()) == _slice_form(want)
+    # an operand that is not gcd-reduced (numerators and denominator times
+    # k) gives the same values
+    loose = type(x)._from_slices(
+        x.shape,
+        {
+            mono: (den * k, [(g, [(key, n * k) for key, n in t]) for g, t in buckets])
+            for mono, (den, buckets) in x.slices().items()
+        },
+    )
+    sl, sy = loose.slices(), y.slices()
+    for got, want in (
+        (loose + y, reference_add_slices(sl, sy)),
+        (y - loose, reference_add_slices(sy, reference_scale_slices(sl, -1))),
+        (-loose, reference_scale_slices(sl, -1)),
+        (loose.scale(q), reference_scale_slices(sl, q)),
+    ):
+        assert canonical_slices(got.slices()) == canonical_slices(want)
+
+
+def test_a_monomial_one_pair_carries_with_q_one_keeps_its_slice():
+    z3, pi2, one = MzvMonomial(0, ("z3",)), MzvMonomial(2, ()), MzvMonomial(0, ())
+    x = EPoly({(2,): CoeffElem.symbol("z3", F(1, 2)), (4,): CoeffElem.one()})
+    y = EPoly({(2,): CoeffElem.pi_pow(2, 3), (0, 4): CoeffElem.from_rational(F(2, 3))})
+    sx, sy = x.slices(), y.slices()
+    total = (x + y).slices()
+    assert total[z3] is sx[z3] and total[pi2] is sy[pi2]
+    assert total[one] is not sx[one] and total[one] is not sy[one]  # both carry 1
+    # a pair with q = 0 carries nothing; a q other than 1 rebuilds the slice
+    got = rational_lincomb([(0, sy), (1, sx), (F(1, 2), sy)])
+    assert got[z3] is sx[z3] and got[pi2] is not sy[pi2]
+    assert rational_lincomb([(1, sx), (0, sx)])[z3] is sx[z3]
+    # the operand's own slices are left as they were
+    assert x == EPoly({(2,): CoeffElem.symbol("z3", F(1, 2)), (4,): CoeffElem.one()})
 
 
 # ---------------------------------------------------------------------------
