@@ -21,7 +21,9 @@ beyond it.  A length-1 index reads no table, but its constant needs the
 Bernoulli number of its entry, whose recurrence costs about the cube of
 the entry: an even entry above ``LENGTH1_BUDGET`` is refused unless
 ``--no-cost-guard`` is given.  ``relations`` applies both rules, with no
-override: a length-1 family is one index, which ``gamma`` computes.
+override: a length-1 family is one index, which ``gamma`` computes.  The
+budget bounds the letters of a ``fourier-check --epoly`` word too, since
+the q-expansion of E_k reads B_k.
 """
 
 from __future__ import annotations
@@ -121,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
         p[name].add_argument(
             "--no-cost-guard",
             action="store_true",
-            help=f"compute a length-1 index's constant beyond entry {LENGTH1_BUDGET}",
+            help=f"compute Bernoulli numbers beyond B_{LENGTH1_BUDGET}: a length-1 "
+            "index's constant, or a fourier-check --epoly letter",
         )
     p["relations"].add_argument("--length", type=int, required=True, metavar="L")
     p["relations"].add_argument("--weight", type=int, required=True, metavar="W")
@@ -189,11 +192,17 @@ def _guard_cost(
     and read no table.  ``hint`` says how to compute past the budget."""
     if len(idx) >= 2:
         _require_table_weight(what, required_table_weight(idx), table)
-    elif idx and idx[0] % 2 == 0 and idx[0] > LENGTH1_BUDGET and not override:
-        # pi * B_k / k!: only an even k reads a Bernoulli number
+    elif idx:  # pi * B_k / k!
+        _guard_bernoulli(what, idx[0], "a length-1 index", override, hint)
+
+
+def _guard_bernoulli(what: str, k: int, of: str, override: bool, hint: str) -> None:
+    """The Bernoulli budget: an even k above LENGTH1_BUDGET is refused
+    unless ``override``; an odd k reads no Bernoulli number."""
+    if k % 2 == 0 and k > LENGTH1_BUDGET and not override:
         raise ValueError(
-            f"{what} needs B_{idx[0]}, beyond the budget of even entries "
-            f"≤ {LENGTH1_BUDGET} for a length-1 index; {hint}"
+            f"{what} needs B_{k}, beyond the budget of even entries "
+            f"≤ {LENGTH1_BUDGET} for {of}; {hint}"
         )
 
 
@@ -327,6 +336,14 @@ def _cmd_fourier_check(ns: argparse.Namespace) -> int:
     order = _positive(ns, "order")
     table = _load_table(ns)
     poly = _epoly_argument(ns, table)
+    if ns.epoly is not None:
+        # the q-expansion of E_k and its E_0 correction read B_k (the words
+        # keep only even letters)
+        hint = "pass `--no-cost-guard` to compute it"
+        for word in sorted(poly.coeffs):
+            what = f"--epoly word {format_index(word)}"
+            for k in word:
+                _guard_bernoulli(what, k, "an e-word letter", ns.no_cost_guard, hint)
     comb, residual = to_E0_basis(poly)
     by_qexp = fourier_membership(poly, order)
     ok = residual.is_zero() and by_qexp

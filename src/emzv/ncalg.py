@@ -1,7 +1,7 @@
 """Truncated noncommutative power series in two letters and associator data.
 
 Series live in Q<...>-coefficients over the letters ``a`` and ``b``,
-truncated at a fixed word degree.  This module builds the constant-term
+kept up to a fixed word degree.  This module builds the constant-term
 machinery of the decomposition:
 
 * ``t = -[a, b]`` and ``ytilde = -(ad(a) / (e^{ad(a)} - 1))(b)``,
@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .coeffring import (
-    MEMO_LOCK,
     MONOMIAL_ONE,
     CoeffElem,
     CoeffMap,
@@ -42,7 +41,6 @@ from .coeffring import (
     coeff_mul,
     convolve,
     graded_slices,
-    keep_grades,
     lincomb,
     memoized,
     normalise,
@@ -61,7 +59,7 @@ BinWord = str  # over the alphabet {"A", "B"}
 
 
 class NCSeries(CoeffMap):
-    """Degree-truncated series: finite map word -> CoeffElem, words within maxdeg."""
+    """Series up to a word degree: finite map word -> CoeffElem, words within maxdeg."""
 
     __slots__ = ()
     maxdeg = CoeffMap.shape  # the truncation degree, stored in the base's slot
@@ -97,18 +95,6 @@ class NCSeries(CoeffMap):
     def component(self, d: int) -> dict[NCWord, CoeffElem]:
         return {w: c for w, c in self.coeffs.items() if len(w) == d}
 
-    def truncate(self, maxdeg: int) -> "NCSeries":
-        """The words up to maxdeg: the buckets of the value's slices up to it.
-
-        Raises DegreeMismatch for a maxdeg above the series' own, whose
-        terms of the degrees in between are unknown.
-        """
-        if maxdeg > self.maxdeg:
-            raise DegreeMismatch(
-                f"cannot truncate a degree-{self.maxdeg} series to degree {maxdeg}"
-            )
-        return NCSeries._from_slices(maxdeg, keep_grades(self._sliced, lambda g: g <= maxdeg))
-
     def __str__(self) -> str:
         coeffs = self.coeffs
         if not coeffs:
@@ -128,9 +114,9 @@ def _has_constant(slices: Slices) -> bool:
 
 
 def nc_mul(x: NCSeries, y: NCSeries, table: MzvTable | None = None) -> NCSeries:
-    """Concatenation product truncated at the common maxdeg: the
-    convolution of the operands' slices graded by word degree, with the
-    TableOverflow rule of :func:`coeffring.convolve`."""
+    """Concatenation product up to the common maxdeg: the convolution of
+    the operands' slices graded by word degree, with the TableOverflow rule
+    of :func:`coeffring.convolve`."""
     if x.maxdeg != y.maxdeg:
         raise DegreeMismatch(f"maxdeg {x.maxdeg} != {y.maxdeg}")
     cells = convolve(x.slices(), y.slices(), x.maxdeg, table)
@@ -268,7 +254,7 @@ def shuffle_regularize(w: BinWord, table: MzvTable) -> CoeffElem:
 def build_phi(
     x: NCSeries, y: NCSeries, maxdeg: int, table: MzvTable, max_b: int | None = None
 ) -> NCSeries:
-    """Associator series evaluated at (x, y), truncated at maxdeg.
+    """Associator series evaluated at (x, y), up to degree maxdeg.
 
     The series is a walk over the words in the two arguments, each node
     weighted by the regularized value of its binary word.  With max_b the
@@ -347,12 +333,12 @@ def build_Ainf(maxdeg: int, table: MzvTable, max_b: int | None = None) -> NCSeri
     letters a value of weight l on words with l b's, and products add both.
     With max_b, only the monomials of weight at most max_b are built: the
     walk of :func:`build_phi` stops at max_b letters, and the unchanged
-    ``nc_exp``, ``nc_inv`` and ``nc_mul`` are cut by :func:`_keep_b`.
+    ``nc_exp``, ``nc_inv`` and ``nc_mul`` are cut by :func:`_keep_b`.  The
+    table guard is the full build's, whatever max_b.
 
-    The full build is cached on the table in one slot holding the largest
-    build, stored under MEMO_LOCK; smaller requests, cut ones included, are
-    served from it by truncation.  A cut build is not cached.  The table
-    guard is the full build's, whatever max_b.
+    A pure function of (maxdeg, table, max_b): nothing is cached but the
+    regularized values.  The constants keep their own memo
+    (:func:`extract_gamma`).
     """
     if maxdeg < 1:
         raise ValueError("maxdeg must be >= 1")
@@ -361,10 +347,6 @@ def build_Ainf(maxdeg: int, table: MzvTable, max_b: int | None = None) -> NCSeri
             raise ValueError("max_b must be >= 0")
         if max_b >= maxdeg:  # no word of degree <= maxdeg has more b's
             max_b = None
-    cached: NCSeries | None = table.caches.get("ainf")
-    if cached is not None and cached.maxdeg >= maxdeg:
-        return _keep_b(cached.truncate(maxdeg), max_b, table)
-
     need = required_table_weight((0,) * maxdeg)  # same for every index at this degree
     if need > table.max_weight:
         raise TableOverflow(
@@ -383,11 +365,6 @@ def build_Ainf(maxdeg: int, table: MzvTable, max_b: int | None = None) -> NCSeri
     ainf = exp_pit
     for factor in (phi, exp_piy, phi_inv):
         ainf = _keep_b(nc_mul(ainf, factor, table), max_b, table)
-    if max_b is None:
-        with MEMO_LOCK:
-            prev: NCSeries | None = table.caches.get("ainf")
-            if prev is None or prev.maxdeg < D:
-                table.caches["ainf"] = ainf
     return ainf
 
 
@@ -503,28 +480,31 @@ def _combining_solve(work: dict, plan: _Plan, out: dict, combine) -> list[NCWord
 def extract_gamma(idx: Iterable[int], table: MzvTable) -> CoeffElem:
     """Constant gamma_{k_1..k_n}: coefficient extraction from the limit series.
 
-    Each degree d is solved once per table, from the degree-d component of
-    build_Ainf(d, table); that component does not depend on the degree the
-    series was built at, so one solve serves every build.  The component is
-    the degree-d bucket of each coefficient monomial's slice, an integer
+    The constants are memoized on the table, one entry per degree.  A degree
+    d not yet solved builds build_Ainf(d, table), and every degree of that
+    build not yet solved is solved from it and stored: the degree-g
+    component does not depend on the degree the series was built at, so a
+    series is built only above every degree already solved.  The component
+    is the degree-g bucket of each coefficient monomial's slice, an integer
     word vector over one denominator; by homogeneity its words have w
     letters b on a monomial of weight w, so it is solved in integers as the
-    block (d, w).  Each constant is built once from its numerators.
+    block (g, w).  Each constant is built once from its numerators.
     """
     index = make_word(idx)
     d = index_degree(index)
-
-    def solve() -> dict[EmzvIndexTuple, CoeffElem]:
-        cells: dict[EmzvIndexTuple, dict[MzvMonomial, Fraction]] = {}
-        for mono, (den, buckets) in build_Ainf(max(d, 1), table).slices().items():
+    solved: dict[int, dict[EmzvIndexTuple, CoeffElem]] = table.caches.setdefault("solve", {})
+    if d not in solved:
+        D = max(d, 1)
+        cells: dict[int, dict[EmzvIndexTuple, dict[MzvMonomial, Fraction]]] = {}
+        for mono, (den, buckets) in build_Ainf(D, table).slices().items():
+            w = mono.weight(table.symbols)
             for g, terms in buckets:
-                if g == d:
-                    block = triangular_index_solve(dict(terms), d, mono.weight(table.symbols))
-                    for j, n in block.items():
-                        cells.setdefault(j, {})[mono] = Fraction(n, den)
-        return build_coeffs(cells)
-
-    x = memoized(table.caches.setdefault("solve", {}), d, solve).get(index)
+                if g not in solved:
+                    for j, n in triangular_index_solve(dict(terms), g, w).items():
+                        cells.setdefault(g, {}).setdefault(j, {})[mono] = Fraction(n, den)
+        for g in range(D + 1):
+            memoized(solved, g, functools.partial(build_coeffs, cells.get(g, {})))
+    x = solved[d].get(index)
     if not x:
         return CoeffElem.zero()
     return x if len(index) % 2 == 0 else -x

@@ -113,15 +113,15 @@ def qt_mul(f: QTSeries, g: QTSeries, table: MzvTable | None = None) -> QTSeries:
 
 
 def qt_split_lincomb(
-    scalars: SplitScalars,
-    series: Mapping[Any, Slices] | Sequence[Slices],
-    order: int,
-    table: MzvTable | None = None,
+    scalars: SplitScalars, series: Mapping[Any, Slices] | Sequence[Slices], order: int
 ) -> QTSeries:
     """sum c_k * series[k], truncated at the order, with the scalars split
-    by coefficient monomial and the series given as slices.  TableOverflow
-    is raised as by :func:`coeffring.split_lincomb`."""
-    cells = split_lincomb(scalars, series, order - 1, table)
+    by coefficient monomial and the series given as slices: the q-expansion
+    of an e-word polynomial (``eisalg.epoly_to_qexp``).  No table is read:
+    the series are rational iterated integrals, so no two symbols meet; a
+    product of two symbol-bearing monomials raises TableOverflow, as
+    :func:`coeffring.split_lincomb` does without a table."""
+    cells = split_lincomb(scalars, series, order - 1, None)
     return QTSeries._from_slices(order, normalise(cells, _q_power))
 
 

@@ -12,6 +12,7 @@ from emzv import cli
 from emzv.cli import _SUBCOMMANDS, LENGTH1_BUDGET, run
 from emzv.coeffring import dump_mzv_table, shipped_table
 from emzv.decomp import Decomposition, decompose
+from emzv.eisalg import EPoly
 
 
 def run_cli(capsys, *argv):
@@ -252,6 +253,28 @@ def test_relations_guard_is_the_index_guard(capsys):
     assert "`gamma --index 402 --no-cost-guard`" in err
 
 
+def test_fourier_check_epoly_keeps_the_bernoulli_budget(capsys, monkeypatch):
+    # the q-expansion of E_402 and the E_0 correction read B_402: refused
+    # before any Bernoulli work, as gamma --index 402 is, unless overridden;
+    # an odd letter is dropped by the e-word key rule and reads nothing
+    from emzv import derlie, eisalg
+
+    word = '[["0,402", "1 * 1"]]'
+    real = {m: m.bernoulli for m in (derlie, eisalg)}
+    for module in real:
+        monkeypatch.setattr(module, "bernoulli", lambda k: pytest.fail(f"read B_{k}"))
+    code, out, err = run_cli(capsys, "fourier-check", "--epoly", word)
+    assert (code, out) == (2, "") and err.count("\n") == 1, err
+    assert f"B_402, beyond the budget of even entries ≤ {LENGTH1_BUDGET}" in err
+    assert "--epoly word 0,402" in err and "`--no-cost-guard`" in err
+    code, out, err = run_cli(capsys, "fourier-check", "--epoly", '[["401", "1 * 1"]]')
+    assert (code, err) == (0, "") and "member: True" in out
+    for module, bernoulli in real.items():
+        monkeypatch.setattr(module, "bernoulli", bernoulli)
+    code, out, err = run_cli(capsys, "fourier-check", "--epoly", word, "--no-cost-guard")
+    assert (code, err) == (1, "") and "member: False" in out
+
+
 def test_derlie_relations(capsys):
     code, out, _ = run_cli(
         capsys, "derlie-relations", "--weight", "14", "--depth", "2", "--format", "json"
@@ -446,10 +469,12 @@ def test_argparse_usage_errors_are_one_line(capsys, argv, line):
     assert err.startswith(line) and err.count("\n") == 1 and err.endswith("\n"), err
 
 
+_SURVEY = Path(__file__).resolve().parent.parent / "scripts" / "relation_survey.py"
+
+
 def test_relation_survey_script_runs():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "relation_survey.py"
     proc = subprocess.run(
-        [sys.executable, str(script), "--max-length", "2", "--max-weight", "3"],
+        [sys.executable, str(_SURVEY), "--max-length", "2", "--max-weight", "5"],
         capture_output=True,
         text=True,
         timeout=120,
@@ -458,6 +483,33 @@ def test_relation_survey_script_runs():
     rows = [line.split() for line in proc.stdout.splitlines()[1:]]
     # (length, weight, #indices) of every exact family in range
     assert [tuple(map(int, r[:3])) for r in rows] == [
-        (1, 0, 1), (1, 1, 1), (1, 2, 1), (1, 3, 1),
-        (2, 0, 1), (2, 1, 2), (2, 2, 3), (2, 3, 4),
+        (1, 0, 1), (1, 1, 1), (1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 5, 1),
+        (2, 0, 1), (2, 1, 2), (2, 2, 3), (2, 3, 4), (2, 4, 5), (2, 5, 6),
     ]
+    # the kernel's relations beyond reflection, weights 0-5: none at
+    # length 1, where reflection is the vanishing of the odd entries
+    extra = {(int(r[0]), int(r[1])): int(r[5]) for r in rows}
+    assert [extra[1, w] for w in range(6)] == [0] * 6
+    assert [extra[2, w] for w in range(6)] == [0, 0, 1, 0, 2, 1]
+
+
+def test_relation_survey_names_the_first_reflection_failure(capsys, monkeypatch):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("relation_survey", _SURVEY)
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    real = survey.decompose
+
+    def broken(idx, table):  # psi(2, 0) off by a constant
+        dec = real(idx, table)
+        if tuple(idx) != (2, 0):
+            return dec
+        return dec._replace(epoly=dec.epoly + EPoly.constant(1))
+
+    monkeypatch.setattr(survey, "decompose", broken)
+    assert survey.main(["--max-length", "2", "--max-weight", "3"]) == 1
+    out, err = capsys.readouterr()
+    # the families before (2, 2) are printed, and (0, 2) meets (2, 0) first
+    assert [line.split()[:2] for line in out.splitlines()[1:]][-1] == ["2", "1"]
+    assert err == "reflection fails at index 0,2: psi is not (-1)^2 times psi(2,0)\n"

@@ -26,11 +26,12 @@ from emzv.coeffring import (
     reduce_even_zeta,
     render_coeff,
     shipped_table,
+    split_lincomb,
 )
 from emzv.eisalg import EPoly, epoly_mul
 from emzv.errors import ConsistencyError, ParseError, TableOverflow
 from emzv.ncalg import NCSeries, is_grouplike, nc_bracket, nc_exp, nc_inv, nc_mul
-from emzv.qseries import QTSeries, qt_mul, qt_split_lincomb
+from emzv.qseries import QTSeries, qt_mul
 
 F = Fraction
 
@@ -344,14 +345,12 @@ def _qt_rule(s):
 )
 def test_series_keep_their_slices(words, qt_terms):
     # slices() is graded_slices of the coefficients under the container's
-    # grading (as canonical slices: a truncation keeps its parent's buckets),
-    # however the value was built; every call returns the held object, and
+    # grading (as canonical slices), however the value was built; every call returns the held object, and
     # equality does not depend on how a value was built
     nc, qt = NCSeries(4, words), QTSeries(6, qt_terms)
     cases = [
         (nc, _nc_rule),
         (NCSeries._from_slices(4, _nc_rule(nc)), _nc_rule),
-        (nc.truncate(2), _nc_rule),
         (-nc, _nc_rule),
         (qt, _qt_rule),
         (QTSeries._from_slices(6, _qt_rule(qt)), _qt_rule),
@@ -560,8 +559,10 @@ _PRODUCTS = {
     ),
     "qt_mul": (lambda t: qt_mul(_Q_Z3, _Q_Z3, t).coefficient(2, 0), _Z3_SQUARED),
     "QTSeries.scale": (lambda t: _Q_Z3.scale(_Z3, t).coefficient(1, 0), _Z3_SQUARED),
-    "qt_split_lincomb": (
-        lambda t: qt_split_lincomb(_Z3_SPLIT, [_Q_Z3.slices()], 3, t).coefficient(1, 0),
+    "split_lincomb": (
+        lambda t: NCSeries._from_slices(
+            2, normalise(split_lincomb(_Z3_SPLIT, [_A_Z3.slices()], 2, t), len)
+        ).coefficient("a"),
         _Z3_SQUARED,
     ),
     "EPoly.scale": (

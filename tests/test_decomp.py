@@ -314,7 +314,7 @@ def _reference_apply(vals, s):
 def _reference_solve_degree(ainf, d):
     ops = {k2: _reference_eps_tilde(k2) for k2 in range(0, max(d, 1), 2)}
     by_eword = {}
-    stack = [((), ainf.truncate(d))]
+    stack = [((), NCSeries(d, ainf.coeffs))]
     while stack:
         eword, series = stack.pop()
         for ncw, c in series.component(d).items():
@@ -411,13 +411,13 @@ def _full_series_gseries(max_len, max_wt, table):
     [(4, 5), (3, 5), (2, 7), (3, 6), (5, 2), (1, 6), (9, 0), (1, 1), (2, 2)],
 )
 def test_gseries_matches_the_full_series_route(max_len, max_wt):
-    # each on its own fresh table, so that neither serves the other's
-    # limit series from the cache; key order included
+    # each on its own fresh table, so that neither shares the other's
+    # regularized values; key order included
     fresh = loads_mzv_table(dump_mzv_table(shipped_table()))
     got = gseries_decompose(max_len, max_wt, fresh)
-    top = max(sum(i) + len(i) for i in indices_upto(max_len, max_wt))
-    # a range shorter than its top degree reads a cut series, not cached
-    assert ("ainf" in fresh.caches) == (max_len >= top)
+    # the route caches no series, and a range shorter than its top degree
+    # reads a cut one
+    assert set(fresh.caches) == {"reg"}
     assert max(map(len, fresh.caches["reg"])) <= max_len
     want = _full_series_gseries(max_len, max_wt, loads_mzv_table(dump_mzv_table(shipped_table())))
     assert list(got) == list(want)
@@ -442,22 +442,32 @@ def test_gseries_component_matches_the_validating_constructors(table):
             assert got[w].coeffs == EPoly({e: CoeffElem(t) for e, t in per.items()}).coeffs, w
 
 
-def test_gseries_rejects_component_outside_span():
+def _planting(monkeypatch, word):
+    """The route's build_Ainf with the word added on the monomial 1."""
+    from emzv import decomp
+
+    real = decomp.build_Ainf
+
+    def planted(D, t, max_b=None):
+        return real(D, t, max_b) + NCSeries(D, {word: CoeffElem.one()})
+
+    monkeypatch.setattr(decomp, "build_Ainf", planted)
+
+
+def test_gseries_rejects_component_outside_span(monkeypatch):
     # "aa" is not in the span of the degree-2 index monomials ab - ba and bb
     fresh = loads_mzv_table(dump_mzv_table(shipped_table()))
-    ainf = build_Ainf(4, fresh)
-    fresh.caches["ainf"] = ainf + NCSeries(4, {"aa": CoeffElem.one()})
+    _planting(monkeypatch, "aa")
     with pytest.raises(ExtractionInconsistent):
         gseries_decompose(2, 2, fresh)
 
 
-def test_gseries_rejects_perturbation_inside_a_requested_block():
+def test_gseries_rejects_perturbation_inside_a_requested_block(monkeypatch):
     # "ab" lies in the block (degree 2, one b) that the index (1,) reads,
     # and is not in the span of its monomial ab - ba: that block's own
     # residual check raises
     fresh = loads_mzv_table(dump_mzv_table(shipped_table()))
-    ainf = build_Ainf(2, fresh)
-    fresh.caches["ainf"] = ainf + NCSeries(2, {"ab": CoeffElem.one()})
+    _planting(monkeypatch, "ab")
     with pytest.raises(ExtractionInconsistent, match="degree-2 residual"):
         gseries_decompose(1, 1, fresh)
 

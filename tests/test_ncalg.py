@@ -291,24 +291,24 @@ def test_ainf_components_do_not_depend_on_the_build_degree():
     # the precondition of extract_gamma's per-table solve cache
     big = build_Ainf(9, fresh_table())
     for d in range(1, 9):
-        assert build_Ainf(d, fresh_table()).coeffs == big.truncate(d).coeffs, d
+        want = {w: c for w, c in big.coeffs.items() if len(w) <= d}
+        assert build_Ainf(d, fresh_table()).coeffs == want, d
 
 
 def test_cut_build_is_the_full_build_without_its_longer_b_words():
-    # every D <= 9 and 1 <= B <= D, each on a fresh table: the cut build
+    # every D <= 9 and 1 <= B <= D + 2, each on a fresh table: the cut build
     # keeps exactly the full build's words with at most B letters b, on
-    # every monomial, reads no binary word longer than B and is not cached
-    # (B = D cuts nothing: that is the full build, which is)
+    # every monomial, and reads no binary word longer than B (B >= D cuts
+    # nothing: that is the full build)
     for D in range(1, 10):
         full = build_Ainf(D, fresh_table())
-        for B in range(1, D + 1):
+        for B in range(1, D + 3):
             t = fresh_table()
             cut = build_Ainf(D, t, max_b=B)
             want = {w: c for w, c in full.coeffs.items() if w.count("b") <= B}
             assert cut.maxdeg == D and cut.coeffs == want, (D, B)
             assert cut == NCSeries(D, want), (D, B)
             assert max(map(len, t.caches["reg"]), default=0) <= B, (D, B)
-            assert ("ainf" in t.caches) == (B == D), (D, B)
 
 
 def test_cut_build_reads_fewer_regularized_values(monkeypatch):
@@ -325,17 +325,80 @@ def test_cut_build_reads_fewer_regularized_values(monkeypatch):
         build_Ainf(3, fresh_table(), max_b=-1)
 
 
-def test_cached_full_build_serves_a_cut_request(monkeypatch):
+def test_a_build_caches_no_series():
+    # build_Ainf is a pure function of (maxdeg, table, max_b): whatever it
+    # builds, in whatever order, the table holds only regularized values
+    t = fresh_table()
+    for D, B in ((9, None), (8, 3), (9, 4), (5, None), (3, 7), (9, None)):
+        build_Ainf(D, t, max_b=B)
+        assert set(t.caches) == {"reg"}, (D, B)
+
+
+@pytest.mark.parametrize("order", ["decreasing", "increasing"])
+def test_constants_build_the_series_only_above_every_solved_degree(monkeypatch, order):
+    # every index of degree <= 9 on a fresh table: in decreasing degree
+    # order one build serves them all; in increasing order each degree
+    # builds once (degree 0 reads the build at degree 1), and every
+    # constant equals one read from a single build at degree 9
     import emzv.ncalg as ncalg
 
+    degrees = []
+    real = ncalg.build_Ainf
+    monkeypatch.setattr(
+        ncalg, "build_Ainf", lambda D, t, max_b=None: degrees.append(D) or real(D, t, max_b)
+    )
+    reference = fresh_table()
+    want = {j: extract_gamma(j, reference) for d in range(9, -1, -1) for j in compositions_of(d)}
+    assert degrees == [9] and set(reference.caches["solve"]) == set(range(10))
+    degrees.clear()
     t = fresh_table()
-    full = build_Ainf(9, t)
-    for name in ("build_phi", "nc_mul", "nc_exp", "nc_inv"):
-        monkeypatch.setattr(ncalg, name, lambda *a, **k: pytest.fail("built again"))
-    for D, B in ((9, 4), (8, 3), (5, 1), (3, 7)):
-        want = {w: c for w, c in full.truncate(D).coeffs.items() if w.count("b") <= B}
-        assert build_Ainf(D, t, max_b=B).coeffs == want, (D, B)
-    assert t.caches["ainf"] is full
+    for d in sorted(range(10), reverse=order == "decreasing"):
+        for j in compositions_of(d):
+            assert extract_gamma(j, t) == want[j], j
+    assert degrees == ([9] if order == "decreasing" else list(range(1, 10)))
+    assert set(t.caches) == {"reg", "solve"}
+
+
+def test_concurrent_constants_on_a_cold_table():
+    # two threads on one cold table ask for every degree <= 9 in opposite
+    # orders; each degree's constants are stored once, first writer wins,
+    # and every constant equals a single-threaded run
+    import sys
+    import threading
+
+    reference = fresh_table()
+    want = {j: extract_gamma(j, reference) for d in range(9, -1, -1) for j in compositions_of(d)}
+    t = fresh_table()
+    results, errors = [{}, {}], []
+    start = threading.Barrier(2)
+    seen = [{}, {}]  # each thread's view of the stored entry of each degree
+
+    def worker(i):
+        try:
+            start.wait(timeout=60)
+            for d in sorted(range(10), reverse=i == 1):
+                for j in compositions_of(d):
+                    results[i][j] = extract_gamma(j, t)
+                seen[i][d] = t.caches["solve"][d]
+        except BaseException as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads' builds, solves and stores finely
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=300)
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors and not any(th.is_alive() for th in threads)
+    assert set(t.caches) == {"reg", "solve"} and set(t.caches["solve"]) == set(range(10))
+    for d in range(10):
+        assert seen[0][d] is seen[1][d] is t.caches["solve"][d], d
+    for got in results:
+        assert got == want
 
 
 def test_cut_build_keeps_the_degree_guard():
@@ -584,23 +647,33 @@ def test_extract_gamma_matches_reference_solve():
             assert extract_gamma(idx, t) == (x if len(idx) % 2 == 0 else -x), idx
 
 
-def test_extract_gamma_rejects_symbol_term_outside_span():
+def _planting(monkeypatch, word, coeff):
+    """build_Ainf with one term added, dropped at a degree below the word's."""
+    import emzv.ncalg as ncalg
+
+    real = ncalg.build_Ainf
+    def planted(D, t, max_b=None):
+        return real(D, t, max_b) + NCSeries(D, {word: coeff})
+
+    monkeypatch.setattr(ncalg, "build_Ainf", planted)
+
+
+def test_extract_gamma_rejects_symbol_term_outside_span(monkeypatch):
     # every word of an index monomial has a b, so z3 on aaaaa is outside
     # their span; the residual check of the z3 slice must see it
     t = fresh_table()
-    ainf = build_Ainf(5, t)
-    t.caches["ainf"] = ainf + NCSeries(5, {"aaaaa": CoeffElem.symbol("z3")})
+    _planting(monkeypatch, "aaaaa", CoeffElem.symbol("z3"))
     with pytest.raises(ExtractionInconsistent):
         extract_gamma((0, 1, 0, 0), t)
     assert extract_gamma((0, 1, 0), t) == extract_gamma((0, 1, 0), fresh_table())
 
 
-def test_extract_gamma_rejects_a_term_of_the_wrong_weight():
+def test_extract_gamma_rejects_a_term_of_the_wrong_weight(monkeypatch):
     # bb lies in the span (it is the monomial of (0, 0)), but z3 on it is a
     # weight-3 term on a word with two b's: the z3 slice is solved as the
     # block (2, 3), which has no pivot for bb
     t = fresh_table()
-    t.caches["ainf"] = build_Ainf(2, t) + NCSeries(2, {"bb": CoeffElem.symbol("z3")})
+    _planting(monkeypatch, "bb", CoeffElem.symbol("z3"))
     with pytest.raises(ExtractionInconsistent, match="length-3 index monomials on words"):
         extract_gamma((0, 0), t)
 
@@ -655,7 +728,7 @@ def reference_build_phi(x, y, D, table):
     letter = {0: "B", 1: "A"}
     big = D + 1
     mindeg = {0: x.min_degree() or big, 1: y.min_degree() or big}
-    arg = {0: x.truncate(D), 1: y.truncate(D)}
+    arg = {0: NCSeries(D, x.coeffs), 1: NCSeries(D, y.coeffs)}
     acc = NCSeries.one(D)
 
     def visit(word, subst, degree_floor):
@@ -826,10 +899,9 @@ def test_unvalidated_results_match_validating_constructor(x, y, q, c):
     assert scaled == _outcome(
         lambda: NCSeries(D, {w: coeff_mul(v, c, table) for w, v in x.items()})
     )
-    assert x.truncate(2) == NCSeries(2, x.coeffs)
     assert NCSeries(D, x.coeffs) == x
     product = _outcome(nc_mul, x, y, table)
-    for s in (x + y, -x, x.scale(q), scaled, x.truncate(2), product):
+    for s in (x + y, -x, x.scale(q), scaled, product):
         if s is not TableOverflow:
             assert all(len(w) <= s.maxdeg and not v.is_zero() for w, v in s.items())
     assert x.scale(0).is_zero() and x.scale(CoeffElem.zero()).is_zero()
@@ -843,14 +915,6 @@ def test_unvalidated_results_match_validating_constructor(x, y, q, c):
     long = "ab" * D + "b"
     assert NCSeries(D, {long: c}).is_zero()
     assert x.coefficient(long) == (x + y).coefficient(long) == CoeffElem.zero()
-
-
-def test_truncate_refuses_a_higher_degree():
-    x = nc(2, a=1, aa=1)
-    assert x.truncate(2) == x
-    assert x.truncate(1) == nc(1, a=1)
-    with pytest.raises(DegreeMismatch, match="degree-2 series to degree 5"):
-        x.truncate(5)
 
 
 @pytest.mark.parametrize("D, weight", ((10, 9), (11, 10)))

@@ -10,12 +10,14 @@ from emzv.coeffring import (
     coeff_mul,
     graded_slices,
     integer_slices,
+    normalise,
     shipped_table,
 )
+from emzv.coeffring import split_lincomb as split_cells
 from emzv.decomp import emzv_qexp
 from emzv.eisalg import eisenstein_qexp
 from emzv.errors import DegreeMismatch, FourierViolation, TableOverflow
-from emzv.qseries import QTSeries, qt_antider, qt_ddT, qt_mul, qt_split_lincomb
+from emzv.qseries import QTSeries, _q_power, qt_antider, qt_ddT, qt_mul, qt_split_lincomb
 
 F = Fraction
 
@@ -233,11 +235,16 @@ def test_scale_by_rational_coeff_matches_coeff_mul():
 
 
 def split_lincomb(pairs, order, table=None):
-    """qt_split_lincomb on scalars split by integer_slices, as epoly_to_qexp
-    passes its polynomial's slices."""
+    """sum c * f on scalars split by integer_slices, as epoly_to_qexp passes
+    its polynomial's slices: qt_split_lincomb without a table, and
+    coeffring.split_lincomb (which build_phi calls) with one."""
     pairs = list(pairs)
     scalars = integer_slices(enumerate(c for c, _ in pairs))
-    return qt_split_lincomb(scalars, [f.slices() for _, f in pairs], order, table)
+    series = [f.slices() for _, f in pairs]
+    if table is None:
+        return qt_split_lincomb(scalars, series, order)
+    cells = split_cells(scalars, series, order - 1, table)
+    return QTSeries._from_slices(order, normalise(cells, _q_power))
 
 
 def reference_lincomb(pairs, order, table):

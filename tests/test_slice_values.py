@@ -33,6 +33,7 @@ from emzv.coeffring import (
     normalise,
     rational_lincomb,
     shipped_table,
+    split_lincomb,
 )
 from emzv.decomp import decompose, diffeq_expand, find_emzv_relations
 from emzv.eisalg import EPoly, eisenstein_qexp, has_odd_letter, iei_qexp
@@ -342,11 +343,16 @@ def test_qt_mul_matches_reference(f, g, with_table):
 
 
 def split_qt_lincomb(pairs, order, table=None):
-    """qt_split_lincomb on scalars split by integer_slices, as epoly_to_qexp
-    passes its polynomial's slices."""
+    """sum c * f on scalars split by integer_slices, as epoly_to_qexp passes
+    its polynomial's slices: qt_split_lincomb without a table, and
+    coeffring.split_lincomb (which build_phi calls) with one."""
     pairs = list(pairs)
     scalars = integer_slices(enumerate(c for c, _ in pairs))
-    return qt_split_lincomb(scalars, [f.slices() for _, f in pairs], order, table)
+    series = [f.slices() for _, f in pairs]
+    if table is None:
+        return qt_split_lincomb(scalars, series, order)
+    cells = split_lincomb(scalars, series, order - 1, table)
+    return QTSeries._from_slices(order, normalise(cells, lambda k: k >> _SHIFT))
 
 
 @settings(max_examples=60, deadline=None)
@@ -429,23 +435,19 @@ def test_slice_equality_needs_equal_shapes():
 
 
 # ---------------------------------------------------------------------------
-# Truncation of a value built from slices
+# A smaller build of the limit series
 
 
 def test_truncation_keeps_the_buckets_up_to_the_degree():
-    # the cached limit series serves a smaller degree from its own buckets
-    # and equals a build at that degree
+    # a smaller build after a larger one on the same table has the larger
+    # one's words up to its degree, and equals a build on a fresh table
     source = dump_mzv_table(shipped_table())
     table = loads_mzv_table(source)
     full = build_Ainf(8, table)
     small = build_Ainf(6, table)
-    for mono, (den, buckets) in small.slices().items():
-        full_den, full_buckets = full.slices()[mono]
-        assert den == full_den
-        assert all(a is b for a, b in zip(buckets, full_buckets))
-        assert max(g for g, _ in buckets) <= 6
+    assert all(max(g for g, _ in buckets) <= 6 for _, buckets in small.slices().values())
     assert small == build_Ainf(6, loads_mzv_table(source))
-    assert small.coeffs == full.truncate(6).coeffs
+    assert small.coeffs == {w: c for w, c in full.coeffs.items() if len(w) <= 6}
 
 
 # ---------------------------------------------------------------------------
