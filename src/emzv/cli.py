@@ -23,12 +23,16 @@ the entry: an even entry above ``LENGTH1_BUDGET`` is refused unless
 ``--no-cost-guard`` is given.  ``relations`` applies both rules, with no
 override: a length-1 family is one index, which ``gamma`` computes.  The
 budget bounds the letters of a ``fourier-check --epoly`` word too, since
-the q-expansion of E_k reads B_k.
+the q-expansion of E_k reads B_k.  ``membership`` computes the Lie relation
+kernels of each component's length and letter sum, whose rows grow as a
+binomial in both: a component above ``KERNEL_ROW_BUDGET`` rows is refused
+unless ``--no-cost-guard`` is given.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Callable
@@ -64,6 +68,12 @@ ENV_TABLE = "EMZV_MZV_TABLE"
 # The largest even entry of a length-1 index computed without
 # --no-cost-guard: B_400 takes about 0.7 s, B_800 about 6 s.
 LENGTH1_BUDGET = 400
+
+# The most rows of a Lie relation kernel that membership computes without
+# --no-cost-guard: a component at C(83, 2) = 3,403 rows takes about 1.2 s,
+# at C(99, 2) = 4,851 rows about 2 s, and at C(403, 2) = 81,003 rows more
+# than 100 s.
+KERNEL_ROW_BUDGET = 3500
 
 _FLAGS: dict[str, dict] = {
     "--mzv-table": dict(default=None, metavar="PATH"),
@@ -123,8 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
         p[name].add_argument(
             "--no-cost-guard",
             action="store_true",
-            help=f"compute Bernoulli numbers beyond B_{LENGTH1_BUDGET}: a length-1 "
-            "index's constant, or a fourier-check --epoly letter",
+            help=f"compute Bernoulli numbers beyond B_{LENGTH1_BUDGET} (a length-1 "
+            "index's constant, or a fourier-check --epoly letter) and membership's "
+            f"Lie kernels beyond {KERNEL_ROW_BUDGET} rows",
         )
     p["relations"].add_argument("--length", type=int, required=True, metavar="L")
     p["relations"].add_argument("--weight", type=int, required=True, metavar="W")
@@ -204,6 +215,15 @@ def _guard_bernoulli(what: str, k: int, of: str, override: bool, hint: str) -> N
             f"{what} needs B_{k}, beyond the budget of even entries "
             f"≤ {LENGTH1_BUDGET} for {of}; {hint}"
         )
+
+
+def _kernel_rows(length: int, letter_sum: int) -> int:
+    """Rows of the largest Lie kernel the dual-membership check of a
+    component may compute.  The kernel of depth r and letter sum s has one
+    row per word of its candidates' values on x, C(s + 1, r) of them, and
+    the check recurses to every depth 2 <= r <= length at letter sums
+    <= s (length < 2 computes none)."""
+    return max((math.comb(letter_sum + 1, r) for r in range(2, length + 1)), default=0)
 
 
 def _guarded_index(ns: argparse.Namespace, table: MzvTable) -> tuple[int, ...]:
@@ -367,6 +387,15 @@ def _cmd_fourier_check(ns: argparse.Namespace) -> int:
 def _cmd_membership(ns: argparse.Namespace) -> int:
     table = _load_table(ns)
     poly = _epoly_argument(ns, table)
+    if not ns.no_cost_guard:
+        for length, letter_sum in sorted({(len(w), sum(w)) for w in poly.coeffs}):
+            rows = _kernel_rows(length, letter_sum)
+            if rows > KERNEL_ROW_BUDGET:
+                raise ValueError(
+                    f"membership component length={length} letters={letter_sum} "
+                    f"needs a Lie kernel of {rows} rows, beyond the budget of "
+                    f"{KERNEL_ROW_BUDGET} rows; pass `--no-cost-guard` to compute it"
+                )
     per_comp = uu_dual_membership(poly)
     ok = all(per_comp.values())
     doc = {

@@ -77,26 +77,20 @@ def assoc_bracket(x: Mapping[_Word, Number], y: Mapping[_Word, Number]) -> dict[
     return accumulate(assoc_concat(x, y), ((w, -q) for w, q in assoc_concat(y, x).items()))
 
 
-_expand_cache: dict = {}
-
-
 def expand_lyndon(w: _Word) -> dict[_Word, int]:
-    """Word expansion of the standard bracketing of a Lyndon word.
+    """Word expansion of the standard bracketing of a Lyndon word, as a
+    fresh dict on every call.
 
     The word is a string in x, y or a tuple of e-letters.  Triangular: the
     expansion is the word itself plus lexicographically larger
-    rearrangements; asserted here at build time.
+    rearrangements; asserted here.
     """
-
-    def compute() -> dict[_Word, int]:
-        if len(w) == 1:
-            return {w: 1}
-        u, v = standard_factorization(w)
-        res = assoc_bracket(expand_lyndon(u), expand_lyndon(v))
-        assert min(res) == w and res[w] == 1
-        return res
-
-    return memoized(_expand_cache, w, compute)
+    if len(w) == 1:
+        return {w: 1}
+    u, v = standard_factorization(w)
+    res = assoc_bracket(expand_lyndon(u), expand_lyndon(v))
+    assert min(res) == w and res[w] == 1
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +194,10 @@ class RelationSet(NamedTuple):
 
 
 def _eps_lyndon_candidates(weight: int, depth: int) -> list[tuple[int, ...]]:
-    """Lyndon words over the even alphabet with given length and letter sum."""
+    """Lyndon words over the even alphabet with given length and letter sum;
+    the empty word is not one, so depth 0 has none."""
+    if depth < 1:
+        return []
     words = graded_words(depth, weight, step=2)
     return [w for w in words if all(w < w[i:] + w[:i] for i in range(1, len(w)))]
 
@@ -226,16 +223,6 @@ def candidate_label(word: tuple[int, ...]) -> str:
     return f"[{candidate_label(left)},{candidate_label(right)}]"
 
 
-_relations_cache: dict[tuple, RelationSet] = {}
-_candidates_cache: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-
-
-def _default_candidates(weight: int, depth: int) -> tuple[tuple[int, ...], ...]:
-    """The Lyndon candidates of (weight, depth), enumerated once."""
-    key = (weight, depth)
-    return memoized(_candidates_cache, key, lambda: tuple(_eps_lyndon_candidates(*key)))
-
-
 def find_lie_relations(
     weight: int,
     depth: int,
@@ -243,7 +230,8 @@ def find_lie_relations(
 ) -> RelationSet:
     """Kernel of the evaluation of formal bracket words in the derivations.
 
-    A bracket word evaluates to a derivation D, and D vanishes if and only
+    The candidates default to every Lyndon word of (weight, depth).  A
+    bracket word evaluates to a derivation D, and D vanishes if and only
     if it kills both generators, so a kernel computed from generator values
     is exact.  For weight >= 1 the value on x alone decides: every eps_{2k}
     kills [x, y], hence so does every bracket of them, and D raises the
@@ -255,18 +243,12 @@ def find_lie_relations(
     with itself, so D = c * eps_0, and D(x) = c * y decides there too.
     """
     if candidates is None:
-        cand = _default_candidates(weight, depth)
-    else:
-        cand = tuple(tuple(c) for c in candidates)
-    key = (weight, depth, cand)
-    return memoized(_relations_cache, key, lambda: _lie_kernel(*key))
-
-
-def _lie_kernel(weight: int, depth: int, cand: tuple[tuple[int, ...], ...]) -> RelationSet:
+        candidates = _eps_lyndon_candidates(weight, depth)
+    cand = [tuple(c) for c in candidates]
     for c in cand:
         if sum(c) != weight or len(c) != depth:
             raise ValueError(f"candidate {c} does not match (weight, depth)")
-    # One row per word of the values on x (see find_lie_relations).
+    # One row per word of the values on x.
     coords: dict[str, list[int]] = {}
     for j, c in enumerate(cand):
         for w, q in _candidate_x_value(c).items():
@@ -289,9 +271,9 @@ def relation_tensor_elements(weight: int, depth: int) -> tuple[dict[EWord, Fract
     once per (weight, depth); the dicts are shared and must not be mutated."""
 
     def expand() -> tuple[dict[EWord, Fraction], ...]:
-        cand = _default_candidates(weight, depth)
+        cand = _eps_lyndon_candidates(weight, depth)
         out = []
-        for vec in find_lie_relations(weight, depth).vectors:
+        for vec in find_lie_relations(weight, depth, cand).vectors:
             terms = (
                 (w, q * n) for c, q in zip(cand, vec) if q for w, n in expand_lyndon(c).items()
             )

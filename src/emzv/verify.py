@@ -3,8 +3,9 @@
 Every check is exact (rational arithmetic, zero tolerance) and deterministic.
 The registry covers the worked examples hard-wired into the design (length
 one and two closed forms, the worked length-3 and length-4 decompositions,
-the derivation-algebra relations, the image constraints) together with the
-ten acceptance criteria; the CLI ``verify`` subcommand runs all of it.
+the derivation-algebra relations, the image constraints, reflection on every
+index of degree <= 9) together with the ten acceptance criteria; the CLI
+``verify`` subcommand runs all of it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .decomp import (
     diffeq_expand,
     diffeq_rhs_qexp,
     emzv_qexp,
+    format_index,
     gseries_decompose,
     indices_upto,
 )
@@ -46,6 +48,7 @@ from .ncalg import (
     build_Ainf,
     build_phi,
     build_ytilde,
+    compositions_of,
     extract_gamma,
     is_grouplike,
     nc_bracket,
@@ -467,6 +470,24 @@ def check_gseries_examples(ctx: VerifyContext) -> CheckResult:
     return True, "worked length-3 indices along both routes"
 
 
+def check_reflection(ctx: VerifyContext) -> CheckResult:
+    # psi(k_1, ..., k_n) = (-1)^(k_1 + ... + k_n) psi(k_n, ..., k_1): the
+    # reversal symmetry of A-elliptic MZVs, on words and constants together;
+    # each index is compared with its reversal once
+    indices = [idx for d in range(10) for idx in compositions_of(d)]
+    for idx in indices:
+        mirror = idx[::-1]
+        if idx > mirror:
+            continue
+        psi, other = decompose(idx, ctx.table).epoly, decompose(mirror, ctx.table).epoly
+        if psi != (-other if sum(idx) % 2 else other):
+            return False, (
+                f"reflection fails at index {format_index(idx)}: psi is not "
+                f"(-1)^{sum(idx)} times psi({format_index(mirror)})"
+            )
+    return True, f"psi(I) = (-1)^|I| psi(reversed I) on {len(indices)} indices, degree <= 9"
+
+
 CHECKS: list[tuple[str, Check]] = [
     ("bernoulli", check_bernoulli),
     ("eisenstein-qexp", check_eisenstein),
@@ -478,6 +499,7 @@ CHECKS: list[tuple[str, Check]] = [
     ("membership-examples", check_membership_examples),
     ("fourier-examples", check_fourier_examples),
     ("gseries-examples", check_gseries_examples),
+    ("reflection", check_reflection),
     ("criterion-01-length-one", criterion_01_length_one),
     ("criterion-02-length-two", criterion_02_length_two),
     ("criterion-03-worked-examples", criterion_03_worked_examples),

@@ -60,3 +60,20 @@ def test_worked_example_check(ctx, name, check):
 
 def test_every_check_is_run_here():
     assert len(WORKED_CHECKS) + len(CRITERIA) == len(CHECKS)
+
+
+def test_reflection_check_names_a_broken_index(ctx, monkeypatch):
+    # negative control: psi(0, 2) perturbed, psi(2, 0) left alone
+    from emzv import verify
+    from emzv.eisalg import EPoly
+
+    real = verify.decompose
+
+    def perturbed(idx, table):
+        dec = real(idx, table)
+        return dec._replace(epoly=dec.epoly + EPoly.word((2,))) if idx == (0, 2) else dec
+
+    monkeypatch.setattr(verify, "decompose", perturbed)
+    ok, detail = verify.check_reflection(ctx)
+    assert not ok
+    assert detail == "reflection fails at index 0,2: psi is not (-1)^2 times psi(2,0)"

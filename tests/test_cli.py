@@ -275,6 +275,42 @@ def test_fourier_check_epoly_keeps_the_bernoulli_budget(capsys, monkeypatch):
     assert (code, err) == (1, "") and "member: False" in out
 
 
+def test_membership_kernel_guard_refuses_at_once(monkeypatch):
+    # the 0,402 component needs a Lie kernel of C(403, 2) = 81,003 rows,
+    # which ran for minutes: refused before any kernel
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "emzv", "membership", "--epoly", '[["0,402", "1 * 1"]]']
+    start = time.perf_counter()
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert "component length=2 letters=402" in proc.stderr and "81003 rows" in proc.stderr
+    assert f"budget of {cli.KERNEL_ROW_BUDGET} rows" in proc.stderr
+    assert "`--no-cost-guard`" in proc.stderr
+    from emzv import derlie
+
+    monkeypatch.setattr(derlie, "kernel_basis", lambda m: pytest.fail("a kernel ran"))
+    assert run(argv[3:]) == 2
+
+
+def test_membership_kernel_guard_override(capsys, monkeypatch):
+    # with a lowered budget a cheap component is refused, and the override
+    # gives the unguarded verdict; components within the budget run
+    cheap = '[["2,4", "1 * 1"], ["4,2", "-1 * 1"], ["0,0,2", "1 * 1"]]'
+    want = run_cli(capsys, "membership", "--epoly", cheap)
+    assert want[0] == 1 and "member: False" in want[1]
+    assert cli._kernel_rows(2, 6) == 21 and cli._kernel_rows(3, 2) == 3
+    monkeypatch.setattr(cli, "KERNEL_ROW_BUDGET", 20)
+    code, out, err = run_cli(capsys, "membership", "--epoly", cheap)
+    assert (code, out) == (2, "") and err.count("\n") == 1, err
+    assert "length=2 letters=6 needs a Lie kernel of 21 rows, beyond the budget of 20" in err
+    assert run_cli(capsys, "membership", "--epoly", cheap, "--no-cost-guard") == want
+    code, out, err = run_cli(capsys, "membership", "--index", "2,0,0")
+    assert (code, err) == (0, "") and "member: True" in out
+
+
 def test_derlie_relations(capsys):
     code, out, _ = run_cli(
         capsys, "derlie-relations", "--weight", "14", "--depth", "2", "--format", "json"

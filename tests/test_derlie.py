@@ -482,38 +482,60 @@ def test_integer_engine_matches_fraction_engine(weight, depth, candidates):
     assert got.vectors  # each case has a relation
 
 
-def test_relation_tensor_elements_reuse_the_cached_kernel(monkeypatch):
-    from emzv import derlie
-
-    calls = []
-
-    def counting_kernel_basis(matrix):
-        calls.append(matrix)
-        return kernel_basis(matrix)
-
-    monkeypatch.setattr(derlie, "kernel_basis", counting_kernel_basis)
-    monkeypatch.setattr(derlie, "_relations_cache", {})
+def test_explicit_full_candidate_list_gives_the_default_relations():
+    # the full candidate list, passed as tuples or as lists, is the default
     rel = find_lie_relations(16, 3)
-    assert relation_tensor_elements(16, 3)
-    assert len(calls) == 1 and len(derlie._relations_cache) == 1
-    # the full candidate list passed explicitly is the same cache entry
-    assert find_lie_relations(16, 3, candidates=_eps_lyndon_candidates(16, 3)) is rel
-    assert len(calls) == 1
+    assert find_lie_relations(16, 3, candidates=_eps_lyndon_candidates(16, 3)) == rel
+    listed = [list(c) for c in _eps_lyndon_candidates(16, 3)]
+    assert find_lie_relations(16, 3, candidates=listed) == rel
 
 
 def test_warm_relation_tensor_elements_enumerate_no_candidates(monkeypatch):
+    # a cold call enumerates the candidates once and computes one kernel; a
+    # warm one does neither
     from emzv import derlie
 
-    relation_tensor_elements(14, 2)
-    runs = []
+    runs, kernels = [], []
 
     def counting_candidates(weight, depth):
         runs.append((weight, depth))
         return _eps_lyndon_candidates(weight, depth)
 
+    def counting_kernel_basis(matrix):
+        kernels.append(matrix)
+        return kernel_basis(matrix)
+
+    monkeypatch.setattr(derlie, "_tensor_cache", {})
     monkeypatch.setattr(derlie, "_eps_lyndon_candidates", counting_candidates)
-    assert relation_tensor_elements(14, 2)
-    assert runs == []
+    monkeypatch.setattr(derlie, "kernel_basis", counting_kernel_basis)
+    assert relation_tensor_elements(16, 3)
+    assert runs == [(16, 3)] and len(kernels) == 1
+    runs.clear()
+    kernels.clear()
+    assert relation_tensor_elements(16, 3)
+    assert runs == [] and kernels == []
+
+
+def test_expansions_are_fresh_dicts():
+    # a caller that writes into an expansion changes no later expansion
+    for w in ("xxy", "xyy", (0, 2, 4), (2, 4)):
+        first = expand_lyndon(w)
+        want = dict(first)
+        first[w] = 7
+        first["mutated"] = 1
+        assert expand_lyndon(w) == want, w
+    letter = expand_lyndon("x")
+    letter["x"] = 0
+    assert expand_lyndon("x") == {"x": 1}
+
+
+def test_depth_zero_has_no_candidates():
+    # the empty word is not a Lyndon word: no candidate, no relation
+    for weight in (0, 4):
+        assert _eps_lyndon_candidates(weight, 0) == []
+        rel = find_lie_relations(weight, 0)
+        assert rel == (weight, 0, (), ()), weight
+        assert relation_tensor_elements(weight, 0) == ()
 
 
 def test_warm_relation_tensor_elements_expand_nothing(monkeypatch):
