@@ -12,7 +12,8 @@ psi(k_1, ..., k_n) = (-1)^(k_1 + ... + k_n) psi(k_n, ..., k_1), and the
 survey exits 1 naming the first index that breaks it.  Reflection gives one
 relation per pair I != reversed I and one per palindrome of odd weight (its
 psi vanishes); the column ``extra`` counts the relations of the kernel
-beyond those.
+beyond those.  An index the engine refuses (a table too small for its
+length, say) ends the survey with one line on stderr and exit 1.
 
 Usage: python3 scripts/relation_survey.py [--max-length 3] [--max-weight 4]
 """
@@ -27,6 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from emzv.coeffring import shipped_table
 from emzv.decomp import decompose, find_emzv_relations, format_index
+from emzv.errors import EmzvError
 from emzv.words import graded_words
 
 
@@ -52,7 +54,14 @@ def main(argv=None) -> int:
     ap.add_argument("--max-weight", type=int, default=4)
     ap.add_argument("--show-relations", action="store_true")
     args = ap.parse_args(argv)
+    try:
+        return survey(args)
+    except EmzvError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
+
+def survey(args) -> int:
     table = shipped_table()
     print(f"{'len':>3} {'wt':>3} {'#idx':>5} {'#rel':>5} {'dim':>4} {'extra':>5}")
     for length in range(1, args.max_length + 1):

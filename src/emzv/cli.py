@@ -14,19 +14,23 @@ and ``--format`` wherever there is structured output; any other flag is a
 usage error.  The zeta table ships with the package; ``--mzv-table`` or the
 environment variable ``EMZV_MZV_TABLE`` select another file.  Indices are
 written as comma-separated entries without spaces (``0,1,0,0``; the empty
-string is the empty index).  An index of length >= 2 needs a table of
-weight at least weight + length - 1, so the table's cap bounds the indices
-the CLI accepts; the verification suite exercises the closed-form layers
-beyond it.  A length-1 index reads no table, but its constant needs the
-Bernoulli number of its entry, whose recurrence costs about the cube of
-the entry: an even entry above ``LENGTH1_BUDGET`` is refused unless
-``--no-cost-guard`` is given.  ``relations`` applies both rules, with no
-override: a length-1 family is one index, which ``gamma`` computes.  The
-budget bounds the letters of a ``fourier-check --epoly`` word too, since
-the q-expansion of E_k reads B_k.  ``membership`` computes the Lie relation
-kernels of each component's length and letter sum, whose rows grow as a
-binomial in both: a component above ``KERNEL_ROW_BUDGET`` rows is refused
-unless ``--no-cost-guard`` is given.
+string is the empty index).  An index of length n >= 2 and degree d =
+weight + length needs a table of weight at least min(d - 1, n), so the
+table's cap bounds the length of the indices the CLI accepts; the degree
+sets the cost.  Its constant reads the limit series' words of degree <= d
+(past the table's whole series, those with at most n letters b): an index
+above ``SERIES_WORD_BUDGET`` words is refused unless ``--no-cost-guard``
+is given.  A length-1 index reads no
+table, but its constant needs the Bernoulli number of its entry, whose
+recurrence costs about the cube of the entry: an even entry above
+``LENGTH1_BUDGET`` is refused unless ``--no-cost-guard`` is given.
+``relations`` applies these rules with no override, and names ``gamma``
+(length 1) or the library call.  The Bernoulli budget bounds the letters of
+a ``fourier-check --epoly`` word too, since the q-expansion of E_k reads
+B_k.  ``membership`` computes the Lie relation kernels of each component's
+length and letter sum, whose rows grow as a binomial in both: a component
+above ``KERNEL_ROW_BUDGET`` rows is refused unless ``--no-cost-guard`` is
+given, and ``derlie-relations`` above it names the library call.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from .derlie import (
 )
 from .eisalg import EPoly
 from .errors import ConsistencyError, EmzvError, ParseError, TableOverflow
-from .ncalg import build_Ainf, required_table_weight
+from .ncalg import build_Ainf, constant_cut, index_degree, required_table_weight
 from .words import graded_words
 
 ENV_TABLE = "EMZV_MZV_TABLE"
@@ -69,10 +73,16 @@ ENV_TABLE = "EMZV_MZV_TABLE"
 # --no-cost-guard: B_400 takes about 0.7 s, B_800 about 6 s.
 LENGTH1_BUDGET = 400
 
+# The most words of the limit series a constant is read from without
+# --no-cost-guard, at about 20-70 us a word: gamma of (0, 40) reads 13,287
+# words in 0.3 s, (0, 0, 0, 0, 0, 0, 0, 6) 27,823 in 1.9 s, (0, 80) 95,367
+# in 3.6 s and (0, 0, 40) 149,985 in 10.7 s.
+SERIES_WORD_BUDGET = 30000
+
 # The most rows of a Lie relation kernel that membership computes without
-# --no-cost-guard: a component at C(83, 2) = 3,403 rows takes about 1.2 s,
-# at C(99, 2) = 4,851 rows about 2 s, and at C(403, 2) = 81,003 rows more
-# than 100 s.
+# --no-cost-guard, and derlie-relations at all: a component at C(83, 2) =
+# 3,403 rows takes about 1.2 s, at C(99, 2) = 4,851 rows about 2 s, and at
+# C(403, 2) = 81,003 rows more than 100 s.
 KERNEL_ROW_BUDGET = 3500
 
 _FLAGS: dict[str, dict] = {
@@ -133,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
         p[name].add_argument(
             "--no-cost-guard",
             action="store_true",
-            help=f"compute Bernoulli numbers beyond B_{LENGTH1_BUDGET} (a length-1 "
+            help=f"compute limit series beyond {SERIES_WORD_BUDGET} words (an index's "
+            f"constant), Bernoulli numbers beyond B_{LENGTH1_BUDGET} (a length-1 "
             "index's constant, or a fourier-check --epoly letter) and membership's "
             f"Lie kernels beyond {KERNEL_ROW_BUDGET} rows",
         )
@@ -188,21 +199,33 @@ def _require_table_weight(what: str, need: int, table: MzvTable) -> None:
 
 
 def _require_limit_series(degree: int, table: MzvTable) -> None:
-    _require_table_weight(
-        f"the limit series at degree {degree}",
-        required_table_weight((0,) * degree),  # same for every index at this degree
-        table,
-    )
+    what = f"the limit series at degree {degree}"
+    _require_table_weight(what, required_table_weight(degree), table)
+
+
+def _series_words(degree: int, length: int, table: MzvTable) -> int:
+    """Words of the limit series the constant of an index is read from: of
+    degree <= d with at most b = ``ncalg.constant_cut`` letters b, sum over
+    w <= b of C(d + 1, w + 1)."""
+    cut = constant_cut(degree, length, table)
+    return sum(math.comb(degree + 1, w + 1) for w in range(cut + 1))
 
 
 def _guard_cost(
     what: str, idx: tuple[int, ...], table: MzvTable, override: bool, hint: str
 ) -> None:
-    """The table cap for an index of length >= 2, the Bernoulli budget for
-    length 1 unless ``override``: lengths 0 and 1 have closed-form constants
-    and read no table.  ``hint`` says how to compute past the budget."""
+    """Length >= 2: the table cap and, unless ``override``, the series' word
+    budget.  Length 1: the Bernoulli budget unless ``override``; lengths 0 and
+    1 read no table.  ``hint`` says how to compute past a budget."""
     if len(idx) >= 2:
-        _require_table_weight(what, required_table_weight(idx), table)
+        degree = index_degree(idx)
+        _require_table_weight(what, required_table_weight(degree, len(idx)), table)
+        words = _series_words(degree, len(idx), table)
+        if words > SERIES_WORD_BUDGET and not override:
+            raise ValueError(
+                f"{what} at degree {degree} needs a limit series of {words} words, "
+                f"beyond the budget of {SERIES_WORD_BUDGET} words; {hint}"
+            )
     elif idx:  # pi * B_k / k!
         _guard_bernoulli(what, idx[0], "a length-1 index", override, hint)
 
@@ -313,7 +336,10 @@ def _cmd_relations(ns: argparse.Namespace) -> int:
     # every index of this length and weight costs what its first one does
     first = (ns.weight,) + (0,) * (ns.length - 1) if ns.length else ()
     what = f"each index of length {ns.length} and weight {ns.weight}"
-    hint = f"`gamma --index {ns.weight} --no-cost-guard` computes its constant"
+    if ns.length == 1:
+        hint = f"`gamma --index {ns.weight} --no-cost-guard` computes its constant"
+    else:
+        hint = "`emzv.find_emzv_relations(indices, table)` computes them"
     _guard_cost(what, first, table, False, hint)
     indices = graded_words(ns.length, ns.weight)
     vectors = find_emzv_relations(indices, table)
@@ -336,6 +362,13 @@ def _cmd_derlie_relations(ns: argparse.Namespace) -> int:
         raise ValueError(f"bad --weight {ns.weight}: the weight must be even and ≥ 0")
     if ns.depth < 1:
         raise ValueError(f"bad --depth {ns.depth}: the depth must be ≥ 1")
+    rows = math.comb(ns.weight + 1, ns.depth)
+    if rows > KERNEL_ROW_BUDGET:
+        raise ValueError(
+            f"weight {ns.weight} and depth {ns.depth} need a Lie kernel of {rows} rows, "
+            f"beyond the budget of {KERNEL_ROW_BUDGET} rows; "
+            f"`emzv.find_lie_relations({ns.weight}, {ns.depth})` computes it"
+        )
     rel = find_lie_relations(ns.weight, ns.depth)
     lines = [f"candidates: {' '.join(rel.candidates)}"]
     lines += ["relation: " + " ".join(str(q) for q in v) for v in rel.vectors]

@@ -520,19 +520,23 @@ def graded_slices(terms: Iterable[tuple[K, CoeffElem]], grade: Callable[[K], int
     return {mono: (den, _graded(t, grade)) for mono, (den, t) in integer_slices(terms).items()}
 
 
-def convolve(x: Slices, y: Slices, bound: int, table: MzvTable | None) -> Cells:
+def convolve(
+    x: Slices, y: Slices, bound: int, table: MzvTable | None, max_w: int | None = None
+) -> Cells:
     """The product of two slices: every (k1 + k2, n1 * n2), grades within bound.
 
     A pair of monomials is multiplied once, through :func:`monomial_mul`,
-    and only if its slices meet within the bound; so TableOverflow is raised
-    exactly when some pair of terms whose product survives the truncation
-    carries an overflowing symbol product.
+    and only if its slices meet within the bound and its weights (read from
+    the table) sum to at most max_w; so TableOverflow is raised exactly when
+    some pair of terms whose product survives carries an overflowing product.
     """
     cells: Cells = {}
     for mu, (den_x, buckets_x) in x.items():
         for nu, (den_y, buckets_y) in y.items():
             low = buckets_y[0][0]
             if buckets_x[0][0] + low > bound:
+                continue
+            if max_w is not None and mu.weight(table.symbols) + nu.weight(table.symbols) > max_w:
                 continue
             rho = monomial_mul(mu, nu, table)
             cell = cells.setdefault(rho, {}).setdefault(den_x * den_y, {})

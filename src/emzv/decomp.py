@@ -46,7 +46,7 @@ from .derlie import eps_apply, eps_tilde_scale
 from .eisalg import EPoly, EWord, eisenstein_qexp, epoly_to_qexp, has_odd_letter
 from .errors import ParseError
 from .linalg import RatMatrix, kernel_basis
-from .ncalg import NCSeries, build_Ainf, extract_gamma, index_degree, triangular_index_solve
+from .ncalg import Block, NCSeries, build_Ainf, extract_gamma, index_degree, triangular_index_solve
 from .qseries import QTSeries, qt_mul
 from .words import graded_words, make_word
 
@@ -319,9 +319,6 @@ def gseries_decompose(
 # (e-word w, monomial mu, rational factor, integer word vector v): the
 # piece of eps~_w(Ainf) on the monomial mu is factor * v.
 _EpsImage = tuple[EWord, MzvMonomial, Fraction, dict[str, int]]
-
-# (word degree, number of letters b): an index's (degree, length)
-Block = tuple[int, int]
 
 
 def _eps_word_images(

@@ -113,13 +113,15 @@ def _has_constant(slices: Slices) -> bool:
     return any(buckets[0][0] == 0 for _, buckets in slices.values())
 
 
-def nc_mul(x: NCSeries, y: NCSeries, table: MzvTable | None = None) -> NCSeries:
+def nc_mul(
+    x: NCSeries, y: NCSeries, table: MzvTable | None = None, max_w: int | None = None
+) -> NCSeries:
     """Concatenation product up to the common maxdeg: the convolution of
     the operands' slices graded by word degree, with the TableOverflow rule
-    of :func:`coeffring.convolve`."""
+    and the cut by coefficient weight max_w of :func:`coeffring.convolve`."""
     if x.maxdeg != y.maxdeg:
         raise DegreeMismatch(f"maxdeg {x.maxdeg} != {y.maxdeg}")
-    cells = convolve(x.slices(), y.slices(), x.maxdeg, table)
+    cells = convolve(x.slices(), y.slices(), x.maxdeg, table, max_w)
     return NCSeries._from_slices(x.maxdeg, normalise(cells, len))
 
 
@@ -127,36 +129,38 @@ def nc_bracket(x: NCSeries, y: NCSeries, table: MzvTable | None = None) -> NCSer
     return nc_mul(x, y, table) - nc_mul(y, x, table)
 
 
-def _power_sum(u: NCSeries, weight: Callable[[int], Fraction], table: MzvTable | None) -> NCSeries:
+def _power_sum(
+    u: NCSeries, weight: Callable[[int], Fraction], table: MzvTable | None, max_w: int | None
+) -> NCSeries:
     """sum weight(n) * u^n over n = 0..maxdeg, for u of zero constant term
     and rational weights with weight(0) = 1.  The powers are nc_mul
-    products, born sliced, and the sum is one :func:`rational_lincomb` of
-    their slices."""
+    products cut at max_w, born sliced, and the sum is one
+    :func:`rational_lincomb` of their slices."""
     D = u.maxdeg
     terms = [(1, _ONE)]
     power = u
     for n in range(1, D + 1):
         if n > 1:
-            power = nc_mul(power, u, table)
+            power = nc_mul(power, u, table, max_w)
         if power.is_zero():
             break
         terms.append((weight(n), power.slices()))
     return NCSeries._from_slices(D, rational_lincomb(terms))
 
 
-def nc_exp(x: NCSeries, table: MzvTable | None = None) -> NCSeries:
-    """exp of a series with zero constant term: sum x^n / n!."""
+def nc_exp(x: NCSeries, table: MzvTable | None = None, max_w: int | None = None) -> NCSeries:
+    """exp of a series with zero constant term: sum x^n / n!, powers cut at max_w."""
     if _has_constant(x.slices()):
         raise PreconditionViolated("nc_exp needs zero constant term")
-    return _power_sum(x, lambda n: Fraction(1, math.factorial(n)), table)
+    return _power_sum(x, lambda n: Fraction(1, math.factorial(n)), table, max_w)
 
 
-def nc_inv(x: NCSeries, table: MzvTable | None = None) -> NCSeries:
-    """Inverse of a series with constant term 1: sum (1 - x)^n."""
+def nc_inv(x: NCSeries, table: MzvTable | None = None, max_w: int | None = None) -> NCSeries:
+    """Inverse of a series with constant term 1: sum (1 - x)^n, powers cut at max_w."""
     u = rational_lincomb([(1, _ONE), (-1, x.slices())])
     if _has_constant(u):  # 1 - x has zero constant term iff x has constant term 1
         raise PreconditionViolated("nc_inv needs constant term 1")
-    return _power_sum(NCSeries._from_slices(x.maxdeg, u), lambda n: Fraction(1), table)
+    return _power_sum(NCSeries._from_slices(x.maxdeg, u), lambda n: Fraction(1), table, max_w)
 
 
 def ad_expansion(k: int, x: str = "a", y: str = "b") -> dict[str, int]:
@@ -303,25 +307,21 @@ def index_degree(idx: Iterable[int]) -> int:
     return sum(k + 1 for k in idx)
 
 
-def required_table_weight(idx: Iterable[int]) -> int:
-    """Table weight cap the constant of an index needs: weight + length - 1.
-
-    The constant sits in the limit series at degree weight + length, whose
-    coefficients are regularized values of weight up to one less.
+def required_table_weight(degree: int, length: int | None = None) -> int:
+    """Table weight cap the limit series up to a degree d needs: d - 1, or
+    min(d - 1, n) for its terms of at most n letters b, which by homogeneity
+    (:func:`build_Ainf`) have coefficients of weight at most n.  So the
+    constant of an index of length n needs min(d - 1, n), whatever its weight.
     """
-    return index_degree(idx) - 1
+    return degree - 1 if length is None else min(degree - 1, length)
 
 
-def _keep_b(s: NCSeries, max_b: int | None, table: MzvTable) -> NCSeries:
-    """The slices of s on coefficient monomials of weight at most max_b (all
-    of them for None), kept whole: on a homogeneous series (:func:`build_Ainf`)
-    its words with at most max_b letters b."""
-    if max_b is None:
-        return s
-    return NCSeries._from_slices(
-        s.maxdeg,
-        {mono: sl for mono, sl in s.slices().items() if mono.weight(table.symbols) <= max_b},
-    )
+def constant_cut(degree: int, length: int, table: MzvTable) -> int:
+    """The max_b the constants of the block (degree, length) are built with
+    (:func:`extract_gamma`): the whole series while the table serves it,
+    else the block's length.  Cutting by length within the cap too would
+    make shuffled requests build several series."""
+    return degree if required_table_weight(degree) <= table.max_weight else length
 
 
 def build_Ainf(maxdeg: int, table: MzvTable, max_b: int | None = None) -> NCSeries:
@@ -332,9 +332,9 @@ def build_Ainf(maxdeg: int, table: MzvTable, max_b: int | None = None) -> NCSeri
     (and one pi in the exponentials), a walk word of Phi(ytilde, t) with l
     letters a value of weight l on words with l b's, and products add both.
     With max_b, only the monomials of weight at most max_b are built: the
-    walk of :func:`build_phi` stops at max_b letters, and the unchanged
-    ``nc_exp``, ``nc_inv`` and ``nc_mul`` are cut by :func:`_keep_b`.  The
-    table guard is the full build's, whatever max_b.
+    walk of :func:`build_phi` stops at max_b letters, and ``nc_exp``,
+    ``nc_inv`` and ``nc_mul`` skip the products above that weight (their
+    ``max_w``).  The table guard is :func:`required_table_weight`.
 
     A pure function of (maxdeg, table, max_b): nothing is cached but the
     regularized values.  The constants keep their own memo
@@ -347,7 +347,7 @@ def build_Ainf(maxdeg: int, table: MzvTable, max_b: int | None = None) -> NCSeri
             raise ValueError("max_b must be >= 0")
         if max_b >= maxdeg:  # no word of degree <= maxdeg has more b's
             max_b = None
-    need = required_table_weight((0,) * maxdeg)  # same for every index at this degree
+    need = required_table_weight(maxdeg, max_b)
     if need > table.max_weight:
         raise TableOverflow(
             f"constant-term series at degree {maxdeg} needs a table of weight "
@@ -358,13 +358,13 @@ def build_Ainf(maxdeg: int, table: MzvTable, max_b: int | None = None) -> NCSeri
     ytilde = build_ytilde(D)
     phi = build_phi(ytilde, t, D, table, max_b)
     # Phi and its inverse carry zeta symbols: their products need the table
-    phi_inv = _keep_b(nc_inv(phi, table), max_b, table)
+    phi_inv = nc_inv(phi, table, max_b)
     half_pi = CoeffElem.pi_pow(1, Fraction(1, 2))  # pi*i = (2*pi*i)/2
-    exp_pit = _keep_b(nc_exp(t.scale(half_pi), table), max_b, table)
-    exp_piy = _keep_b(nc_exp(ytilde.scale(CoeffElem.pi_pow(1)), table), max_b, table)
+    exp_pit = nc_exp(t.scale(half_pi), table, max_b)
+    exp_piy = nc_exp(ytilde.scale(CoeffElem.pi_pow(1)), table, max_b)
     ainf = exp_pit
     for factor in (phi, exp_piy, phi_inv):
-        ainf = _keep_b(nc_mul(ainf, factor, table), max_b, table)
+        ainf = nc_mul(ainf, factor, table, max_b)
     return ainf
 
 
@@ -372,6 +372,9 @@ def build_Ainf(maxdeg: int, table: MzvTable, max_b: int | None = None) -> NCSeri
 # Coefficient extraction against the monomials ad^{k_n}(a)(b) ... ad^{k_1}(a)(b)
 
 EmzvIndexTuple = tuple[int, ...]
+
+# (word degree, number of letters b): an index's (degree, length)
+Block = tuple[int, int]
 
 
 def compositions_of(d: int) -> list[EmzvIndexTuple]:
@@ -394,7 +397,7 @@ def pure_word(idx: EmzvIndexTuple) -> NCWord:
 # negated.
 _Plan = tuple[tuple[EmzvIndexTuple, NCWord, tuple[tuple[NCWord, int], ...]], ...]
 
-_plan_cache: dict[tuple[int, int], _Plan] = {}
+_plan_cache: dict[Block, _Plan] = {}
 
 
 def _solve_plan(degree: int, length: int) -> _Plan:
@@ -480,31 +483,33 @@ def _combining_solve(work: dict, plan: _Plan, out: dict, combine) -> list[NCWord
 def extract_gamma(idx: Iterable[int], table: MzvTable) -> CoeffElem:
     """Constant gamma_{k_1..k_n}: coefficient extraction from the limit series.
 
-    The constants are memoized on the table, one entry per degree.  A degree
-    d not yet solved builds build_Ainf(d, table), and every degree of that
-    build not yet solved is solved from it and stored: the degree-g
-    component does not depend on the degree the series was built at, so a
-    series is built only above every degree already solved.  The component
-    is the degree-g bucket of each coefficient monomial's slice, an integer
-    word vector over one denominator; by homogeneity its words have w
-    letters b on a monomial of weight w, so it is solved in integers as the
-    block (g, w).  Each constant is built once from its numerators.
+    The constants are memoized on the table, one entry per block (degree,
+    length).  A block (d, n) not yet solved builds the limit series at
+    degree d, whole while the table serves it and else cut at max_b = n;
+    every block of that build not yet solved is solved from it and stored,
+    as a component does not depend on the build's degree.  The component is
+    the degree-g bucket of each coefficient monomial's slice, an integer word
+    vector over one denominator; by homogeneity its words have w letters b on
+    a monomial of weight w, so it is solved in integers as the block (g, w).
+    Each constant is built once from its numerators.
     """
     index = make_word(idx)
-    d = index_degree(index)
-    solved: dict[int, dict[EmzvIndexTuple, CoeffElem]] = table.caches.setdefault("solve", {})
-    if d not in solved:
+    d, n = index_degree(index), len(index)
+    solved: dict[Block, dict[EmzvIndexTuple, CoeffElem]] = table.caches.setdefault("solve", {})
+    if (d, n) not in solved:
         D = max(d, 1)
-        cells: dict[int, dict[EmzvIndexTuple, dict[MzvMonomial, Fraction]]] = {}
-        for mono, (den, buckets) in build_Ainf(D, table).slices().items():
+        B = constant_cut(D, n, table)
+        cells: dict[Block, dict[EmzvIndexTuple, dict[MzvMonomial, Fraction]]] = {}
+        for mono, (den, buckets) in build_Ainf(D, table, max_b=B).slices().items():
             w = mono.weight(table.symbols)
             for g, terms in buckets:
-                if g not in solved:
-                    for j, n in triangular_index_solve(dict(terms), g, w).items():
-                        cells.setdefault(g, {}).setdefault(j, {})[mono] = Fraction(n, den)
+                if (g, w) not in solved:
+                    for j, num in triangular_index_solve(dict(terms), g, w).items():
+                        cells.setdefault((g, w), {}).setdefault(j, {})[mono] = Fraction(num, den)
         for g in range(D + 1):
-            memoized(solved, g, functools.partial(build_coeffs, cells.get(g, {})))
-    x = solved[d].get(index)
+            for w in range(min(g, B) + 1):
+                memoized(solved, (g, w), functools.partial(build_coeffs, cells.get((g, w), {})))
+    x = solved[d, n].get(index)
     if not x:
         return CoeffElem.zero()
     return x if len(index) % 2 == 0 else -x

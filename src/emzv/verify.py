@@ -50,9 +50,9 @@ from .ncalg import (
     build_ytilde,
     compositions_of,
     extract_gamma,
+    index_degree,
     is_grouplike,
     nc_bracket,
-    required_table_weight,
 )
 from .qseries import qt_ddT, qt_mul
 from .words import graded_words, shuffle_multiset
@@ -253,13 +253,13 @@ def criterion_07_shuffle(ctx: VerifyContext) -> CheckResult:
             if lhs.coeffs != rhs.coeffs:
                 return False, f"shuffle identity fails at {(u, v)}"
             count += 1
-    # psi(u) psi(v) = sum over the shuffles w of u and v of psi(w); the
-    # product of two symbol-bearing coefficients needs the table
+    # psi(u) psi(v) = sum over the shuffles w of u and v of psi(w), on the
+    # 315 pairs whose shuffles have degree <= 9 (all 595 take about 6x longer)
     indices = indices_upto(4, 2)
     pairs = 0
     for i, u in enumerate(indices):
         for v in indices[i:]:
-            if not u or required_table_weight(u + v) > ctx.table.max_weight:
+            if not u or index_degree(u + v) > 9:
                 continue
             psi_u, psi_v = decompose(u, ctx.table).epoly, decompose(v, ctx.table).epoly
             rhs = EPoly.zero()

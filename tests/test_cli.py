@@ -10,7 +10,7 @@ import pytest
 
 from emzv import cli
 from emzv.cli import _SUBCOMMANDS, LENGTH1_BUDGET, run
-from emzv.coeffring import dump_mzv_table, shipped_table
+from emzv.coeffring import dump_mzv_table, render_coeff, shipped_table
 from emzv.decomp import Decomposition, decompose
 from emzv.eisalg import EPoly
 
@@ -67,8 +67,8 @@ def test_help_lists_every_subcommand(capsys):
 
 
 def test_overflow_exit_code(capsys):
-    # length 2: its constant needs a table of weight 10000
-    code, out, err = run_cli(capsys, "decompose", "--index", "9999,0")
+    # length 9 at degree 10: its constant needs a table of weight 9
+    code, out, err = run_cli(capsys, "decompose", "--index", "0,0,0,0,0,0,0,0,1")
     assert code == 1
     assert "TableOverflow" in err
 
@@ -167,7 +167,7 @@ def test_usage_error_exit_code(capsys, tmp_path):
         assert not out and err.count("\n") == 1 and need in err
     # beyond the table's cap: refused up front, naming the flag that fixes it
     for argv, need in (
-        (["relations", "--length", "5", "--weight", "5"], "needs a table of weight ≥ 9"),
+        (["relations", "--length", "9", "--weight", "1"], "needs a table of weight ≥ 9"),
         (["dump-ainf", "--degree", "10"], "needs a table of weight ≥ 9"),
     ):
         code, out, err = run_cli(capsys, *argv)
@@ -199,18 +199,100 @@ def test_verify_checks_the_degree_only_for_the_check_that_reads_it(capsys):
 
 
 def test_table_guard_is_exact(capsys):
-    # weight 8 but length 2: the constant sits at degree 10, needing weight 9
-    code, _, err = run_cli(capsys, "gamma", "--index", "4,4")
+    # the constant of an index of length n at degree d needs weight
+    # min(d - 1, n): length 9 at degree 10 needs 9
+    code, _, err = run_cli(capsys, "gamma", "--index", "0,0,0,0,0,0,0,0,1")
     assert code == 1
     assert "TableOverflow" in err and "needs a table of weight ≥ 9" in err
     assert "--mzv-table" in err
-    code, out, _ = run_cli(capsys, "gamma", "--index", "3,4")  # needs exactly 8
+    # weight 8 but length 2 at degree 10 needs 2, length 8 at degree 10 and
+    # length 9 at degree 9 need exactly 8
+    from emzv.verify import _gamma2_closed
+
+    code, out, _ = run_cli(capsys, "gamma", "--index", "4,4")
+    assert code == 0
+    assert out.strip() == "1/1036800 * pi^2" == render_coeff(_gamma2_closed(4, 4))
+    for idx in ("0,0,0,0,0,0,1,1", "0,0,0,0,0,0,0,0,0"):
+        code, out, err = run_cli(capsys, "gamma", "--index", idx)
+        assert (code, err) == (0, "") and out.strip(), idx
+    code, out, _ = run_cli(capsys, "gamma", "--index", "3,4")
     assert code == 0
     assert out.strip() == "0"
     # length 1: a closed-form constant that reads no table, at any weight
     code, out, err = run_cli(capsys, "gamma", "--index", "10")
     assert code == 0 and err == ""
     assert out.strip() == "1/47900160 * pi"
+
+
+def test_degree_guard_refuses_at_once():
+    # the table serves 9999,0 (length 2), but its limit series at degree
+    # 10,001 would have about 1.7e11 words: refused before any build
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "emzv", "decompose", "--index", "9999,0"]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert "index 9999,0 at degree 10001 needs a limit series of 166766695003 words" in proc.stderr
+    assert f"budget of {cli.SERIES_WORD_BUDGET} words" in proc.stderr
+    assert "`--no-cost-guard`" in proc.stderr
+
+
+def test_degree_guard_on_every_index_command(capsys, monkeypatch):
+    # every command that reads an index's constant is refused beyond the
+    # budget, and the override computes it; relations names the library call
+    import emzv.ncalg
+
+    real = emzv.ncalg.build_Ainf
+    monkeypatch.setattr(emzv.ncalg, "build_Ainf", lambda *a, **k: pytest.fail("a build ran"))
+    for command in ("gamma", "decompose", "qexp", "fourier-check", "membership"):
+        code, out, err = run_cli(capsys, command, "--index", "9999,0")
+        assert (code, out) == (2, ""), command
+        assert err.count("\n") == 1 and "`--no-cost-guard`" in err, err
+    code, out, err = run_cli(capsys, "relations", "--length", "2", "--weight", "9999")
+    assert (code, out) == (2, "") and err.count("\n") == 1, err
+    assert "each index of length 2 and weight 9999 at degree 10001" in err
+    assert "`emzv.find_emzv_relations(indices, table)`" in err
+    monkeypatch.setattr(emzv.ncalg, "build_Ainf", real)
+    # (0, 20) reads C(23, 1) + C(23, 2) + C(23, 3) = 2,047 words
+    assert cli._series_words(22, 2, shipped_table()) == 2047
+    assert cli._series_words(9, 2, shipped_table()) == 2**10 - 1  # the whole series
+    monkeypatch.setattr(cli, "SERIES_WORD_BUDGET", 2000)
+    code, out, err = run_cli(capsys, "gamma", "--index", "0,20")
+    assert (code, out) == (2, "") and "2047 words, beyond the budget of 2000 words" in err
+    code, out, err = run_cli(capsys, "gamma", "--index", "0,20", "--no-cost-guard")
+    from emzv.verify import _gamma2_closed
+
+    assert (code, err) == (0, "") and out.strip() == render_coeff(_gamma2_closed(0, 20))
+
+
+def test_every_index_of_the_stated_ranges_passes_the_degree_guard():
+    # lengths 2 to 5 at the ranges (2, 22), (3, 14), (4, 12) and (5, 9):
+    # the guard is cheap, and none of them is refused
+    from emzv.decomp import indices_upto
+
+    table = shipped_table()
+    for max_len, max_wt in ((2, 22), (3, 14), (4, 12), (5, 9)):
+        for idx in indices_upto(max_len, max_wt):
+            cli._guard_cost("index", idx, table, False, "")
+
+
+def test_derlie_relations_row_guard(capsys, monkeypatch):
+    # C(61, 3) = 35,990 rows ran for more than 20 s: refused before any
+    # kernel, naming the library call; C(17, 3) = 680 rows still runs
+    from emzv import derlie
+
+    real = derlie.kernel_basis
+    monkeypatch.setattr(derlie, "kernel_basis", lambda m: pytest.fail("a kernel ran"))
+    code, out, err = run_cli(capsys, "derlie-relations", "--weight", "60", "--depth", "3")
+    assert (code, out) == (2, "") and err.count("\n") == 1, err
+    assert f"35990 rows, beyond the budget of {cli.KERNEL_ROW_BUDGET} rows" in err
+    assert "`emzv.find_lie_relations(60, 3)`" in err
+    monkeypatch.setattr(derlie, "kernel_basis", real)
+    code, out, err = run_cli(capsys, "derlie-relations", "--weight", "16", "--depth", "3")
+    assert (code, err) == (0, "") and out.startswith("candidates: ")
 
 
 def test_length1_cost_guard_refuses_at_once():
@@ -527,6 +609,21 @@ def test_relation_survey_script_runs():
     extra = {(int(r[0]), int(r[1])): int(r[5]) for r in rows}
     assert [extra[1, w] for w in range(6)] == [0] * 6
     assert [extra[2, w] for w in range(6)] == [0, 0, 1, 0, 2, 1]
+
+
+def test_relation_survey_past_degree_nine():
+    # length 3 up to weight 12 reaches degree 15 on the weight-8 table; a
+    # length-9 family at degree 10 needs weight 9: one line and exit 1
+    def survey(*argv):
+        cmd = [sys.executable, str(_SURVEY), *argv]
+        return subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+
+    proc = survey("--max-length", "3", "--max-weight", "12")
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    assert len(proc.stdout.splitlines()) == 1 + 3 * 13
+    proc = survey("--max-length", "9", "--max-weight", "1")
+    assert proc.returncode == 1 and proc.stdout.splitlines()[-1].split()[:2] == ["9", "0"]
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("TableOverflow: ")
 
 
 def test_relation_survey_names_the_first_reflection_failure(capsys, monkeypatch):

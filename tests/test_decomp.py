@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from emzv.eisalg import EPoly, eisenstein_qexp, epoly_mul, shuffle_words
 from emzv.errors import ExtractionInconsistent, ParseError, TableOverflow
 from emzv.ncalg import NCSeries, build_Ainf, compositions_of, index_monomial
 from emzv.qseries import QTSeries, qt_ddT, qt_mul
-from emzv.words import graded_words
+from emzv.words import graded_words, shuffle_multiset
 
 F = Fraction
 PI = CoeffElem.pi_pow
@@ -201,8 +202,12 @@ def test_decomposition_grading(table):
 
 
 def test_decompose_overflow_fails_fast(table):
-    with pytest.raises(TableOverflow):
-        decompose((9999, 0), table)
+    # an index longer than the table's cap: its constant needs a table of
+    # weight min(degree - 1, length) = 10, refused before any series is built
+    start = time.perf_counter()
+    with pytest.raises(TableOverflow, match="needs a table of weight >= 10"):
+        decompose((9999,) + (0,) * 9, table)
+    assert time.perf_counter() - start < 1
 
 
 def test_qexp_30(table):
@@ -508,6 +513,52 @@ def test_reflection_on_every_index_up_to_degree_nine(table):
         psi = decompose(idx, table).epoly
         mirror = decompose(idx[::-1], table).epoly
         assert psi == (-mirror if sum(idx) % 2 else mirror), idx
+
+
+# Past degree 9 on the weight-8 table: the table caps an index's length, not
+# its degree.  Each test runs on its own fresh table.
+
+
+def test_length_two_constants_match_the_closed_form_to_weight_22():
+    from emzv.verify import _gamma2_closed
+
+    fresh = loads_mzv_table(dump_mzv_table(shipped_table()))
+    indices = [(k1, w - k1) for w in range(23) for k1 in range(w + 1)]
+    assert len(indices) == 276 and max(sum(i) + len(i) for i in indices) == 24
+    for k1, k2 in indices:
+        assert decompose((k1, k2), fresh).gamma == _gamma2_closed(k1, k2), (k1, k2)
+
+
+def test_both_routes_and_reflection_past_degree_nine():
+    # every index of length <= 3 and weight <= 11, up to degree 14
+    fresh = loads_mzv_table(dump_mzv_table(shipped_table()))
+    routed = gseries_decompose(3, 11, fresh)
+    indices = indices_upto(3, 11)
+    assert len(indices) == 455 and routed.keys() == set(indices)  # () included
+    for idx in indices:
+        psi = decompose(idx, fresh).epoly
+        assert routed[idx] == psi, idx
+        mirror = decompose(idx[::-1], fresh).epoly
+        assert psi == (-mirror if sum(idx) % 2 else mirror), idx
+
+
+def test_psi_is_multiplicative_on_length_three_weight_fourteen():
+    # psi(u) psi(v) = sum over the shuffles w of u and v of psi(w), on every
+    # pair whose shuffles have length <= 3 and weight <= 14 (degree <= 17)
+    fresh = loads_mzv_table(dump_mzv_table(shipped_table()))
+    indices = indices_upto(3, 14)
+    pairs = 0
+    for i, u in enumerate(indices):
+        for v in indices[i:]:
+            if not u or len(u) + len(v) > 3 or sum(u) + sum(v) > 14:
+                continue
+            lhs = epoly_mul(decompose(u, fresh).epoly, decompose(v, fresh).epoly, fresh)
+            rhs = EPoly.combination(
+                (m, decompose(w, fresh).epoly) for w, m in shuffle_multiset(u, v).items()
+            )
+            assert lhs == rhs, (u, v)
+            pairs += 1
+    assert pairs == 744
 
 
 def test_find_relations_odd_vanishing(table):

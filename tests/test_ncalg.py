@@ -70,6 +70,19 @@ def test_nc_mul_examples():
         nc_mul(NCSeries.one(2), NCSeries.one(3))
 
 
+def test_nc_mul_cut_skips_heavy_pairs_before_multiplying(table):
+    # max_w drops every pair of monomials whose weights sum above it before
+    # the pair is multiplied: z5 * z5 would overflow the weight-8 table
+    x = NCSeries(2, {"a": CoeffElem.symbol("z5") + CoeffElem.pi_pow(1)})
+    y = NCSeries(2, {"b": CoeffElem.symbol("z5") + CoeffElem.pi_pow(1)})
+    with pytest.raises(TableOverflow, match="weight 10"):
+        nc_mul(x, y, table)
+    mixed = CoeffElem.symbol("z5", 2).mul_pi(1)
+    assert nc_mul(x, y, table, max_w=6) == NCSeries(2, {"ab": mixed + CoeffElem.pi_pow(2)})
+    assert nc_mul(x, y, table, max_w=5) == NCSeries(2, {"ab": CoeffElem.pi_pow(2)})
+    assert nc_mul(x, y, table, max_w=1).is_zero()
+
+
 def test_add_of_unequal_truncations_raises():
     # the truncation is part of the value: no container adds across shapes
     for op in (NCSeries.__add__, NCSeries.__sub__):
@@ -296,19 +309,20 @@ def test_ainf_components_do_not_depend_on_the_build_degree():
 
 
 def test_cut_build_is_the_full_build_without_its_longer_b_words():
-    # every D <= 9 and 1 <= B <= D + 2, each on a fresh table: the cut build
-    # keeps exactly the full build's words with at most B letters b, on
-    # every monomial, and reads no binary word longer than B (B >= D cuts
-    # nothing: that is the full build)
+    # every D <= 9 and 0 <= B <= D + 2, each on a fresh table: the cut build
+    # (the products cut by coefficient weight) keeps exactly the full
+    # build's words with at most B letters b, on every monomial, and reads
+    # no binary word longer than B (B >= D cuts nothing: that is the full
+    # build)
     for D in range(1, 10):
         full = build_Ainf(D, fresh_table())
-        for B in range(1, D + 3):
+        for B in range(0, D + 3):
             t = fresh_table()
             cut = build_Ainf(D, t, max_b=B)
             want = {w: c for w, c in full.coeffs.items() if w.count("b") <= B}
             assert cut.maxdeg == D and cut.coeffs == want, (D, B)
             assert cut == NCSeries(D, want), (D, B)
-            assert max(map(len, t.caches["reg"]), default=0) <= B, (D, B)
+            assert max(map(len, t.caches.get("reg", ())), default=0) <= B, (D, B)
 
 
 def test_cut_build_reads_fewer_regularized_values(monkeypatch):
@@ -347,9 +361,10 @@ def test_constants_build_the_series_only_above_every_solved_degree(monkeypatch, 
     monkeypatch.setattr(
         ncalg, "build_Ainf", lambda D, t, max_b=None: degrees.append(D) or real(D, t, max_b)
     )
+    blocks = {(g, w) for g in range(10) for w in range(g + 1)}
     reference = fresh_table()
     want = {j: extract_gamma(j, reference) for d in range(9, -1, -1) for j in compositions_of(d)}
-    assert degrees == [9] and set(reference.caches["solve"]) == set(range(10))
+    assert degrees == [9] and set(reference.caches["solve"]) == blocks
     degrees.clear()
     t = fresh_table()
     for d in sorted(range(10), reverse=order == "decreasing"):
@@ -361,7 +376,7 @@ def test_constants_build_the_series_only_above_every_solved_degree(monkeypatch, 
 
 def test_concurrent_constants_on_a_cold_table():
     # two threads on one cold table ask for every degree <= 9 in opposite
-    # orders; each degree's constants are stored once, first writer wins,
+    # orders; each block's constants are stored once, first writer wins,
     # and every constant equals a single-threaded run
     import sys
     import threading
@@ -371,7 +386,7 @@ def test_concurrent_constants_on_a_cold_table():
     t = fresh_table()
     results, errors = [{}, {}], []
     start = threading.Barrier(2)
-    seen = [{}, {}]  # each thread's view of the stored entry of each degree
+    seen = [{}, {}]  # each thread's view of the stored entry of each block
 
     def worker(i):
         try:
@@ -379,7 +394,7 @@ def test_concurrent_constants_on_a_cold_table():
             for d in sorted(range(10), reverse=i == 1):
                 for j in compositions_of(d):
                     results[i][j] = extract_gamma(j, t)
-                seen[i][d] = t.caches["solve"][d]
+                    seen[i][d, len(j)] = t.caches["solve"][d, len(j)]
         except BaseException as exc:  # reported below, not lost in the thread
             errors.append(exc)
 
@@ -394,18 +409,30 @@ def test_concurrent_constants_on_a_cold_table():
     finally:
         sys.setswitchinterval(old)
     assert not errors and not any(th.is_alive() for th in threads)
-    assert set(t.caches) == {"reg", "solve"} and set(t.caches["solve"]) == set(range(10))
-    for d in range(10):
-        assert seen[0][d] is seen[1][d] is t.caches["solve"][d], d
+    blocks = {(g, w) for g in range(10) for w in range(g + 1)}
+    assert set(t.caches) == {"reg", "solve"} and set(t.caches["solve"]) == blocks
+    asked = {(d, len(j)) for d in range(10) for j in compositions_of(d)}
+    assert set(seen[0]) == set(seen[1]) == asked
+    for block in seen[0]:
+        assert seen[0][block] is seen[1][block] is t.caches["solve"][block], block
     for got in results:
         assert got == want
 
 
 def test_cut_build_keeps_the_degree_guard():
-    # the cut build reads only values of weight <= max_b, but the guard is
-    # the full build's: degree 10 needs weight 9 on the weight-8 table
-    with pytest.raises(TableOverflow, match="needs a table of weight >= 9"):
-        build_Ainf(10, fresh_table(), max_b=2)
+    # the cut build reads only values of weight <= max_b, and its guard is
+    # min(D - 1, max_b): degree 10 cut at 2 letters b builds on the
+    # weight-8 table, as its full build's words with at most 2 b's; the full
+    # build at degree 10 needs weight 9, and so does the cut at 9 b's
+    t = fresh_table()
+    cut = build_Ainf(10, t, max_b=2)
+    below = {w: c for w, c in cut.coeffs.items() if len(w) <= 9}
+    full9 = build_Ainf(9, fresh_table())
+    assert below == {w: c for w, c in full9.coeffs.items() if w.count("b") <= 2}
+    assert any(len(w) == 10 for w in cut.coeffs) and max(map(len, t.caches["reg"])) == 2
+    for max_b in (None, 9):
+        with pytest.raises(TableOverflow, match="needs a table of weight >= 9"):
+            build_Ainf(10, fresh_table(), max_b=max_b)
 
 
 def test_extract_gamma_agrees_across_build_degrees():
@@ -465,12 +492,16 @@ def test_index_degree_is_weight_plus_length():
 
 
 def test_required_table_weight():
+    # min(degree - 1, length): the whole series at degree d needs d - 1, an
+    # index's constant needs at most its length
     from emzv.ncalg import required_table_weight
 
-    assert required_table_weight((4, 4)) == 9
-    assert required_table_weight((3, 4)) == 8
-    assert required_table_weight((8,)) == 8
-    assert required_table_weight(()) == -1
+    assert required_table_weight(10) == 9 and required_table_weight(9) == 8
+    assert required_table_weight(10, 2) == 2  # the index (4, 4)
+    assert required_table_weight(10001, 2) == 2  # the index (9999, 0)
+    assert required_table_weight(10, 9) == 9  # (0, ..., 0, 1), length 9
+    assert required_table_weight(9, 9) == 8  # (0, ..., 0), length 9
+    assert required_table_weight(0, 0) == -1  # the empty index
 
 
 # ---------------------------------------------------------------------------
