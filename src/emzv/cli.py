@@ -30,7 +30,9 @@ a ``fourier-check --epoly`` word too, since the q-expansion of E_k reads
 B_k.  ``membership`` computes the Lie relation kernels of each component's
 length and letter sum, whose rows grow as a binomial in both: a component
 above ``KERNEL_ROW_BUDGET`` rows is refused unless ``--no-cost-guard`` is
-given, and ``derlie-relations`` above it names the library call.
+given, and ``derlie-relations`` above it names the library call.  So does
+``verify`` above an ``--order`` of ``ORDER_BUDGET``, which ``qexp`` and
+``fourier-check`` refuse unless ``--no-cost-guard`` is given.
 """
 
 from __future__ import annotations
@@ -84,6 +86,11 @@ SERIES_WORD_BUDGET = 30000
 # 3,403 rows takes about 1.2 s, at C(99, 2) = 4,851 rows about 2 s, and at
 # C(403, 2) = 81,003 rows more than 100 s.
 KERNEL_ROW_BUDGET = 3500
+
+# The largest q-order computed without --no-cost-guard, and by verify at
+# all: qexp of 0,1,0,4 takes 0.19 s at order 400, 0.97 s at 1000 and 2.81 s
+# at 1600, and of 0,0,0,0,0,0,0,1 0.66 s at 800 and 1.07 s at 1000.
+ORDER_BUDGET = 1000
 
 _FLAGS: dict[str, dict] = {
     "--mzv-table": dict(default=None, metavar="PATH"),
@@ -146,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"compute limit series beyond {SERIES_WORD_BUDGET} words (an index's "
             f"constant), Bernoulli numbers beyond B_{LENGTH1_BUDGET} (a length-1 "
             "index's constant, or a fourier-check --epoly letter) and membership's "
-            f"Lie kernels beyond {KERNEL_ROW_BUDGET} rows",
+            f"Lie kernels beyond {KERNEL_ROW_BUDGET} rows, and q-orders beyond {ORDER_BUDGET}",
         )
     p["relations"].add_argument("--length", type=int, required=True, metavar="L")
     p["relations"].add_argument("--weight", type=int, required=True, metavar="W")
@@ -162,6 +169,12 @@ def _positive(ns: argparse.Namespace, what: str) -> int:
     if value < 1:
         raise ValueError(f"bad --{what} {value}: the {what} must be ≥ 1")
     return value
+
+
+def _guard_order(order: int, override: bool, hint: str) -> None:
+    """An order above ORDER_BUDGET is refused unless ``override``."""
+    if order > ORDER_BUDGET and not override:
+        raise ValueError(f"--order {order} is beyond the budget of {ORDER_BUDGET}; {hint}")
 
 
 def _load_table(ns: argparse.Namespace) -> MzvTable:
@@ -301,6 +314,7 @@ def _cmd_decompose(ns: argparse.Namespace) -> int:
 @_subcommand("qexp", "Fourier expansion of an index", "--mzv-table", "--order", "--format")
 def _cmd_qexp(ns: argparse.Namespace) -> int:
     order = _positive(ns, "order")
+    _guard_order(order, ns.no_cost_guard, "pass `--no-cost-guard` to compute it")
     table = _load_table(ns)
     series = emzv_qexp(_guarded_index(ns, table), order, table)
     doc = {
@@ -387,6 +401,7 @@ def _cmd_derlie_relations(ns: argparse.Namespace) -> int:
 )
 def _cmd_fourier_check(ns: argparse.Namespace) -> int:
     order = _positive(ns, "order")
+    _guard_order(order, ns.no_cost_guard, "pass `--no-cost-guard` to compute it")
     table = _load_table(ns)
     poly = _epoly_argument(ns, table)
     if ns.epoly is not None:
@@ -470,6 +485,8 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     from .verify import VerifyContext, run_checks  # only this subcommand needs it
 
     order, degree = _positive(ns, "order"), _positive(ns, "degree")
+    hint = f"`emzv.verify.run_checks(VerifyContext(table, q_order={order}))` runs it"
+    _guard_order(order, False, hint)
     table = _load_table(ns)
     if ns.only is None or ns.only in "criterion-10-associator":  # the check that reads --degree
         _require_limit_series(degree, table)  # before any check runs

@@ -20,7 +20,7 @@ associator instead of the length recursion.  It makes one pass over the
 pieces of the series, one per coefficient monomial and word degree; the
 series is homogeneous, so a piece's words have as many letters b as its
 monomial's weight.  Each piece is pushed through the integer derivations
-only toward the (degree, length) blocks of the requested indices.
+only toward the (degree, length) blocks of the requested indices, into their cells.
 """
 
 from __future__ import annotations
@@ -147,7 +147,11 @@ class Decomposition(NamedTuple):
 
     index: EmzvIndex
     epoly: EPoly
-    gamma: CoeffElem
+
+    @property
+    def gamma(self) -> CoeffElem:
+        """The constant gamma of the index: psi's constant term."""
+        return self.epoly.constant_term()
 
     @property
     def nc_degree(self) -> int:
@@ -204,9 +208,9 @@ class Decomposition(NamedTuple):
         index = field("index", make_word, required("index"))
         epoly = field("terms", parse_terms, required("terms"))
         gamma = field("gamma", lambda text: parse_coeff(text, table.symbols), required("gamma"))
-        if gamma != epoly.constant_term():
+        dec = Decomposition(index, epoly)
+        if gamma != dec.gamma:
             raise ParseError("gamma: not the constant term of terms")
-        dec = Decomposition(index, epoly, gamma)
         params = doc.get("params", {})
         nc_degree = field("params.nc_degree", lambda p: int(p.get("nc_degree", 0)), params)
         if nc_degree != dec.nc_degree:
@@ -232,14 +236,14 @@ def decompose(idx: Iterable[int], table: MzvTable) -> Decomposition:
 def _decompose(index: EmzvIndex, table: MzvTable) -> Decomposition:
     n = len(index)
     if n == 0:
-        return Decomposition((), EPoly.constant(1), CoeffElem.one())
+        return Decomposition((), EPoly.constant(1))
     if n == 1:
         k = index[0]
         if k % 2:
             gamma = CoeffElem.zero()
         else:
             gamma = CoeffElem.pi_pow(1, bernoulli(k) / math.factorial(k))
-        return Decomposition(index, EPoly.constant(gamma), gamma)
+        return Decomposition(index, EPoly.constant(gamma))
     # psi(I) = gamma_I + the integrated recursion: each term's sub-index
     # image with the Eisenstein letter prepended, times -alpha, summed as one
     # integer combination of slices
@@ -248,8 +252,7 @@ def _decompose(index: EmzvIndex, table: MzvTable) -> Decomposition:
         (-term.coeff, decompose(term.sub_index, table).epoly.prepend(term.eis_weight))
         for term in diffeq_expand(index)
     )
-    psi = EPoly.constant(gamma) + recursion
-    return Decomposition(index, psi, gamma)
+    return Decomposition(index, EPoly.constant(gamma) + recursion)
 
 
 def emzv_qexp(idx: Iterable[int], order: int, table: MzvTable) -> QTSeries:
@@ -296,7 +299,7 @@ def gseries_decompose(
     reads is not built, so it is not checked either (``extract_gamma``
     still checks every degree of the limit series).  The limit series is
     built only up to the range's longest length in monomial weight
-    (``build_Ainf``'s ``max_b``).
+    (``build_Ainf``'s ``max_b``).  A word's cells become its polynomial's slices.
     """
     by_block: dict[Block, list[EmzvIndex]] = {}
     for idx in indices_upto(max_len, max_wt):
@@ -307,84 +310,67 @@ def gseries_decompose(
         return out
     # a monomial heavier than the longest index reaches no block
     ainf = build_Ainf(max(d for d, _ in by_block), table, max_b=max(n for _, n in by_block))
-    images = _eps_word_images(ainf, by_block, table)
+    cells = _eps_word_cells(ainf, by_block, table)
     for (d, n), indices in sorted(by_block.items()):
-        solved = triangular_index_solve(_gseries_component(images.pop((d, n))), d, n)
+        component = {
+            w: EPoly._from_slices(None, normalise(c, len)) for w, c in cells.pop((d, n)).items()
+        }
+        solved = triangular_index_solve(component, d, n)
         for idx in indices:
             val = solved.get(idx) or EPoly.zero()
             out[idx] = val if n % 2 == 0 else -val
     return out
 
 
-# (e-word w, monomial mu, rational factor, integer word vector v): the
-# piece of eps~_w(Ainf) on the monomial mu is factor * v.
-_EpsImage = tuple[EWord, MzvMonomial, Fraction, dict[str, int]]
+def _reachable(blocks: Collection[Block]) -> set[Block]:
+    """The (degree, b's) states from which the eps_{2k} (one b and 2k >= 0
+    degrees each) reach a block (d, n): itself and (d - 2i, n - j), j >= 1."""
+    out = set(blocks)
+    for d, n in blocks:
+        out.update((d - 2 * i, n - j) for j in range(1, n + 1) for i in range(d // 2 + 1))
+    return out
 
 
-def _eps_word_images(
+def _eps_word_cells(
     ainf: NCSeries, blocks: Collection[Block], table: MzvTable
-) -> dict[Block, list[_EpsImage]]:
-    """Every eps~_w applied to the pieces of the limit series, kept where it
-    lands in a requested block.
+) -> dict[Block, dict[str, Cells]]:
+    """Every eps~_w applied to the pieces of the limit series, written into
+    the cells of the requested block it lands in: word -> monomial ->
+    denominator -> e-word -> numerator.
 
-    A piece is one degree bucket m of the series' integer slices on a
-    coefficient monomial mu (``NCSeries.slices``); by homogeneity its words
-    have as many letters b as mu's weight.  Its integer vector is pushed
-    through the integer derivations eps_{2k}, each image a sum of the
-    memoized images of single words (:func:`derlie.eps_apply`); each raises
-    the degree by exactly 2k and the number of b's by exactly one, so a
-    piece or image at (degree, b's) is pushed on only while some block is
-    still reachable from there, and kept only when it lands in a block.
-    The eps~ normalisation and the slice's denominator are carried as one
-    rational factor per (e-word, monomial).
-    """
+    A piece is one degree bucket of the series' slice on a monomial mu, at
+    (its degree, mu's weight in b's); it is pushed through the eps_{2k}
+    (:func:`derlie.eps_apply`) while its state reaches some block.  With
+    the eps~ normalisation and the slice's denominator as one factor a / b,
+    an image v puts a * v[w] on (e-word, mu) over b for each word w: once
+    per block, so no cell sums."""
     top = max(d for d, _ in blocks)
     ops = [(k2, eps_tilde_scale(k2)) for k2 in range(0, top, 2)]
-    images: dict[Block, list[_EpsImage]] = {block: [] for block in blocks}
-
-    def reaches(deg: int, nb: int) -> bool:
-        return any(
-            d >= deg and n >= nb and (d - deg) % 2 == 0 and (n > nb or d == deg)
-            for d, n in blocks
-        )
-
+    reach = _reachable(blocks)
+    cells: dict[Block, dict[str, Cells]] = {block: {} for block in blocks}
     for mono, (den, buckets) in ainf.slices().items():
         weight = mono.weight(table.symbols)
         for m, terms in buckets:
             # every derivation kills the constant 1
-            if m == 0 or not reaches(m, weight):
+            if m == 0 or (m, weight) not in reach:
                 continue
             stack = [(m, weight, (), Fraction(1, den), dict(terms))]
             while stack:
                 deg, nb, eword, factor, v = stack.pop()
-                if (deg, nb) in images:
-                    images[deg, nb].append((eword, mono, factor, v))
+                block = cells.get((deg, nb))
+                if block is not None:
+                    a, b = factor.as_integer_ratio()
+                    for w, n in v.items():
+                        by_den = block.setdefault(w, {}).setdefault(mono, {})
+                        by_den.setdefault(b, {})[eword] = a * n
                 for k2, norm in ops:
-                    if not reaches(deg + k2, nb + 1):
+                    if (deg + k2, nb + 1) not in reach:
                         continue
                     image = eps_apply(k2, v)
                     if image:
                         # the newest application is outermost: it leads the word
                         stack.append((deg + k2, nb + 1, (k2,) + eword, factor * norm, image))
-    return images
-
-
-def _gseries_component(images: list[_EpsImage]) -> dict[str, EPoly]:
-    """Word -> e-word polynomial of one degree, each born sliced.
-
-    The piece factor * v of an image puts, for each word w of v, the
-    numerator a * v[w] on (e-word, monomial) over the denominator b of
-    factor = a / b; each word's cells become its polynomial's slices, so no
-    coefficient is built.  Consumes the images, so the raw data is freed
-    while the polynomials are built.
-    """
-    cells: dict[str, Cells] = {}
-    while images:
-        eword, mono, factor, v = images.pop()
-        a, b = factor.as_integer_ratio()
-        for w, n in v.items():
-            cells.setdefault(w, {}).setdefault(mono, {}).setdefault(b, {})[eword] = a * n
-    return {w: EPoly._from_slices(None, normalise(c, len)) for w, c in cells.items()}
+    return cells
 
 
 # ---------------------------------------------------------------------------

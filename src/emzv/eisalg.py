@@ -38,8 +38,9 @@ from .coeffring import (
     memoized,
     normalise,
     rational_lincomb,
+    split_lincomb,
 )
-from .qseries import QTSeries, qt_antider, qt_mul, qt_split_lincomb
+from .qseries import QTSeries, _q_power, qt_antider, qt_mul
 from .words import deconcatenations, make_word, shuffle_multiset
 
 EWord = tuple[int, ...]
@@ -147,7 +148,11 @@ class EPoly(CoeffMap):
         return self.coeffs.get(make_word(w), CoeffElem.zero())
 
     def constant_term(self) -> CoeffElem:
-        return self.coefficient(())
+        """The coefficient of the empty word, read from the grade-0 buckets."""
+        grade0 = keep_grades(self._sliced, lambda g: g == 0)
+        return CoeffElem._from_clean(
+            {mono: Fraction(n, den) for mono, (den, [(_, [(_, n)])]) in grade0.items()}
+        )
 
     def without_constant(self) -> "EPoly":
         """The words of positive length: the buckets of the slices above grade 0."""
@@ -226,7 +231,9 @@ def epoly_to_qexp(x: EPoly, order: int) -> QTSeries:
         for mono, (den, buckets) in x.slices().items()
     }
     integrals = {w: iei_qexp(w, order).slices() for _, terms in scalars.values() for w, _ in terms}
-    return qt_split_lincomb(scalars, integrals, order)
+    # the integrals are rational, so no table is read
+    cells = split_lincomb(scalars, integrals, order - 1, None)
+    return QTSeries._from_slices(order, normalise(cells, _q_power))
 
 
 def deconcat(x: EPoly) -> dict[tuple[EWord, EWord], CoeffElem]:

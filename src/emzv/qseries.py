@@ -17,7 +17,7 @@ convention used everywhere in this package.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .coeffring import (
     Cells,
@@ -25,13 +25,11 @@ from .coeffring import (
     CoeffMap,
     MzvTable,
     Slices,
-    SplitScalars,
     accumulate,
     build_slices,
     convolve,
     graded_slices,
     normalise,
-    split_lincomb,
 )
 from .errors import FourierViolation
 
@@ -66,8 +64,12 @@ class QTSeries(CoeffMap):
     def coefficient(self, m: int, j: int) -> CoeffElem:
         return self.coeffs.get((m, j), CoeffElem.zero())
 
+    def _t_keys(self) -> list[int]:
+        """The coded keys (below) of the terms with a T power, read from the slices."""
+        return [k for _, b in self._sliced.values() for _, t in b for k, _ in t if k & _T_MASK]
+
     def is_t_free(self) -> bool:
-        return all(j == 0 for (_, j) in self.coeffs)
+        return not self._t_keys()
 
     def terms(self) -> Iterator[tuple[int, int, CoeffElem]]:
         coeffs = self.coeffs  # read once: each read builds them
@@ -75,10 +77,10 @@ class QTSeries(CoeffMap):
             yield m, j, coeffs[(m, j)]
 
     def require_t_free(self) -> "QTSeries":
-        bad = [k for k in self.coeffs if k[1] > 0]
+        bad = self._t_keys()
         if bad:
-            m, j = min(bad)
-            raise FourierViolation(f"T term survives at q^{m} T^{j}")
+            k = min(bad)
+            raise FourierViolation(f"T term survives at q^{k >> _SHIFT} T^{k & _T_MASK}")
         return self
 
     def __str__(self) -> str:
@@ -109,19 +111,6 @@ def qt_mul(f: QTSeries, g: QTSeries, table: MzvTable | None = None) -> QTSeries:
     TableOverflow rule of :func:`coeffring.convolve`."""
     order = min(f.order, g.order)
     cells = convolve(f.slices(), g.slices(), order - 1, table)
-    return QTSeries._from_slices(order, normalise(cells, _q_power))
-
-
-def qt_split_lincomb(
-    scalars: SplitScalars, series: Mapping[Any, Slices] | Sequence[Slices], order: int
-) -> QTSeries:
-    """sum c_k * series[k], truncated at the order, with the scalars split
-    by coefficient monomial and the series given as slices: the q-expansion
-    of an e-word polynomial (``eisalg.epoly_to_qexp``).  No table is read:
-    the series are rational iterated integrals, so no two symbols meet; a
-    product of two symbol-bearing monomials raises TableOverflow, as
-    :func:`coeffring.split_lincomb` does without a table."""
-    cells = split_lincomb(scalars, series, order - 1, None)
     return QTSeries._from_slices(order, normalise(cells, _q_power))
 
 

@@ -268,6 +268,49 @@ def test_degree_guard_on_every_index_command(capsys, monkeypatch):
     assert (code, err) == (0, "") and out.strip() == render_coeff(_gamma2_closed(0, 20))
 
 
+def test_order_guard_refuses_at_once():
+    # q-order 100,000 would take hours: refused before any expansion
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "emzv", "qexp", "--index", "2", "--order", "100000"]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert f"--order 100000 is beyond the budget of {cli.ORDER_BUDGET}" in proc.stderr
+    assert "`--no-cost-guard`" in proc.stderr
+
+
+def test_order_guard_on_every_order_command(capsys, monkeypatch):
+    # qexp and fourier-check are refused above the budget, and the override
+    # computes a cheap index; verify names the library call
+    import emzv.eisalg
+
+    over = str(cli.ORDER_BUDGET + 1)
+    real = emzv.eisalg.iei_qexp
+    monkeypatch.setattr(emzv.eisalg, "iei_qexp", lambda *a: pytest.fail("an expansion ran"))
+    flag = "pass `--no-cost-guard` to compute it"
+    library = f"`emzv.verify.run_checks(VerifyContext(table, q_order={over}))` runs it"
+    for argv, hint in (
+        (("qexp", "--index", ""), flag),
+        (("fourier-check", "--index", "2"), flag),
+        (("verify",), library),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--order", over)
+        assert (code, out) == (2, ""), argv
+        want = f"ValueError: --order {over} is beyond the budget of {cli.ORDER_BUDGET}; {hint}\n"
+        assert err == want, err
+    monkeypatch.setattr(emzv.eisalg, "iei_qexp", real)
+    code, out, err = run_cli(capsys, "qexp", "--index", "2", "--order", over, "--no-cost-guard")
+    assert (code, err, out.strip()) == (0, "", "(1/12 * pi)")
+    argv = ("fourier-check", "--index", "2", "--order", over, "--no-cost-guard")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and "member: True" in out
+    code, out, err = run_cli(capsys, "qexp", "--index", "2", "--order", str(cli.ORDER_BUDGET))
+    assert (code, err, out.strip()) == (0, "", "(1/12 * pi)")
+
+
 def test_every_index_of_the_stated_ranges_passes_the_degree_guard():
     # lengths 2 to 5 at the ranges (2, 22), (3, 14), (4, 12) and (5, 9):
     # the guard is cheap, and none of them is refused

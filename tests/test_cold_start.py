@@ -96,7 +96,7 @@ def test_decomposition_round_trips_through_its_document():
     for idx in [(), (3,), (2, 0), (0, 1, 0, 0), (2, 0, 0, 1), (1, 1, 1, 1)]:
         d = decompose(idx, table)
         assert Decomposition.from_doc(d.to_doc(), table) == d
-    assert Decomposition((), decompose((), table).epoly, CoeffElem.one()).nc_degree == 0
+    assert Decomposition((), decompose((), table).epoly).nc_degree == 0
 
 
 def test_two_loads_are_equal_tables_with_their_own_caches():

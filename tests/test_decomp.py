@@ -4,19 +4,23 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emzv.coeffring import (
     CoeffElem,
     bernoulli,
     dump_mzv_table,
     loads_mzv_table,
+    normalise,
+    render_coeff,
     shipped_table,
 )
 from emzv.decomp import (
     Decomposition,
     DiffTerm,
-    _eps_word_images,
-    _gseries_component,
+    _eps_word_cells,
+    _reachable,
     decompose,
     diffeq_expand,
     diffeq_rhs_qexp,
@@ -27,7 +31,7 @@ from emzv.decomp import (
     indices_upto,
     parse_index,
 )
-from emzv.derlie import eps_derivation
+from emzv.derlie import eps_apply, eps_derivation, eps_tilde_scale
 from emzv.eisalg import EPoly, eisenstein_qexp, epoly_mul, shuffle_words
 from emzv.errors import ExtractionInconsistent, ParseError, TableOverflow
 from emzv.ncalg import NCSeries, build_Ainf, compositions_of, index_monomial
@@ -402,9 +406,9 @@ def _full_series_gseries(max_len, max_wt, table):
     out = {(): EPoly.constant(1)}
     if not by_block:
         return out
-    images = _eps_word_images(build_Ainf(max(d for d, _ in by_block), table), by_block, table)
+    cells = _eps_word_cells(build_Ainf(max(d for d, _ in by_block), table), by_block, table)
     for (d, n), indices in sorted(by_block.items()):
-        solved = _whole_degree_push_solve(_gseries_component(images.pop((d, n))), d)
+        solved = _whole_degree_push_solve(_sliced_component(cells.pop((d, n))), d)
         for idx in indices:
             val = solved.get(idx) or EPoly.zero()
             out[idx] = val if n % 2 == 0 else -val
@@ -430,21 +434,80 @@ def test_gseries_matches_the_full_series_route(max_len, max_wt):
         assert got[idx] == poly and got[idx].coeffs == poly.coeffs, idx
 
 
-def test_gseries_component_matches_the_validating_constructors(table):
+def _sliced_component(block_cells):
+    """Word -> e-word polynomial of one block's cells, as the route builds it."""
+    return {w: EPoly._from_slices(None, normalise(c, len)) for w, c in block_cells.items()}
+
+
+def _reaches(blocks, deg, nb):
+    """The predicate the reach set replaced: some block (d, n) lies at an
+    even degree step and, unless the degree is its own, more b's away."""
+    return any(
+        d >= deg and n >= nb and (d - deg) % 2 == 0 and (n > nb or d == deg) for d, n in blocks
+    )
+
+
+def _reference_word_images(ainf, blocks, table):
+    """Block -> [(e-word, monomial, rational factor, integer word vector)]:
+    the images staged as lists, pushed on along the predicate above."""
+    top = max(d for d, _ in blocks)
+    ops = [(k2, eps_tilde_scale(k2)) for k2 in range(0, top, 2)]
+    images = {block: [] for block in blocks}
+    for mono, (den, buckets) in ainf.slices().items():
+        weight = mono.weight(table.symbols)
+        for m, terms in buckets:
+            if m == 0 or not _reaches(blocks, m, weight):
+                continue
+            stack = [(m, weight, (), F(1, den), dict(terms))]
+            while stack:
+                deg, nb, eword, factor, v = stack.pop()
+                if (deg, nb) in images:
+                    images[deg, nb].append((eword, mono, factor, v))
+                for k2, norm in ops:
+                    if _reaches(blocks, deg + k2, nb + 1):
+                        image = eps_apply(k2, v)
+                        if image:
+                            stack.append((deg + k2, nb + 1, (k2,) + eword, factor * norm, image))
+    return images
+
+
+def test_eps_word_cells_match_the_validating_constructors(table):
     d = 7
     blocks = [(d, n) for n in range(1, d + 1)]
-    images = _eps_word_images(build_Ainf(d, table), blocks, table)
-    assert images.keys() == set(blocks)
+    ainf = build_Ainf(d, table)
+    cells = _eps_word_cells(ainf, blocks, table)
+    images = _reference_word_images(ainf, blocks, table)
+    assert cells.keys() == images.keys() == set(blocks)
     for n in range(1, d + 1):
         want = {}
         for eword, mono, factor, v in images[d, n]:
             for w, q in v.items():
                 assert len(w) == d and w.count("b") == n, (n, w)
-                want.setdefault(w, {}).setdefault(eword, {})[mono] = factor * q
-        got = _gseries_component(list(images[d, n]))
+                per = want.setdefault(w, {}).setdefault(eword, {})
+                # each (e-word, monomial) lands once per block, so a cell
+                # is written, never summed
+                assert mono not in per, (w, eword, mono)
+                per[mono] = factor * q
+        got = _sliced_component(cells[d, n])
         assert want and got.keys() == want.keys(), n
         for w, per in want.items():
             assert got[w].coeffs == EPoly({e: CoeffElem(t) for e, t in per.items()}).coeffs, w
+
+
+_blocks = st.sets(
+    st.tuples(st.integers(1, 16), st.integers(1, 8)).filter(lambda b: b[1] <= b[0]),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_blocks)
+def test_reach_set_matches_the_predicate(blocks):
+    reach = _reachable(blocks)
+    for deg in range(17):
+        for nb in range(9):
+            assert ((deg, nb) in reach) == _reaches(blocks, deg, nb), (deg, nb)
 
 
 def _planting(monkeypatch, word):
@@ -712,13 +775,16 @@ def test_malformed_doc_raises_parse_error_naming_the_field(table, edit, field):
 
 
 def test_nc_degree_is_read_from_the_index(table):
-    # the record stores three fields; the degree its constant is read at
-    # follows from the index, and its document still records it
-    assert Decomposition._fields == ("index", "epoly", "gamma")
+    # the record stores two fields; the degree its constant is read at
+    # follows from the index, the constant is psi's constant term, and its
+    # document still records both
+    assert Decomposition._fields == ("index", "epoly")
     for idx, want in [((), 0), ((4,), 0), ((0, 0), 2), ((0, 1, 0, 0), 5), ((2, 0, 0, 1), 7)]:
         dec = decompose(idx, table)
         assert dec.nc_degree == want == Decomposition(*dec).nc_degree, idx
+        assert dec.gamma == dec.epoly.coefficient(()) == Decomposition(*dec).gamma, idx
         assert dec.to_doc()["params"] == {"nc_degree": want}
+        assert dec.to_doc()["gamma"] == render_coeff(dec.epoly.coefficient(()))
 
 
 def test_base_case_docs_load(table):

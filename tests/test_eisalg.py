@@ -287,6 +287,29 @@ def test_epoly_to_qexp_builds_no_coefficient(monkeypatch):
     assert calls
 
 
+def test_constant_term_builds_no_coefficient(monkeypatch):
+    # the constant term is read from the grade-0 buckets of the slices, and
+    # so is a decomposition's gamma
+    from emzv import coeffring, eisalg
+    from emzv.decomp import decompose
+
+    calls = []
+    real = coeffring.build_slices
+    for module in (coeffring, eisalg):
+        monkeypatch.setattr(module, "build_slices", lambda s: calls.append(1) or real(s))
+    table = shipped_table()
+    indices = [(), (3,), (4,), (0, 1, 0, 0), (2, 0, 1), (3, 0)]
+    decs = [decompose(idx, table) for idx in indices]
+    polys = [d.epoly for d in decs] + [EPoly.zero(), shuffle_words((2,), (4,))]
+    z3 = CoeffElem({MzvMonomial(2, ("z3",)): F(-3, 4)})
+    polys.append(EPoly({(): z3, (2,): CoeffElem.pi_pow(2, F(1, 6))}))
+    calls.clear()
+    got = [p.constant_term() for p in polys] + [d.gamma for d in decs]
+    assert calls == []
+    assert got == [p.coefficient(()) for p in polys] + [d.epoly.coefficient(()) for d in decs]
+    assert {c.is_zero() for c in got} == {True, False}
+
+
 def _reference_antider(f):
     """The per-term back-substitution that the integer one in qseries replaced."""
     acc = {}

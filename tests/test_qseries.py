@@ -17,7 +17,7 @@ from emzv.coeffring import split_lincomb as split_cells
 from emzv.decomp import emzv_qexp
 from emzv.eisalg import eisenstein_qexp
 from emzv.errors import DegreeMismatch, FourierViolation, TableOverflow
-from emzv.qseries import QTSeries, _q_power, qt_antider, qt_ddT, qt_mul, qt_split_lincomb
+from emzv.qseries import QTSeries, _q_power, qt_antider, qt_ddT, qt_mul
 
 F = Fraction
 
@@ -111,6 +111,40 @@ def test_t_free_guard():
     assert not bad.is_t_free()
     with pytest.raises(FourierViolation):
         bad.require_t_free()
+
+
+def test_t_checks_build_no_coefficient(monkeypatch):
+    # the verdicts read the T powers from the slices: no coefficient is
+    # built, on constructed series or computed ones
+    from emzv import coeffring, qseries
+    from emzv.eisalg import EPoly, epoly_to_qexp
+
+    calls = []
+    real = coeffring.build_slices
+    for module in (coeffring, qseries):
+        monkeypatch.setattr(module, "build_slices", lambda s: calls.append(1) or real(s))
+    ok = series(5, c0_0=F(1, 3), c1_0=2, c4_0=-7)
+    bad = series(5, c0_0=1, c3_2=F(1, 2), c2_1=5, c4_0=1)
+    values = [ok, bad] + [qt_mul(f, g) for f in (ok, bad) for g in (ok, bad)]
+    values += [emzv_qexp((0, 1, 0, 0), 6, shipped_table()), epoly_to_qexp(EPoly.word((2,)), 6)]
+    calls.clear()
+    assert ok.is_t_free() and ok.require_t_free() is ok
+    assert not bad.is_t_free()
+    with pytest.raises(FourierViolation, match=r"^T term survives at q\^2 T\^1$"):
+        bad.require_t_free()
+    verdicts = [f.is_t_free() for f in values]
+    assert calls == []
+    # the verdicts and the first T term read from the built coefficients
+    assert verdicts == [all(j == 0 for _, j in f.coeffs) for f in values] == [
+        True, False, True, False, False, False, True, False
+    ]
+    for f in values:
+        bad_terms = sorted(k for k in f.coeffs if k[1])
+        if bad_terms:
+            m, j = bad_terms[0]
+            with pytest.raises(FourierViolation, match=rf"at q\^{m} T\^{j}$"):
+                f.require_t_free()
+    assert calls
 
 
 def test_rendering_sorted():
@@ -235,14 +269,12 @@ def test_scale_by_rational_coeff_matches_coeff_mul():
 
 
 def split_lincomb(pairs, order, table=None):
-    """sum c * f on scalars split by integer_slices, as epoly_to_qexp passes
-    its polynomial's slices: qt_split_lincomb without a table, and
-    coeffring.split_lincomb (which build_phi calls) with one."""
+    """sum c * f on scalars split by integer_slices, through
+    coeffring.split_lincomb: without a table as epoly_to_qexp passes its
+    polynomial's slices, and with one as build_phi calls it."""
     pairs = list(pairs)
     scalars = integer_slices(enumerate(c for c, _ in pairs))
     series = [f.slices() for _, f in pairs]
-    if table is None:
-        return qt_split_lincomb(scalars, series, order)
     cells = split_cells(scalars, series, order - 1, table)
     return QTSeries._from_slices(order, normalise(cells, _q_power))
 

@@ -49,7 +49,7 @@ from emzv.ncalg import (
     nc_mul,
     shuffle_regularize,
 )
-from emzv.qseries import QTSeries, qt_antider, qt_mul, qt_split_lincomb
+from emzv.qseries import QTSeries, qt_antider, qt_mul
 from emzv.words import graded_words
 
 F = Fraction
@@ -343,21 +343,19 @@ def test_qt_mul_matches_reference(f, g, with_table):
 
 
 def split_qt_lincomb(pairs, order, table=None):
-    """sum c * f on scalars split by integer_slices, as epoly_to_qexp passes
-    its polynomial's slices: qt_split_lincomb without a table, and
-    coeffring.split_lincomb (which build_phi calls) with one."""
+    """sum c * f on scalars split by integer_slices, through
+    coeffring.split_lincomb: without a table as epoly_to_qexp passes its
+    polynomial's slices, and with one as build_phi calls it."""
     pairs = list(pairs)
     scalars = integer_slices(enumerate(c for c, _ in pairs))
     series = [f.slices() for _, f in pairs]
-    if table is None:
-        return qt_split_lincomb(scalars, series, order)
     cells = split_lincomb(scalars, series, order - 1, table)
     return QTSeries._from_slices(order, normalise(cells, lambda k: k >> _SHIFT))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(_coeffs(), _qt_series(6)), max_size=4), st.booleans())
-def test_qt_split_lincomb_matches_reference(pairs, with_table):
+def test_split_lincomb_on_qt_series_matches_reference(pairs, with_table):
     table = shipped_table() if with_table else None
     assert_same_value(
         _outcome(split_qt_lincomb, pairs, 6, table),
@@ -816,16 +814,18 @@ def test_readers_build_the_coefficients_once(monkeypatch):
     qexp = iei_qexp((4, 0), 8)
     t_free = qt_mul(eisenstein_qexp(4, 8), eisenstein_qexp(6, 8))
     built = _count_builds(monkeypatch)
-    for value, read in (
-        (epoly, str),
-        (series, str),
-        (qexp, lambda q: list(q.terms())),
-        (qexp, str),
-        (t_free, QTSeries.require_t_free),
+    for value, read, want in (
+        (epoly, str, [epoly]),
+        (series, str, [series]),
+        (qexp, lambda q: list(q.terms()), [qexp]),
+        (qexp, str, [qexp]),
+        # the T checks read the slices and build nothing
+        (t_free, QTSeries.require_t_free, []),
+        (qexp, QTSeries.is_t_free, []),
     ):
         del built[:]
         read(value)
-        assert built == [value], read
+        assert built == want, read
 
 
 def test_rendered_series_holds_no_coefficients():
