@@ -30,9 +30,11 @@ a ``fourier-check --epoly`` word too, since the q-expansion of E_k reads
 B_k.  ``membership`` computes the Lie relation kernels of each component's
 length and letter sum, whose rows grow as a binomial in both: a component
 above ``KERNEL_ROW_BUDGET`` rows is refused unless ``--no-cost-guard`` is
-given, and ``derlie-relations`` above it names the library call.  So does
-``verify`` above an ``--order`` of ``ORDER_BUDGET``, which ``qexp`` and
-``fourier-check`` refuse unless ``--no-cost-guard`` is given.
+given, and ``derlie-relations`` above it names the library call.
+``qexp`` and ``fourier-check`` refuse an ``--order`` above ``ORDER_BUDGET``
+unless ``--no-cost-guard`` is given; ``verify``, which expands hundreds of
+series at its order, refuses one above ``VERIFY_ORDER_BUDGET`` and names the
+library call.
 """
 
 from __future__ import annotations
@@ -87,10 +89,14 @@ SERIES_WORD_BUDGET = 30000
 # C(403, 2) = 81,003 rows more than 100 s.
 KERNEL_ROW_BUDGET = 3500
 
-# The largest q-order computed without --no-cost-guard, and by verify at
-# all: qexp of 0,1,0,4 takes 0.19 s at order 400, 0.97 s at 1000 and 2.81 s
-# at 1600, and of 0,0,0,0,0,0,0,1 0.66 s at 800 and 1.07 s at 1000.
+# The largest q-order qexp and fourier-check compute without
+# --no-cost-guard: qexp of 0,1,0,4 takes 0.19 s at order 400, 0.97 s at 1000
+# and 2.81 s at 1600, and of 0,0,0,0,0,0,0,1 0.66 s at 800 and 1.07 s at 1000.
 ORDER_BUDGET = 1000
+
+# The largest q-order verify runs at all: the whole suite takes about 10 s
+# at order 200, and its criterion-07 alone about 40 s at order 400.
+VERIFY_ORDER_BUDGET = 200
 
 _FLAGS: dict[str, dict] = {
     "--mzv-table": dict(default=None, metavar="PATH"),
@@ -171,10 +177,10 @@ def _positive(ns: argparse.Namespace, what: str) -> int:
     return value
 
 
-def _guard_order(order: int, override: bool, hint: str) -> None:
-    """An order above ORDER_BUDGET is refused unless ``override``."""
-    if order > ORDER_BUDGET and not override:
-        raise ValueError(f"--order {order} is beyond the budget of {ORDER_BUDGET}; {hint}")
+def _guard_order(order: int, override: bool, hint: str, budget: int = ORDER_BUDGET) -> None:
+    """An order above the budget is refused unless ``override``."""
+    if order > budget and not override:
+        raise ValueError(f"--order {order} is beyond the budget of {budget}; {hint}")
 
 
 def _load_table(ns: argparse.Namespace) -> MzvTable:
@@ -486,7 +492,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
     order, degree = _positive(ns, "order"), _positive(ns, "degree")
     hint = f"`emzv.verify.run_checks(VerifyContext(table, q_order={order}))` runs it"
-    _guard_order(order, False, hint)
+    _guard_order(order, False, hint, VERIFY_ORDER_BUDGET)
     table = _load_table(ns)
     if ns.only is None or ns.only in "criterion-10-associator":  # the check that reads --degree
         _require_limit_series(degree, table)  # before any check runs

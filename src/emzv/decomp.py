@@ -46,7 +46,15 @@ from .derlie import eps_apply, eps_tilde_scale
 from .eisalg import EPoly, EWord, eisenstein_qexp, epoly_to_qexp, has_odd_letter
 from .errors import ParseError
 from .linalg import RatMatrix, kernel_basis
-from .ncalg import Block, NCSeries, build_Ainf, extract_gamma, index_degree, triangular_index_solve
+from .ncalg import (
+    Block,
+    IntVector,
+    NCSeries,
+    build_Ainf,
+    extract_gamma,
+    index_degree,
+    triangular_index_solve,
+)
 from .qseries import QTSeries, qt_mul
 from .words import graded_words, make_word
 
@@ -299,7 +307,10 @@ def gseries_decompose(
     reads is not built, so it is not checked either (``extract_gamma``
     still checks every degree of the limit series).  The limit series is
     built only up to the range's longest length in monomial weight
-    (``build_Ainf``'s ``max_b``).  A word's cells become its polynomial's slices.
+    (``build_Ainf``'s ``max_b``).  Each block's integer vectors
+    (:func:`_eps_word_cells`) are solved as they are, in integers; each
+    index's polynomial is then built once, one part per coefficient
+    monomial (born sliced by ``normalise``), the parts summed with ``+``.
     """
     by_block: dict[Block, list[EmzvIndex]] = {}
     for idx in indices_upto(max_len, max_wt):
@@ -312,13 +323,20 @@ def gseries_decompose(
     ainf = build_Ainf(max(d for d, _ in by_block), table, max_b=max(n for _, n in by_block))
     cells = _eps_word_cells(ainf, by_block, table)
     for (d, n), indices in sorted(by_block.items()):
-        component = {
-            w: EPoly._from_slices(None, normalise(c, len)) for w, c in cells.pop((d, n)).items()
-        }
-        solved = triangular_index_solve(component, d, n)
+        solved = triangular_index_solve(cells.pop((d, n)), d, n)
+        sign = 1 if n % 2 == 0 else -1
         for idx in indices:
-            val = solved.get(idx) or EPoly.zero()
-            out[idx] = val if n % 2 == 0 else -val
+            by_mono: dict[MzvMonomial, Cells] = {}
+            for (mono, b, eword), num in solved.get(idx, {}).items():
+                by_mono.setdefault(mono, {}).setdefault(b, {})[eword] = sign * num
+            # disjoint monomials: each sum keeps the slices it adds
+            out[idx] = sum(
+                (
+                    EPoly._from_slices(None, normalise({mono: c}, len))
+                    for mono, c in by_mono.items()
+                ),
+                EPoly.zero(),
+            )
     return out
 
 
@@ -333,21 +351,22 @@ def _reachable(blocks: Collection[Block]) -> set[Block]:
 
 def _eps_word_cells(
     ainf: NCSeries, blocks: Collection[Block], table: MzvTable
-) -> dict[Block, dict[str, Cells]]:
+) -> dict[Block, dict[str, IntVector]]:
     """Every eps~_w applied to the pieces of the limit series, written into
-    the cells of the requested block it lands in: word -> monomial ->
-    denominator -> e-word -> numerator.
+    the requested block it lands in: word -> {(monomial, denominator,
+    e-word): numerator}, the integer vectors of
+    :func:`ncalg.triangular_index_solve`.
 
     A piece is one degree bucket of the series' slice on a monomial mu, at
     (its degree, mu's weight in b's); it is pushed through the eps_{2k}
     (:func:`derlie.eps_apply`) while its state reaches some block.  With
     the eps~ normalisation and the slice's denominator as one factor a / b,
-    an image v puts a * v[w] on (e-word, mu) over b for each word w: once
-    per block, so no cell sums."""
+    an image v puts a * v[w] on (mu, b, e-word) for each word w: once per
+    block, so no entry sums."""
     top = max(d for d, _ in blocks)
     ops = [(k2, eps_tilde_scale(k2)) for k2 in range(0, top, 2)]
     reach = _reachable(blocks)
-    cells: dict[Block, dict[str, Cells]] = {block: {} for block in blocks}
+    cells: dict[Block, dict[str, IntVector]] = {block: {} for block in blocks}
     for mono, (den, buckets) in ainf.slices().items():
         weight = mono.weight(table.symbols)
         for m, terms in buckets:
@@ -360,9 +379,9 @@ def _eps_word_cells(
                 block = cells.get((deg, nb))
                 if block is not None:
                     a, b = factor.as_integer_ratio()
+                    col = (mono, b, eword)
                     for w, n in v.items():
-                        by_den = block.setdefault(w, {}).setdefault(mono, {})
-                        by_den.setdefault(b, {})[eword] = a * n
+                        block.setdefault(w, {})[col] = a * n
                 for k2, norm in ops:
                     if (deg + k2, nb + 1) not in reach:
                         continue

@@ -55,20 +55,28 @@ def sigma(m: int, n: int) -> int:
     return sum(d**m for d in range(1, n + 1) if n % d == 0)
 
 
+_eisenstein_cache: dict[tuple[int, int], QTSeries] = {}
+
+
 def eisenstein_qexp(k: int, order: int) -> QTSeries:
-    """q-expansion of E_k to the given order (constant -1 for k = 0)."""
+    """q-expansion of E_k to the given order (constant -1 for k = 0),
+    memoized on (k, order): every miss of :func:`iei_qexp` reads it."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    if k == 0:
-        return QTSeries.constant(-1, order)
-    if k % 2:
-        return QTSeries.zero(order)
-    coeffs: dict[tuple[int, int], CoeffElem] = {
-        (0, 0): CoeffElem.from_rational(-bernoulli(k) / (2 * k))
-    }
-    for n in range(1, order):
-        coeffs[(n, 0)] = CoeffElem.from_rational(sigma(k - 1, n))
-    return QTSeries(order, coeffs)
+
+    def compute() -> QTSeries:
+        if k == 0:
+            return QTSeries.constant(-1, order)
+        if k % 2:
+            return QTSeries.zero(order)
+        coeffs: dict[tuple[int, int], CoeffElem] = {
+            (0, 0): CoeffElem.from_rational(-bernoulli(k) / (2 * k))
+        }
+        for n in range(1, order):
+            coeffs[(n, 0)] = CoeffElem.from_rational(sigma(k - 1, n))
+        return QTSeries(order, coeffs)
+
+    return memoized(_eisenstein_cache, (k, order), compute)
 
 
 _iei_cache: dict[tuple[EWord, int], QTSeries] = {}

@@ -24,13 +24,12 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .coeffring import (
     MONOMIAL_ONE,
     CoeffElem,
     CoeffMap,
-    MzvMonomial,
     MzvTable,
     Slices,
     accumulate,
@@ -425,59 +424,57 @@ def _solve_plan(degree: int, length: int) -> _Plan:
     return memoized(_plan_cache, (degree, length), build)
 
 
-def triangular_index_solve(component: Mapping[NCWord, object], degree: int, length: int):
+# A sparse integer vector: column -> nonzero int.  The columns are the
+# coefficient monomials in extract_gamma and (monomial, denominator, e-word)
+# in gseries_decompose; the solve never looks inside a column.
+IntVector = dict[Any, int]
+
+
+def triangular_index_solve(
+    component: Mapping[NCWord, IntVector], degree: int, length: int
+) -> dict[EmzvIndexTuple, IntVector]:
     """Solve component = sum_j x_j * monomial(j) over the compositions j of
-    the block (degree, length).
+    the block (degree, length), on sparse integer vectors.
 
-    The values are of one of two kinds: integers (the numerators of
-    ``extract_gamma``) or EPoly (the components of ``gseries_decompose``).
-    The words are back-substituted along the block's plan, each word
-    combined once (:func:`_combining_solve`): integers as a plain sum of
-    products, EPoly values through :meth:`EPoly.combination`.  The final
-    residuals, any word outside the block included, must vanish, otherwise
-    ExtractionInconsistent is raised.  The monomials are integral, so an
-    integer vector solves in integers.  Only the nonzero x_j are returned.
+    Each word's value is a vector column -> nonzero int, and so is each
+    x_j; the monomials are integral, so an integer vector solves in
+    integers, column by column.  The walk follows the block's plan once:
+    each word collects its (q, x_j) contributions and combines them with its
+    own vector once, in plain integer arithmetic, when the walk reaches it.
+    A pivot's vector is returned as it is when nothing was pushed onto it.
+    The final residuals, any word outside the block included, must vanish,
+    otherwise ExtractionInconsistent is raised.  Only the nonzero x_j are
+    returned.
     """
-    first = next(iter(component.values()), None)
-    combine = type(first).combination if isinstance(first, CoeffMap) else _sum_of_products
-    out: dict[EmzvIndexTuple, object] = {}
-    leftovers = _combining_solve(dict(component), _solve_plan(degree, length), out, combine)
-    if leftovers:
-        raise ExtractionInconsistent(
-            f"degree-{degree} residual outside the span of the length-{length} "
-            f"index monomials on words {sorted(leftovers)[:4]}"
-        )
-    return out
+    work = dict(component)
+    pending: dict[NCWord, list[tuple[int, IntVector]]] = {}  # word -> its (q, x_j)
 
-
-def _sum_of_products(terms: Iterable[tuple[int, int]]) -> int:
-    return sum(q * x for q, x in terms)
-
-
-def _combining_solve(work: dict, plan: _Plan, out: dict, combine) -> list[NCWord]:
-    """Each pivot x_j into out, without pushing: each word collects its
-    (q, x_j) contributions and combines them once, in ``combine``, when the
-    walk reaches it; its own component is added to that with +.  A push
-    would re-merge the whole of a container's value each time.  Words that
-    are no pivot are combined the same way at the end, and the nonzero ones
-    are returned."""
-    pending: dict[NCWord, list] = {}  # word -> its (q, x_j) contributions
-
-    def settle(w: NCWord):
+    def settle(w: NCWord) -> IntVector | None:
         x, terms = work.pop(w, None), pending.pop(w, None)
-        if terms:
-            s = combine(terms)
-            x = s if x is None else x + s
-        return x
+        if not terms:
+            return x
+        acc = dict(x) if x else {}
+        get = acc.get
+        for q, xj in terms:
+            for col, n in xj.items():
+                acc[col] = get(col, 0) + q * n
+        return {col: n for col, n in acc.items() if n}
 
-    for j, pure, rest in plan:
+    out: dict[EmzvIndexTuple, IntVector] = {}
+    for j, pure, rest in _solve_plan(degree, length):
         x = settle(pure)
         if not x:
             continue
         out[j] = x
         for w, q in rest:
             pending.setdefault(w, []).append((q, x))
-    return [w for w in set(work) | set(pending) if settle(w)]
+    leftovers = [w for w in set(work) | set(pending) if settle(w)]
+    if leftovers:
+        raise ExtractionInconsistent(
+            f"degree-{degree} residual outside the span of the length-{length} "
+            f"index monomials on words {sorted(leftovers)[:4]}"
+        )
+    return out
 
 
 def extract_gamma(idx: Iterable[int], table: MzvTable) -> CoeffElem:
@@ -487,11 +484,12 @@ def extract_gamma(idx: Iterable[int], table: MzvTable) -> CoeffElem:
     length).  A block (d, n) not yet solved builds the limit series at
     degree d, whole while the table serves it and else cut at max_b = n;
     every block of that build not yet solved is solved from it and stored,
-    as a component does not depend on the build's degree.  The component is
-    the degree-g bucket of each coefficient monomial's slice, an integer word
-    vector over one denominator; by homogeneity its words have w letters b on
-    a monomial of weight w, so it is solved in integers as the block (g, w).
-    Each constant is built once from its numerators.
+    as a component does not depend on the build's degree.  By homogeneity
+    the degree-g bucket of a monomial's slice has w letters b on a monomial
+    of weight w, so it belongs to the block (g, w).  Each block is gathered
+    across the monomials as word -> {monomial: numerator} and solved once,
+    in integers (:func:`triangular_index_solve`); each constant is built
+    once from Fraction(numerator, the monomial's denominator).
     """
     index = make_word(idx)
     d, n = index_degree(index), len(index)
@@ -499,13 +497,22 @@ def extract_gamma(idx: Iterable[int], table: MzvTable) -> CoeffElem:
     if (d, n) not in solved:
         D = max(d, 1)
         B = constant_cut(D, n, table)
-        cells: dict[Block, dict[EmzvIndexTuple, dict[MzvMonomial, Fraction]]] = {}
-        for mono, (den, buckets) in build_Ainf(D, table, max_b=B).slices().items():
+        series = build_Ainf(D, table, max_b=B).slices()
+        blocks: dict[Block, dict[NCWord, IntVector]] = {}
+        for mono, (_, buckets) in series.items():
             w = mono.weight(table.symbols)
             for g, terms in buckets:
                 if (g, w) not in solved:
-                    for j, num in triangular_index_solve(dict(terms), g, w).items():
-                        cells.setdefault((g, w), {}).setdefault(j, {})[mono] = Fraction(num, den)
+                    block = blocks.setdefault((g, w), {})
+                    for word, num in terms:
+                        block.setdefault(word, {})[mono] = num
+        cells = {
+            (g, w): {
+                j: {mono: Fraction(num, series[mono][0]) for mono, num in x.items()}
+                for j, x in triangular_index_solve(block, g, w).items()
+            }
+            for (g, w), block in blocks.items()
+        }
         for g in range(D + 1):
             for w in range(min(g, B) + 1):
                 memoized(solved, (g, w), functools.partial(build_coeffs, cells.get((g, w), {})))

@@ -284,22 +284,25 @@ def test_order_guard_refuses_at_once():
 
 def test_order_guard_on_every_order_command(capsys, monkeypatch):
     # qexp and fourier-check are refused above the budget, and the override
-    # computes a cheap index; verify names the library call
+    # computes a cheap index; verify, above its own lower budget too, names
+    # the library call
     import emzv.eisalg
 
     over = str(cli.ORDER_BUDGET + 1)
     real = emzv.eisalg.iei_qexp
     monkeypatch.setattr(emzv.eisalg, "iei_qexp", lambda *a: pytest.fail("an expansion ran"))
     flag = "pass `--no-cost-guard` to compute it"
-    library = f"`emzv.verify.run_checks(VerifyContext(table, q_order={over}))` runs it"
-    for argv, hint in (
-        (("qexp", "--index", ""), flag),
-        (("fourier-check", "--index", "2"), flag),
-        (("verify",), library),
+    library = "`emzv.verify.run_checks(VerifyContext(table, q_order={}))` runs it".format
+    verify_over = str(cli.VERIFY_ORDER_BUDGET + 1)
+    for argv, order, budget, hint in (
+        (("qexp", "--index", ""), over, cli.ORDER_BUDGET, flag),
+        (("fourier-check", "--index", "2"), over, cli.ORDER_BUDGET, flag),
+        (("verify",), over, cli.VERIFY_ORDER_BUDGET, library(over)),
+        (("verify",), verify_over, cli.VERIFY_ORDER_BUDGET, library(verify_over)),
     ):
-        code, out, err = run_cli(capsys, *argv, "--order", over)
+        code, out, err = run_cli(capsys, *argv, "--order", order)
         assert (code, out) == (2, ""), argv
-        want = f"ValueError: --order {over} is beyond the budget of {cli.ORDER_BUDGET}; {hint}\n"
+        want = f"ValueError: --order {order} is beyond the budget of {budget}; {hint}\n"
         assert err == want, err
     monkeypatch.setattr(emzv.eisalg, "iei_qexp", real)
     code, out, err = run_cli(capsys, "qexp", "--index", "2", "--order", over, "--no-cost-guard")
@@ -309,6 +312,27 @@ def test_order_guard_on_every_order_command(capsys, monkeypatch):
     assert (code, err) == (0, "") and "member: True" in out
     code, out, err = run_cli(capsys, "qexp", "--index", "2", "--order", str(cli.ORDER_BUDGET))
     assert (code, err, out.strip()) == (0, "", "(1/12 * pi)")
+
+
+def test_verify_order_budget_refuses_at_once_and_admits_its_bound():
+    # verify expands hundreds of series at its order: one past its own
+    # budget exits 2 at once with one line naming the budget and the library
+    # call, and the budget itself runs
+    assert cli.VERIFY_ORDER_BUDGET == 200 < cli.ORDER_BUDGET
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "emzv", "verify", "--order", "201"]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert "--order 201 is beyond the budget of 200" in proc.stderr
+    assert "`emzv.verify.run_checks(VerifyContext(table, q_order=201))`" in proc.stderr
+    argv = [sys.executable, "-m", "emzv", "verify", "--order", "200", "--only", "bernoulli"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ok   bernoulli"), proc.stdout
 
 
 def test_every_index_of_the_stated_ranges_passes_the_degree_guard():

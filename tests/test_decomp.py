@@ -12,7 +12,6 @@ from emzv.coeffring import (
     bernoulli,
     dump_mzv_table,
     loads_mzv_table,
-    normalise,
     render_coeff,
     shipped_table,
 )
@@ -396,9 +395,9 @@ def _whole_degree_push_solve(component, degree):
 
 
 def _full_series_gseries(max_len, max_wt, table):
-    """The route on the full limit series, each block solved by the
-    whole-degree push walk: the reference of the cut build, the per-block
-    plans and the one-pass combination."""
+    """The route on the full limit series, each block's vectors converted
+    to e-word polynomials and solved by the whole-degree push walk: the
+    reference of the cut build, the per-block plans and the vector solve."""
     by_block = {}
     for idx in indices_upto(max_len, max_wt):
         if idx:
@@ -408,7 +407,7 @@ def _full_series_gseries(max_len, max_wt, table):
         return out
     cells = _eps_word_cells(build_Ainf(max(d for d, _ in by_block), table), by_block, table)
     for (d, n), indices in sorted(by_block.items()):
-        solved = _whole_degree_push_solve(_sliced_component(cells.pop((d, n))), d)
+        solved = _whole_degree_push_solve(_epoly_component(cells.pop((d, n))), d)
         for idx in indices:
             val = solved.get(idx) or EPoly.zero()
             out[idx] = val if n % 2 == 0 else -val
@@ -434,9 +433,17 @@ def test_gseries_matches_the_full_series_route(max_len, max_wt):
         assert got[idx] == poly and got[idx].coeffs == poly.coeffs, idx
 
 
-def _sliced_component(block_cells):
-    """Word -> e-word polynomial of one block's cells, as the route builds it."""
-    return {w: EPoly._from_slices(None, normalise(c, len)) for w, c in block_cells.items()}
+def _epoly_component(block_cells):
+    """Word -> e-word polynomial of one block's integer vectors, (monomial,
+    denominator, e-word) -> numerator, through the validating constructors."""
+    out = {}
+    for w, vector in block_cells.items():
+        coeffs = {}
+        for (mono, den, eword), n in vector.items():
+            per = coeffs.setdefault(eword, {})
+            per[mono] = per.get(mono, 0) + F(n, den)
+        out[w] = EPoly({e: CoeffElem(t) for e, t in coeffs.items()})
+    return out
 
 
 def _reaches(blocks, deg, nb):
@@ -480,16 +487,21 @@ def test_eps_word_cells_match_the_validating_constructors(table):
     assert cells.keys() == images.keys() == set(blocks)
     for n in range(1, d + 1):
         want = {}
+        vectors = {}
         for eword, mono, factor, v in images[d, n]:
+            a, b = factor.as_integer_ratio()
             for w, q in v.items():
                 assert len(w) == d and w.count("b") == n, (n, w)
                 per = want.setdefault(w, {}).setdefault(eword, {})
-                # each (e-word, monomial) lands once per block, so a cell
+                # each (e-word, monomial) lands once per block, so an entry
                 # is written, never summed
                 assert mono not in per, (w, eword, mono)
                 per[mono] = factor * q
-        got = _sliced_component(cells[d, n])
-        assert want and got.keys() == want.keys(), n
+                vectors.setdefault(w, {})[mono, b, eword] = a * q
+        # the cells are the staged images' integer vectors, entry for entry
+        assert want and cells[d, n] == vectors, n
+        got = _epoly_component(cells[d, n])
+        assert got.keys() == want.keys(), n
         for w, per in want.items():
             assert got[w].coeffs == EPoly({e: CoeffElem(t) for e, t in per.items()}).coeffs, w
 

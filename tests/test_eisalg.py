@@ -39,6 +39,34 @@ def test_eisenstein_examples():
     assert e2 == qt(4, c0_0=F(-1, 24), c1_0=1, c2_0=3, c3_0=4)
 
 
+def test_eisenstein_qexp_is_memoized_per_weight_and_order():
+    # one stored value per (k, order), read back as the same object, equal
+    # to the series of its defining coefficients; an order below 1 is
+    # refused and stores nothing
+    from emzv.coeffring import bernoulli
+    from emzv.eisalg import _eisenstein_cache, sigma
+
+    _eisenstein_cache.clear()
+    for k in (0, 2, 3, 4, 12):
+        for order in (1, 5, 9):
+            first = eisenstein_qexp(k, order)
+            assert eisenstein_qexp(k, order) is first is _eisenstein_cache[k, order]
+            if k == 0:
+                want = qt(order, c0_0=-1)
+            elif k % 2:
+                want = QTSeries.zero(order)
+            else:
+                coeffs = {(n, 0): CoeffElem.from_rational(sigma(k - 1, n)) for n in range(1, order)}
+                coeffs[0, 0] = CoeffElem.from_rational(-bernoulli(k) / (2 * k))
+                want = QTSeries(order, coeffs)
+            assert first == want, (k, order)
+    stored = dict(_eisenstein_cache)
+    for order in (0, -3):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            eisenstein_qexp(4, order)
+    assert _eisenstein_cache == stored
+
+
 def test_iei_base_cases():
     assert iei_qexp((), 5) == qt(5, c0_0=1)
     assert iei_qexp((0,), 5) == qt(5, c0_1=1)  # the letter 0 integrates to T

@@ -1,4 +1,5 @@
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emzv.coeffring import (
+    MONOMIAL_ONE,
     CoeffElem,
     MzvMonomial,
     accumulate,
@@ -277,12 +279,12 @@ def test_extraction_residual_detected():
     # whichever block is asked for
     for length in range(4):
         with pytest.raises(ExtractionInconsistent, match="degree-2 residual"):
-            triangular_index_solve({"aa": 1}, 2, length)
+            triangular_index_solve({"aa": {0: 1}}, 2, length)
     # bb is the monomial of (0, 0), in the block (2, 2): the block (2, 1)
     # has no pivot for it, so it stays behind as a residual
     with pytest.raises(ExtractionInconsistent, match="length-1 index monomials on words"):
-        triangular_index_solve({"bb": 1}, 2, 1)
-    assert triangular_index_solve({"bb": 1}, 2, 2) == {(0, 0): 1}
+        triangular_index_solve({"bb": {0: 1}}, 2, 1)
+    assert triangular_index_solve({"bb": {0: 1}}, 2, 2) == {(0, 0): {0: 1}}
 
 
 def fresh_table():
@@ -449,30 +451,23 @@ def test_extract_gamma_agrees_across_build_degrees():
 def test_triangular_solve_recovers_random_combinations():
     # Build random combinations of the index monomials and check exact
     # recovery of every coefficient (the spec for the back-substitution),
-    # on integer vectors and on e-word polynomials with zeta coefficients.
-    import random
-
+    # on one-column integer vectors and on the vectors of e-word
+    # polynomials with zeta coefficients.
     rng = random.Random(404)
-
-    def combination(want, times):
-        return accumulate(
-            {},
-            ((w, times(x, q)) for j, x in want.items() for w, q in index_monomial(j).items()),
-        )
-
     for degree in range(1, 10):
         for length in range(1, degree + 1):
             comps = graded_words(length, degree - length)
             for _ in range(4):
                 want = {j: rng.randint(-9, 9) for j in comps}
-                want = {j: x for j, x in want.items() if x}
-                solved = triangular_index_solve(combination(want, int.__mul__), degree, length)
+                want = {j: {0: x} for j, x in want.items() if x}
+                solved = triangular_index_solve(_combination(want), degree, length)
                 assert solved == want, (degree, length)
             want = {}
             for j in rng.sample(comps, min(len(comps), 12)):
                 coeff = CoeffElem.symbol("z3", F(rng.randint(1, 9), rng.randint(1, 4)))
-                want[j] = EPoly({(rng.choice((0, 2, 4)),): coeff.mul_pi(rng.randint(0, 2))})
-            solved = triangular_index_solve(combination(want, EPoly.scale), degree, length)
+                poly = EPoly({(rng.choice((0, 2, 4)),): coeff.mul_pi(rng.randint(0, 2))})
+                want[j] = _epoly_vector(poly)
+            solved = triangular_index_solve(_combination(want), degree, length)
             assert solved == want, (degree, length)
 
 
@@ -553,8 +548,9 @@ def test_block_plans_are_the_whole_degree_plan():
 
 def push_triangular_index_solve(component, degree):
     """The solve as it pushed every pivot into the later words, one +
-    per (pivot, word), along the whole-degree plan; the reference of the
-    once-per-word combination and of the per-block walk."""
+    per (pivot, word), along the whole-degree plan, on scalar values (int,
+    or EPoly with its scale); the reference of the vector solve, applied
+    column by column, and of its per-block walk."""
     work = dict(component)
     out = {}
     for j, pure, rest in whole_degree_plan(degree):
@@ -570,39 +566,69 @@ def push_triangular_index_solve(component, degree):
     return out
 
 
+def push_solve_by_columns(component, degree):
+    """:func:`push_triangular_index_solve` on each column of a component of
+    integer vectors, its solutions gathered back into vectors."""
+    columns = {}
+    for w, v in component.items():
+        for col, n in v.items():
+            columns.setdefault(col, {})[w] = n
+    out = {}
+    for col, scalars in columns.items():
+        for j, n in push_triangular_index_solve(scalars, degree).items():
+            out.setdefault(j, {})[col] = n
+    return out
+
+
+def _epoly_vector(poly):
+    """An e-word polynomial as the derivation route's integer vector:
+    (monomial, denominator, e-word) -> numerator, read from its slices."""
+    return {
+        (mono, den, w): n
+        for mono, (den, buckets) in poly.slices().items()
+        for _, terms in buckets
+        for w, n in terms
+    }
+
+
+def _vector_epoly(vector):
+    """The inverse of :func:`_epoly_vector`, through the validating constructors."""
+    coeffs = {}
+    for (mono, den, w), n in vector.items():
+        accumulate(coeffs.setdefault(w, {}), [(mono, F(n, den))])
+    return EPoly({w: CoeffElem(t) for w, t in coeffs.items()})
+
+
 def _random_values(rng, comps, kind):
-    """Random nonzero solution values on a random subset of the compositions."""
+    """Random nonzero solution vectors on a random subset of the compositions:
+    one integer column, or the vector of an e-word polynomial."""
     out = {}
     for j in rng.sample(comps, min(len(comps), rng.randint(1, 12))):
         q = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
         if kind == "int":
-            out[j] = rng.randint(1, 9) * rng.choice((-1, 1))
+            out[j] = {0: rng.randint(1, 9) * rng.choice((-1, 1))}
         else:
             words = {
                 tuple(rng.choice((0, 2, 4)) for _ in range(rng.randint(0, 2))) for _ in range(3)
             }
             coeffs = {w: CoeffElem.symbol("z3", q).mul_pi(rng.randint(0, 2)) for w in words}
             coeffs[()] = CoeffElem.from_rational(q)
-            out[j] = EPoly(coeffs)
+            out[j] = _epoly_vector(EPoly(coeffs))
     return out
 
 
 def _combination(want):
-    times = {int: int.__mul__, EPoly: EPoly.scale}
-    return accumulate(
-        {},
-        (
-            (w, times[type(x)](x, q))
-            for j, x in want.items()
-            for w, q in index_monomial(j).items()
-        ),
-    )
+    """word -> the integer vector sum_j q * x_j over the words q * w of the
+    index monomials, words whose vector cancels dropped."""
+    out = {}
+    for j, x in want.items():
+        for w, q in index_monomial(j).items():
+            accumulate(out.setdefault(w, {}), ((col, q * n) for col, n in x.items()))
+    return {w: v for w, v in out.items() if v}
 
 
 @pytest.mark.parametrize("kind", ["int", "epoly"])
 def test_triangular_solve_matches_push_loop(kind):
-    import random
-
     rng = random.Random(2211)
     for degree in range(1, 10):
         for length in range(1, degree + 1):
@@ -611,38 +637,77 @@ def test_triangular_solve_matches_push_loop(kind):
                 want = _random_values(rng, comps, kind)
                 component = _combination(want)
                 got = triangular_index_solve(component, degree, length)
-                assert got == push_triangular_index_solve(component, degree) == want, (
+                assert got == push_solve_by_columns(component, degree) == want, (
                     degree,
                     length,
                 )
 
 
+def test_vector_solve_matches_the_push_loop_on_every_block():
+    # every block (d, n) of degree <= 9, each composition with a random
+    # integer vector over a few shared columns; and the negative control:
+    # one column perturbed on a word ending in "a" (no pure word) leaves a
+    # residual in the vector solve and in the push loop alike
+    rng = random.Random(33)
+    columns = [(MONOMIAL_ONE, 1, ()), (MONOMIAL_ONE, 3, (2,)), "x", 7, ("z3", 4)]
+    checked = 0
+    for degree in range(10):
+        for length in range(degree + 1):
+            comps = graded_words(length, degree - length)
+            want = {}
+            for j in comps:
+                cols = rng.sample(columns, rng.randint(1, len(columns)))
+                want[j] = {c: rng.choice((-1, 1)) * rng.randint(1, 10**6) for c in cols}
+            component = _combination(want)
+            got = triangular_index_solve(component, degree, length)
+            assert got == push_solve_by_columns(component, degree) == want, (degree, length)
+            words = sorted(w for w in component if w.endswith("a"))
+            if not words:
+                continue
+            vector = dict(component[words[0]])
+            col = rng.choice(sorted(vector, key=repr))
+            vector[col] += 1
+            bad = {**component, words[0]: vector}
+            with pytest.raises(ExtractionInconsistent, match=f"degree-{degree} residual"):
+                triangular_index_solve(bad, degree, length)
+            with pytest.raises(ExtractionInconsistent):
+                push_solve_by_columns(bad, degree)
+            checked += 1
+    # every block 1 <= n < d has a composition with k_1 > 0, whose words end in "a"
+    assert checked == sum(d - 1 for d in range(2, 10)), checked
+
+
 def test_epoly_solve_adds_at_most_once_per_word(monkeypatch):
-    # the container solve settles each word once, adding its component to
-    # its combined contributions; the push loop calls + for every term of a
-    # pivot's monomial that lands on a word already holding a value
-    want = {j: EPoly.word((2 * (i % 3),), i + 1) for i, j in enumerate(compositions_of(7))}
-    component = _combination(want)
-    # each block's component from the compositions of its length
-    blocks = {n: {j: x for j, x in want.items() if len(j) == n} for n in range(1, 8)}
-    parts = {n: _combination(block) for n, block in blocks.items()}
+    # the derivation route solves integer vectors and builds each index's
+    # polynomial once, with one + per coefficient monomial of it; the push
+    # loop on the words' polynomials calls + for every term of a pivot's
+    # monomial that lands on a word already holding a value
+    from emzv.decomp import _eps_word_cells, gseries_decompose, indices_upto
+
+    t = fresh_table()
+    blocks = {(index_degree(j), len(j)) for j in indices_upto(3, 4) if j}
+    cells = _eps_word_cells(build_Ainf(7, t, max_b=3), blocks, t)
+    components = {block: {w: _vector_epoly(v) for w, v in c.items()} for block, c in cells.items()}
     adds = []
     plain_add = EPoly.__add__
     monkeypatch.setattr(EPoly, "__add__", lambda x, y: adds.append(1) or plain_add(x, y))
-    for n, block in blocks.items():
-        assert triangular_index_solve(parts[n], 7, n) == block, n
+    got = gseries_decompose(3, 4, t)
     once = len(adds)
+    monomials = sum(len(p.slices()) for j, p in got.items() if j)
     adds.clear()
-    assert push_triangular_index_solve(component, 7) == want
-    assert 0 < once <= len(component) < len(adds), (once, len(component), len(adds))
+    pushed = 0
+    for (d, n), component in components.items():
+        for j, x in push_triangular_index_solve(component, d).items():
+            assert got[j] == (x if n % 2 == 0 else -x), j
+            pushed += 1
+    assert pushed == sum(1 for p in got.values() if p) - 1  # all but the empty index
+    assert 0 < once <= monomials < len(adds), (once, monomials, len(adds))
 
 
 def test_triangular_solve_rejects_one_perturbed_epoly_word():
     # negative control: a word ending in "a" is no pure word, so the
     # component's projection onto the pure words fixes the solution, and
     # any change on such a word leaves a residual
-    import random
-
     rng = random.Random(7)
     checked = 0
     for degree in range(3, 10):
@@ -654,15 +719,16 @@ def test_triangular_solve_rejects_one_perturbed_epoly_word():
             if not words:
                 continue
             word = min(words)
+            # one column on the word changed by 1/3 on the e-word e2
             bad = dict(component)
-            bad[word] = component.get(word, EPoly.zero()) + EPoly.word((2,), F(1, 3))
+            bad[word] = accumulate(dict(component[word]), [((MONOMIAL_ONE, 3, (2,)), 1)])
             # and with the word dropped: only the pivots' contributions reach it
             dropped = {w: x for w, x in component.items() if w != word}
             for perturbed in (bad, dropped):
                 with pytest.raises(ExtractionInconsistent):
                     triangular_index_solve(perturbed, degree, length)
                 with pytest.raises(ExtractionInconsistent):
-                    push_triangular_index_solve(perturbed, degree)
+                    push_solve_by_columns(perturbed, degree)
             checked += 1
     assert checked == 34, checked  # 34 of the 35 blocks have such a word
 
